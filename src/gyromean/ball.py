@@ -27,30 +27,38 @@ def require_in_ball(v) -> np.ndarray:
     return u
 
 
+def _gamma(u: np.ndarray) -> float:
+    return 1.0 / np.sqrt(1.0 - float(u @ u))
+
+
 def gamma_factor(v) -> float:
     """Lorentz factor 1/sqrt(1 - ||v||^2); equals 1 at the origin."""
-    u = require_in_ball(v)
-    return 1.0 / np.sqrt(1.0 - float(u @ u))
+    return _gamma(require_in_ball(v))
+
+
+def _require_ball_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    a = require_in_ball(u)
+    b = require_in_ball(v)
+    if a.shape != b.shape:
+        raise NotInBall("vectors have different lengths")
+    return a, b
+
+
+def _einstein_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Einstein addition of two validated ball vectors of one length."""
+    ab = float(a @ b)
+    ga = _gamma(a)
+    return (a + b / ga + (ga / (1.0 + ga)) * ab * a) / (1.0 + ab)
 
 
 def einstein_add(u, v) -> np.ndarray:
     """Einstein velocity addition on the ball."""
-    a = require_in_ball(u)
-    b = require_in_ball(v)
-    if a.shape != b.shape:
-        raise NotInBall("vectors have different lengths")
-    ab = float(a @ b)
-    ga = gamma_factor(a)
-    out = (a + b / ga + (ga / (1.0 + ga)) * ab * a) / (1.0 + ab)
-    return out
+    return _einstein_add(*_require_ball_pair(u, v))
 
 
 def mobius_add(u, v) -> np.ndarray:
     """Mobius addition on the ball."""
-    a = require_in_ball(u)
-    b = require_in_ball(v)
-    if a.shape != b.shape:
-        raise NotInBall("vectors have different lengths")
+    a, b = _require_ball_pair(u, v)
     ab = float(a @ b)
     na2 = float(a @ a)
     nb2 = float(b @ b)
@@ -91,17 +99,30 @@ def einstein_coaddition(u, v) -> np.ndarray:
 
 def rapidity_distance(u, v) -> float:
     """d(u, v) = atanh ||(-u) (+)_E v||; zero iff u = v, symmetric."""
-    a = require_in_ball(u)
-    b = require_in_ball(v)
-    return float(np.arctanh(np.linalg.norm(einstein_add(-a, b))))
+    a, b = _require_ball_pair(u, v)
+    return float(np.arctanh(np.linalg.norm(_einstein_add(-a, b))))
 
 
 def gyromidpoint(u, v) -> np.ndarray:
     """Einstein gyromidpoint (gamma_u u + gamma_v v)/(gamma_u + gamma_v)."""
     a = require_in_ball(u)
     b = require_in_ball(v)
-    ga, gb = gamma_factor(a), gamma_factor(b)
+    ga, gb = _gamma(a), _gamma(b)
     return (ga * a + gb * b) / (ga + gb)
+
+
+def _require_bloch(v) -> np.ndarray:
+    u = require_in_ball(v)
+    if u.shape != (3,):
+        raise NotInBall(f"Bloch vectors live in the 3-ball, got shape {u.shape}")
+    return u
+
+
+def _bloch_to_density(u: np.ndarray) -> np.ndarray:
+    v1, v2, v3 = u
+    return 0.5 * np.array(
+        [[1.0 + v3, v1 - 1j * v2],
+         [v1 + 1j * v2, 1.0 - v3]], dtype=complex)
 
 
 def bloch_to_density(v) -> np.ndarray:
@@ -109,13 +130,7 @@ def bloch_to_density(v) -> np.ndarray:
 
     Eigenvalues are (1 +/- ||v||)/2 and the determinant is (1 - ||v||^2)/4.
     """
-    u = require_in_ball(v)
-    if u.shape != (3,):
-        raise NotInBall(f"Bloch vectors live in the 3-ball, got shape {u.shape}")
-    v1, v2, v3 = u
-    return 0.5 * np.array(
-        [[1.0 + v3, v1 - 1j * v2],
-         [v1 + 1j * v2, 1.0 - v3]], dtype=complex)
+    return _bloch_to_density(_require_bloch(v))
 
 
 def density_to_bloch(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -18,15 +18,19 @@ from .errors import (
     NotUnitDeterminant,
 )
 from .ball import (
-    bloch_to_density,
-    einstein_add,
-    gamma_factor,
+    _bloch_to_density,
+    _einstein_add,
+    _gamma,
+    _require_ball_pair,
+    _require_bloch,
     gyromidpoint,
     require_in_ball,
 )
 from .kernel import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _pd_eigh,
+    _powm,
     as_matrix,
     hermitian_part,
     invm,
@@ -128,6 +132,12 @@ def det_shift_identity(c: float, X) -> float:
     return float(abs(lhs - rhs))
 
 
+def _qubit_mean_eigenvalues(a, b, ga: float, gb: float) -> tuple[float, float]:
+    base = ga * gb * (1.0 - float(a @ b))
+    w = float(np.linalg.norm(_einstein_add(a, -b)))
+    return base * (1.0 + w), base * (1.0 - w)
+
+
 def qubit_mean_eigenvalues(u, v) -> tuple[float, float]:
     """The reciprocal eigenvalue pair governing the qubit mean combination.
 
@@ -135,11 +145,8 @@ def qubit_mean_eigenvalues(u, v) -> tuple[float, float]:
         mu_pm = gamma_u gamma_v (1 - u.v) (1 +/- ||u (+)_E (-v)||),
     equal to exp(+/- d(u, v)) in the rapidity metric, so mu_+ mu_- = 1.
     """
-    a = require_in_ball(u)
-    b = require_in_ball(v)
-    base = gamma_factor(a) * gamma_factor(b) * (1.0 - float(a @ b))
-    w = float(np.linalg.norm(einstein_add(a, -b)))
-    return base * (1.0 + w), base * (1.0 - w)
+    a, b = _require_ball_pair(u, v)
+    return _qubit_mean_eigenvalues(a, b, _gamma(a), _gamma(b))
 
 
 def qubit_geo_mean(u, v, t: float) -> np.ndarray:
@@ -148,12 +155,11 @@ def qubit_geo_mean(u, v, t: float) -> np.ndarray:
     Returns L_{1-t}(mu) (g_u/g_v)^t rho_u + L_t(mu) (g_v/g_u)^{1-t} rho_v,
     the (unnormalized) mean rho_u #_t rho_v itself.
     """
-    a = require_in_ball(u)
-    b = require_in_ball(v)
-    ga, gb = gamma_factor(a), gamma_factor(b)
-    mu = qubit_mean_eigenvalues(a, b)[0]
-    rho_u = bloch_to_density(a)
-    rho_v = bloch_to_density(b)
+    a, b = _require_bloch(u), _require_bloch(v)
+    ga, gb = _gamma(a), _gamma(b)
+    mu = _qubit_mean_eigenvalues(a, b, ga, gb)[0]
+    rho_u = _bloch_to_density(a)
+    rho_v = _bloch_to_density(b)
     return (l_map(1.0 - t, mu) * (ga / gb) ** t * rho_u
             + l_map(t, mu) * (gb / ga) ** (1.0 - t) * rho_v)
 
@@ -166,14 +172,13 @@ def qubit_spectral_mean(u, v, t: float,
         (2 g_u/g_v)^t M^t rho_u M^t / (1 + g_{u (+) v})^t,
     with M = g_u rho_{-u} + g_v rho_v and g_{u (+) v} = g_u g_v (1 + u.v).
     """
-    a = require_in_ball(u)
-    b = require_in_ball(v)
-    ga, gb = gamma_factor(a), gamma_factor(b)
-    M = ga * bloch_to_density(-a) + gb * bloch_to_density(b)
-    Mt = powm(hermitian_part(M), t, tol)
+    a, b = _require_bloch(u), _require_bloch(v)
+    ga, gb = _gamma(a), _gamma(b)
+    M = ga * _bloch_to_density(-a) + gb * _bloch_to_density(b)
+    Mt = _powm(_pd_eigh(hermitian_part(M), tol), t)
     gamma_sum = ga * gb * (1.0 + float(a @ b))
     scale = (2.0 * ga / gb) ** t / (1.0 + gamma_sum) ** t
-    return scale * hermitian_part(Mt @ bloch_to_density(a) @ Mt)
+    return scale * hermitian_part(Mt @ _bloch_to_density(a) @ Mt)
 
 
 def _opnorm2(A) -> float:

@@ -9,6 +9,10 @@ class NotHermitian(GyromeanError):
     """Matrix is not Hermitian within tolerance."""
 
 
+class NotFinite(GyromeanError):
+    """Matrix has a NaN or infinite entry."""
+
+
 class NotPositiveDefinite(GyromeanError):
     """Matrix is not strictly positive definite within tolerance."""
 

@@ -12,23 +12,24 @@ import numpy as np
 
 from .kernel import (
     DEFAULT_TOL,
+    SpectralDecomposition,
     TolerancePolicy,
+    _pd_eigh,
+    _powm,
     as_matrix,
     hermitian_part,
-    pd_eigh,
     polar_unitary,
     powm,
-    require_same_dim,
-    sqrtm,
+    require_hermitians,
+    require_weight,
 )
 
 
 def cone_add(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """A (+) B = A^{1/2} B A^{1/2}."""
-    Am, Bm = as_matrix(A), as_matrix(B)
-    require_same_dim(Am, Bm)
-    pd_eigh(Bm, tol)
-    rootA = sqrtm(Am, tol)
+    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    _pd_eigh(Bm, tol)
+    rootA = _powm(_pd_eigh(Am, tol), 0.5)
     return hermitian_part(rootA @ Bm @ rootA)
 
 
@@ -42,29 +43,45 @@ def cone_neg(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return powm(A, -1.0, tol)
 
 
+def _gyration_unitary(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition,
+                      tol: TolerancePolicy) -> np.ndarray:
+    """U(A, B) from the decompositions of A and B."""
+    return polar_unitary(_powm(dec_a, 0.5) @ _powm(dec_b, 0.5), tol)
+
+
 def gyration_unitary(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """U(A, B) = (A^{1/2} B A^{1/2})^{-1/2} A^{1/2} B^{1/2}.
 
     The unitary polar factor of A^{1/2} B^{1/2}, so that
     A^{1/2} B^{1/2} = (A (+) B)^{1/2} U(A, B).
     """
-    Am, Bm = as_matrix(A), as_matrix(B)
-    require_same_dim(Am, Bm)
-    return polar_unitary(sqrtm(Am, tol) @ sqrtm(Bm, tol), tol)
+    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    return _gyration_unitary(_pd_eigh(Am, tol), _pd_eigh(Bm, tol), tol)
 
 
 def gyration(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """gyr[A, B] X = U(A, B) X U(A, B)^{-1}; preserves positive definiteness."""
-    Xm = as_matrix(X)
-    pd_eigh(Xm, tol)
-    U = gyration_unitary(A, B, tol)
+    Am, Bm, Xm = require_hermitians(A, B, X, tol=tol.hermiticity_tol)
+    _pd_eigh(Xm, tol)
+    U = _gyration_unitary(_pd_eigh(Am, tol), _pd_eigh(Bm, tol), tol)
     return hermitian_part(U @ Xm @ U.conj().T)
+
+
+def _cooperation(rootA: np.ndarray, Bm: np.ndarray, dec_b: SpectralDecomposition,
+                 tol: TolerancePolicy) -> np.ndarray:
+    """A [+] B from A^{1/2}, a validated B and B's decomposition."""
+    root_binv = _powm(_pd_eigh(_powm(dec_b, -1.0), tol), 0.5)
+    U = polar_unitary(rootA @ root_binv, tol)
+    G = hermitian_part(U @ Bm @ U.conj().T)
+    _pd_eigh(G, tol)
+    return hermitian_part(rootA @ G @ rootA)
 
 
 def cooperation(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """A [+] B = A (+) gyr[A, (-)B] B; commutative on this cone."""
-    Bm = as_matrix(B)
-    return cone_add(A, gyration(A, cone_neg(Bm, tol), Bm, tol), tol)
+    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    dec_b = _pd_eigh(Bm, tol)
+    return _cooperation(_powm(_pd_eigh(Am, tol), 0.5), Bm, dec_b, tol)
 
 
 def gyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -72,8 +89,16 @@ def gyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
     Coincides with the weighted geometric mean A #_t B.
     """
-    step = cone_add(cone_neg(A, tol), B, tol)
-    return cone_add(A, cone_scalar(t, step, tol), tol)
+    require_weight(t)
+    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    dec_a = _pd_eigh(Am, tol)
+    _pd_eigh(Bm, tol)
+    root_ainv = _powm(_pd_eigh(_powm(dec_a, -1.0), tol), 0.5)
+    step = hermitian_part(root_ainv @ Bm @ root_ainv)
+    scaled = _powm(_pd_eigh(step, tol), t)
+    _pd_eigh(scaled, tol)
+    rootA = _powm(dec_a, 0.5)
+    return hermitian_part(rootA @ scaled @ rootA)
 
 
 def cogyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -81,8 +106,13 @@ def cogyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
 
     Coincides with the weighted spectral mean A natural_t B.
     """
-    step = cooperation(cone_neg(A, tol), B, tol)
-    return cone_add(cone_scalar(t, step, tol), A, tol)
+    require_weight(t)
+    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    dec_a = _pd_eigh(Am, tol)
+    root_ainv = _powm(_pd_eigh(_powm(dec_a, -1.0), tol), 0.5)
+    step = _cooperation(root_ainv, Bm, _pd_eigh(Bm, tol), tol)
+    root_scaled = _powm(_pd_eigh(_powm(_pd_eigh(step, tol), t), tol), 0.5)
+    return hermitian_part(root_scaled @ Am @ root_scaled)
 
 
 def cone_model(dim: int, tol: TolerancePolicy = DEFAULT_TOL):

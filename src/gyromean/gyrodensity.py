@@ -10,34 +10,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotDensity
+from .errors import GyromeanError, NotDensity
 from .kernel import (
     DEFAULT_TOL,
+    SpectralDecomposition,
     TolerancePolicy,
+    _pd_eigh,
+    _powm,
     as_matrix,
     hermitian_part,
-    pd_eigh,
-    powm,
+    require_hermitian,
     require_same_dim,
-    sqrtm,
+    require_weight,
 )
-from .gyrocone import gyration_unitary
-from .means import geo_mean, spectral_mean
+from .gyrocone import _gyration_unitary
+from .means import _geo_mean, _spectral_mean
 
 TRACE_TOL = 1e-10
 
 
-def require_density(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Validate an invertible density matrix (PD Hermitian, trace one)."""
+def _require_density(rho, tol: TolerancePolicy
+                     ) -> tuple[np.ndarray, SpectralDecomposition]:
+    """Validate an invertible density matrix; return it with its decomposition."""
     M = as_matrix(rho)
     try:
-        pd_eigh(M, tol)
-    except Exception as exc:
+        dec = _pd_eigh(require_hermitian(M, tol.hermiticity_tol), tol)
+    except GyromeanError as exc:
         raise NotDensity(str(exc)) from exc
     trace = float(np.trace(M).real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise NotDensity(f"trace {trace!r} differs from 1 beyond tolerance")
-    return M
+    return M, dec
+
+
+def require_density(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Validate an invertible density matrix (PD Hermitian, trace one)."""
+    return _require_density(rho, tol)[0]
 
 
 def normalize_to_density(A) -> np.ndarray:
@@ -48,17 +56,18 @@ def normalize_to_density(A) -> np.ndarray:
 
 def dens_add(rho, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """rho (*) sigma = rho^{1/2} sigma rho^{1/2} / tr(rho sigma)."""
-    r = require_density(rho, tol)
-    s = require_density(sigma, tol)
+    r, dec_r = _require_density(rho, tol)
+    s, _ = _require_density(sigma, tol)
     require_same_dim(r, s)
-    root = sqrtm(r, tol)
+    root = _powm(dec_r, 0.5)
     return normalize_to_density(hermitian_part(root @ s @ root))
 
 
 def dens_scalar(t: float, rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """t (*) rho = rho^t / tr(rho^t)."""
-    r = require_density(rho, tol)
-    return normalize_to_density(powm(r, t, tol))
+    require_weight(t)
+    _, dec = _require_density(rho, tol)
+    return normalize_to_density(_powm(dec, t))
 
 
 def dens_neg(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -76,25 +85,30 @@ def dens_gyration(rho, sigma, tau, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     Unitary conjugation preserves the trace, so the cone gyration descends
     to the trace-normalized carrier unchanged.
     """
-    r = require_density(rho, tol)
-    s = require_density(sigma, tol)
-    x = require_density(tau, tol)
-    U = gyration_unitary(r, s, tol)
+    r, dec_r = _require_density(rho, tol)
+    s, dec_s = _require_density(sigma, tol)
+    x, _ = _require_density(tau, tol)
+    require_same_dim(r, s, x)
+    U = _gyration_unitary(dec_r, dec_s, tol)
     return hermitian_part(U @ x @ U.conj().T)
 
 
 def dens_gyroline(t: float, rho, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """L(t; rho, sigma): the trace-normalized weighted geometric mean."""
-    r = require_density(rho, tol)
-    s = require_density(sigma, tol)
-    return normalize_to_density(geo_mean(r, s, t, tol))
+    require_weight(t)
+    r, dec_r = _require_density(rho, tol)
+    s, _ = _require_density(sigma, tol)
+    require_same_dim(r, s)
+    return normalize_to_density(_geo_mean(dec_r, s, t, tol))
 
 
 def dens_cogyroline(t: float, rho, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Lc(t; rho, sigma): the trace-normalized weighted spectral mean."""
-    r = require_density(rho, tol)
-    s = require_density(sigma, tol)
-    return normalize_to_density(spectral_mean(r, s, t, tol))
+    require_weight(t)
+    r, dec_r = _require_density(rho, tol)
+    s, _ = _require_density(sigma, tol)
+    require_same_dim(r, s)
+    return normalize_to_density(_spectral_mean(r, dec_r, s, t, tol))
 
 
 def density_model(dim: int, tol: TolerancePolicy = DEFAULT_TOL):

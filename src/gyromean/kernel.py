@@ -4,10 +4,17 @@ Every other module reduces its matrix work to the handful of primitives
 defined here: a validated Hermitian eigendecomposition, functional calculus
 (sqrt / log / real powers), congruence transforms, the two matrix norms, the
 Loewner comparison, and the unitary polar factor.
+
+The public functions validate their operands and then call the private
+primitives ``_eigh``, ``_pd_eigh``, ``_powm`` and ``_logm``, which trust
+their input: a Hermitian complex ndarray, or a decomposition already made.
+The other modules do the same at their own public boundary, so one public
+call checks each operand once and decomposes each distinct matrix once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -17,10 +24,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    NotFinite,
     NotHermitian,
     NotPositiveDefinite,
     Singular,
     UnknownCase,
+    WeightOutOfRange,
 )
 
 
@@ -88,18 +97,57 @@ def require_same_dim(*matrices: np.ndarray) -> None:
 
 
 def require_hermitian(H, tol: float = DEFAULT_TOL.hermiticity_tol) -> np.ndarray:
-    """Validate hermiticity and return the matrix as a complex ndarray."""
+    """Validate finiteness and hermiticity; return the matrix as a complex ndarray."""
     M = as_matrix(H)
-    scale = max(1.0, float(np.max(np.abs(M))))
+    peak = float(np.max(np.abs(M)))
+    if not math.isfinite(peak):
+        raise NotFinite("matrix has a NaN or infinite entry")
+    scale = max(1.0, peak)
     defect = float(np.max(np.abs(M - M.conj().T)))
     if defect > tol * scale:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
     return M
 
 
+def require_hermitians(*operands, tol: float = DEFAULT_TOL.hermiticity_tol
+                       ) -> list[np.ndarray]:
+    """Validate Hermitian operands of one common size; return them as complex ndarrays."""
+    matrices = [as_matrix(X) for X in operands]
+    require_same_dim(*matrices)
+    return [require_hermitian(M, tol) for M in matrices]
+
+
+def require_weight(t) -> None:
+    """Reject a curve parameter that is NaN or infinite."""
+    if not math.isfinite(t):
+        raise WeightOutOfRange(f"curve parameter {t!r} is not finite")
+
+
 def hermitian_part(M: np.ndarray) -> np.ndarray:
     """(M + M*)/2; used to strip rounding drift from computed results."""
     return 0.5 * (M + M.conj().T)
+
+
+def _eigh(M: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of M, trusted to be a Hermitian complex ndarray."""
+    try:
+        w, V = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return SpectralDecomposition(w, _fix_phases(V))
+
+
+def _pd_eigh(M: np.ndarray, tol: TolerancePolicy) -> SpectralDecomposition:
+    """``_eigh`` followed by the positive definiteness test of ``pd_eigh``."""
+    dec = _eigh(M)
+    w = dec.eigenvalues
+    scale = max(abs(float(w[0])), abs(float(w[-1])))
+    if not w[0] > tol.pd_tol * scale:
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {w[0]:.3e} not above tolerance "
+            f"(relative to spectral radius {scale:.3e})"
+        )
+    return dec
 
 
 def eigh(H, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDecomposition:
@@ -121,18 +169,14 @@ def eigh(H, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDecomposition:
 
     Raises
     ------
+    NotFinite
+        If an entry is NaN or infinite.
     NotHermitian
         If the symmetry defect exceeds ``tol.hermiticity_tol``.
     NoConvergence
         If the underlying iteration fails.
     """
-    M = require_hermitian(H, tol.hermiticity_tol)
-    try:
-        w, V = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    V = _fix_phases(V)
-    return SpectralDecomposition(w, V)
+    return _eigh(require_hermitian(H, tol.hermiticity_tol))
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
@@ -154,21 +198,13 @@ def pd_eigh(A, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDecomposition:
     magnitude.  (Matrices at extreme overall scales arise legitimately as
     powers of curve points; an absolute floor would misclassify them.)
     """
-    dec = eigh(A, tol)
-    w = dec.eigenvalues
-    scale = max(abs(float(w[0])), abs(float(w[-1])))
-    if not w[0] > tol.pd_tol * scale:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {w[0]:.3e} not above tolerance "
-            f"(relative to spectral radius {scale:.3e})"
-        )
-    return dec
+    return _pd_eigh(require_hermitian(A, tol.hermiticity_tol), tol)
 
 
 def is_positive_definite(A, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     try:
         pd_eigh(A, tol)
-    except (NotPositiveDefinite, NotHermitian):
+    except (NotPositiveDefinite, NotHermitian, NotFinite):
         return False
     return True
 
@@ -183,24 +219,33 @@ def _apply(dec: SpectralDecomposition, fw: np.ndarray) -> np.ndarray:
     return hermitian_part((V * fw) @ V.conj().T)
 
 
-def powm(A, t: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """A**t for positive definite A and any real t, via the spectral map."""
-    dec = pd_eigh(A, tol)
+def _powm(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    """The t-th power of a positive definite matrix, from its decomposition."""
     return _apply(dec, np.power(dec.eigenvalues, t))
 
 
+def _logm(dec: SpectralDecomposition) -> np.ndarray:
+    """The logarithm of a positive definite matrix, from its decomposition."""
+    return _apply(dec, np.log(dec.eigenvalues))
+
+
+def powm(A, t: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """A**t for positive definite A and any finite real t, via the spectral map."""
+    require_weight(t)
+    return _powm(pd_eigh(A, tol), t)
+
+
 def sqrtm(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    return powm(A, 0.5, tol)
+    return _powm(pd_eigh(A, tol), 0.5)
 
 
 def invm(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    return powm(A, -1.0, tol)
+    return _powm(pd_eigh(A, tol), -1.0)
 
 
 def logm(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Principal logarithm of a positive definite matrix (Hermitian result)."""
-    dec = pd_eigh(A, tol)
-    return _apply(dec, np.log(dec.eigenvalues))
+    return _logm(pd_eigh(A, tol))
 
 
 def expm(H, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -244,7 +289,7 @@ def norm(H, kind: str = "operator", tol: TolerancePolicy = DEFAULT_TOL) -> float
     """Operator (largest |eigenvalue|) or Frobenius norm of a Hermitian matrix."""
     M = require_hermitian(H, tol.hermiticity_tol)
     if kind == "operator":
-        w = eigh(M, tol).eigenvalues
+        w = _eigh(M).eigenvalues
         return float(np.max(np.abs(w)))
     if kind == "frobenius":
         return float(np.linalg.norm(M))
@@ -273,19 +318,17 @@ def loewner_compare(X, Y, tol: float | None = None) -> Loewner:
     return Loewner.INCOMPARABLE
 
 
-def loewner_le(X, Y, tol: float | None = None) -> bool:
-    return loewner_compare(X, Y, tol) in (Loewner.LE, Loewner.EQ)
-
-
 def polar_unitary(M, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Unitary factor U = (M M*)^{-1/2} M of an invertible matrix.
 
-    Satisfies M = (M M*)^{1/2} U with U U* = I.
+    Satisfies M = (M M*)^{1/2} U with U U* = I.  M counts as singular when
+    the smallest eigenvalue of M M* is at most ``tol.pd_tol`` times the
+    largest, a test that does not depend on the scale of M.
     """
     Mm = as_matrix(M)
     P = hermitian_part(Mm @ Mm.conj().T)
     w, V = np.linalg.eigh(P)
-    if w[0] <= DEFAULT_TOL.pd_tol * max(1.0, w[-1]):
+    if w[0] <= tol.pd_tol * w[-1]:
         raise Singular("matrix has a (numerically) vanishing singular value")
     inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.conj().T
     return inv_sqrt @ Mm

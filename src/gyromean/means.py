@@ -2,8 +2,8 @@
 
 ``geo_mean`` is the metric geodesic A^{1/2}(A^{-1/2} B A^{-1/2})^t A^{1/2};
 ``spectral_mean`` is the curve (A^{-1} # B)^t A (A^{-1} # B)^t.  Both accept
-any real parameter t (the curves extend beyond [0,1], and the component-wise
-bijection inverses need 1/t).
+any finite real parameter t (the curves extend beyond [0,1], and the
+component-wise bijection inverses need 1/t).
 """
 
 from __future__ import annotations
@@ -13,20 +13,42 @@ import numpy as np
 from .errors import UnknownCase, WeightOutOfRange
 from .kernel import (
     DEFAULT_TOL,
+    SpectralDecomposition,
     TolerancePolicy,
+    _logm,
+    _pd_eigh,
+    _powm,
     as_matrix,
     hermitian_part,
     invm,
-    logm,
     min_eig,
-    pd_eigh,
-    powm,
     require_hermitian,
+    require_hermitians,
     require_same_dim,
+    require_weight,
     sqrtm,
 )
 
 MEAN_KINDS = ("metric", "spectral")
+
+
+def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float,
+              tol: TolerancePolicy) -> np.ndarray:
+    """A #_t B from A's decomposition; Bm is a validated Hermitian of A's size."""
+    w = dec_a.eigenvalues
+    V = dec_a.vectors
+    rootA = (V * np.sqrt(w)) @ V.conj().T
+    inv_rootA = (V * (1.0 / np.sqrt(w))) @ V.conj().T
+    inner = _powm(_pd_eigh(hermitian_part(inv_rootA @ Bm @ inv_rootA), tol), t)
+    return hermitian_part(rootA @ inner @ rootA)
+
+
+def _spectral_mean(Am: np.ndarray, dec_a: SpectralDecomposition, Bm: np.ndarray,
+                   t: float, tol: TolerancePolicy) -> np.ndarray:
+    """A natural_t B from A and its decomposition; Bm as in ``_geo_mean``."""
+    W = _geo_mean(_pd_eigh(_powm(dec_a, -1.0), tol), Bm, 0.5, tol)
+    Wt = _powm(_pd_eigh(W, tol), t)
+    return hermitian_part(Wt @ Am @ Wt)
 
 
 def geo_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -37,22 +59,17 @@ def geo_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     A, B : array_like, shape (n, n)
         Positive definite matrices.
     t : float
-        Curve parameter; 0 gives A, 1 gives B. Any real value is accepted.
+        Curve parameter; 0 gives A, 1 gives B. Any finite real value is
+        accepted.
 
     Returns
     -------
     ndarray
         A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}, positive definite.
     """
-    Am, Bm = as_matrix(A), as_matrix(B)
-    require_same_dim(Am, Bm)
-    dec = pd_eigh(Am, tol)
-    w = dec.eigenvalues
-    V = dec.vectors
-    rootA = (V * np.sqrt(w)) @ V.conj().T
-    inv_rootA = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    inner = powm(hermitian_part(inv_rootA @ Bm @ inv_rootA), t, tol)
-    return hermitian_part(rootA @ inner @ rootA)
+    require_weight(t)
+    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    return _geo_mean(_pd_eigh(Am, tol), Bm, t, tol)
 
 
 def spectral_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -61,11 +78,9 @@ def spectral_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> n
     Computed as W^t A W^t with W = A^{-1} # B.  At t = 1/2 its eigenvalues
     are the positive square roots of the eigenvalues of A B.
     """
-    Am, Bm = as_matrix(A), as_matrix(B)
-    require_same_dim(Am, Bm)
-    W = geo_mean(invm(Am, tol), Bm, 0.5, tol)
-    Wt = powm(W, t, tol)
-    return hermitian_part(Wt @ Am @ Wt)
+    require_weight(t)
+    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    return _spectral_mean(Am, _pd_eigh(Am, tol), Bm, t, tol)
 
 
 def mean(kind: str, A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -94,8 +109,8 @@ def karcher_residual(A, B, t: float, X, tol: TolerancePolicy = DEFAULT_TOL) -> f
     Am, Bm, Xm = as_matrix(A), as_matrix(B), as_matrix(X)
     require_same_dim(Am, Bm, Xm)
     rootX = sqrtm(Xm, tol)
-    term_a = logm(hermitian_part(rootX @ invm(Am, tol) @ rootX), tol)
-    term_b = logm(hermitian_part(rootX @ invm(Bm, tol) @ rootX), tol)
+    term_a = _logm(_pd_eigh(hermitian_part(rootX @ invm(Am, tol) @ rootX), tol))
+    term_b = _logm(_pd_eigh(hermitian_part(rootX @ invm(Bm, tol) @ rootX), tol))
     return float(np.linalg.norm((1.0 - t) * term_a + t * term_b))
 
 
@@ -108,9 +123,9 @@ def spectral_defining_residual(A, B, t: float, X,
     """
     Am, Bm, Xm = as_matrix(A), as_matrix(B), as_matrix(X)
     require_same_dim(Am, Bm, Xm)
-    Ainv = invm(Am, tol)
-    lhs = powm(geo_mean(Ainv, Bm, 0.5, tol), t, tol)
-    rhs = geo_mean(Ainv, Xm, 0.5, tol)
+    dec_ainv = _pd_eigh(invm(Am, tol), tol)
+    lhs = _powm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5, tol), tol), t)
+    rhs = _geo_mean(dec_ainv, Xm, 0.5, tol)
     return float(np.linalg.norm(lhs - rhs))
 
 

@@ -17,50 +17,56 @@ import numpy as np
 from .errors import UnknownCase
 from .kernel import (
     DEFAULT_TOL,
+    SpectralDecomposition,
     TolerancePolicy,
+    _logm,
+    _pd_eigh,
+    _powm,
     as_matrix,
     hermitian_part,
-    invm,
-    logm,
     pd_eigh,
     powm,
+    require_hermitians,
     require_same_dim,
 )
-from .means import geo_mean
+from .means import _geo_mean
 
 DISTANCE_KINDS = ("thompson", "riemannian", "semimetric_op", "semimetric_frob")
 
 
-def _log_whitened(A, B, tol):
-    """log(A^{-1/2} B A^{-1/2})."""
-    Am, Bm = as_matrix(A), as_matrix(B)
-    require_same_dim(Am, Bm)
-    inv_root = powm(Am, -0.5, tol)
-    return logm(hermitian_part(inv_root @ Bm @ inv_root), tol)
+def _log_whitened(dec_a: SpectralDecomposition, Bm: np.ndarray, tol) -> np.ndarray:
+    """log(A^{-1/2} B A^{-1/2}), from A's decomposition."""
+    inv_root = _powm(dec_a, -0.5)
+    return _logm(_pd_eigh(hermitian_part(inv_root @ Bm @ inv_root), tol))
 
 
-def _log_inv_sharp(A, B, tol):
-    """log(A^{-1} # B)."""
-    Am, Bm = as_matrix(A), as_matrix(B)
-    require_same_dim(Am, Bm)
-    return logm(geo_mean(invm(Am, tol), Bm, 0.5, tol), tol)
+def _log_inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray, tol) -> np.ndarray:
+    """log(A^{-1} # B), from A's decomposition."""
+    dec_ainv = _pd_eigh(_powm(dec_a, -1.0), tol)
+    return _logm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5, tol), tol))
 
 
 def _opnorm(H) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(H))))
 
 
+def _distance(kind: str, dec_a: SpectralDecomposition, Bm: np.ndarray, tol) -> float:
+    """The distance of the given kind, from A's decomposition and a validated B."""
+    if kind == "thompson":
+        return _opnorm(_log_whitened(dec_a, Bm, tol))
+    if kind == "riemannian":
+        return float(np.linalg.norm(_log_whitened(dec_a, Bm, tol)))
+    if kind == "semimetric_op":
+        return 2.0 * _opnorm(_log_inv_sharp(dec_a, Bm, tol))
+    if kind == "semimetric_frob":
+        return 2.0 * float(np.linalg.norm(_log_inv_sharp(dec_a, Bm, tol)))
+    raise UnknownCase(f"unknown distance kind {kind!r}")
+
+
 def distance(kind: str, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Distance between positive definite matrices under the given kind."""
-    if kind == "thompson":
-        return _opnorm(_log_whitened(A, B, tol))
-    if kind == "riemannian":
-        return float(np.linalg.norm(_log_whitened(A, B, tol)))
-    if kind == "semimetric_op":
-        return 2.0 * _opnorm(_log_inv_sharp(A, B, tol))
-    if kind == "semimetric_frob":
-        return 2.0 * float(np.linalg.norm(_log_inv_sharp(A, B, tol)))
-    raise UnknownCase(f"unknown distance kind {kind!r}")
+    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    return _distance(kind, _pd_eigh(Am, tol), Bm, tol)
 
 
 def sup_ratio(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -82,8 +88,10 @@ def midpoint_deviation(kind: str, A, B, M,
 
     Returns (|dist(A, M) - dist(A, B)/2|, |dist(B, M) - dist(A, B)/2|).
     """
-    half = 0.5 * distance(kind, A, B, tol)
+    Am, Bm, Mm = require_hermitians(A, B, M, tol=tol.hermiticity_tol)
+    dec_a, dec_b = _pd_eigh(Am, tol), _pd_eigh(Bm, tol)
+    half = 0.5 * _distance(kind, dec_a, Bm, tol)
     return (
-        abs(distance(kind, A, M, tol) - half),
-        abs(distance(kind, B, M, tol) - half),
+        abs(_distance(kind, dec_a, Mm, tol) - half),
+        abs(_distance(kind, dec_b, Mm, tol) - half),
     )

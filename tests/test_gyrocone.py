@@ -123,3 +123,13 @@ def test_operation_is_not_commutative_or_associative():
 def test_axiom_suite_requires_samples():
     with pytest.raises(ValueError):
         axiom_suite([])
+
+
+def test_gyration_singularity_test_is_scale_free():
+    # U(A, B) exists for every PD pair; a tiny overall scale must not make
+    # the polar factor look singular
+    A = np.diag([2e-6, 1e-6])
+    B = np.array([[1.5e-6, 2e-7], [2e-7, 1e-6]])
+    for scale in (1.0, 1e6):
+        np.testing.assert_allclose(gyration(scale * A, scale * B, np.eye(2)),
+                                   np.eye(2), atol=1e-12)

@@ -202,6 +202,10 @@ def test_polar_unitary_fixtures():
                                atol=1e-11)
     with pytest.raises(errors.Singular):
         polar_unitary(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # singularity is judged relative to the largest singular value
+    for scale in (1e-6, 1.0, 1e6):
+        np.testing.assert_allclose(polar_unitary(scale * np.diag([2.0, 1.0])),
+                                   np.eye(2), atol=1e-14)
 
 
 def test_polar_unitary_is_unitary():
