@@ -7,6 +7,10 @@ ball with the Bloch correspondence), 2x2 closed forms, and the randomized
 verification harness behind the ``gyromean`` CLI.
 """
 
+# the one place the version is written: pyproject.toml reads it from here, and
+# every campaign report records it
+__version__ = "0.1.0"
+
 from .kernel import (
     DEFAULT_TOL,
     Loewner,
@@ -92,4 +96,3 @@ from .harness import (
 )
 from . import errors
 
-__version__ = "0.1.0"

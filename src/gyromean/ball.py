@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotDensity, NotInBall
-from .kernel import DEFAULT_TOL, TolerancePolicy
+from .errors import NotDensity, NotFinite, NotInBall
+from .kernel import DEFAULT_TOL, TolerancePolicy, require_weight
 from .gyrodensity import require_density
 
 BALL_MARGIN = 1e-12
@@ -22,8 +22,11 @@ def require_in_ball(v) -> np.ndarray:
     u = np.asarray(v, dtype=float)
     if u.ndim != 1:
         raise NotInBall(f"expected a vector, got shape {u.shape}")
-    if np.linalg.norm(u) >= 1.0 - BALL_MARGIN:
-        raise NotInBall(f"norm {np.linalg.norm(u)!r} not strictly inside the ball")
+    norm = np.linalg.norm(u)
+    if not norm < 1.0 - BALL_MARGIN:
+        if not np.isfinite(norm):
+            raise NotFinite("vector has a NaN or infinite entry")
+        raise NotInBall(f"norm {norm!r} not strictly inside the ball")
     return u
 
 
@@ -68,6 +71,7 @@ def mobius_add(u, v) -> np.ndarray:
 
 def ball_scalar(t: float, v) -> np.ndarray:
     """t (x) v = tanh(t atanh ||v||) v/||v||, with t (x) 0 = 0."""
+    require_weight(t)
     u = require_in_ball(v)
     nv = float(np.linalg.norm(u))
     if nv == 0.0:
@@ -144,8 +148,17 @@ def density_to_bloch(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return np.array([v1, v2, v3])
 
 
+def _rowwise(op):
+    """Map a one-vector operation over the rows of stacked arguments."""
+    return lambda *stacks: np.array([op(*row) for row in zip(*stacks)])
+
+
 def ball_model(name: str = "einstein"):
-    """GyroModel adapter (Einstein or Mobius) for the generic axiom suite."""
+    """GyroModel adapter (Einstein or Mobius) for the generic axiom suite.
+
+    The suite hands over stacks of vectors, one row per sample; the ball
+    operations act on one vector, so the adapter maps them over the rows.
+    """
     from .gyroaxioms import GyroModel
 
     add = einstein_add if name == "einstein" else mobius_add
@@ -154,9 +167,9 @@ def ball_model(name: str = "einstein"):
     return GyroModel(
         name=name,
         identity=np.zeros(dim),
-        add=add,
+        add=_rowwise(add),
         neg=lambda a: -np.asarray(a, float),
-        scalar=ball_scalar,
-        gyr=gyr,
-        residual=lambda x, y: float(np.linalg.norm(np.asarray(x) - np.asarray(y))),
+        scalar=lambda t, a: _rowwise(ball_scalar)(np.broadcast_to(t, len(a)), a),
+        gyr=_rowwise(gyr),
+        residual=_rowwise(lambda x, y: float(np.linalg.norm(x - y))),
     )

@@ -213,7 +213,14 @@ def main(argv=None) -> int:
         "counterexample": _cmd_counterexample,
     }[args.command]
     try:
+        if args.command in ("compute", "geodesic"):
+            # operands read from files may be finite yet too large to square
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return handler(args)
         return handler(args)
+    except FloatingPointError as exc:
+        print(f"error: operands out of floating-point range ({exc})", file=sys.stderr)
+        return 2
     except (GyromeanError, MatrixFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,6 +36,7 @@ from .kernel import (
     invm,
     pd_eigh,
     powm,
+    require_weight,
 )
 
 UNIT_DET_TOL = 1e-9
@@ -93,6 +94,7 @@ def gm2_det1(A, B, t: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     A #_t B = L_{1-t}(lam) A + L_t(lam) B with lam an eigenvalue of A B^{-1};
     the larger branch is used, and the result does not depend on that choice.
     """
+    require_weight(t)
     Am = _require_unit_det(A, tol)
     Bm = _require_unit_det(B, tol)
     pd_eigh(Am, tol)
@@ -155,6 +157,7 @@ def qubit_geo_mean(u, v, t: float) -> np.ndarray:
     Returns L_{1-t}(mu) (g_u/g_v)^t rho_u + L_t(mu) (g_v/g_u)^{1-t} rho_v,
     the (unnormalized) mean rho_u #_t rho_v itself.
     """
+    require_weight(t)
     a, b = _require_bloch(u), _require_bloch(v)
     ga, gb = _gamma(a), _gamma(b)
     mu = _qubit_mean_eigenvalues(a, b, ga, gb)[0]
@@ -172,6 +175,7 @@ def qubit_spectral_mean(u, v, t: float,
         (2 g_u/g_v)^t M^t rho_u M^t / (1 + g_{u (+) v})^t,
     with M = g_u rho_{-u} + g_v rho_v and g_{u (+) v} = g_u g_v (1 + u.v).
     """
+    require_weight(t)
     a, b = _require_bloch(u), _require_bloch(v)
     ga, gb = _gamma(a), _gamma(b)
     M = ga * _bloch_to_density(-a) + gb * _bloch_to_density(b)

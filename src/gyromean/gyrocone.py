@@ -4,6 +4,8 @@ The operations are A (+) B = A^{1/2} B A^{1/2} and t (.) A = A^t, with
 identity I.  The gyration generated by A and B is conjugation by the unitary
 polar factor of A^{1/2} B^{1/2}.  Gyrolines of this structure trace the
 weighted geometric mean; cogyrolines trace the weighted spectral mean.
+Every operation also takes stacks of operands (..., n, n), with one t or an
+array of one t per item; see :mod:`gyromean.kernel`.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from .kernel import (
     DEFAULT_TOL,
     SpectralDecomposition,
     TolerancePolicy,
+    _frobenius,
     _pd_eigh,
+    _polar_unitary,
     _powm,
     as_matrix,
     hermitian_part,
-    polar_unitary,
     powm,
     require_hermitians,
     require_weight,
@@ -46,7 +49,7 @@ def cone_neg(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 def _gyration_unitary(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition,
                       tol: TolerancePolicy) -> np.ndarray:
     """U(A, B) from the decompositions of A and B."""
-    return polar_unitary(_powm(dec_a, 0.5) @ _powm(dec_b, 0.5), tol)
+    return _polar_unitary(_powm(dec_a, 0.5) @ _powm(dec_b, 0.5), tol)
 
 
 def gyration_unitary(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -64,15 +67,15 @@ def gyration(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     Am, Bm, Xm = require_hermitians(A, B, X, tol=tol.hermiticity_tol)
     _pd_eigh(Xm, tol)
     U = _gyration_unitary(_pd_eigh(Am, tol), _pd_eigh(Bm, tol), tol)
-    return hermitian_part(U @ Xm @ U.conj().T)
+    return hermitian_part(U @ Xm @ U.conj().mT)
 
 
 def _cooperation(rootA: np.ndarray, Bm: np.ndarray, dec_b: SpectralDecomposition,
                  tol: TolerancePolicy) -> np.ndarray:
     """A [+] B from A^{1/2}, a validated B and B's decomposition."""
     root_binv = _powm(_pd_eigh(_powm(dec_b, -1.0), tol), 0.5)
-    U = polar_unitary(rootA @ root_binv, tol)
-    G = hermitian_part(U @ Bm @ U.conj().T)
+    U = _polar_unitary(rootA @ root_binv, tol)
+    G = hermitian_part(U @ Bm @ U.conj().mT)
     _pd_eigh(G, tol)
     return hermitian_part(rootA @ G @ rootA)
 
@@ -89,8 +92,8 @@ def gyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
     Coincides with the weighted geometric mean A #_t B.
     """
-    require_weight(t)
     Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    t = require_weight(t, Am)
     dec_a = _pd_eigh(Am, tol)
     _pd_eigh(Bm, tol)
     root_ainv = _powm(_pd_eigh(_powm(dec_a, -1.0), tol), 0.5)
@@ -106,8 +109,8 @@ def cogyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
 
     Coincides with the weighted spectral mean A natural_t B.
     """
-    require_weight(t)
     Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    t = require_weight(t, Am)
     dec_a = _pd_eigh(Am, tol)
     root_ainv = _powm(_pd_eigh(_powm(dec_a, -1.0), tol), 0.5)
     step = _cooperation(root_ainv, Bm, _pd_eigh(Bm, tol), tol)
@@ -126,7 +129,7 @@ def cone_model(dim: int, tol: TolerancePolicy = DEFAULT_TOL):
         neg=lambda a: cone_neg(a, tol),
         scalar=lambda t, a: cone_scalar(t, a, tol),
         gyr=lambda a, b, x: gyration(a, b, x, tol),
-        residual=lambda x, y: float(np.linalg.norm(np.asarray(x) - np.asarray(y))),
+        residual=lambda x, y: _frobenius(x - y),
     )
 
 

@@ -3,7 +3,9 @@
 Carrier: positive definite Hermitian matrices of unit trace.  Operations are
 the trace-normalized cone operations; the identity element is I/n and the
 inverse of rho is rho^{-1}/tr(rho^{-1}).  Gyrolines and cogyrolines are the
-trace-normalized weighted geometric and spectral means.
+trace-normalized weighted geometric and spectral means.  Every operation
+also takes stacks of densities (..., n, n), with one t or an array of one t
+per item; see :mod:`gyromean.kernel`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ from .kernel import (
     DEFAULT_TOL,
     SpectralDecomposition,
     TolerancePolicy,
+    _frobenius,
+    _hermitian,
+    _item,
     _pd_eigh,
     _powm,
-    as_matrix,
+    _trace,
+    as_stack,
     hermitian_part,
-    require_hermitian,
     require_same_dim,
     require_weight,
 )
@@ -32,11 +37,18 @@ TRACE_TOL = 1e-10
 def _require_density(rho, tol: TolerancePolicy
                      ) -> tuple[np.ndarray, SpectralDecomposition]:
     """Validate an invertible density matrix; return it with its decomposition."""
-    M = as_matrix(rho)
+    M = as_stack(rho)
     try:
-        dec = _pd_eigh(require_hermitian(M, tol.hermiticity_tol), tol)
+        dec = _pd_eigh(_hermitian(M, tol.hermiticity_tol), tol)
     except GyromeanError as exc:
         raise NotDensity(str(exc)) from exc
+    if M.ndim > 2:
+        trace = _trace(M)
+        bad = np.abs(trace - 1.0) > TRACE_TOL
+        if bad.any():
+            raise NotDensity(
+                _item(bad) + f"trace {trace[bad][0]!r} differs from 1 beyond tolerance")
+        return M, dec
     trace = float(np.trace(M).real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise NotDensity(f"trace {trace!r} differs from 1 beyond tolerance")
@@ -49,8 +61,10 @@ def require_density(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 
 def normalize_to_density(A) -> np.ndarray:
-    """Project a positive definite matrix onto unit trace."""
-    M = as_matrix(A)
+    """Project a positive definite matrix (or each item of a stack) onto unit trace."""
+    M = as_stack(A)
+    if M.ndim > 2:
+        return M / _trace(M)[..., None, None]
     return M / np.trace(M).real
 
 
@@ -65,9 +79,8 @@ def dens_add(rho, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 def dens_scalar(t: float, rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """t (*) rho = rho^t / tr(rho^t)."""
-    require_weight(t)
-    _, dec = _require_density(rho, tol)
-    return normalize_to_density(_powm(dec, t))
+    r, dec = _require_density(rho, tol)
+    return normalize_to_density(_powm(dec, require_weight(t, r)))
 
 
 def dens_neg(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -90,24 +103,24 @@ def dens_gyration(rho, sigma, tau, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     x, _ = _require_density(tau, tol)
     require_same_dim(r, s, x)
     U = _gyration_unitary(dec_r, dec_s, tol)
-    return hermitian_part(U @ x @ U.conj().T)
+    return hermitian_part(U @ x @ U.conj().mT)
 
 
 def dens_gyroline(t: float, rho, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """L(t; rho, sigma): the trace-normalized weighted geometric mean."""
-    require_weight(t)
     r, dec_r = _require_density(rho, tol)
     s, _ = _require_density(sigma, tol)
     require_same_dim(r, s)
+    t = require_weight(t, r)
     return normalize_to_density(_geo_mean(dec_r, s, t, tol))
 
 
 def dens_cogyroline(t: float, rho, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Lc(t; rho, sigma): the trace-normalized weighted spectral mean."""
-    require_weight(t)
     r, dec_r = _require_density(rho, tol)
     s, _ = _require_density(sigma, tol)
     require_same_dim(r, s)
+    t = require_weight(t, r)
     return normalize_to_density(_spectral_mean(r, dec_r, s, t, tol))
 
 
@@ -122,5 +135,5 @@ def density_model(dim: int, tol: TolerancePolicy = DEFAULT_TOL):
         neg=lambda a: dens_neg(a, tol),
         scalar=lambda t, a: dens_scalar(t, a, tol),
         gyr=lambda a, b, x: dens_gyration(a, b, x, tol),
-        residual=lambda x, y: float(np.linalg.norm(np.asarray(x) - np.asarray(y))),
+        residual=lambda x, y: _frobenius(x - y),
     )

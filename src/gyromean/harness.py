@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from . import __version__ as VERSION
 from .fixtures import (
     TRIANGLE_REFERENCE,
     TRIANGLE_REFERENCE_TOL,
@@ -29,8 +30,6 @@ from .registry import (
     all_properties,
     run_property,
 )
-
-VERSION = "0.1.0"
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200

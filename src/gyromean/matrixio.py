@@ -8,6 +8,8 @@ numbers instead of [re, im] pairs.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 
 import numpy as np
 
@@ -27,28 +29,48 @@ def matrix_to_payload(M) -> dict:
     return {"dim": A.shape[0], "complex": True, "rows": rows}
 
 
-def payload_to_matrix(payload: dict) -> np.ndarray:
+def _number(cell, where: str) -> float:
+    """A finite JSON number (not a boolean) as a float."""
+    if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+        raise MatrixFormatError(f"{where} must be a number, got {reprlib.repr(cell)}")
     try:
-        dim = int(payload["dim"])
-        is_complex = bool(payload["complex"])
-        rows = payload["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"malformed matrix payload: {exc}") from exc
-    if dim < 1 or len(rows) != dim or any(len(r) != dim for r in rows):
+        value = float(cell)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise MatrixFormatError(f"{where} must be finite, got {reprlib.repr(cell)}")
+    return value
+
+
+def payload_to_matrix(payload) -> np.ndarray:
+    """The matrix a payload describes; MatrixFormatError for anything else.
+
+    ``dim`` must be a positive integer, ``complex`` a boolean and ``rows`` a
+    list of ``dim`` lists of ``dim`` finite numbers (``[re, im]`` pairs when
+    ``complex``).  Booleans, strings and the non-standard ``NaN`` and
+    ``Infinity`` literals are not numbers here.
+    """
+    if not isinstance(payload, dict) or not {"dim", "complex", "rows"} <= payload.keys():
+        raise MatrixFormatError("malformed matrix payload: expected an object "
+                                "with keys dim, complex and rows")
+    dim, is_complex, rows = payload["dim"], payload["complex"], payload["rows"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise MatrixFormatError(f"dim must be a positive integer, got {dim!r}")
+    if not isinstance(is_complex, bool):
+        raise MatrixFormatError(f"complex must be true or false, got {is_complex!r}")
+    if (not isinstance(rows, list) or len(rows) != dim
+            or any(not isinstance(r, list) or len(r) != dim for r in rows)):
         raise MatrixFormatError(f"rows do not form a {dim}x{dim} matrix")
     M = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
+            where = f"entry ({i},{j})"
             if is_complex:
-                if not isinstance(cell, (list, tuple)) or len(cell) != 2:
-                    raise MatrixFormatError(
-                        f"entry ({i},{j}) must be an [re, im] pair")
-                M[i, j] = complex(float(cell[0]), float(cell[1]))
+                if not isinstance(cell, list) or len(cell) != 2:
+                    raise MatrixFormatError(f"{where} must be an [re, im] pair")
+                M[i, j] = complex(_number(cell[0], where), _number(cell[1], where))
             else:
-                if isinstance(cell, (list, tuple)):
-                    raise MatrixFormatError(
-                        f"entry ({i},{j}) must be a plain number")
-                M[i, j] = complex(float(cell), 0.0)
+                M[i, j] = _number(cell, where)
     return M
 
 
@@ -62,6 +84,6 @@ def load_matrix(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # includes bad JSON and bad UTF-8
             raise MatrixFormatError(f"{path}: not valid JSON ({exc})") from exc
     return payload_to_matrix(payload)

@@ -3,7 +3,9 @@
 ``geo_mean`` is the metric geodesic A^{1/2}(A^{-1/2} B A^{-1/2})^t A^{1/2};
 ``spectral_mean`` is the curve (A^{-1} # B)^t A (A^{-1} # B)^t.  Both accept
 any finite real parameter t (the curves extend beyond [0,1], and the
-component-wise bijection inverses need 1/t).
+component-wise bijection inverses need 1/t).  Both also take stacks of
+operands (..., n, n), with one t or an array of one t per item; see
+:mod:`gyromean.kernel`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from .kernel import (
     DEFAULT_TOL,
     SpectralDecomposition,
     TolerancePolicy,
+    _frobenius,
     _logm,
     _pd_eigh,
     _powm,
+    _spectral,
     as_matrix,
+    as_stack,
     hermitian_part,
     invm,
     min_eig,
@@ -35,10 +40,9 @@ MEAN_KINDS = ("metric", "spectral")
 def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float,
               tol: TolerancePolicy) -> np.ndarray:
     """A #_t B from A's decomposition; Bm is a validated Hermitian of A's size."""
-    w = dec_a.eigenvalues
-    V = dec_a.vectors
-    rootA = (V * np.sqrt(w)) @ V.conj().T
-    inv_rootA = (V * (1.0 / np.sqrt(w))) @ V.conj().T
+    root_w = np.sqrt(dec_a.eigenvalues)
+    rootA = _spectral(dec_a, root_w)
+    inv_rootA = _spectral(dec_a, 1.0 / root_w)
     inner = _powm(_pd_eigh(hermitian_part(inv_rootA @ Bm @ inv_rootA), tol), t)
     return hermitian_part(rootA @ inner @ rootA)
 
@@ -67,8 +71,8 @@ def geo_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     ndarray
         A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}, positive definite.
     """
-    require_weight(t)
     Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    t = require_weight(t, Am)
     return _geo_mean(_pd_eigh(Am, tol), Bm, t, tol)
 
 
@@ -78,8 +82,8 @@ def spectral_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> n
     Computed as W^t A W^t with W = A^{-1} # B.  At t = 1/2 its eigenvalues
     are the positive square roots of the eigenvalues of A B.
     """
-    require_weight(t)
     Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    t = require_weight(t, Am)
     return _spectral_mean(Am, _pd_eigh(Am, tol), Bm, t, tol)
 
 
@@ -93,10 +97,10 @@ def mean(kind: str, A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) ->
 
 
 def riccati_residual(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Frobenius residual of the Riccati equation X A^{-1} X = B."""
-    Am, Bm, Xm = as_matrix(A), as_matrix(B), as_matrix(X)
+    """Frobenius residual of X A^{-1} X = B (Riccati), one per item of a stack."""
+    Am, Bm, Xm = as_stack(A), as_stack(B), as_stack(X)
     require_same_dim(Am, Bm, Xm)
-    return float(np.linalg.norm(Xm @ invm(Am, tol) @ Xm - Bm))
+    return _frobenius(Xm @ invm(Am, tol) @ Xm - Bm)
 
 
 def karcher_residual(A, B, t: float, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -104,14 +108,16 @@ def karcher_residual(A, B, t: float, X, tol: TolerancePolicy = DEFAULT_TOL) -> f
 
     Frobenius norm of
     (1-t) log(X^{1/2} A^{-1} X^{1/2}) + t log(X^{1/2} B^{-1} X^{1/2}),
-    which vanishes exactly at X = A #_t B.
+    which vanishes exactly at X = A #_t B.  Takes stacks, with one t or one
+    per item.
     """
-    Am, Bm, Xm = as_matrix(A), as_matrix(B), as_matrix(X)
+    Am, Bm, Xm = as_stack(A), as_stack(B), as_stack(X)
     require_same_dim(Am, Bm, Xm)
+    t = np.asarray(require_weight(t, Am))[..., None]
     rootX = sqrtm(Xm, tol)
     term_a = _logm(_pd_eigh(hermitian_part(rootX @ invm(Am, tol) @ rootX), tol))
     term_b = _logm(_pd_eigh(hermitian_part(rootX @ invm(Bm, tol) @ rootX), tol))
-    return float(np.linalg.norm((1.0 - t) * term_a + t * term_b))
+    return _frobenius((1.0 - t) * term_a + t * term_b)
 
 
 def spectral_defining_residual(A, B, t: float, X,
@@ -119,14 +125,15 @@ def spectral_defining_residual(A, B, t: float, X,
     """Frobenius residual of (A^{-1} # B)^t = A^{-1} # X.
 
     Zero (to tolerance) exactly when X = A natural_t B, since the right side
-    determines X uniquely.
+    determines X uniquely.  Takes stacks, with one t or one per item.
     """
-    Am, Bm, Xm = as_matrix(A), as_matrix(B), as_matrix(X)
+    Am, Bm, Xm = as_stack(A), as_stack(B), as_stack(X)
     require_same_dim(Am, Bm, Xm)
+    t = require_weight(t, Am)
     dec_ainv = _pd_eigh(invm(Am, tol), tol)
     lhs = _powm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5, tol), tol), t)
     rhs = _geo_mean(dec_ainv, Xm, 0.5, tol)
-    return float(np.linalg.norm(lhs - rhs))
+    return _frobenius(lhs - rhs)
 
 
 def mean_left_inverse(kind: str, A, C, t: float,
@@ -135,7 +142,7 @@ def mean_left_inverse(kind: str, A, C, t: float,
 
     Raises WeightOutOfRange at t = 0, where the mean ignores X.
     """
-    if t == 0:
+    if np.any(np.asarray(t) == 0):
         raise WeightOutOfRange("no left inverse at t = 0")
     return mean(kind, A, C, 1.0 / t, tol)
 

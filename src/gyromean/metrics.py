@@ -8,6 +8,9 @@ Four kinds are exposed:
 * ``semimetric_op`` / ``semimetric_frob`` -- 2 ||log(A^{-1} # B)|| in the
   operator / Frobenius norm.  This satisfies every metric axiom except the
   triangle inequality, and the spectral mean is its midpoint.
+
+``distance``, ``sup_ratio`` and ``midpoint_deviation`` also take stacks of
+operands (..., n, n) and then return one value per item.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from .kernel import (
     DEFAULT_TOL,
     SpectralDecomposition,
     TolerancePolicy,
+    _frobenius,
     _logm,
     _pd_eigh,
+    _per_item,
     _powm,
-    as_matrix,
+    as_stack,
     hermitian_part,
     pd_eigh,
     powm,
@@ -46,44 +51,43 @@ def _log_inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray, tol) -> np.ndar
     return _logm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5, tol), tol))
 
 
-def _opnorm(H) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(H))))
+def _opnorm(H):
+    return _per_item(np.max(np.abs(np.linalg.eigvalsh(H)), axis=-1))
 
 
-def _distance(kind: str, dec_a: SpectralDecomposition, Bm: np.ndarray, tol) -> float:
+def _distance(kind: str, dec_a: SpectralDecomposition, Bm: np.ndarray, tol):
     """The distance of the given kind, from A's decomposition and a validated B."""
     if kind == "thompson":
         return _opnorm(_log_whitened(dec_a, Bm, tol))
     if kind == "riemannian":
-        return float(np.linalg.norm(_log_whitened(dec_a, Bm, tol)))
+        return _frobenius(_log_whitened(dec_a, Bm, tol))
     if kind == "semimetric_op":
         return 2.0 * _opnorm(_log_inv_sharp(dec_a, Bm, tol))
     if kind == "semimetric_frob":
-        return 2.0 * float(np.linalg.norm(_log_inv_sharp(dec_a, Bm, tol)))
+        return 2.0 * _frobenius(_log_inv_sharp(dec_a, Bm, tol))
     raise UnknownCase(f"unknown distance kind {kind!r}")
 
 
-def distance(kind: str, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def distance(kind: str, A, B, tol: TolerancePolicy = DEFAULT_TOL):
     """Distance between positive definite matrices under the given kind."""
     Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
     return _distance(kind, _pd_eigh(Am, tol), Bm, tol)
 
 
-def sup_ratio(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def sup_ratio(A, B, tol: TolerancePolicy = DEFAULT_TOL):
     """Least alpha > 0 with B <= alpha A: the top eigenvalue of A^{-1/2} B A^{-1/2}.
 
     The Thompson distance equals max(log sup_ratio(A, B), log sup_ratio(B, A)).
     """
-    Am, Bm = as_matrix(A), as_matrix(B)
+    Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
     pd_eigh(Bm, tol)
     inv_root = powm(Am, -0.5, tol)
     w = np.linalg.eigvalsh(hermitian_part(inv_root @ Bm @ inv_root))
-    return float(w[-1])
+    return _per_item(w[..., -1])
 
 
-def midpoint_deviation(kind: str, A, B, M,
-                       tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, float]:
+def midpoint_deviation(kind: str, A, B, M, tol: TolerancePolicy = DEFAULT_TOL) -> tuple:
     """How far M is from being the metric midpoint of A and B.
 
     Returns (|dist(A, M) - dist(A, B)/2|, |dist(B, M) - dist(A, B)/2|).

@@ -5,6 +5,11 @@ the worst violation it sees, and leaves pass/fail policy to the registry.
 Matrix-dimension coverage: properties cycle through ``config.dims`` across
 trials, except the defining-equation residual properties, which run the full
 trial count at every dimension.
+
+Most runners draw every trial in turn, stack the draws by dimension
+(``_stacks``) and evaluate each stack once, with per-trial scalars as arrays;
+a stacked residual is the max over its stack.  Since the draws come from the
+per-trial substreams, the stacking changes no input.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from . import gyrodensity as gd
 from .fixtures import contraction_converse_witness, triangle_measurements
 from .gyroaxioms import run_axiom_suite
 from .kernel import (
+    _frobenius,
+    _trace,
     hermitian_part,
     invm,
     logm,
@@ -41,7 +48,6 @@ from .order import (
     check_bounds_spectral,
     check_contraction,
     check_d_le_delta,
-    check_equivalence_five,
     check_furuta,
     check_loewner_heinz,
     check_log_sum_condition,
@@ -75,14 +81,58 @@ def _cycle(seq, i):
     return seq[i % len(seq)]
 
 
-def _relerr(X, Y) -> float:
-    X, Y = np.asarray(X), np.asarray(Y)
-    return float(np.linalg.norm(X - Y) / max(1.0, np.linalg.norm(Y)))
+def _top(x) -> float:
+    """The largest of one or more per-trial values."""
+    return float(np.max(x))
 
 
-def _flag(ok: bool, threshold: float) -> float:
-    """Boolean sub-check encoded as a violation value."""
-    return 0.0 if ok else 2.0 * threshold
+def _shortfall(x) -> float:
+    """How far the smallest of any number of per-trial margins falls below zero."""
+    return max(0.0, -float(np.min(x, initial=np.inf)))
+
+
+def _premise_held(res) -> tuple[int, float]:
+    """Premise-held count of a stacked check, and the worst shortfall among those."""
+    held = np.broadcast_to(res.premise_held, np.shape(res.margin))
+    return int(held.sum()), _shortfall(np.asarray(res.margin)[held])
+
+
+def _relerr(X: np.ndarray, Y: np.ndarray) -> float:
+    """Worst relative Frobenius error over a matrix or a stack of them."""
+    return _top(_frobenius(X - Y) / np.maximum(1.0, _frobenius(Y)))
+
+
+def _flag(ok, threshold: float) -> float:
+    """Boolean sub-check (all per-trial flags must hold) encoded as a violation value."""
+    return 0.0 if np.all(ok) else 2.0 * threshold
+
+
+def _stacks(draws):
+    """Stack per-trial draws by matrix dimension.
+
+    ``draws`` yields one tuple per trial whose first entry is a matrix.  Each
+    yielded tuple holds the same fields over one dimension's trials, in trial
+    order: matrices as (k, d, d) stacks, scalars as (k,) arrays.
+    """
+    groups = {}
+    for draw in draws:
+        groups.setdefault(np.shape(draw[0]), []).append(draw)
+    for members in groups.values():
+        yield tuple(np.array(field) for field in zip(*members))
+
+
+def _per(x) -> np.ndarray:
+    """Per-trial scalars as factors of a matrix stack."""
+    return np.asarray(x)[..., None, None]
+
+
+def _ct(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return M.conj().mT
+
+
+def _eye_like(M: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.eye(M.shape[-1]), M.shape)
 
 
 def _pd_pair(config, pid, i, dim=None, unit_det=False):
@@ -100,24 +150,27 @@ def _pd_pair(config, pid, i, dim=None, unit_det=False):
 @prop("geodesic-curve-identities", "geodesic-curve")
 def _geo_identities(config):
     pid, thr = "geodesic-curve-identities", 1e-9
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng, d, A, B = _pd_pair(config, pid, i)
-        t = _cycle(config.t_grid, i)
-        worst = max(worst, _relerr(geo_mean(A, B, 0.0), A))
-        worst = max(worst, _relerr(geo_mean(A, B, 1.0), B))
-        G = geo_mean(A, B, t)
-        worst = max(worst, _flag(min_eig(G) > 0, thr))
-        worst = max(worst, _relerr(G, geo_mean(B, A, 1.0 - t)))
         a, b = rng.uniform(0.2, 3.0, 2)
-        worst = max(worst, _relerr(geo_mean(a * A, b * B, t),
-                                   a ** (1 - t) * b ** t * G))
         U = gen_random_unitary(rng, d)
-        worst = max(worst, _relerr(geo_mean(U.conj().T @ A @ U, U.conj().T @ B @ U, t),
-                                   U.conj().T @ G @ U))
-        Ac, Bc = gen_commuting_pair(rng, d)
-        worst = max(worst, _relerr(geo_mean(Ac, Bc, t),
-                                   powm(Ac, 1 - t) @ powm(Bc, t)))
+        return (A, B, _cycle(config.t_grid, i), a, b, U, *gen_commuting_pair(rng, d))
+
+    worst = 0.0
+    for A, B, t, a, b, U, Ac, Bc in _stacks(map(draw, range(config.trials))):
+        G = geo_mean(A, B, t)
+        worst = max(
+            worst,
+            _relerr(geo_mean(A, B, 0.0), A),
+            _relerr(geo_mean(A, B, 1.0), B),
+            _flag(min_eig(G) > 0, thr),
+            _relerr(G, geo_mean(B, A, 1.0 - t)),
+            _relerr(geo_mean(_per(a) * A, _per(b) * B, t),
+                    _per(a ** (1 - t) * b ** t) * G),
+            _relerr(geo_mean(_ct(U) @ A @ U, _ct(U) @ B @ U, t), _ct(U) @ G @ U),
+            _relerr(geo_mean(Ac, Bc, t), powm(Ac, 1 - t) @ powm(Bc, t)),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -126,24 +179,24 @@ def _riccati(config):
     pid, thr = "riccati-residual", 1e-9
     worst, n = 0.0, 0
     for d in config.dims:
-        for i in range(config.trials):
-            _, _, A, B = _pd_pair(config, pid, i, dim=d)
+        pairs = (_pd_pair(config, pid, i, dim=d)[2:] for i in range(config.trials))
+        for A, B in _stacks(pairs):
             X = geo_mean(A, B, 0.5)
-            worst = max(worst, riccati_residual(A, B, X)
-                        / max(1.0, float(np.linalg.norm(B))))
-            n += 1
+            worst = max(worst, _top(riccati_residual(A, B, X)
+                                    / np.maximum(1.0, _frobenius(B))))
+            n += len(A)
     return n, n, worst, thr, "relative Frobenius residual"
 
 
 @prop("karcher-residual", "karcher-equation")
 def _karcher(config):
     pid, thr = "karcher-residual", 1e-9
-    worst = 0.0
     grid = [t for t in config.t_grid if 0.0 <= t <= 1.0]
-    for i in range(config.trials):
-        _, _, A, B = _pd_pair(config, pid, i)
-        t = _cycle(grid, i)
-        worst = max(worst, karcher_residual(A, B, t, geo_mean(A, B, t)))
+    draws = (_pd_pair(config, pid, i)[2:] + (_cycle(grid, i),)
+             for i in range(config.trials))
+    worst = 0.0
+    for A, B, t in _stacks(draws):
+        worst = max(worst, _top(karcher_residual(A, B, t, geo_mean(A, B, t))))
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -166,16 +219,16 @@ def _bijection(config):
     # C is produced forward from a moderate X, so the 1/t-power inversion
     # stays inside the well-conditioned regime for every grid value of t
     pid, thr = "mean-bijection-roundtrip", 1e-8
-    worst = 0.0
     grid = [t for t in config.t_grid if t > 0]
-    for i in range(config.trials):
-        _, _, A, X = _pd_pair(config, pid, i)
-        t = _cycle(grid, i)
+    draws = (_pd_pair(config, pid, i)[2:] + (_cycle(grid, i),)
+             for i in range(config.trials))
+    worst = 0.0
+    for A, X, t in _stacks(draws):
         for kind in ("metric", "spectral"):
             C = mean(kind, A, X, t)
             recovered = mean_left_inverse(kind, A, C, t)
-            worst = max(worst, _relerr(recovered, X))
-            worst = max(worst, _relerr(mean(kind, A, recovered, t), C))
+            worst = max(worst, _relerr(recovered, X),
+                        _relerr(mean(kind, A, recovered, t), C))
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -186,22 +239,24 @@ def _bijection(config):
 @prop("spectral-curve-identities", "spectral-curve")
 def _spectral_identities(config):
     pid, thr = "spectral-curve-identities", 1e-9
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng, d, A, B = _pd_pair(config, pid, i)
-        t = _cycle(config.t_grid, i)
-        worst = max(worst, _relerr(spectral_mean(A, B, 0.0), A))
-        worst = max(worst, _relerr(spectral_mean(A, B, 1.0), B))
-        S = spectral_mean(A, B, t)
-        worst = max(worst, _flag(min_eig(S) > 0, thr))
-        Ac, Bc = gen_commuting_pair(rng, d)
-        worst = max(worst, _relerr(spectral_mean(Ac, Bc, t),
-                                   powm(Ac, 1 - t) @ powm(Bc, t)))
+        return (A, B, _cycle(config.t_grid, i), *gen_commuting_pair(rng, d))
+
+    worst = 0.0
+    for A, B, t, Ac, Bc in _stacks(map(draw, range(config.trials))):
         # eigenvalues of the t=1/2 mean are the square roots of those of A B
         ev = np.linalg.eigvalsh(spectral_mean(A, B, 0.5))
-        ev_ab = np.sqrt(np.sort(np.linalg.eigvals(A @ B).real))
-        worst = max(worst, float(np.max(np.abs(ev - ev_ab)))
-                    / max(1.0, float(ev_ab[-1])))
+        ev_ab = np.sqrt(np.sort(np.linalg.eigvals(A @ B).real, axis=-1))
+        worst = max(
+            worst,
+            _relerr(spectral_mean(A, B, 0.0), A),
+            _relerr(spectral_mean(A, B, 1.0), B),
+            _flag(min_eig(spectral_mean(A, B, t)) > 0, thr),
+            _relerr(spectral_mean(Ac, Bc, t), powm(Ac, 1 - t) @ powm(Bc, t)),
+            _top(np.max(np.abs(ev - ev_ab), axis=-1) / np.maximum(1.0, ev_ab[..., -1])),
+        )
     # the two means genuinely differ away from commutativity
     A = np.diag([4.0, 1.0]).astype(complex)
     B = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
@@ -215,48 +270,50 @@ def _spectral_defining(config):
     pid, thr = "spectral-defining-residual", 1e-9
     worst, n = 0.0, 0
     for d in config.dims:
-        for i in range(config.trials):
-            _, _, A, B = _pd_pair(config, pid, i, dim=d)
-            t = _cycle((0.25, 0.5, 0.75), i)
+        draws = (_pd_pair(config, pid, i, dim=d)[2:] + (_cycle((0.25, 0.5, 0.75), i),)
+                 for i in range(config.trials))
+        for A, B, t in _stacks(draws):
             X = spectral_mean(A, B, t)
-            worst = max(worst, spectral_defining_residual(A, B, t, X))
-            n += 1
+            worst = max(worst, _top(spectral_defining_residual(A, B, t, X)))
+            n += len(A)
     return n, n, worst, thr, ""
 
 
 @prop("spectral-mean-algebra", "spectral-mean-algebra")
 def _spectral_algebra(config):
     pid, thr = "spectral-mean-algebra", 1e-9
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng, d, A, B = _pd_pair(config, pid, i)
-        t = _cycle(config.t_grid, i)
-        S = spectral_mean(A, B, t)
         a, b = rng.uniform(0.2, 3.0, 2)
-        worst = max(worst, _relerr(spectral_mean(a * A, b * B, t),
-                                   a ** (1 - t) * b ** t * S))
         U = gen_random_unitary(rng, d)
-        worst = max(worst, _relerr(
-            spectral_mean(U.conj().T @ A @ U, U.conj().T @ B @ U, t),
-            U.conj().T @ S @ U))
-        worst = max(worst, _relerr(spectral_mean(B, A, 1.0 - t), S))
-        worst = max(worst, _relerr(spectral_mean(invm(A), invm(B), t), invm(S)))
-        s, tt, u = rng.uniform(0.0, 1.0, 3)
-        worst = max(worst, _relerr(
-            spectral_mean(spectral_mean(A, B, s), spectral_mean(A, B, u), tt),
-            spectral_mean(A, B, (1 - tt) * s + tt * u)))
+        return (A, B, _cycle(config.t_grid, i), a, b, U, *rng.uniform(0.0, 1.0, 3))
+
+    worst = 0.0
+    for A, B, t, a, b, U, s, tt, u in _stacks(map(draw, range(config.trials))):
+        S = spectral_mean(A, B, t)
+        worst = max(
+            worst,
+            _relerr(spectral_mean(_per(a) * A, _per(b) * B, t),
+                    _per(a ** (1 - t) * b ** t) * S),
+            _relerr(spectral_mean(_ct(U) @ A @ U, _ct(U) @ B @ U, t), _ct(U) @ S @ U),
+            _relerr(spectral_mean(B, A, 1.0 - t), S),
+            _relerr(spectral_mean(invm(A), invm(B), t), invm(S)),
+            _relerr(spectral_mean(spectral_mean(A, B, s), spectral_mean(A, B, u), tt),
+                    spectral_mean(A, B, (1 - tt) * s + tt * u)),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
 @prop("spectral-mean-bounds", "spectral-mean-bounds")
 def _spectral_bounds(config):
     pid, thr = "spectral-mean-bounds", 1e-8
+    draws = (_pd_pair(config, pid, i)[2:] + (_cycle((0.25, 0.5, 0.75), i),)
+             for i in range(config.trials))
     worst = 0.0
-    for i in range(config.trials):
-        _, _, A, B = _pd_pair(config, pid, i)
-        t = _cycle((0.25, 0.5, 0.75), i)
+    for A, B, t in _stacks(draws):
         res = check_bounds_spectral(A, B, t, tol=config.tolerances)
-        worst = max(worst, max(0.0, -res.margin))
+        worst = max(worst, _shortfall(res.margin))
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -267,54 +324,70 @@ def _spectral_bounds(config):
 @prop("semimetric-axioms", "semimetric-axioms")
 def _semimetric_axioms(config):
     pid, thr = "semimetric-axioms", 1e-8
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng, d, A, B = _pd_pair(config, pid, i)
+        return A, B, gen_random_hermitian(rng, d)
+
+    worst = 0.0
+    for A, B, H in _stacks(map(draw, range(config.trials))):
         dv = distance("semimetric_op", A, B)
-        worst = max(worst, _flag(dv >= 0, thr))
-        worst = max(worst, abs(dv - distance("semimetric_op", B, A)))
-        worst = max(worst, distance("semimetric_op", A, A.copy()))
         # identity of indiscernibles, probed at an adversarial near-equal pair
-        H = gen_random_hermitian(rng, d)
-        B2 = A + 1e-6 * H / np.linalg.norm(H)
-        worst = max(worst, _flag(distance("semimetric_op", A, B2) > 1e-10, thr))
+        B2 = A + 1e-6 * H / _per(_frobenius(H))
+        worst = max(
+            worst,
+            _flag(dv >= 0, thr),
+            _top(abs(dv - distance("semimetric_op", B, A))),
+            _top(distance("semimetric_op", A, A.copy())),
+            _flag(distance("semimetric_op", A, B2) > 1e-10, thr),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
 @prop("semimetric-invariance", "semimetric-invariance")
 def _semimetric_invariance(config):
     pid, thr = "semimetric-invariance", 1e-8
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng, d, A, B = _pd_pair(config, pid, i)
-        dv = distance("semimetric_op", A, B)
         alpha = float(rng.uniform(0.2, 5.0))
-        worst = max(worst, abs(distance("semimetric_op", alpha * A, alpha * B) - dv))
-        worst = max(worst, abs(distance("semimetric_op", invm(A), invm(B)) - dv))
         U = gen_random_unitary(rng, d)
-        worst = max(worst, abs(
-            distance("semimetric_op", U @ A @ U.conj().T, U @ B @ U.conj().T) - dv))
-        # power scaling holds on commuting pairs
         Ac, Bc = gen_commuting_pair(rng, d)
-        t = float(rng.uniform(-2.0, 2.0))
-        worst = max(worst, abs(distance("semimetric_op", powm(Ac, t), powm(Bc, t))
-                               - abs(t) * distance("semimetric_op", Ac, Bc)))
+        return A, B, alpha, U, Ac, Bc, float(rng.uniform(-2.0, 2.0))
+
+    def dist(X, Y):
+        return distance("semimetric_op", X, Y)
+
+    worst = 0.0
+    for A, B, alpha, U, Ac, Bc, t in _stacks(map(draw, range(config.trials))):
+        dv = dist(A, B)
+        worst = max(
+            worst,
+            _top(abs(dist(_per(alpha) * A, _per(alpha) * B) - dv)),
+            _top(abs(dist(invm(A), invm(B)) - dv)),
+            _top(abs(dist(U @ A @ _ct(U), U @ B @ _ct(U)) - dv)),
+            # power scaling holds on commuting pairs
+            _top(abs(dist(powm(Ac, t), powm(Bc, t)) - abs(t) * dist(Ac, Bc))),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
 @prop("spectral-midpoint", "spectral-midpoint")
 def _spectral_midpoint(config):
     pid, thr = "spectral-midpoint", 1e-8
+    draws = (_pd_pair(config, pid, i)[2:] + (_cycle(config.t_grid, i),)
+             for i in range(config.trials))
     worst = 0.0
-    for i in range(config.trials):
-        _, _, A, B = _pd_pair(config, pid, i)
+    for A, B, t in _stacks(draws):
         M = spectral_mean(A, B, 0.5)
-        worst = max(worst, *midpoint_deviation("semimetric_op", A, B, M))
-        t = _cycle(config.t_grid, i)
         dv = distance("semimetric_op", A, B)
         St = spectral_mean(A, B, t)
-        worst = max(worst, abs(distance("semimetric_op", A, St) - t * dv))
-        worst = max(worst, abs(distance("semimetric_op", B, St) - (1 - t) * dv))
+        worst = max(
+            worst,
+            *map(_top, midpoint_deviation("semimetric_op", A, B, M)),
+            _top(abs(distance("semimetric_op", A, St) - t * dv)),
+            _top(abs(distance("semimetric_op", B, St) - (1 - t) * dv)),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -322,10 +395,9 @@ def _spectral_midpoint(config):
 def _riemannian_midpoint(config):
     pid, thr = "riemannian-geodesic-midpoint", 1e-8
     worst = 0.0
-    for i in range(config.trials):
-        _, _, A, B = _pd_pair(config, pid, i)
-        worst = max(worst, *midpoint_deviation(
-            "riemannian", A, B, geo_mean(A, B, 0.5)))
+    for A, B in _stacks(_pd_pair(config, pid, i)[2:] for i in range(config.trials)):
+        worst = max(worst, *map(_top, midpoint_deviation(
+            "riemannian", A, B, geo_mean(A, B, 0.5))))
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -346,14 +418,17 @@ def _triangle(config):
 @prop("semimetric-geodesic-question", "spectral-midpoint", asserted=False)
 def _geodesic_question(config):
     pid = "semimetric-geodesic-question"
-    devs = []
-    for i in range(config.trials):
+
+    def draw(i):
         rng, _, A, B = _pd_pair(config, pid, i)
-        s, t = rng.uniform(0.0, 1.0, 2)
+        return (A, B, *rng.uniform(0.0, 1.0, 2))
+
+    devs = []
+    for A, B, s, t in _stacks(map(draw, range(config.trials))):
         lhs = distance("semimetric_op", spectral_mean(A, B, s),
                        spectral_mean(A, B, t))
         devs.append(abs(lhs - abs(s - t) * distance("semimetric_op", A, B)))
-    devs = np.array(devs)
+    devs = np.concatenate(devs)
     note = (f"|d(Ns,Nt) - |s-t| d| over samples: max {devs.max():.3e}, "
             f"mean {devs.mean():.3e} (open question; recorded, not asserted)")
     return config.trials, config.trials, float(devs.max()), np.inf, note
@@ -363,12 +438,11 @@ def _geodesic_question(config):
 def _thompson(config):
     pid, thr = "thompson-sup-ratio", 1e-10
     worst = 0.0
-    for i in range(config.trials):
-        _, _, A, B = _pd_pair(config, pid, i)
+    for A, B in _stacks(_pd_pair(config, pid, i)[2:] for i in range(config.trials)):
         dt = distance("thompson", A, B)
-        m = max(np.log(sup_ratio(A, B)), np.log(sup_ratio(B, A)))
-        worst = max(worst, abs(dt - m) / max(1.0, dt))
-        worst = max(worst, abs(sup_ratio(A, A) - 1.0))
+        m = np.maximum(np.log(sup_ratio(A, B)), np.log(sup_ratio(B, A)))
+        worst = max(worst, _top(abs(dt - m) / np.maximum(1.0, dt)),
+                    _top(abs(sup_ratio(A, A) - 1.0)))
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -383,55 +457,63 @@ def _battery_cap(config) -> float:
 
 
 def _premise_battery(config, pid, make_inputs, run_check):
+    """Trial count, premise-held count and worst shortfall of a conditional check.
+
+    ``make_inputs(rng, d, i)`` draws one trial's inputs, a matrix first; the
+    draws are stacked by dimension and ``run_check`` evaluates each stack once.
+    """
+    def draw(i):
+        return make_inputs(substream(config.seed, pid, i), _cycle(config.dims, i), i)
+
     worst, held = 0.0, 0
-    for i in range(config.trials):
-        rng = substream(config.seed, pid, i)
-        d = _cycle(config.dims, i)
-        res = run_check(*make_inputs(rng, d, i))
-        if res.premise_held:
-            held += 1
-            worst = max(worst, max(0.0, -res.margin))
+    for inputs in _stacks(map(draw, range(config.trials))):
+        count, shortfall = _premise_held(run_check(*inputs))
+        held += count
+        worst = max(worst, shortfall)
     return config.trials, held, worst
 
 
 @prop("loewner-heinz", "loewner-heinz", min_premise=50)
 def _loewner_heinz(config):
     pid, thr = "loewner-heinz", 1e-8
-    tol = config.tolerances
-    worst, held = 0.0, 0
-    for i in range(config.trials):
+    grid = [t for t in config.t_grid if 0 < t < 1]
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
         A = gen_random_pd(rng, d, _battery_cap(config))
         G = complex_gaussian(rng, (d, d))
         B = A + hermitian_part(G @ G.conj().T)
-        H = gen_random_hermitian(rng, d)
+        return A, B, gen_random_hermitian(rng, d), _cycle(grid, i)
+
+    worst, held = 0.0, 0
+    for A, B, H, s in _stacks(map(draw, range(config.trials))):
         inv_root = powm(A, -0.5)
-        lam = np.linalg.eigvalsh(hermitian_part(inv_root @ H @ H @ inv_root))[-1]
-        C = (0.99 / np.sqrt(lam)) * H
-        res = check_loewner_heinz(A, B, C, tol=tol)
-        if res.premise_held:
-            held += 1
-            worst = max(worst, max(0.0, -res.margin))
-            # power monotonicity on the same dominated pair
-            s = _cycle([t for t in config.t_grid if 0 < t < 1], i)
-            worst = max(worst, max(0.0, -min_eig(powm(B, s) - powm(A, s))))
+        lam = np.linalg.eigvalsh(hermitian_part(inv_root @ H @ H @ inv_root))[..., -1]
+        res = check_loewner_heinz(A, B, _per(0.99 / np.sqrt(lam)) * H, tol=config.tolerances)
+        count, shortfall = _premise_held(res)
+        # power monotonicity on the same dominated pairs
+        monotone = min_eig(powm(B, s) - powm(A, s))[res.premise_held]
+        held += count
+        worst = max(worst, shortfall, _shortfall(monotone))
     return config.trials, held, worst, thr, ""
 
 
 @prop("congruence-inversion-order", "congruence-inversion-order")
 def _congruence_order(config):
     pid, thr = "congruence-inversion-order", 1e-8
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng, d, X, P = _pd_pair(config, pid, i)
+        return X, P, complex_gaussian(rng, (d, d))
+
+    worst = 0.0
+    for X, P, S in _stacks(map(draw, range(config.trials))):
         Y = X + P  # X <= Y by construction
-        S = complex_gaussian(rng, (d, d))
-        lhs = hermitian_part(S @ X @ S.conj().T)
-        rhs = hermitian_part(S @ Y @ S.conj().T)
-        worst = max(worst, max(0.0, -min_eig(rhs - lhs)))
-        worst = max(worst, max(0.0, -min_eig(lhs)))
-        worst = max(worst, max(0.0, -min_eig(invm(X) - invm(Y))))
+        lhs = hermitian_part(S @ X @ _ct(S))
+        rhs = hermitian_part(S @ Y @ _ct(S))
+        worst = max(worst, _shortfall(min_eig(rhs - lhs)), _shortfall(min_eig(lhs)),
+                    _shortfall(min_eig(invm(X) - invm(Y))))
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -494,70 +576,72 @@ def _equivalence(config):
     # consistency must hold on generic pairs (usually all-false) and on
     # dominated pairs (all-true); the latter are counted as premise-held
     pid, thr = "five-way-equivalence", 1e-8
-    worst, held = 0.0, 0
-    for i in range(config.trials):
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
-        A, B = gen_dominated_pair(rng, d)
-        res = check_equivalence_five(A, B, tol=config.tolerances)
-        worst = max(worst, _flag(res.conclusion_held, thr))
-        if all(equivalence_statements(A, B, config.tolerances)):
-            held += 1
-        A = gen_random_pd(rng, d, config.cond_cap)
-        B = gen_random_pd(rng, d, config.cond_cap)
-        res = check_equivalence_five(A, B, tol=config.tolerances)
-        worst = max(worst, _flag(res.conclusion_held, thr))
+        return (*gen_dominated_pair(rng, d), gen_random_pd(rng, d, config.cond_cap),
+                gen_random_pd(rng, d, config.cond_cap))
+
+    worst, held = 0.0, 0
+    for A, B, Ag, Bg in _stacks(map(draw, range(config.trials))):
+        dominated = np.array(equivalence_statements(A, B, config.tolerances))
+        generic = np.array(equivalence_statements(Ag, Bg, config.tolerances))
+        for flags in (dominated, generic):
+            # the five statements share one truth value on every pair
+            worst = max(worst, _flag(flags.all(axis=0) | ~flags.any(axis=0), thr))
+        held += int(dominated.all(axis=0).sum())
     return config.trials, held, worst, thr, "premise-held counts all-true samples"
 
 
 @prop("contraction-lemma", "contraction-lemma", min_premise=50)
 def _contraction(config):
     pid, thr = "contraction-lemma", 1e-8
-    worst, held = 0.0, 0
-    for i in range(config.trials):
-        rng = substream(config.seed, pid, i)
-        d = _cycle(config.dims, i)
+
+    def make_inputs(rng, d, i):
         X = gen_random_pd(rng, d, config.cond_cap)
-        S = gen_contraction_for(rng, X, hermitian_only=True)
-        res = check_contraction(S, X, tol=config.tolerances)
-        if res.premise_held:
-            held += 1
-            worst = max(worst, max(0.0, -res.margin))
+        return gen_contraction_for(rng, X, hermitian_only=True), X
+
+    n, held, worst = _premise_battery(
+        config, pid, make_inputs,
+        lambda S, X: check_contraction(S, X, tol=config.tolerances))
     witness = contraction_converse_witness(config.tolerances)
     worst = max(worst, _flag(witness["converse_fails"], thr))
-    return config.trials, held, worst, thr, f"converse witness: {witness['sxs_vs_x']}"
+    return n, held, worst, thr, f"converse witness: {witness['sxs_vs_x']}"
 
 
 @prop("sufficient-conditions", "sufficient-conditions", min_premise=50)
 def _sufficient_conditions(config):
     pid, thr = "sufficient-conditions", 1e-8
     tol = config.tolerances
-    worst, held = 0.0, 0
-    co_counts = {"cond1": 0, "cond2": 0}
     grid_t = [t for t in config.t_grid if 0 < t <= 1]
-    for i in range(config.trials):
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
-        # (contractive inputs) implies (log-sum condition)
         A = gen_random_pd(rng, d, config.cond_cap)
         B = gen_random_pd(rng, d, config.cond_cap)
-        A1 = 0.99 * A / np.linalg.eigvalsh(A)[-1]
-        B1 = 0.99 * B / np.linalg.eigvalsh(B)[-1]
-        worst = max(worst, max(0.0, np.linalg.eigvalsh(logm(A1) + logm(B1))[-1]))
+        log_pair = gen_log_sum_pair(rng, d)
+        return (A, B, *log_pair, *gen_spectral_premise_pair(rng, d, _cycle(grid_t, i)))
+
+    def top_eig(H):
+        return np.linalg.eigvalsh(H)[..., -1]
+
+    worst, held = 0.0, 0
+    co_counts = {"cond1": 0, "cond2": 0}
+    for A, B, La, Lb, As, Bs in _stacks(map(draw, range(config.trials))):
+        # (contractive inputs) implies (log-sum condition)
+        A1 = 0.99 * A / _per(top_eig(A))
+        B1 = 0.99 * B / _per(top_eig(B))
+        worst = max(worst, 0.0, _top(top_eig(logm(A1) + logm(B1))))
         # (log-sum condition) implies the contracted geometric mean
-        res = check_log_sum_condition(*gen_log_sum_pair(rng, d),
-                                      tol=config.tolerances)
-        if res.premise_held:
-            held += 1
-            worst = max(worst, max(0.0, -res.margin))
+        count, shortfall = _premise_held(check_log_sum_condition(La, Lb, tol=tol))
+        held += count
+        worst = max(worst, shortfall)
         # co-occurrence of the spectral condition with the other two
-        t = _cycle(grid_t, i)
-        As, Bs = gen_spectral_premise_pair(rng, d, t)
-        if np.linalg.eigvalsh(logm(As) + logm(Bs))[-1] <= tol.loewner_tol:
-            co_counts["cond2"] += 1
-        if (np.linalg.eigvalsh(As)[-1] <= 1 + tol.loewner_tol
-                and np.linalg.eigvalsh(Bs)[-1] <= 1 + tol.loewner_tol):
-            co_counts["cond1"] += 1
+        co_counts["cond2"] += int(np.sum(top_eig(logm(As) + logm(Bs)) <= tol.loewner_tol))
+        co_counts["cond1"] += int(np.sum((top_eig(As) <= 1 + tol.loewner_tol)
+                                         & (top_eig(Bs) <= 1 + tol.loewner_tol)))
     note = (f"spectral-condition samples also satisfying: contractive {co_counts['cond1']}, "
             f"log-sum {co_counts['cond2']} of {config.trials} (recorded only)")
     return config.trials, held, worst, thr, note
@@ -580,27 +664,29 @@ def _bounds_fixture(config):
 @prop("d-le-delta", "semimetric-riemannian-bound")
 def _d_le_delta(config):
     pid, thr = "d-le-delta", 1e-9
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng, d, A, B = _pd_pair(config, pid, i)
+        return (A, B, *gen_commuting_pair(rng, d))
+
+    worst = 0.0
+    for A, B, Ac, Bc in _stacks(map(draw, range(config.trials))):
         res = check_d_le_delta(A, B, tol=config.tolerances)
-        worst = max(worst, max(0.0, -res.margin))
-        Ac, Bc = gen_commuting_pair(rng, d)
-        worst = max(worst, abs(distance("semimetric_frob", Ac, Bc)
-                               - distance("riemannian", Ac, Bc)))
+        worst = max(worst, _shortfall(res.margin),
+                    _top(abs(distance("semimetric_frob", Ac, Bc)
+                             - distance("riemannian", Ac, Bc))))
     return config.trials, config.trials, worst, thr, "equality checked on commuting pairs"
 
 
 @prop("logmaj-mean", "majorization-definitions")
 def _logmaj(config):
     pid, thr = "logmaj-mean", 1e-8
+    draws = (_pd_pair(config, pid, i)[2:] + (_cycle(config.t_grid, i),)
+             for i in range(config.trials))
     worst = 0.0
-    for i in range(config.trials):
-        _, _, A, B = _pd_pair(config, pid, i)
-        t = _cycle(config.t_grid, i)
+    for A, B, t in _stacks(draws):
         res = check_logmaj_mean(A, B, t, tol=config.tolerances)
-        worst = max(worst, _flag(res.conclusion_held, thr))
-        worst = max(worst, max(0.0, -res.margin))
+        worst = max(worst, _flag(res.conclusion_held, thr), _shortfall(res.margin))
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -626,20 +712,26 @@ def _majorization_rules(config):
 # gyrogroup structure on the cone
 # --------------------------------------------------------------------------
 
-def _cone_triples(config, pid, count=None):
-    n = count or config.trials
-    triples = []
-    for i in range(n):
+def _cone_triples(config, pid):
+    """One triple per trial, grouped by dimension in trial order."""
+    by_dim = {}
+    for i in range(config.trials):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
         # log-uniform spectra: the axiom identities chain several operations,
         # so sample conditioning is kept well inside the 1e-8 residual budget
-        triples.append(tuple(gen_spread_pd(rng, d, 2.0) for _ in range(3)))
-    return triples
+        by_dim.setdefault(d, []).append(tuple(gen_spread_pd(rng, d, 2.0) for _ in range(3)))
+    return by_dim
 
 
-def _suite_worst(report, names):
-    return max(report.residuals[k] for k in names)
+def _cone_axioms(config, axioms):
+    """The worst residual of the given cone axioms over the shared sample set."""
+    worst = 0.0
+    for d, triples in _cone_triples(config, "cone-gyrogroup-axioms").items():
+        report = run_axiom_suite(gc.cone_model(d, config.tolerances), triples,
+                                 axioms=axioms)
+        worst = max(worst, report.max_residual)
+    return config.trials, config.trials, worst, 1e-8, ""
 
 
 _G_AXIOMS = ("G1-left-identity", "G1-right-identity", "G2-left-inverse",
@@ -651,46 +743,37 @@ _V_AXIOMS = ("V1-unit", "V1-zero", "V1-negation", "V2-additive",
 
 @prop("cone-gyrogroup-axioms", "gyrogroup-axioms")
 def _cone_axioms_g(config):
-    pid, thr = "cone-gyrogroup-axioms", 1e-8
-    worst = 0.0
-    for d in config.dims:
-        triples = [t for t in _cone_triples(config, pid) if t[0].shape[0] == d]
-        if triples:
-            report = gc.axiom_suite(triples, tol=config.tolerances)
-            worst = max(worst, _suite_worst(report, _G_AXIOMS))
-    return config.trials, config.trials, worst, thr, ""
+    return _cone_axioms(config, _G_AXIOMS)
 
 
 @prop("cone-gyrovector-axioms", "gyrovector-axioms")
 def _cone_axioms_v(config):
-    pid = "cone-gyrogroup-axioms"  # reuse the same sample set
-    thr = 1e-8
-    worst = 0.0
-    for d in config.dims:
-        triples = [t for t in _cone_triples(config, pid) if t[0].shape[0] == d]
-        if triples:
-            report = gc.axiom_suite(triples, tol=config.tolerances)
-            worst = max(worst, _suite_worst(report, _V_AXIOMS))
-    return config.trials, config.trials, worst, thr, ""
+    return _cone_axioms(config, _V_AXIOMS)
 
 
 @prop("cone-operations", "cone-gyrovector-space")
 def _cone_ops(config):
     pid, thr = "cone-operations", 1e-9
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
         A = gen_random_pd(rng, d, config.cond_cap)
         B = gen_random_pd(rng, d, config.cond_cap)
-        eye = np.eye(d)
-        worst = max(worst, _relerr(gc.cone_add(eye, B), B))
-        worst = max(worst, _relerr(gc.cone_add(A, eye), A))
-        worst = max(worst, _relerr(gc.cone_add(A, gc.cone_neg(A)), eye))
         t = float(rng.uniform(-2, 2))
-        worst = max(worst, _relerr(gc.cone_scalar(t, A), powm(A, t)))
-        Ac, Bc = gen_commuting_pair(rng, d)
-        worst = max(worst, _relerr(gc.cone_add(Ac, Bc), Ac @ Bc))
+        return (A, B, t, *gen_commuting_pair(rng, d))
+
+    worst = 0.0
+    for A, B, t, Ac, Bc in _stacks(map(draw, range(config.trials))):
+        eye = _eye_like(A)
+        worst = max(
+            worst,
+            _relerr(gc.cone_add(eye, B), B),
+            _relerr(gc.cone_add(A, eye), A),
+            _relerr(gc.cone_add(A, gc.cone_neg(A)), eye),
+            _relerr(gc.cone_scalar(t, A), powm(A, t)),
+            _relerr(gc.cone_add(Ac, Bc), Ac @ Bc),
+        )
     # witness that the operation is neither commutative nor associative
     A = np.diag([4.0, 1.0]).astype(complex)
     B = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
@@ -706,81 +789,100 @@ def _cone_ops(config):
 @prop("cone-gyration-unitarity", "cone-gyration")
 def _cone_gyration(config):
     pid, thr = "cone-gyration-unitarity", 1e-10
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
-        A = gen_random_pd(rng, d, config.cond_cap)
-        B = gen_random_pd(rng, d, config.cond_cap)
+        A, B, X = (gen_random_pd(rng, d, config.cond_cap) for _ in range(3))
+        return (A, B, X, *gen_commuting_pair(rng, d))
+
+    worst = 0.0
+    for A, B, X, Ac, Bc in _stacks(map(draw, range(config.trials))):
         U = gc.gyration_unitary(A, B)
-        worst = max(worst, float(np.linalg.norm(U @ U.conj().T - np.eye(d))))
-        # polar relation A^{1/2} B^{1/2} = (A (+) B)^{1/2} U
-        worst = max(worst, _relerr(sqrtm(gc.cone_add(A, B)) @ U,
-                                   sqrtm(A) @ sqrtm(B)))
-        X = gen_random_pd(rng, d, config.cond_cap)
-        worst = max(worst, _flag(min_eig(gc.gyration(A, B, X)) > 0, thr))
-        Ac, Bc = gen_commuting_pair(rng, d)
-        worst = max(worst, _relerr(gc.gyration(Ac, Bc, X), X))
+        worst = max(
+            worst,
+            _top(np.linalg.norm(U @ _ct(U) - _eye_like(U), axis=(-2, -1))),
+            # polar relation A^{1/2} B^{1/2} = (A (+) B)^{1/2} U
+            _relerr(sqrtm(gc.cone_add(A, B)) @ U, sqrtm(A) @ sqrtm(B)),
+            _flag(min_eig(gc.gyration(A, B, X)) > 0, thr),
+            _relerr(gc.gyration(Ac, Bc, X), X),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
 @prop("gyration-trace-invariance", "gyration-trace-invariance")
 def _gyration_trace(config):
     pid, thr = "gyration-trace-invariance", 1e-9
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
-        A, B, X, Y = (gen_random_pd(rng, d, config.cond_cap) for _ in range(4))
+        return tuple(gen_random_pd(rng, d, config.cond_cap) for _ in range(4))
+
+    worst = 0.0
+    for A, B, X, Y in _stacks(map(draw, range(config.trials))):
         gx, gy = gc.gyration(A, B, X), gc.gyration(A, B, Y)
-        lhs = complex(np.trace(gx @ gy.conj().T))
-        rhs = complex(np.trace(X @ Y.conj().T))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        lhs = np.trace(gx @ _ct(gy), axis1=-2, axis2=-1)
+        rhs = np.trace(X @ _ct(Y), axis1=-2, axis2=-1)
+        worst = max(worst, _top(abs(lhs - rhs) / np.maximum(1.0, abs(rhs))))
     return config.trials, config.trials, worst, thr, ""
 
 
 @prop("cooperation-commutativity", "cooperation")
 def _cooperation(config):
     pid, thr = "cooperation-commutativity", 1e-9
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
-        A = gen_random_pd(rng, d, config.cond_cap)
-        B = gen_random_pd(rng, d, config.cond_cap)
-        worst = max(worst, _relerr(gc.cooperation(A, B), gc.cooperation(B, A)))
-        worst = max(worst, _relerr(gc.cooperation(A, np.eye(d)), A))
+        return tuple(gen_random_pd(rng, d, config.cond_cap) for _ in range(2))
+
+    worst = 0.0
+    for A, B in _stacks(map(draw, range(config.trials))):
         W = geo_mean(invm(A), B, 0.5)
-        worst = max(worst, _relerr(gc.cooperation(gc.cone_neg(A), B), W @ W))
+        worst = max(
+            worst,
+            _relerr(gc.cooperation(A, B), gc.cooperation(B, A)),
+            _relerr(gc.cooperation(A, _eye_like(A)), A),
+            _relerr(gc.cooperation(gc.cone_neg(A), B), W @ W),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
 @prop("cone-gyrolines", "cone-gyrolines")
 def _cone_gyrolines(config):
     pid, thr = "cone-gyrolines", 1e-9
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
         A = gen_random_pd(rng, d, config.cond_cap)
         B = gen_random_pd(rng, d, config.cond_cap)
-        t = float(rng.uniform(0.0, 1.0))
-        worst = max(worst, _relerr(gc.gyroline(t, A, B), geo_mean(A, B, t)))
-        worst = max(worst, _relerr(gc.cogyroline(t, A, B), spectral_mean(A, B, t)))
-        worst = max(worst, _relerr(gc.gyroline(0.5, A, B),
-                                   gc.cone_scalar(0.5, gc.cooperation(A, B))))
+        return A, B, float(rng.uniform(0.0, 1.0))
+
+    worst = 0.0
+    for A, B, t in _stacks(map(draw, range(config.trials))):
+        worst = max(
+            worst,
+            _relerr(gc.gyroline(t, A, B), geo_mean(A, B, t)),
+            _relerr(gc.cogyroline(t, A, B), spectral_mean(A, B, t)),
+            _relerr(gc.gyroline(0.5, A, B), gc.cone_scalar(0.5, gc.cooperation(A, B))),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
 @prop("gyroline-translation", "gyroline-cogyroline-defs")
 def _gyroline_translation(config):
     pid, thr = "gyroline-translation", 1e-8
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
         A, B, X = (gen_random_pd(rng, d, config.cond_cap) for _ in range(3))
-        t = float(rng.uniform(0.0, 1.0))
+        return A, B, X, float(rng.uniform(0.0, 1.0))
+
+    worst = 0.0
+    for A, B, X, t in _stacks(map(draw, range(config.trials))):
         lhs = gc.cone_add(X, gc.gyroline(t, A, B))
         rhs = gc.gyroline(t, gc.cone_add(X, A), gc.cone_add(X, B))
         worst = max(worst, _relerr(lhs, rhs))
@@ -804,46 +906,57 @@ def _density_axioms(config):
     for d, triples in sorted(by_dim.items()):
         report = run_axiom_suite(gd.density_model(d, config.tolerances), triples)
         worst = max(worst, report.max_residual)
-    for i in range(min(config.trials, 50)):
+
+    def element(i):
         rng = substream(config.seed, pid + "-elements", i)
         d = _cycle(config.dims, i)
         rho = gen_density(rng, d)
         sigma = gen_density(rng, d)
-        worst = max(worst, _relerr(gd.dens_add(gd.dens_identity(d), sigma), sigma))
+        return rho, sigma, float(rng.uniform(-2.0, 2.0))
+
+    for rho, sigma, t in _stacks(map(element, range(min(config.trials, 50)))):
+        identity = np.broadcast_to(gd.dens_identity(rho.shape[-1]), rho.shape)
         inv = invm(rho)
-        worst = max(worst, _relerr(gd.dens_neg(rho), inv / np.trace(inv).real))
-        t = float(rng.uniform(-2.0, 2.0))
-        out = gd.dens_scalar(t, rho)
-        worst = max(worst, abs(float(np.trace(out).real) - 1.0))
-        worst = max(worst, abs(float(np.trace(gd.dens_add(rho, sigma)).real) - 1.0))
+        worst = max(
+            worst,
+            _relerr(gd.dens_add(identity, sigma), sigma),
+            _relerr(gd.dens_neg(rho), inv / _per(_trace(inv))),
+            _top(abs(_trace(gd.dens_scalar(t, rho)) - 1.0)),
+            _top(abs(_trace(gd.dens_add(rho, sigma)) - 1.0)),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
 @prop("density-gyrolines", "density-gyrolines")
 def _density_gyrolines(config):
     pid, thr = "density-gyrolines", 1e-9
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng = substream(config.seed, pid, i)
         d = _cycle(config.dims, i)
         rho = gen_density(rng, d)
         sigma = gen_density(rng, d)
         t = float(rng.uniform(0.0, 1.0))
+        A = gen_random_pd(rng, d, config.cond_cap)
+        return rho, sigma, t, A, gen_random_pd(rng, d, config.cond_cap)
+
+    worst = 0.0
+    for rho, sigma, t, A, B in _stacks(map(draw, range(config.trials))):
         # primitive-composition paths as oracles for the closed forms
         prim = gd.dens_add(rho, gd.dens_scalar(t, gd.dens_add(gd.dens_neg(rho), sigma)))
-        worst = max(worst, _relerr(gd.dens_gyroline(t, rho, sigma), prim))
         coop = gd.dens_add(
             gd.dens_neg(rho),
             gd.dens_gyration(gd.dens_neg(rho), gd.dens_neg(sigma), sigma))
         prim_co = gd.dens_add(gd.dens_scalar(t, coop), rho)
-        worst = max(worst, _relerr(gd.dens_cogyroline(t, rho, sigma), prim_co))
         # trace projection commutes with the mean (joint homogeneity)
-        A = gen_random_pd(rng, d, config.cond_cap)
-        B = gen_random_pd(rng, d, config.cond_cap)
         G = geo_mean(A, B, t)
-        worst = max(worst, _relerr(
-            gd.dens_gyroline(t, A / np.trace(A).real, B / np.trace(B).real),
-            G / np.trace(G).real))
+        worst = max(
+            worst,
+            _relerr(gd.dens_gyroline(t, rho, sigma), prim),
+            _relerr(gd.dens_cogyroline(t, rho, sigma), prim_co),
+            _relerr(gd.dens_gyroline(t, A / _per(_trace(A)), B / _per(_trace(B))),
+                    G / _per(_trace(G))),
+        )
     return config.trials, config.trials, worst, thr, ""
 
 
@@ -1168,18 +1281,25 @@ def _qubit_spectral(config):
 @prop("frobenius-semimetric-properties", "frobenius-semimetric")
 def _frobenius_semimetric(config):
     pid, thr = "frobenius-semimetric-properties", 1e-8
-    worst = 0.0
-    for i in range(config.trials):
+
+    def draw(i):
         rng, d, A, B = _pd_pair(config, pid, i)
-        dv = distance("semimetric_frob", A, B)
-        worst = max(worst, abs(dv - distance("semimetric_frob", B, A)))
-        worst = max(worst, distance("semimetric_frob", A, A.copy()))
-        alpha = float(rng.uniform(0.2, 5.0))
-        worst = max(worst, abs(distance("semimetric_frob", alpha * A, alpha * B) - dv))
-        worst = max(worst, abs(distance("semimetric_frob", invm(A), invm(B)) - dv))
+        return A, B, float(rng.uniform(0.2, 5.0)), _cycle(config.t_grid, i)
+
+    def dist(X, Y):
+        return distance("semimetric_frob", X, Y)
+
+    worst = 0.0
+    for A, B, alpha, t in _stacks(map(draw, range(config.trials))):
+        dv = dist(A, B)
         M = spectral_mean(A, B, 0.5)
-        worst = max(worst, *midpoint_deviation("semimetric_frob", A, B, M))
-        t = _cycle(config.t_grid, i)
-        worst = max(worst, abs(distance("semimetric_frob", A, spectral_mean(A, B, t))
-                               - t * dv))
+        worst = max(
+            worst,
+            _top(abs(dv - dist(B, A))),
+            _top(dist(A, A.copy())),
+            _top(abs(dist(_per(alpha) * A, _per(alpha) * B) - dv)),
+            _top(abs(dist(invm(A), invm(B)) - dv)),
+            *map(_top, midpoint_deviation("semimetric_frob", A, B, M)),
+            _top(abs(dist(A, spectral_mean(A, B, t)) - t * dv)),
+        )
     return config.trials, config.trials, worst, thr, ""

@@ -12,6 +12,15 @@ import numpy as np
 import pytest
 
 from gyromean import errors
+from gyromean.ball import (
+    ball_scalar,
+    bloch_to_density,
+    einstein_add,
+    gamma_factor,
+    rapidity_distance,
+    require_in_ball,
+)
+from gyromean.closedform2x2 import gm2_det1, qubit_geo_mean, qubit_spectral_mean
 from gyromean.gyrocone import (
     cogyroline,
     cone_add,
@@ -21,7 +30,7 @@ from gyromean.gyrocone import (
     gyroline,
 )
 from gyromean.gyrodensity import dens_cogyroline, dens_gyroline, dens_scalar
-from gyromean.kernel import powm
+from gyromean.kernel import polar_unitary, powm
 from gyromean.means import geo_mean, mean, spectral_mean
 from gyromean.metrics import distance
 
@@ -115,3 +124,48 @@ def test_every_curve_parameter_must_be_finite(bad_t):
     for call in calls:
         with pytest.raises(errors.WeightOutOfRange):
             call()
+
+
+U = np.array([0.1, 0.2, 0.3])
+V = np.array([-0.2, 0.1, 0.4])
+UNIT_DET = np.array([[2.0, 0.5], [0.5, 0.625]])  # determinant 1
+
+
+@pytest.mark.parametrize("bad_t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda t: qubit_geo_mean(U, V, t),
+    lambda t: qubit_spectral_mean(U, V, t),
+    lambda t: gm2_det1(UNIT_DET, np.eye(2), t),
+    lambda t: ball_scalar(t, U),
+], ids=["qubit_geo_mean", "qubit_spectral_mean", "gm2_det1", "ball_scalar"])
+def test_closed_forms_reject_a_non_finite_weight(call, bad_t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(errors.WeightOutOfRange):
+            call(bad_t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    require_in_ball,
+    gamma_factor,
+    lambda w: einstein_add(w, U),
+    lambda w: rapidity_distance(U, w),
+    bloch_to_density,
+    lambda w: qubit_geo_mean(w, V, 0.5),
+    lambda w: qubit_spectral_mean(U, w, 0.5),
+], ids=["require_in_ball", "gamma_factor", "einstein_add", "rapidity_distance",
+        "bloch_to_density", "qubit_geo_mean", "qubit_spectral_mean"])
+def test_ball_vectors_must_be_finite(call, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(errors.NotFinite):
+            call(np.array([bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_polar_unitary_rejects_a_non_finite_matrix(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(errors.NotFinite):
+            polar_unitary(np.array([[bad, 0.0], [0.0, 1.0]]))
