@@ -29,7 +29,10 @@ from .errors import GyromeanError
 from .gyrocone import cogyroline, cooperation, gyration, gyroline
 from .gyrodensity import dens_cogyroline, dens_gyroline, require_density
 from .harness import (
+    DEFAULT_COND_CAP,
+    DEFAULT_DIMS,
     DEFAULT_SEED,
+    DEFAULT_TRIALS,
     CampaignConfig,
     Report,
     reproduce_counterexamples,
@@ -84,11 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property campaign")
     p.add_argument("--seed", type=int, default=None,
-                   help="campaign seed (default: GYROMEAN_SEED or 42)")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--dims", default="2,3,4,6",
-                   help="comma-separated dimensions, e.g. 2,3,4,6")
-    p.add_argument("--cond-cap", type=float, default=1e4)
+                   help=f"campaign seed (default: GYROMEAN_SEED or {DEFAULT_SEED})")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--dims", default=",".join(map(str, DEFAULT_DIMS)),
+                   help="comma-separated dimensions (default: %(default)s)")
+    p.add_argument("--cond-cap", type=float, default=DEFAULT_COND_CAP)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", metavar="FILE", help="write the report here")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -180,15 +183,19 @@ def _print_summary(report: Report) -> None:
           f"properties")
 
 
-def _cmd_verify(args) -> int:
+def verify_config(args) -> CampaignConfig:
+    """The campaign config that ``verify``'s parsed arguments ask for."""
     seed = args.seed if args.seed is not None else _env_seed()
     try:
         dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
     except ValueError:
         raise MatrixFormatError(f"cannot parse --dims {args.dims!r}")
-    config = CampaignConfig(seed=seed, trials=args.trials, dims=dims,
-                            cond_cap=args.cond_cap)
-    report = run_campaign(config, jobs=args.jobs)
+    return CampaignConfig(seed=seed, trials=args.trials, dims=dims,
+                          cond_cap=args.cond_cap)
+
+
+def _cmd_verify(args) -> int:
+    report = run_campaign(verify_config(args), jobs=args.jobs)
     if args.report:
         _write_report(report, args.report, args.format)
     _print_summary(report)

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __version__ as VERSION
@@ -35,21 +35,24 @@ DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
 DEFAULT_DIMS = (2, 3, 4, 6)
 DEFAULT_COND_CAP = 1e4
-DEFAULT_T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
-DEFAULT_P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0)
+# the curve parameters and powers the properties cycle through: the t grid
+# lies in (0, 1), the p grid in [1, 5]
+T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
+P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0)
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Validated knobs of a verification campaign."""
+    """Validated knobs of a verification campaign.
+
+    The grids and the tolerances (``DEFAULT_TOL``) are fixed; ``to_dict``
+    records them with the knobs.
+    """
 
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
     dims: tuple = DEFAULT_DIMS
     cond_cap: float = DEFAULT_COND_CAP
-    t_grid: tuple = DEFAULT_T_GRID
-    p_grid: tuple = DEFAULT_P_GRID
-    tolerances: TolerancePolicy = field(default_factory=TolerancePolicy)
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2**64):
@@ -63,28 +66,17 @@ class CampaignConfig:
             raise ValueError("dims must lie in [2, 8]")
         if not self.cond_cap > 1:
             raise ValueError("cond_cap must exceed 1")
-        if not self.t_grid or not self.p_grid:
-            raise ValueError("t_grid and p_grid must be nonempty")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
 
     def to_dict(self) -> dict:
-        t = self.tolerances
         return {
             "seed": int(self.seed),
             "trials": int(self.trials),
             "dims": list(self.dims),
             "cond_cap": float(self.cond_cap),
-            "t_grid": list(self.t_grid),
-            "p_grid": list(self.p_grid),
-            "tolerances": {
-                "hermiticity_tol": t.hermiticity_tol,
-                "pd_tol": t.pd_tol,
-                "reconstruct_tol": t.reconstruct_tol,
-                "loewner_tol": t.loewner_tol,
-                "equality_tol": t.equality_tol,
-            },
+            "t_grid": list(T_GRID),
+            "p_grid": list(P_GRID),
+            "tolerances": asdict(DEFAULT_TOL),
         }
 
 

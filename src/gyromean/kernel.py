@@ -24,7 +24,7 @@ spectral function V f(w) V* does not depend on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -57,15 +57,9 @@ class TolerancePolicy:
     equality_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in (
-            "hermiticity_tol",
-            "pd_tol",
-            "reconstruct_tol",
-            "loewner_tol",
-            "equality_tol",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be strictly positive")
 
 
 DEFAULT_TOL = TolerancePolicy()

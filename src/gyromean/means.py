@@ -97,10 +97,13 @@ def mean(kind: str, A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) ->
 
 
 def riccati_residual(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Frobenius residual of X A^{-1} X = B (Riccati), one per item of a stack."""
-    Am, Bm, Xm = as_stack(A), as_stack(B), as_stack(X)
-    require_same_dim(Am, Bm, Xm)
-    return _frobenius(Xm @ invm(Am, tol) @ Xm - Bm)
+    """Frobenius residual of X A^{-1} X = B (Riccati), one per item of a stack.
+
+    A, B and X must be positive definite.
+    """
+    Am, Bm, Xm = require_hermitians(A, B, X, tol=tol.hermiticity_tol)
+    dec_a, _, _ = (_pd_eigh(M, tol) for M in (Am, Bm, Xm))
+    return _frobenius(Xm @ _powm(dec_a, -1.0) @ Xm - Bm)
 
 
 def karcher_residual(A, B, t: float, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -125,12 +128,12 @@ def spectral_defining_residual(A, B, t: float, X,
     """Frobenius residual of (A^{-1} # B)^t = A^{-1} # X.
 
     Zero (to tolerance) exactly when X = A natural_t B, since the right side
-    determines X uniquely.  Takes stacks, with one t or one per item.
+    determines X uniquely.  Takes stacks, with one t or one per item; A, B
+    and X must be positive definite.
     """
-    Am, Bm, Xm = as_stack(A), as_stack(B), as_stack(X)
-    require_same_dim(Am, Bm, Xm)
+    Am, Bm, Xm = require_hermitians(A, B, X, tol=tol.hermiticity_tol)
     t = require_weight(t, Am)
-    dec_ainv = _pd_eigh(invm(Am, tol), tol)
+    dec_ainv = _pd_eigh(_powm(_pd_eigh(Am, tol), -1.0), tol)
     lhs = _powm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5, tol), tol), t)
     rhs = _geo_mean(dec_ainv, Xm, 0.5, tol)
     return _frobenius(lhs - rhs)

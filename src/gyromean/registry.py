@@ -10,7 +10,11 @@ any numerical outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from .randgen import substream
 
 # Canonical anchors, one per source statement the campaign must exercise.
 REQUIRED_ANCHORS = (
@@ -110,27 +114,87 @@ class PropertySpec:
     property_id: str
     anchor: str
     runner: Callable
+    threshold: float
     asserted: bool = True
     min_premise: int = 0
+
+
+class Outcome(NamedTuple):
+    """A runner's worst violation, with what differs from the defaults.
+
+    By default a record counts one sample per trial, holds its premise on
+    every sample and carries no note.
+    """
+
+    worst: float
+    samples: int | None = None
+    premise_held: int | None = None
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class Trials:
+    """The seeded trials of one property under one campaign config.
+
+    Trial i draws from the substream (seed, stream, i) at dimension
+    ``dims[i % len(dims)]``, or at ``dim`` when it is set; the stream is the
+    property id.  Iterating yields ``(rng, d, i)`` per trial, in trial order;
+    ``dataclasses.replace`` gives the same trials at one dimension, on
+    another stream or in another number.
+    """
+
+    seed: int
+    count: int
+    dims: tuple
+    cond_cap: float
+    threshold: float
+    stream: str
+    dim: int | None = None
+
+    def __iter__(self):
+        for i in range(self.count):
+            d = self.dims[i % len(self.dims)] if self.dim is None else self.dim
+            yield substream(self.seed, self.stream, i), d, i
+
+    def stacks(self, draw):
+        """Every trial's ``draw(rng, d, i)``, stacked by matrix dimension.
+
+        Each draw is a tuple whose first entry is a matrix.  Each yielded tuple
+        holds the same fields over one dimension's trials, in trial order:
+        matrices as (k, d, d) stacks, scalars as (k,) arrays.
+        """
+        groups = {}
+        for rng, d, i in self:
+            fields = draw(rng, d, i)
+            groups.setdefault(np.shape(fields[0]), []).append(fields)
+        for members in groups.values():
+            yield tuple(np.array(field) for field in zip(*members))
+
+    def flag(self, ok) -> float:
+        """A boolean sub-check (every entry of ``ok`` must hold) as a violation value."""
+        return 0.0 if np.all(ok) else 2.0 * self.threshold
 
 
 _REGISTRY: dict[str, PropertySpec] = {}
 
 
-def prop(property_id: str, anchor: str, asserted: bool = True,
+def prop(property_id: str, anchor: str, threshold: float, asserted: bool = True,
          min_premise: int = 0):
-    """Register a campaign property runner.
+    """Register a campaign property runner with its pass threshold.
 
-    The runner receives the campaign config and returns
-    (samples, premise_held, max_violation, threshold, note).
+    The runner receives the property's ``Trials`` and returns its worst
+    violation, as a float or as an ``Outcome`` carrying what differs from the
+    defaults.
     """
     if anchor not in REQUIRED_ANCHORS and anchor not in EXTRA_ANCHORS:
         raise ValueError(f"unknown anchor {anchor!r} for property {property_id!r}")
+    if not float(threshold) > 0:
+        raise ValueError(f"threshold of {property_id!r} must be positive")
+    if property_id in _REGISTRY:
+        raise ValueError(f"duplicate property id {property_id!r}")
 
     def register(fn):
-        if property_id in _REGISTRY:
-            raise ValueError(f"duplicate property id {property_id!r}")
-        _REGISTRY[property_id] = PropertySpec(property_id, anchor, fn,
+        _REGISTRY[property_id] = PropertySpec(property_id, anchor, fn, float(threshold),
                                               asserted, min_premise)
         return fn
 
@@ -144,13 +208,17 @@ def all_properties() -> list[PropertySpec]:
 
 
 def run_property(spec: PropertySpec, config) -> PropertyRecord:
-    samples, premise_held, max_violation, threshold, note = spec.runner(config)
-    passed = True
+    out = spec.runner(Trials(config.seed, config.trials, config.dims, config.cond_cap,
+                             spec.threshold, spec.property_id))
+    if not isinstance(out, Outcome):
+        out = Outcome(out)
+    samples = config.trials if out.samples is None else out.samples
+    premise_held = samples if out.premise_held is None else out.premise_held
+    note, passed = out.note, True
     if spec.asserted:
-        passed = bool(max_violation <= threshold)
+        passed = bool(out.worst <= spec.threshold)
         # the premise quota cannot exceed what the trial budget allows
-        quota = min(spec.min_premise, getattr(config, "trials", spec.min_premise))
-        if spec.min_premise and premise_held < quota:
+        if premise_held < min(spec.min_premise, config.trials):
             passed = False
             note = (note + "; " if note else "") + (
                 f"sampler starvation: only {premise_held} premise-held samples")
@@ -159,8 +227,8 @@ def run_property(spec: PropertySpec, config) -> PropertyRecord:
         anchor=spec.anchor,
         samples=int(samples),
         premise_held=int(premise_held),
-        max_violation=float(max_violation),
-        threshold=float(threshold),
+        max_violation=float(out.worst),
+        threshold=spec.threshold,
         passed=passed,
         asserted=spec.asserted,
         note=note,

@@ -31,7 +31,13 @@ from gyromean.gyrocone import (
 )
 from gyromean.gyrodensity import dens_cogyroline, dens_gyroline, dens_scalar
 from gyromean.kernel import polar_unitary, powm
-from gyromean.means import geo_mean, mean, spectral_mean
+from gyromean.means import (
+    geo_mean,
+    mean,
+    riccati_residual,
+    spectral_defining_residual,
+    spectral_mean,
+)
 from gyromean.metrics import distance
 
 A = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -52,6 +58,9 @@ OPS = {
     "cogyroline": (lambda m, t: cogyroline(t, *m), 2, True, False),
     "dens_gyroline": (lambda m, t: dens_gyroline(t, *m), 2, True, True),
     "dens_cogyroline": (lambda m, t: dens_cogyroline(t, *m), 2, True, True),
+    "riccati_residual": (lambda m, t: riccati_residual(*m), 3, False, False),
+    "spectral_defining_residual": (
+        lambda m, t: spectral_defining_residual(m[0], m[1], t, m[2]), 3, True, False),
 }
 
 # case -> (bad operand, the same as a trace-one matrix, expected error)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gyromean.cli import main
+from gyromean.cli import build_parser, main, verify_config
+from gyromean.harness import CampaignConfig
 from gyromean.matrixio import (
     MatrixFormatError,
     load_matrix,
@@ -169,6 +170,12 @@ def test_verify_env_seed(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--trials", "8", "--dims", "2",
                  "--report", str(report_path)]) == 0
     assert json.loads(report_path.read_text())["config"]["seed"] == 77
+
+
+def test_verify_defaults_are_the_campaign_defaults(monkeypatch):
+    monkeypatch.delenv("GYROMEAN_SEED", raising=False)
+    args = build_parser().parse_args(["verify"])
+    assert verify_config(args) == CampaignConfig()
 
 
 def test_verify_rejects_bad_dims(capsys):

@@ -12,7 +12,7 @@ from gyromean.harness import (
     run_campaign,
 )
 from gyromean.randgen import gen_random_pd, substream
-from gyromean.registry import REQUIRED_ANCHORS, all_properties
+from gyromean.registry import REQUIRED_ANCHORS, all_properties, prop, run_property
 
 SMALL = CampaignConfig(seed=11, trials=8, dims=(2, 3))
 
@@ -120,3 +120,33 @@ def test_unasserted_property_serializes_with_null_threshold():
     row = next(p for p in parsed["properties"]
                if p["property_id"] == "semimetric-geodesic-question")
     assert row["threshold"] is None
+
+
+def test_each_property_alone_gives_its_campaign_record_and_threshold():
+    records = {r.property_id: r for r in run_campaign(SMALL).records}
+    for spec in all_properties():
+        record = records[spec.property_id]
+        assert run_property(spec, SMALL) == record, spec.property_id
+        assert record.threshold == spec.threshold, spec.property_id
+
+
+def test_registration_needs_a_positive_threshold_and_a_new_id():
+    def runner(trials):
+        return 0.0
+
+    with pytest.raises(TypeError):
+        prop("unregistered-property", "furuta")(runner)
+    with pytest.raises(ValueError):
+        prop("unregistered-property", "furuta", 0.0)(runner)
+    with pytest.raises(ValueError):
+        prop("furuta", "furuta", 1e-8)(runner)
+    assert "unregistered-property" not in {s.property_id for s in all_properties()}
+
+
+def test_config_records_the_fixed_grids_and_tolerances():
+    config = CampaignConfig().to_dict()
+    assert config["t_grid"] == [0.1, 0.25, 0.5, 0.75, 0.9]
+    assert config["p_grid"] == [1.0, 1.5, 2.0, 3.0, 5.0]
+    assert config["tolerances"] == {
+        "hermiticity_tol": 1e-10, "pd_tol": 1e-10, "reconstruct_tol": 1e-10,
+        "loewner_tol": 1e-8, "equality_tol": 1e-8}
