@@ -25,7 +25,9 @@ from .fixtures import (
 from .kernel import DEFAULT_TOL, TolerancePolicy
 from .registry import (
     EXTRA_ANCHORS,
+    P_GRID,
     REQUIRED_ANCHORS,
+    T_GRID,
     PropertyRecord,
     all_properties,
     run_property,
@@ -35,10 +37,6 @@ DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
 DEFAULT_DIMS = (2, 3, 4, 6)
 DEFAULT_COND_CAP = 1e4
-# the curve parameters and powers the properties cycle through: the t grid
-# lies in (0, 1), the p grid in [1, 5]
-T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
-P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0)
 
 
 @dataclass(frozen=True)

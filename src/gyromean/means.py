@@ -102,7 +102,10 @@ def riccati_residual(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     A, B and X must be positive definite.
     """
     Am, Bm, Xm = require_hermitians(A, B, X, tol=tol.hermiticity_tol)
-    dec_a, _, _ = (_pd_eigh(M, tol) for M in (Am, Bm, Xm))
+    dec_a = _pd_eigh(Am, tol)
+    # the PD checks of B and X
+    _pd_eigh(Bm, tol)
+    _pd_eigh(Xm, tol)
     return _frobenius(Xm @ _powm(dec_a, -1.0) @ Xm - Bm)
 
 

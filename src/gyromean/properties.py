@@ -25,7 +25,6 @@ from . import gyrocone as gc
 from . import gyrodensity as gd
 from .fixtures import contraction_converse_witness, triangle_measurements
 from .gyroaxioms import run_axiom_suite
-from .harness import P_GRID, T_GRID
 from .kernel import (
     DEFAULT_TOL,
     _frobenius,
@@ -78,7 +77,7 @@ from .randgen import (
     gen_spectral_premise_pair,
     gen_spread_pd,
 )
-from .registry import Outcome, prop
+from .registry import P_GRID, T_GRID, Outcome, prop
 
 
 def _cycle(seq, i):
@@ -168,7 +167,7 @@ def _geo_identities(trials):
 def _riccati(trials):
     worst = 0.0
     for dim in trials.dims:
-        for A, B in replace(trials, dim=dim).stacks(lambda rng, d, i: _pd(rng, d, trials)):
+        for A, B in replace(trials, dims=(dim,)).stacks(lambda rng, d, i: _pd(rng, d, trials)):
             X = geo_mean(A, B, 0.5)
             worst = max(worst, _top(riccati_residual(A, B, X)
                                     / np.maximum(1.0, _frobenius(B))))
@@ -247,7 +246,7 @@ def _spectral_defining(trials):
 
     worst = 0.0
     for dim in trials.dims:
-        for A, B, t in replace(trials, dim=dim).stacks(draw):
+        for A, B, t in replace(trials, dims=(dim,)).stacks(draw):
             X = spectral_mean(A, B, t)
             worst = max(worst, _top(spectral_defining_residual(A, B, t, X)))
     return Outcome(worst, samples=trials.count * len(trials.dims))

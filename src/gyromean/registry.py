@@ -78,6 +78,11 @@ REQUIRED_ANCHORS = (
 # Anchors that may appear in addition to the required ones.
 EXTRA_ANCHORS = ("thompson-metric",)
 
+# the curve parameters and powers the properties cycle through: the t grid
+# lies in (0, 1), the p grid in [1, 5]
+T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
+P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0)
+
 
 @dataclass(frozen=True)
 class PropertyRecord:
@@ -137,8 +142,7 @@ class Trials:
     """The seeded trials of one property under one campaign config.
 
     Trial i draws from the substream (seed, stream, i) at dimension
-    ``dims[i % len(dims)]``, or at ``dim`` when it is set; the stream is the
-    property id.  Iterating yields ``(rng, d, i)`` per trial, in trial order;
+    ``dims[i % len(dims)]``; the stream is the property id.  Iterating yields ``(rng, d, i)`` per trial, in trial order;
     ``dataclasses.replace`` gives the same trials at one dimension, on
     another stream or in another number.
     """
@@ -149,12 +153,10 @@ class Trials:
     cond_cap: float
     threshold: float
     stream: str
-    dim: int | None = None
 
     def __iter__(self):
         for i in range(self.count):
-            d = self.dims[i % len(self.dims)] if self.dim is None else self.dim
-            yield substream(self.seed, self.stream, i), d, i
+            yield substream(self.seed, self.stream, i), self.dims[i % len(self.dims)], i
 
     def stacks(self, draw):
         """Every trial's ``draw(rng, d, i)``, stacked by matrix dimension.

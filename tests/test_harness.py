@@ -122,12 +122,46 @@ def test_unasserted_property_serializes_with_null_threshold():
     assert row["threshold"] is None
 
 
+# every registered property's pass threshold, written out so that a drifting
+# @prop threshold fails here
+THRESHOLDS = {
+    **dict.fromkeys((
+        "ando-hiai", "cone-gyrogroup-axioms", "cone-gyrovector-axioms",
+        "congruence-inversion-order", "contraction-lemma", "density-gyrovector-space",
+        "einstein-ball-axioms", "five-way-equivalence", "frobenius-semimetric-properties",
+        "furuta", "gyroline-translation", "lmap-identities", "loewner-heinz",
+        "logmaj-mean", "mean-bijection-roundtrip", "mobius-ball-axioms", "power-chain",
+        "riemannian-geodesic-midpoint", "semimetric-axioms", "semimetric-invariance",
+        "spectral-ando-hiai", "spectral-mean-bounds", "spectral-midpoint",
+        "sufficient-conditions"), 1e-8),
+    **dict.fromkeys((
+        "block-psd-maximality", "cone-gyrolines", "cone-operations",
+        "cooperation-commutativity", "d-le-delta", "density-gyrolines",
+        "geodesic-curve-identities", "gyration-trace-invariance", "karcher-residual",
+        "qubit-mean-combination", "qubit-spectral-closed-form", "riccati-residual",
+        "spectral-curve-identities", "spectral-defining-residual",
+        "spectral-mean-algebra", "two-by-two-mean-combination",
+        "two-by-two-spectral-closed-form"), 1e-9),
+    **dict.fromkeys((
+        "bloch-isomorphism", "block-norm-bound", "cone-gyration-unitarity",
+        "einstein-gyromidpoint", "gamma-factor-identity", "majorization-prefix-rules",
+        "mu-eigenvalue-rewrite", "qubit-inverse-normalization",
+        "spectral-bounds-premise-free", "sum-norm-bound", "thompson-sup-ratio"), 1e-10),
+    **dict.fromkeys((
+        "bloch-correspondence", "det-shift-identity", "qubit-eigenvalues",
+        "rapidity-metric"), 1e-12),
+    "triangle-counterexample": 1e-5,
+    "semimetric-geodesic-question": float("inf"),
+}
+
+
 def test_each_property_alone_gives_its_campaign_record_and_threshold():
     records = {r.property_id: r for r in run_campaign(SMALL).records}
+    assert {spec.property_id for spec in all_properties()} == set(THRESHOLDS)
     for spec in all_properties():
         record = records[spec.property_id]
         assert run_property(spec, SMALL) == record, spec.property_id
-        assert record.threshold == spec.threshold, spec.property_id
+        assert record.threshold == THRESHOLDS[spec.property_id], spec.property_id
 
 
 def test_registration_needs_a_positive_threshold_and_a_new_id():
