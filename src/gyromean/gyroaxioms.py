@@ -61,14 +61,16 @@ class AxiomReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+        """The largest residual, NaN if any residual is NaN."""
+        return float(np.max(list(self.residuals.values()), initial=0.0))
 
     @property
     def passed(self) -> bool:
         return self.max_residual < self.threshold
 
     def worst(self):
-        name = max(self.residuals, key=self.residuals.get)
+        """The axiom with the largest residual (the first NaN one, if any)."""
+        name = list(self.residuals)[int(np.argmax(list(self.residuals.values())))]
         return name, self.residuals[name]
 
 

@@ -62,8 +62,8 @@ class CampaignConfig:
             raise ValueError("dims must be nonempty")
         if any(d < 2 or d > 8 for d in dims):
             raise ValueError("dims must lie in [2, 8]")
-        if not self.cond_cap > 1:
-            raise ValueError("cond_cap must exceed 1")
+        if not 1 < self.cond_cap < float("inf"):
+            raise ValueError("cond_cap must be finite and exceed 1")
         object.__setattr__(self, "dims", dims)
 
     def to_dict(self) -> dict:
@@ -101,7 +101,7 @@ class Report:
 
     def to_json(self, include_timestamp: bool = True) -> str:
         return json.dumps(self.to_dict(include_timestamp), sort_keys=True,
-                          indent=2) + "\n"
+                          indent=2, allow_nan=False) + "\n"
 
     def canonical_json(self) -> str:
         """Serialization with the timestamp removed; byte-stable per config."""

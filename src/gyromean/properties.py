@@ -1,16 +1,19 @@
 """The randomized property campaign.
 
 Each runner is registered with its id, anchor and threshold, receives its
-``Trials`` from the registry and returns the worst violation it sees, leaving
-pass/fail policy to the registry.  Trial i draws from the substream
-(seed, property, i) at dimension ``dims[i % len(dims)]``, except the
-defining-equation residual properties, which run every trial at every
+``Trials`` from the registry and yields its violation values; the registry
+reduces them to the record's worst violation and applies the pass/fail
+policy.  A value at or below zero is no violation, so a runner yields the
+negation of a margin that must stay nonnegative.  A runner whose record
+differs from the defaults returns an ``Outcome``.  Trial i draws from the
+substream (seed, property, i) at dimension ``dims[i % len(dims)]``, except
+the defining-equation residual properties, which run every trial at every
 dimension.
 
 Most runners stack their trials' draws by dimension (``Trials.stacks``) and
-evaluate each stack once, with per-trial scalars as arrays; a stacked
-residual is the max over its stack.  Since the draws come from the per-trial
-substreams, the stacking changes no input.
+evaluate each stack once, with per-trial scalars as arrays, and yield one
+value per stacked trial.  Since the draws come from the per-trial substreams,
+the stacking changes no input.
 """
 
 from __future__ import annotations
@@ -84,35 +87,25 @@ def _cycle(seq, i):
     return seq[i % len(seq)]
 
 
-def _top(x) -> float:
-    """The largest of one or more per-trial values."""
-    return float(np.max(x))
-
-
-def _shortfall(x) -> float:
-    """How far the smallest of any number of per-trial margins falls below zero."""
-    return max(0.0, -float(np.min(x, initial=np.inf)))
-
-
-def _premise_held(res) -> tuple[int, float]:
-    """Premise-held count of a stacked check, and the worst shortfall among those."""
+def _premise_held(res) -> tuple[int, np.ndarray]:
+    """Premise-held count of a stacked check, and its negated margins on those."""
     held = np.broadcast_to(res.premise_held, np.shape(res.margin))
-    return int(held.sum()), _shortfall(np.asarray(res.margin)[held])
+    return int(held.sum()), -np.asarray(res.margin)[held]
 
 
-def _held(results) -> Outcome:
-    """Premise-held count and worst premise-held shortfall over stacked checks."""
-    worst, held = 0.0, 0
+def _held(results):
+    """Yield the negated premise-held margins of stacked checks; return the count."""
+    held = 0
     for res in results:
-        count, shortfall = _premise_held(res)
+        count, shortfalls = _premise_held(res)
         held += count
-        worst = max(worst, shortfall)
-    return Outcome(worst, premise_held=held)
+        yield shortfalls
+    return Outcome(premise_held=held)
 
 
-def _relerr(X: np.ndarray, Y: np.ndarray) -> float:
-    """Worst relative Frobenius error over a matrix or a stack of them."""
-    return _top(_frobenius(X - Y) / np.maximum(1.0, _frobenius(Y)))
+def _relerr(X: np.ndarray, Y: np.ndarray):
+    """Relative Frobenius error of a matrix, or of each matrix of a stack."""
+    return _frobenius(X - Y) / np.maximum(1.0, _frobenius(Y))
 
 
 def _pd(rng, d, trials, count=2) -> tuple:
@@ -146,68 +139,53 @@ def _geo_identities(trials):
         U = gen_random_unitary(rng, d)
         return (A, B, _cycle(T_GRID, i), a, b, U, *gen_commuting_pair(rng, d))
 
-    worst = 0.0
     for A, B, t, a, b, U, Ac, Bc in trials.stacks(draw):
         G = geo_mean(A, B, t)
-        worst = max(
-            worst,
-            _relerr(geo_mean(A, B, 0.0), A),
-            _relerr(geo_mean(A, B, 1.0), B),
-            trials.flag(min_eig(G) > 0),
-            _relerr(G, geo_mean(B, A, 1.0 - t)),
-            _relerr(geo_mean(_per(a) * A, _per(b) * B, t),
-                    _per(a ** (1 - t) * b ** t) * G),
-            _relerr(geo_mean(_ct(U) @ A @ U, _ct(U) @ B @ U, t), _ct(U) @ G @ U),
-            _relerr(geo_mean(Ac, Bc, t), powm(Ac, 1 - t) @ powm(Bc, t)),
-        )
-    return worst
+        yield _relerr(geo_mean(A, B, 0.0), A)
+        yield _relerr(geo_mean(A, B, 1.0), B)
+        yield trials.flag(min_eig(G) > 0)
+        yield _relerr(G, geo_mean(B, A, 1.0 - t))
+        yield _relerr(geo_mean(_per(a) * A, _per(b) * B, t), _per(a ** (1 - t) * b ** t) * G)
+        yield _relerr(geo_mean(_ct(U) @ A @ U, _ct(U) @ B @ U, t), _ct(U) @ G @ U)
+        yield _relerr(geo_mean(Ac, Bc, t), powm(Ac, 1 - t) @ powm(Bc, t))
 
 
 @prop("riccati-residual", "riccati-equation", 1e-9)
 def _riccati(trials):
-    worst = 0.0
     for dim in trials.dims:
         for A, B in replace(trials, dims=(dim,)).stacks(lambda rng, d, i: _pd(rng, d, trials)):
             X = geo_mean(A, B, 0.5)
-            worst = max(worst, _top(riccati_residual(A, B, X)
-                                    / np.maximum(1.0, _frobenius(B))))
-    return Outcome(worst, samples=trials.count * len(trials.dims),
-                   note="relative Frobenius residual")
+            yield riccati_residual(A, B, X) / np.maximum(1.0, _frobenius(B))
+    return Outcome(samples=trials.count * len(trials.dims), note="relative Frobenius residual")
 
 
 @prop("karcher-residual", "karcher-equation", 1e-9)
 def _karcher(trials):
-    worst = 0.0
     for A, B, t in trials.stacks(lambda rng, d, i: (*_pd(rng, d, trials), _cycle(T_GRID, i))):
-        worst = max(worst, _top(karcher_residual(A, B, t, geo_mean(A, B, t))))
-    return worst
+        yield karcher_residual(A, B, t, geo_mean(A, B, t))
 
 
 @prop("block-psd-maximality", "geometric-mean-block-characterization", 1e-9)
 def _block_max(trials):
-    worst = trials.flag(block_psd_margin(np.eye(2), np.eye(2), 2 * np.eye(2)) < 0)
+    yield trials.flag(block_psd_margin(np.eye(2), np.eye(2), 2 * np.eye(2)) < 0)
     for rng, d, _ in trials:
         A, B = _pd(rng, d, trials)
-        margin = block_psd_margin(A, B, geo_mean(A, B, 0.5))
-        worst = max(worst, max(0.0, -margin))
+        G = geo_mean(A, B, 0.5)
+        yield -block_psd_margin(A, B, G)
         # strictly inflating the maximizer must leave the block cone
-        worst = max(worst, trials.flag(
-            block_psd_margin(A, B, 1.01 * geo_mean(A, B, 0.5)) < 0))
-    return worst
+        yield trials.flag(block_psd_margin(A, B, 1.01 * G) < 0)
 
 
 @prop("mean-bijection-roundtrip", "mean-bijection", 1e-8)
 def _bijection(trials):
     # C is produced forward from a moderate X, so the 1/t-power inversion
     # stays inside the well-conditioned regime for every grid value of t
-    worst = 0.0
     for A, X, t in trials.stacks(lambda rng, d, i: (*_pd(rng, d, trials), _cycle(T_GRID, i))):
         for kind in ("metric", "spectral"):
             C = mean(kind, A, X, t)
             recovered = mean_left_inverse(kind, A, C, t)
-            worst = max(worst, _relerr(recovered, X),
-                        _relerr(mean(kind, A, recovered, t), C))
-    return worst
+            yield _relerr(recovered, X)
+            yield _relerr(mean(kind, A, recovered, t), C)
 
 
 # --------------------------------------------------------------------------
@@ -219,24 +197,19 @@ def _spectral_identities(trials):
     def draw(rng, d, i):
         return (*_pd(rng, d, trials), _cycle(T_GRID, i), *gen_commuting_pair(rng, d))
 
-    worst = 0.0
     for A, B, t, Ac, Bc in trials.stacks(draw):
         # eigenvalues of the t=1/2 mean are the square roots of those of A B
         ev = np.linalg.eigvalsh(spectral_mean(A, B, 0.5))
         ev_ab = np.sqrt(np.sort(np.linalg.eigvals(A @ B).real, axis=-1))
-        worst = max(
-            worst,
-            _relerr(spectral_mean(A, B, 0.0), A),
-            _relerr(spectral_mean(A, B, 1.0), B),
-            trials.flag(min_eig(spectral_mean(A, B, t)) > 0),
-            _relerr(spectral_mean(Ac, Bc, t), powm(Ac, 1 - t) @ powm(Bc, t)),
-            _top(np.max(np.abs(ev - ev_ab), axis=-1) / np.maximum(1.0, ev_ab[..., -1])),
-        )
+        yield _relerr(spectral_mean(A, B, 0.0), A)
+        yield _relerr(spectral_mean(A, B, 1.0), B)
+        yield trials.flag(min_eig(spectral_mean(A, B, t)) > 0)
+        yield _relerr(spectral_mean(Ac, Bc, t), powm(Ac, 1 - t) @ powm(Bc, t))
+        yield np.max(np.abs(ev - ev_ab), axis=-1) / np.maximum(1.0, ev_ab[..., -1])
     # the two means genuinely differ away from commutativity
     A = np.diag([4.0, 1.0]).astype(complex)
     B = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    differ = np.linalg.norm(geo_mean(A, B, 0.5) - spectral_mean(A, B, 0.5)) > 1e-3
-    return max(worst, trials.flag(differ))
+    yield trials.flag(np.linalg.norm(geo_mean(A, B, 0.5) - spectral_mean(A, B, 0.5)) > 1e-3)
 
 
 @prop("spectral-defining-residual", "spectral-defining-equation", 1e-9)
@@ -244,12 +217,10 @@ def _spectral_defining(trials):
     def draw(rng, d, i):
         return (*_pd(rng, d, trials), _cycle((0.25, 0.5, 0.75), i))
 
-    worst = 0.0
     for dim in trials.dims:
         for A, B, t in replace(trials, dims=(dim,)).stacks(draw):
-            X = spectral_mean(A, B, t)
-            worst = max(worst, _top(spectral_defining_residual(A, B, t, X)))
-    return Outcome(worst, samples=trials.count * len(trials.dims))
+            yield spectral_defining_residual(A, B, t, spectral_mean(A, B, t))
+    return Outcome(samples=trials.count * len(trials.dims))
 
 
 @prop("spectral-mean-algebra", "spectral-mean-algebra", 1e-9)
@@ -260,20 +231,15 @@ def _spectral_algebra(trials):
         U = gen_random_unitary(rng, d)
         return (A, B, _cycle(T_GRID, i), a, b, U, *rng.uniform(0.0, 1.0, 3))
 
-    worst = 0.0
     for A, B, t, a, b, U, s, tt, u in trials.stacks(draw):
         S = spectral_mean(A, B, t)
-        worst = max(
-            worst,
-            _relerr(spectral_mean(_per(a) * A, _per(b) * B, t),
-                    _per(a ** (1 - t) * b ** t) * S),
-            _relerr(spectral_mean(_ct(U) @ A @ U, _ct(U) @ B @ U, t), _ct(U) @ S @ U),
-            _relerr(spectral_mean(B, A, 1.0 - t), S),
-            _relerr(spectral_mean(invm(A), invm(B), t), invm(S)),
-            _relerr(spectral_mean(spectral_mean(A, B, s), spectral_mean(A, B, u), tt),
-                    spectral_mean(A, B, (1 - tt) * s + tt * u)),
-        )
-    return worst
+        yield _relerr(spectral_mean(_per(a) * A, _per(b) * B, t),
+                      _per(a ** (1 - t) * b ** t) * S)
+        yield _relerr(spectral_mean(_ct(U) @ A @ U, _ct(U) @ B @ U, t), _ct(U) @ S @ U)
+        yield _relerr(spectral_mean(B, A, 1.0 - t), S)
+        yield _relerr(spectral_mean(invm(A), invm(B), t), invm(S))
+        yield _relerr(spectral_mean(spectral_mean(A, B, s), spectral_mean(A, B, u), tt),
+                      spectral_mean(A, B, (1 - tt) * s + tt * u))
 
 
 @prop("spectral-mean-bounds", "spectral-mean-bounds", 1e-8)
@@ -281,10 +247,8 @@ def _spectral_bounds(trials):
     def draw(rng, d, i):
         return (*_pd(rng, d, trials), _cycle((0.25, 0.5, 0.75), i))
 
-    worst = 0.0
     for A, B, t in trials.stacks(draw):
-        worst = max(worst, _shortfall(check_bounds_spectral(A, B, t).margin))
-    return worst
+        yield -check_bounds_spectral(A, B, t).margin
 
 
 # --------------------------------------------------------------------------
@@ -293,20 +257,15 @@ def _spectral_bounds(trials):
 
 @prop("semimetric-axioms", "semimetric-axioms", 1e-8)
 def _semimetric_axioms(trials):
-    worst = 0.0
     for A, B, H in trials.stacks(
             lambda rng, d, i: (*_pd(rng, d, trials), gen_random_hermitian(rng, d))):
         dv = distance("semimetric_op", A, B)
         # identity of indiscernibles, probed at an adversarial near-equal pair
         B2 = A + 1e-6 * H / _per(_frobenius(H))
-        worst = max(
-            worst,
-            trials.flag(dv >= 0),
-            _top(abs(dv - distance("semimetric_op", B, A))),
-            _top(distance("semimetric_op", A, A.copy())),
-            trials.flag(distance("semimetric_op", A, B2) > 1e-10),
-        )
-    return worst
+        yield trials.flag(dv >= 0)
+        yield abs(dv - distance("semimetric_op", B, A))
+        yield distance("semimetric_op", A, A.copy())
+        yield trials.flag(distance("semimetric_op", A, B2) > 1e-10)
 
 
 @prop("semimetric-invariance", "semimetric-invariance", 1e-8)
@@ -321,56 +280,43 @@ def _semimetric_invariance(trials):
     def dist(X, Y):
         return distance("semimetric_op", X, Y)
 
-    worst = 0.0
     for A, B, alpha, U, Ac, Bc, t in trials.stacks(draw):
         dv = dist(A, B)
-        worst = max(
-            worst,
-            _top(abs(dist(_per(alpha) * A, _per(alpha) * B) - dv)),
-            _top(abs(dist(invm(A), invm(B)) - dv)),
-            _top(abs(dist(U @ A @ _ct(U), U @ B @ _ct(U)) - dv)),
-            # power scaling holds on commuting pairs
-            _top(abs(dist(powm(Ac, t), powm(Bc, t)) - abs(t) * dist(Ac, Bc))),
-        )
-    return worst
+        yield abs(dist(_per(alpha) * A, _per(alpha) * B) - dv)
+        yield abs(dist(invm(A), invm(B)) - dv)
+        yield abs(dist(U @ A @ _ct(U), U @ B @ _ct(U)) - dv)
+        # power scaling holds on commuting pairs
+        yield abs(dist(powm(Ac, t), powm(Bc, t)) - abs(t) * dist(Ac, Bc))
 
 
 @prop("spectral-midpoint", "spectral-midpoint", 1e-8)
 def _spectral_midpoint(trials):
-    worst = 0.0
     for A, B, t in trials.stacks(lambda rng, d, i: (*_pd(rng, d, trials), _cycle(T_GRID, i))):
         M = spectral_mean(A, B, 0.5)
         dv = distance("semimetric_op", A, B)
         St = spectral_mean(A, B, t)
-        worst = max(
-            worst,
-            *map(_top, midpoint_deviation("semimetric_op", A, B, M)),
-            _top(abs(distance("semimetric_op", A, St) - t * dv)),
-            _top(abs(distance("semimetric_op", B, St) - (1 - t) * dv)),
-        )
-    return worst
+        yield from midpoint_deviation("semimetric_op", A, B, M)
+        yield abs(distance("semimetric_op", A, St) - t * dv)
+        yield abs(distance("semimetric_op", B, St) - (1 - t) * dv)
 
 
 @prop("riemannian-geodesic-midpoint", "geodesic-curve", 1e-8)
 def _riemannian_midpoint(trials):
-    worst = 0.0
     for A, B in trials.stacks(lambda rng, d, i: _pd(rng, d, trials)):
-        worst = max(worst, *map(_top, midpoint_deviation(
-            "riemannian", A, B, geo_mean(A, B, 0.5))))
-    return worst
+        yield from midpoint_deviation("riemannian", A, B, geo_mean(A, B, 0.5))
 
 
 @prop("triangle-counterexample", "triangle-counterexample", 1e-5)
 def _triangle(trials):
     m = triangle_measurements()
-    worst = trials.flag(m["matched_variant"] is not None)
+    yield trials.flag(m["matched_variant"] is not None)
     if m["matched_variant"] is not None:
-        worst = max(worst, m["matched_error"])
+        yield m["matched_error"]
     for kind in ("semimetric_op", "semimetric_frob"):
-        worst = max(worst, trials.flag(m["variants"][kind]["triangle_gap"] > 0))
+        yield trials.flag(m["variants"][kind]["triangle_gap"] > 0)
     note = (f"matched {m['matched_variant']} at scale {m['matched_scale']}; "
             f"triangle gap (op) {m['variants']['semimetric_op']['triangle_gap']:.6f}")
-    return Outcome(worst, samples=1, note=note)
+    return Outcome(samples=1, note=note)
 
 
 @prop("semimetric-geodesic-question", "spectral-midpoint", np.inf, asserted=False)
@@ -382,20 +328,19 @@ def _geodesic_question(trials):
                        spectral_mean(A, B, t))
         devs.append(abs(lhs - abs(s - t) * distance("semimetric_op", A, B)))
     devs = np.concatenate(devs)
+    yield devs
     note = (f"|d(Ns,Nt) - |s-t| d| over samples: max {devs.max():.3e}, "
             f"mean {devs.mean():.3e} (open question; recorded, not asserted)")
-    return Outcome(float(devs.max()), note=note)
+    return Outcome(note=note)
 
 
 @prop("thompson-sup-ratio", "thompson-metric", 1e-10)
 def _thompson(trials):
-    worst = 0.0
     for A, B in trials.stacks(lambda rng, d, i: _pd(rng, d, trials)):
         dt = distance("thompson", A, B)
         m = np.maximum(np.log(sup_ratio(A, B)), np.log(sup_ratio(B, A)))
-        worst = max(worst, _top(abs(dt - m) / np.maximum(1.0, dt)),
-                    _top(abs(sup_ratio(A, A) - 1.0)))
-    return worst
+        yield abs(dt - m) / np.maximum(1.0, dt)
+        yield abs(sup_ratio(A, A) - 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -414,30 +359,29 @@ def _loewner_heinz(trials):
         B = A + hermitian_part(G @ G.conj().T)
         return A, B, gen_random_hermitian(rng, d), _cycle(T_GRID, i)
 
-    worst, held = 0.0, 0
+    held = 0
     for A, B, H, s in trials.stacks(draw):
         inv_root = powm(A, -0.5)
         lam = np.linalg.eigvalsh(hermitian_part(inv_root @ H @ H @ inv_root))[..., -1]
         res = check_loewner_heinz(A, B, _per(0.99 / np.sqrt(lam)) * H)
-        count, shortfall = _premise_held(res)
-        # power monotonicity on the same dominated pairs
-        monotone = min_eig(powm(B, s) - powm(A, s))[res.premise_held]
+        count, shortfalls = _premise_held(res)
         held += count
-        worst = max(worst, shortfall, _shortfall(monotone))
-    return Outcome(worst, premise_held=held)
+        yield shortfalls
+        # power monotonicity on the same dominated pairs
+        yield -min_eig(powm(B, s) - powm(A, s))[res.premise_held]
+    return Outcome(premise_held=held)
 
 
 @prop("congruence-inversion-order", "congruence-inversion-order", 1e-8)
 def _congruence_order(trials):
-    worst = 0.0
     for X, P, S in trials.stacks(
             lambda rng, d, i: (*_pd(rng, d, trials), complex_gaussian(rng, (d, d)))):
         Y = X + P  # X <= Y by construction
         lhs = hermitian_part(S @ X @ _ct(S))
         rhs = hermitian_part(S @ Y @ _ct(S))
-        worst = max(worst, _shortfall(min_eig(rhs - lhs)), _shortfall(min_eig(lhs)),
-                    _shortfall(min_eig(invm(X) - invm(Y))))
-    return worst
+        yield -min_eig(rhs - lhs)
+        yield -min_eig(lhs)
+        yield -min_eig(invm(X) - invm(Y))
 
 
 @prop("furuta", "furuta", 1e-8, min_premise=50)
@@ -481,15 +425,15 @@ def _equivalence(trials):
     def draw(rng, d, i):
         return (*gen_dominated_pair(rng, d), *_pd(rng, d, trials))
 
-    worst, held = 0.0, 0
+    held = 0
     for A, B, Ag, Bg in trials.stacks(draw):
         dominated = np.array(equivalence_statements(A, B))
         generic = np.array(equivalence_statements(Ag, Bg))
         for flags in (dominated, generic):
             # the five statements share one truth value on every pair
-            worst = max(worst, trials.flag(flags.all(axis=0) | ~flags.any(axis=0)))
+            yield trials.flag(flags.all(axis=0) | ~flags.any(axis=0))
         held += int(dominated.all(axis=0).sum())
-    return Outcome(worst, premise_held=held, note="premise-held counts all-true samples")
+    return Outcome(premise_held=held, note="premise-held counts all-true samples")
 
 
 @prop("contraction-lemma", "contraction-lemma", 1e-8, min_premise=50)
@@ -498,10 +442,10 @@ def _contraction(trials):
         X = gen_random_pd(rng, d, trials.cond_cap)
         return gen_contraction_for(rng, X, hermitian_only=True), X
 
-    out = _held(check_contraction(S, X) for S, X in trials.stacks(draw))
+    out = yield from _held(check_contraction(S, X) for S, X in trials.stacks(draw))
     witness = contraction_converse_witness()
-    return out._replace(worst=max(out.worst, trials.flag(witness["converse_fails"])),
-                        note=f"converse witness: {witness['sxs_vs_x']}")
+    yield trials.flag(witness["converse_fails"])
+    return out._replace(note=f"converse witness: {witness['sxs_vs_x']}")
 
 
 @prop("sufficient-conditions", "sufficient-conditions", 1e-8, min_premise=50)
@@ -516,93 +460,83 @@ def _sufficient_conditions(trials):
     def top_eig(H):
         return np.linalg.eigvalsh(H)[..., -1]
 
-    worst, held = 0.0, 0
+    held = 0
     co_counts = {"cond1": 0, "cond2": 0}
     for A, B, La, Lb, As, Bs in trials.stacks(draw):
         # (contractive inputs) implies (log-sum condition)
         A1 = 0.99 * A / _per(top_eig(A))
         B1 = 0.99 * B / _per(top_eig(B))
-        worst = max(worst, 0.0, _top(top_eig(logm(A1) + logm(B1))))
+        yield top_eig(logm(A1) + logm(B1))
         # (log-sum condition) implies the contracted geometric mean
-        count, shortfall = _premise_held(check_log_sum_condition(La, Lb))
+        count, shortfalls = _premise_held(check_log_sum_condition(La, Lb))
         held += count
-        worst = max(worst, shortfall)
+        yield shortfalls
         # co-occurrence of the spectral condition with the other two
         co_counts["cond2"] += int(np.sum(top_eig(logm(As) + logm(Bs)) <= slack))
         co_counts["cond1"] += int(np.sum((top_eig(As) <= 1 + slack)
                                          & (top_eig(Bs) <= 1 + slack)))
     note = (f"spectral-condition samples also satisfying: contractive {co_counts['cond1']}, "
             f"log-sum {co_counts['cond2']} of {trials.count} (recorded only)")
-    return Outcome(worst, premise_held=held, note=note)
+    return Outcome(premise_held=held, note=note)
 
 
 @prop("spectral-bounds-premise-free", "spectral-mean-bounds", 1e-10)
 def _bounds_fixture(trials):
     # scalar sanity fixtures for the two-sided bound, including the
     # indefinite-bracket regime where only the inverse-free form applies
-    worst = 0.0
     for a, b, t in ((4.0, 1.0, 0.5), (1.0, 1.0, 0.3), (0.25, 9.0, 0.75)):
         A = np.array([[a]], dtype=complex)
         B = np.array([[b]], dtype=complex)
-        res = check_bounds_spectral(A, B, t)
-        worst = max(worst, max(0.0, -res.margin))
-    return Outcome(worst, samples=3)
+        yield -check_bounds_spectral(A, B, t).margin
+    return Outcome(samples=3)
 
 
 @prop("d-le-delta", "semimetric-riemannian-bound", 1e-9)
 def _d_le_delta(trials):
-    worst = 0.0
     for A, B, Ac, Bc in trials.stacks(
             lambda rng, d, i: (*_pd(rng, d, trials), *gen_commuting_pair(rng, d))):
-        worst = max(worst, _shortfall(check_d_le_delta(A, B).margin),
-                    _top(abs(distance("semimetric_frob", Ac, Bc)
-                             - distance("riemannian", Ac, Bc))))
-    return Outcome(worst, note="equality checked on commuting pairs")
+        yield -check_d_le_delta(A, B).margin
+        yield abs(distance("semimetric_frob", Ac, Bc) - distance("riemannian", Ac, Bc))
+    return Outcome(note="equality checked on commuting pairs")
 
 
 @prop("logmaj-mean", "majorization-definitions", 1e-8)
 def _logmaj(trials):
-    worst = 0.0
     for A, B, t in trials.stacks(lambda rng, d, i: (*_pd(rng, d, trials), _cycle(T_GRID, i))):
         res = check_logmaj_mean(A, B, t)
-        worst = max(worst, trials.flag(res.conclusion_held), _shortfall(res.margin))
-    return worst
+        yield trials.flag(res.conclusion_held)
+        yield -res.margin
 
 
 @prop("majorization-prefix-rules", "majorization-definitions", 1e-10)
 def _majorization_rules(trials):
     dom, tot = weak_majorize([1.0, 1.0], [2.0, 0.0])
-    worst = trials.flag(dom and tot)
+    yield trials.flag(dom and tot)
     dom, _ = weak_majorize([3.0, 1.0], [2.0, 2.0])
-    worst = max(worst, trials.flag(not dom))
+    yield trials.flag(not dom)
     for rng, d, _ in trials:
         A, P = _pd(rng, d, trials)
         wa = np.linalg.eigvalsh(A)[::-1]
         wb = np.linalg.eigvalsh(A + P)[::-1]
-        dom, _ = weak_majorize(wa, wb)
-        worst = max(worst, trials.flag(dom))
-        dom_log, _ = weak_majorize(wa, np.exp(1.0) * wa, log_scale=True)
-        worst = max(worst, trials.flag(dom_log))
-    return Outcome(worst, samples=trials.count + 2)
+        yield trials.flag(weak_majorize(wa, wb)[0])
+        yield trials.flag(weak_majorize(wa, np.exp(1.0) * wa, log_scale=True)[0])
+    return Outcome(samples=trials.count + 2)
 
 
 # --------------------------------------------------------------------------
 # gyrogroup structure on the cone
 # --------------------------------------------------------------------------
 
-def _cone_axioms(trials, axioms) -> float:
-    """The worst residual of the given cone axioms over the shared sample set."""
+def _cone_axioms(trials, axioms):
+    """Yield the residuals of the given cone axioms over the shared sample set."""
     def draw(rng, d, i):
         # log-uniform spectra: the axiom identities chain several operations,
         # so sample conditioning is kept well inside the 1e-8 residual budget
         return tuple(gen_spread_pd(rng, d, 2.0) for _ in range(3))
 
-    worst = 0.0
     for a, b, c in replace(trials, stream="cone-gyrogroup-axioms").stacks(draw):
-        report = run_axiom_suite(gc.cone_model(a.shape[-1]), list(zip(a, b, c)),
-                                 axioms=axioms)
-        worst = max(worst, report.max_residual)
-    return worst
+        yield from run_axiom_suite(gc.cone_model(a.shape[-1]), list(zip(a, b, c)),
+                                   axioms=axioms).residuals.values()
 
 
 _G_AXIOMS = ("G1-left-identity", "G1-right-identity", "G2-left-inverse",
@@ -629,93 +563,67 @@ def _cone_ops(trials):
         t = float(rng.uniform(-2, 2))
         return (A, B, t, *gen_commuting_pair(rng, d))
 
-    worst = 0.0
     for A, B, t, Ac, Bc in trials.stacks(draw):
         eye = _eye_like(A)
-        worst = max(
-            worst,
-            _relerr(gc.cone_add(eye, B), B),
-            _relerr(gc.cone_add(A, eye), A),
-            _relerr(gc.cone_add(A, gc.cone_neg(A)), eye),
-            _relerr(gc.cone_scalar(t, A), powm(A, t)),
-            _relerr(gc.cone_add(Ac, Bc), Ac @ Bc),
-        )
+        yield _relerr(gc.cone_add(eye, B), B)
+        yield _relerr(gc.cone_add(A, eye), A)
+        yield _relerr(gc.cone_add(A, gc.cone_neg(A)), eye)
+        yield _relerr(gc.cone_scalar(t, A), powm(A, t))
+        yield _relerr(gc.cone_add(Ac, Bc), Ac @ Bc)
     # witness that the operation is neither commutative nor associative
     A = np.diag([4.0, 1.0]).astype(complex)
     B = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
     C = np.array([[1.0, 0.5], [0.5, 3.0]], dtype=complex)
-    worst = max(worst, trials.flag(
-        np.linalg.norm(gc.cone_add(A, B) - gc.cone_add(B, A)) > 1e-3))
-    return max(worst, trials.flag(
-        np.linalg.norm(gc.cone_add(A, gc.cone_add(B, C))
-                       - gc.cone_add(gc.cone_add(A, B), C)) > 1e-3))
+    yield trials.flag(np.linalg.norm(gc.cone_add(A, B) - gc.cone_add(B, A)) > 1e-3)
+    yield trials.flag(np.linalg.norm(gc.cone_add(A, gc.cone_add(B, C))
+                                     - gc.cone_add(gc.cone_add(A, B), C)) > 1e-3)
 
 
 @prop("cone-gyration-unitarity", "cone-gyration", 1e-10)
 def _cone_gyration(trials):
-    worst = 0.0
     for A, B, X, Ac, Bc in trials.stacks(
             lambda rng, d, i: (*_pd(rng, d, trials, 3), *gen_commuting_pair(rng, d))):
         U = gc.gyration_unitary(A, B)
-        worst = max(
-            worst,
-            _top(np.linalg.norm(U @ _ct(U) - _eye_like(U), axis=(-2, -1))),
-            # polar relation A^{1/2} B^{1/2} = (A (+) B)^{1/2} U
-            _relerr(sqrtm(gc.cone_add(A, B)) @ U, sqrtm(A) @ sqrtm(B)),
-            trials.flag(min_eig(gc.gyration(A, B, X)) > 0),
-            _relerr(gc.gyration(Ac, Bc, X), X),
-        )
-    return worst
+        yield np.linalg.norm(U @ _ct(U) - _eye_like(U), axis=(-2, -1))
+        # polar relation A^{1/2} B^{1/2} = (A (+) B)^{1/2} U
+        yield _relerr(sqrtm(gc.cone_add(A, B)) @ U, sqrtm(A) @ sqrtm(B))
+        yield trials.flag(min_eig(gc.gyration(A, B, X)) > 0)
+        yield _relerr(gc.gyration(Ac, Bc, X), X)
 
 
 @prop("gyration-trace-invariance", "gyration-trace-invariance", 1e-9)
 def _gyration_trace(trials):
-    worst = 0.0
     for A, B, X, Y in trials.stacks(lambda rng, d, i: _pd(rng, d, trials, 4)):
         gx, gy = gc.gyration(A, B, X), gc.gyration(A, B, Y)
         lhs = np.trace(gx @ _ct(gy), axis1=-2, axis2=-1)
         rhs = np.trace(X @ _ct(Y), axis1=-2, axis2=-1)
-        worst = max(worst, _top(abs(lhs - rhs) / np.maximum(1.0, abs(rhs))))
-    return worst
+        yield abs(lhs - rhs) / np.maximum(1.0, abs(rhs))
 
 
 @prop("cooperation-commutativity", "cooperation", 1e-9)
 def _cooperation(trials):
-    worst = 0.0
     for A, B in trials.stacks(lambda rng, d, i: _pd(rng, d, trials)):
         W = geo_mean(invm(A), B, 0.5)
-        worst = max(
-            worst,
-            _relerr(gc.cooperation(A, B), gc.cooperation(B, A)),
-            _relerr(gc.cooperation(A, _eye_like(A)), A),
-            _relerr(gc.cooperation(gc.cone_neg(A), B), W @ W),
-        )
-    return worst
+        yield _relerr(gc.cooperation(A, B), gc.cooperation(B, A))
+        yield _relerr(gc.cooperation(A, _eye_like(A)), A)
+        yield _relerr(gc.cooperation(gc.cone_neg(A), B), W @ W)
 
 
 @prop("cone-gyrolines", "cone-gyrolines", 1e-9)
 def _cone_gyrolines(trials):
-    worst = 0.0
     for A, B, t in trials.stacks(
             lambda rng, d, i: (*_pd(rng, d, trials), float(rng.uniform(0.0, 1.0)))):
-        worst = max(
-            worst,
-            _relerr(gc.gyroline(t, A, B), geo_mean(A, B, t)),
-            _relerr(gc.cogyroline(t, A, B), spectral_mean(A, B, t)),
-            _relerr(gc.gyroline(0.5, A, B), gc.cone_scalar(0.5, gc.cooperation(A, B))),
-        )
-    return worst
+        yield _relerr(gc.gyroline(t, A, B), geo_mean(A, B, t))
+        yield _relerr(gc.cogyroline(t, A, B), spectral_mean(A, B, t))
+        yield _relerr(gc.gyroline(0.5, A, B), gc.cone_scalar(0.5, gc.cooperation(A, B)))
 
 
 @prop("gyroline-translation", "gyroline-cogyroline-defs", 1e-8)
 def _gyroline_translation(trials):
-    worst = 0.0
     for A, B, X, t in trials.stacks(
             lambda rng, d, i: (*_pd(rng, d, trials, 3), float(rng.uniform(0.0, 1.0)))):
         lhs = gc.cone_add(X, gc.gyroline(t, A, B))
-        rhs = gc.gyroline(t, gc.cone_add(X, A), gc.cone_add(X, B))
-        worst = max(worst, _relerr(lhs, rhs))
-    return worst
+        yield _relerr(lhs, gc.gyroline(t, gc.cone_add(X, A), gc.cone_add(X, B)))
 
 
 # --------------------------------------------------------------------------
@@ -724,10 +632,9 @@ def _gyroline_translation(trials):
 
 @prop("density-gyrovector-space", "density-gyrovector-space", 1e-8)
 def _density_axioms(trials):
-    worst = 0.0
     for a, b, c in trials.stacks(lambda rng, d, i: tuple(gen_density(rng, d) for _ in range(3))):
-        report = run_axiom_suite(gd.density_model(a.shape[-1]), list(zip(a, b, c)))
-        worst = max(worst, report.max_residual)
+        yield from run_axiom_suite(gd.density_model(a.shape[-1]),
+                                   list(zip(a, b, c))).residuals.values()
 
     def element(rng, d, i):
         rho = gen_density(rng, d)
@@ -739,14 +646,10 @@ def _density_axioms(trials):
     for rho, sigma, t in elements.stacks(element):
         identity = np.broadcast_to(gd.dens_identity(rho.shape[-1]), rho.shape)
         inv = invm(rho)
-        worst = max(
-            worst,
-            _relerr(gd.dens_add(identity, sigma), sigma),
-            _relerr(gd.dens_neg(rho), inv / _per(_trace(inv))),
-            _top(abs(_trace(gd.dens_scalar(t, rho)) - 1.0)),
-            _top(abs(_trace(gd.dens_add(rho, sigma)) - 1.0)),
-        )
-    return worst
+        yield _relerr(gd.dens_add(identity, sigma), sigma)
+        yield _relerr(gd.dens_neg(rho), inv / _per(_trace(inv)))
+        yield abs(_trace(gd.dens_scalar(t, rho)) - 1.0)
+        yield abs(_trace(gd.dens_add(rho, sigma)) - 1.0)
 
 
 @prop("density-gyrolines", "density-gyrolines", 1e-9)
@@ -757,7 +660,6 @@ def _density_gyrolines(trials):
         t = float(rng.uniform(0.0, 1.0))
         return (rho, sigma, t, *_pd(rng, d, trials))
 
-    worst = 0.0
     for rho, sigma, t, A, B in trials.stacks(draw):
         # primitive-composition paths as oracles for the closed forms
         prim = gd.dens_add(rho, gd.dens_scalar(t, gd.dens_add(gd.dens_neg(rho), sigma)))
@@ -767,14 +669,10 @@ def _density_gyrolines(trials):
         prim_co = gd.dens_add(gd.dens_scalar(t, coop), rho)
         # trace projection commutes with the mean (joint homogeneity)
         G = geo_mean(A, B, t)
-        worst = max(
-            worst,
-            _relerr(gd.dens_gyroline(t, rho, sigma), prim),
-            _relerr(gd.dens_cogyroline(t, rho, sigma), prim_co),
-            _relerr(gd.dens_gyroline(t, A / _per(_trace(A)), B / _per(_trace(B))),
-                    G / _per(_trace(G))),
-        )
-    return worst
+        yield _relerr(gd.dens_gyroline(t, rho, sigma), prim)
+        yield _relerr(gd.dens_cogyroline(t, rho, sigma), prim_co)
+        yield _relerr(gd.dens_gyroline(t, A / _per(_trace(A)), B / _per(_trace(B))),
+                      G / _per(_trace(G)))
 
 
 # --------------------------------------------------------------------------
@@ -784,55 +682,45 @@ def _density_gyrolines(trials):
 @prop("einstein-ball-axioms", "ball-gyrogroups", 1e-8)
 def _einstein_axioms(trials):
     triples = [tuple(gen_ball_vector(rng) for _ in range(3)) for rng, _, _ in trials]
-    return run_axiom_suite(bl.ball_model("einstein"), triples).max_residual
+    yield from run_axiom_suite(bl.ball_model("einstein"), triples).residuals.values()
 
 
 @prop("mobius-ball-axioms", "ball-gyrogroups", 1e-8)
 def _mobius_axioms(trials):
     triples = [tuple(gen_ball_vector(rng) for _ in range(3)) for rng, _, _ in trials]
-    return run_axiom_suite(bl.ball_model("mobius"), triples).max_residual
+    yield from run_axiom_suite(bl.ball_model("mobius"), triples).residuals.values()
 
 
 @prop("gamma-factor-identity", "mean-eigenvalue-rewrite", 1e-10)
 def _gamma_identity(trials):
-    worst = 0.0
     for rng, _, _ in trials:
         u, v = gen_ball_vector(rng), gen_ball_vector(rng)
         lhs = bl.gamma_factor(bl.einstein_add(u, v))
         rhs = bl.gamma_factor(u) * bl.gamma_factor(v) * (1.0 + float(u @ v))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, rhs))
-    return worst
+        yield abs(lhs - rhs) / max(1.0, rhs)
 
 
 @prop("rapidity-metric", "mean-eigenvalue-rewrite", 1e-12)
 def _rapidity(trials):
-    worst = 0.0
     for rng, _, _ in trials:
         u, v = gen_ball_vector(rng), gen_ball_vector(rng)
-        worst = max(worst, abs(bl.rapidity_distance(u, v)
-                               - bl.rapidity_distance(v, u)))
-        worst = max(worst, bl.rapidity_distance(u, u.copy()))
-        worst = max(worst, trials.flag(bl.rapidity_distance(u, v) >= 0))
-        origin = np.zeros(3)
-        worst = max(worst, abs(bl.rapidity_distance(origin, v)
-                               - np.arctanh(np.linalg.norm(v))))
-    return worst
+        yield abs(bl.rapidity_distance(u, v) - bl.rapidity_distance(v, u))
+        yield bl.rapidity_distance(u, u.copy())
+        yield trials.flag(bl.rapidity_distance(u, v) >= 0)
+        yield abs(bl.rapidity_distance(np.zeros(3), v) - np.arctanh(np.linalg.norm(v)))
 
 
 @prop("einstein-gyromidpoint", "gyromidpoint-norm-bound", 1e-10)
 def _gyromidpoint(trials):
-    worst = 0.0
     asym_violations = 0
     for rng, _, _ in trials:
         u, v = gen_ball_vector(rng), gen_ball_vector(rng)
         m = bl.gyromidpoint(u, v)
-        gyro_half = bl.ball_scalar(0.5, bl.einstein_coaddition(u, v))
-        worst = max(worst, float(np.linalg.norm(m - gyro_half)))
-        worst = max(worst, max(0.0, -cf.midpoint_vector_check(u, v)))
+        yield np.linalg.norm(m - bl.ball_scalar(0.5, bl.einstein_coaddition(u, v)))
+        yield -cf.midpoint_vector_check(u, v)
         lhs = 2.0 * bl.rapidity_distance(np.zeros(3), m)
-        rhs = (bl.rapidity_distance(np.zeros(3), u)
-               + bl.rapidity_distance(np.zeros(3), v))
-        worst = max(worst, max(0.0, lhs - rhs))
+        yield lhs - (bl.rapidity_distance(np.zeros(3), u)
+                     + bl.rapidity_distance(np.zeros(3), v))
         # the asymmetric-denominator variant of the bound, recorded only
         nu, nv, nm = (np.linalg.norm(x) for x in (u, v, m))
         asym_rhs = np.sqrt((1 + nu) * (1 + nv) / ((1 - nu) * (1 + nv)))
@@ -840,70 +728,62 @@ def _gyromidpoint(trials):
             asym_violations += 1
     note = (f"asymmetric-denominator variant violated on {asym_violations} of "
             f"{trials.count} samples (recorded only)")
-    return Outcome(worst, note=note)
+    return Outcome(note=note)
 
 
 @prop("bloch-correspondence", "qubit-state", 1e-12)
 def _bloch(trials):
-    worst = 0.0
     for rng, _, _ in trials:
         v = gen_ball_vector(rng)
         rho = bl.bloch_to_density(v)
-        worst = max(worst, float(np.linalg.norm(bl.density_to_bloch(rho) - v)))
-        worst = max(worst, abs(float(np.trace(rho).real) - 1.0))
-        worst = max(worst, trials.flag(min_eig(rho) > 0))
-    return max(worst, float(np.linalg.norm(
-        bl.bloch_to_density(np.zeros(3)) - np.eye(2) / 2)))
+        yield np.linalg.norm(bl.density_to_bloch(rho) - v)
+        yield abs(float(np.trace(rho).real) - 1.0)
+        yield trials.flag(min_eig(rho) > 0)
+    yield np.linalg.norm(bl.bloch_to_density(np.zeros(3)) - np.eye(2) / 2)
 
 
 @prop("qubit-eigenvalues", "qubit-eigenvalues", 1e-12)
 def _qubit_eigs(trials):
-    worst = 0.0
     for rng, _, _ in trials:
         v = gen_ball_vector(rng)
         rho = bl.bloch_to_density(v)
         nv = float(np.linalg.norm(v))
         w = np.linalg.eigvalsh(rho)
-        worst = max(worst, abs(w[0] - (1 - nv) / 2), abs(w[1] - (1 + nv) / 2))
+        yield abs(w[0] - (1 - nv) / 2)
+        yield abs(w[1] - (1 + nv) / 2)
         det = float(np.linalg.det(rho).real)
-        worst = max(worst, abs(det - (1 - nv**2) / 4))
-        worst = max(worst, abs(det - 1 / (4 * bl.gamma_factor(v) ** 2)))
-    return worst
+        yield abs(det - (1 - nv**2) / 4)
+        yield abs(det - 1 / (4 * bl.gamma_factor(v) ** 2))
 
 
 @prop("qubit-inverse-normalization", "qubit-inverse-normalization", 1e-10)
 def _qubit_inverse(trials):
-    worst = 0.0
     err_plain, err_square = 0.0, 0.0
     for rng, _, _ in trials:
         u = gen_ball_vector(rng)
         rho = bl.bloch_to_density(u)
         rho_neg = bl.bloch_to_density(-u)
         inv = invm(rho)
-        worst = max(worst, _relerr(gd.dens_neg(rho), rho_neg))
-        worst = max(worst, _relerr(inv / np.trace(inv).real, rho_neg))
+        yield _relerr(gd.dens_neg(rho), rho_neg)
+        yield _relerr(inv / np.trace(inv).real, rho_neg)
         g = bl.gamma_factor(u)
         err_plain = max(err_plain, float(np.linalg.norm(inv / (4 * g) - rho_neg)))
         err_square = max(err_square, float(np.linalg.norm(inv / (4 * g**2) - rho_neg)))
     constant = "4*gamma^2" if err_square < err_plain else "4*gamma"
     note = (f"normalizing constant matching the inverse state: {constant} "
             f"(worst errors: 4*gamma {err_plain:.3e}, 4*gamma^2 {err_square:.3e})")
-    return Outcome(worst, note=note)
+    return Outcome(note=note)
 
 
 @prop("bloch-isomorphism", "qubit-state", 1e-10)
 def _bloch_isomorphism(trials):
-    worst = 0.0
     for rng, _, _ in trials:
         u, v = gen_ball_vector(rng), gen_ball_vector(rng)
         t = float(rng.uniform(-2.0, 2.0))
         lhs = bl.bloch_to_density(bl.einstein_add(u, v))
-        rhs = gd.dens_add(bl.bloch_to_density(u), bl.bloch_to_density(v))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        yield np.linalg.norm(lhs - gd.dens_add(bl.bloch_to_density(u), bl.bloch_to_density(v)))
         lhs = bl.bloch_to_density(bl.ball_scalar(t, v))
-        rhs = gd.dens_scalar(t, bl.bloch_to_density(v))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+        yield np.linalg.norm(lhs - gd.dens_scalar(t, bl.bloch_to_density(v)))
 
 
 # --------------------------------------------------------------------------
@@ -915,80 +795,69 @@ def _lmap(trials):
     # the difference quotient just outside the branch window carries
     # cancellation noise of order eps/|x-1| ~ 1e-9, which bounds how sharply
     # continuity across the switch can be asserted
-    worst = abs(cf.l_map(0.37, 1.0) - 0.37)
-    worst = max(worst, abs(cf.l_map(0.5, 4.0) - 0.4))
+    yield abs(cf.l_map(0.37, 1.0) - 0.37)
+    yield abs(cf.l_map(0.5, 4.0) - 0.4)
     for rng, _, _ in trials:
         t = float(rng.uniform(-2.0, 2.0))
         x = float(np.exp(rng.uniform(-3.0, 3.0)))
-        worst = max(worst, abs(cf.l_map(t, x) - cf.l_map(t, 1.0 / x)))
+        yield abs(cf.l_map(t, x) - cf.l_map(t, 1.0 / x))
         # continuity across the branch switch
-        eps = 1.0000001e-7
-        worst = max(worst, abs(cf.l_map(t, 1.0 + eps) - cf.l_map(t, 1.0)))
-    return worst
+        yield abs(cf.l_map(t, 1.0 + 1.0000001e-7) - cf.l_map(t, 1.0))
 
 
 @prop("two-by-two-mean-combination", "two-by-two-mean-combination", 1e-9)
 def _gm2(trials):
-    worst = 0.0
     for rng, _, i in trials:
         A = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
         B = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
         t = _cycle((0.2, 0.5, 0.7), i)
-        worst = max(worst, _relerr(cf.gm2_det1(A, B, t), geo_mean(A, B, t)))
+        yield _relerr(cf.gm2_det1(A, B, t), geo_mean(A, B, t))
         # midpoint rewrite and the value of the half-weight coefficient
         S = A + B
         sqrt_det = np.sqrt(cf.det2(S).real)
-        worst = max(worst, _relerr(geo_mean(A, B, 0.5), S / sqrt_det))
+        yield _relerr(geo_mean(A, B, 0.5), S / sqrt_det)
         lam = cf.relative_eigenvalue(A, B)
-        worst = max(worst, abs(cf.l_map(0.5, lam) - 1.0 / sqrt_det))
+        yield abs(cf.l_map(0.5, lam) - 1.0 / sqrt_det)
         # branch independence: both eigenvalues of A B^{-1} give one answer
         combo_lo = (cf.l_map(1 - t, 1 / lam) * A + cf.l_map(t, 1 / lam) * B)
-        worst = max(worst, _relerr(cf.gm2_det1(A, B, t), combo_lo))
-    return worst
+        yield _relerr(cf.gm2_det1(A, B, t), combo_lo)
 
 
 @prop("two-by-two-spectral-closed-form", "two-by-two-spectral-closed-form", 1e-9)
 def _sgm2(trials):
-    worst = 0.0
     for rng, _, i in trials:
         t = _cycle((0.3, 0.5, 0.8), i)
         A = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
         B = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
-        worst = max(worst, _relerr(cf.sgm2(A, B, t), spectral_mean(A, B, t)))
+        yield _relerr(cf.sgm2(A, B, t), spectral_mean(A, B, t))
         A, B = _pd(rng, 2, trials)
-        worst = max(worst, _relerr(cf.sgm2(A, B, t), spectral_mean(A, B, t)))
-    return worst
+        yield _relerr(cf.sgm2(A, B, t), spectral_mean(A, B, t))
 
 
 @prop("det-shift-identity", "det-shift-identity", 1e-12)
 def _det_shift(trials):
-    worst = cf.det_shift_identity(1.0, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    yield cf.det_shift_identity(1.0, np.array([[0.0, 1.0], [1.0, 0.0]]))
     for rng, _, _ in trials:
         c = float(rng.uniform(-3.0, 3.0))
         X = complex_gaussian(rng, (2, 2))
-        worst = max(worst, cf.det_shift_identity(c, X))
-        worst = max(worst, cf.det_shift_identity(0.0, X))
-    return worst
+        yield cf.det_shift_identity(c, X)
+        yield cf.det_shift_identity(0.0, X)
 
 
 @prop("block-norm-bound", "block-norm-bound", 1e-10)
 def _block_norm(trials):
-    worst = 0.0
     for rng, d, _ in trials:
         A, B, X = gen_psd_block_triple(rng, d, trials.cond_cap)
         op = float(np.linalg.norm(X, ord=2))
-        bound = np.sqrt(np.linalg.eigvalsh(A)[-1] * np.linalg.eigvalsh(B)[-1])
-        worst = max(worst, max(0.0, op - bound))
-    return worst
+        yield op - np.sqrt(np.linalg.eigvalsh(A)[-1] * np.linalg.eigvalsh(B)[-1])
 
 
 @prop("sum-norm-bound", "sum-norm-bound", 1e-10)
 def _sum_norm(trials):
-    worst = 0.0
     for rng, _, _ in trials:
         A = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
         B = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
-        worst = max(worst, max(0.0, -cf.norm_product_check(A, B)))
+        yield -cf.norm_product_check(A, B)
         # rescaled form for general determinants
         A2, B2 = _pd(rng, 2, trials)
         a = np.sqrt(cf.det2(A2).real)
@@ -998,51 +867,42 @@ def _sum_norm(trials):
         rhs = np.sqrt(cf.det2(S).real
                       * np.max(np.abs(np.linalg.eigvalsh(A2)))
                       * np.max(np.abs(np.linalg.eigvalsh(B2))))
-        worst = max(worst, max(0.0, lhs - rhs))
-    return worst
+        yield lhs - rhs
 
 
 @prop("qubit-mean-combination", "qubit-mean-combination", 1e-9)
 def _qubit_geo(trials):
-    worst = 0.0
     for rng, _, i in trials:
         u, v = gen_ball_vector(rng), gen_ball_vector(rng)
         t = _cycle((0.25, 0.5, 0.75), i)
         oracle = geo_mean(bl.bloch_to_density(u), bl.bloch_to_density(v), t)
-        worst = max(worst, _relerr(cf.qubit_geo_mean(u, v, t), oracle))
-        worst = max(worst, _relerr(cf.qubit_geo_mean(u, u.copy(), t),
-                                   bl.bloch_to_density(u)))
-    return worst
+        yield _relerr(cf.qubit_geo_mean(u, v, t), oracle)
+        yield _relerr(cf.qubit_geo_mean(u, u.copy(), t), bl.bloch_to_density(u))
 
 
 @prop("mu-eigenvalue-rewrite", "mean-eigenvalue-rewrite", 1e-10)
 def _mu_rewrite(trials):
-    worst = 0.0
     for rng, _, _ in trials:
         u, v = gen_ball_vector(rng), gen_ball_vector(rng)
         mu_hi, mu_lo = cf.qubit_mean_eigenvalues(u, v)
-        worst = max(worst, abs(mu_hi * mu_lo - 1.0))
+        yield abs(mu_hi * mu_lo - 1.0)
         d = bl.rapidity_distance(u, v)
-        worst = max(worst, abs(mu_hi - np.exp(d)) / max(1.0, np.exp(d)))
+        yield abs(mu_hi - np.exp(d)) / max(1.0, np.exp(d))
         # they really are the spectrum of (2 g_u rho_u)(2 g_v rho_v)^{-1}
         A = 2 * bl.gamma_factor(u) * bl.bloch_to_density(u)
         B = 2 * bl.gamma_factor(v) * bl.bloch_to_density(v)
         spec = np.sort(np.linalg.eigvals(A @ invm(B)).real)
-        worst = max(worst, float(np.max(np.abs(spec - np.sort([mu_hi, mu_lo])))))
-    return worst
+        yield np.abs(spec - np.sort([mu_hi, mu_lo]))
 
 
 @prop("qubit-spectral-closed-form", "qubit-spectral-closed-form", 1e-9)
 def _qubit_spectral(trials):
-    worst = 0.0
     for rng, _, i in trials:
         u, v = gen_ball_vector(rng), gen_ball_vector(rng)
         t = _cycle((0.25, 0.75, 0.5), i)
         oracle = spectral_mean(bl.bloch_to_density(u), bl.bloch_to_density(v), t)
-        worst = max(worst, _relerr(cf.qubit_spectral_mean(u, v, t), oracle))
-        worst = max(worst, _relerr(cf.qubit_spectral_mean(u, u.copy(), t),
-                                   bl.bloch_to_density(u)))
-    return worst
+        yield _relerr(cf.qubit_spectral_mean(u, v, t), oracle)
+        yield _relerr(cf.qubit_spectral_mean(u, u.copy(), t), bl.bloch_to_density(u))
 
 
 # --------------------------------------------------------------------------
@@ -1057,17 +917,12 @@ def _frobenius_semimetric(trials):
     def dist(X, Y):
         return distance("semimetric_frob", X, Y)
 
-    worst = 0.0
     for A, B, alpha, t in trials.stacks(draw):
         dv = dist(A, B)
         M = spectral_mean(A, B, 0.5)
-        worst = max(
-            worst,
-            _top(abs(dv - dist(B, A))),
-            _top(dist(A, A.copy())),
-            _top(abs(dist(_per(alpha) * A, _per(alpha) * B) - dv)),
-            _top(abs(dist(invm(A), invm(B)) - dv)),
-            *map(_top, midpoint_deviation("semimetric_frob", A, B, M)),
-            _top(abs(dist(A, spectral_mean(A, B, t)) - t * dv)),
-        )
-    return worst
+        yield abs(dv - dist(B, A))
+        yield dist(A, A.copy())
+        yield abs(dist(_per(alpha) * A, _per(alpha) * B) - dv)
+        yield abs(dist(invm(A), invm(B)) - dv)
+        yield from midpoint_deviation("semimetric_frob", A, B, M)
+        yield abs(dist(A, spectral_mean(A, B, t)) - t * dv)

@@ -1,10 +1,12 @@
 """Property registry for the verification campaign.
 
 Each registered property verifies one statement (or a small family sharing a
-source anchor) over seeded random samples and reports the worst violation it
-observed.  The campaign requires every canonical anchor to be covered; a
-missing anchor is a structural failure of the harness itself, independent of
-any numerical outcome.
+source anchor) over seeded random samples.  Its runner yields violation
+values; ``run_property`` reduces all of them at once to the record's worst
+violation, which a NaN among them turns into NaN, failing the record.  The
+campaign requires every canonical anchor to be covered; a missing anchor is a
+structural failure of the harness itself, independent of any numerical
+outcome.
 """
 
 from __future__ import annotations
@@ -84,6 +86,12 @@ T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 P_GRID = (1.0, 1.5, 2.0, 3.0, 5.0)
 
 
+def _json_float(x) -> float | None:
+    """``x`` as a float, or None (JSON null) when it is NaN or infinite."""
+    x = float(x)
+    return x if np.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class PropertyRecord:
     """One row of a campaign report."""
@@ -99,15 +107,15 @@ class PropertyRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        threshold = float(self.threshold)
         return {
             "property_id": self.property_id,
             "anchor": self.anchor,
             "samples": int(self.samples),
             "premise_held": int(self.premise_held),
-            "max_violation": float(self.max_violation),
-            # non-finite only for recorded-only properties; keep JSON strict
-            "threshold": threshold if threshold == threshold and abs(threshold) != float("inf") else None,
+            # a NaN violation, or the infinite threshold of a recorded-only
+            # property, is null: the report stays strict JSON
+            "max_violation": _json_float(self.max_violation),
+            "threshold": _json_float(self.threshold),
             "passed": bool(self.passed),
             "asserted": bool(self.asserted),
             "note": self.note,
@@ -125,13 +133,12 @@ class PropertySpec:
 
 
 class Outcome(NamedTuple):
-    """A runner's worst violation, with what differs from the defaults.
+    """What a runner returns when its record differs from the defaults.
 
     By default a record counts one sample per trial, holds its premise on
     every sample and carries no note.
     """
 
-    worst: float
     samples: int | None = None
     premise_held: int | None = None
     note: str = ""
@@ -184,9 +191,10 @@ def prop(property_id: str, anchor: str, threshold: float, asserted: bool = True,
          min_premise: int = 0):
     """Register a campaign property runner with its pass threshold.
 
-    The runner receives the property's ``Trials`` and returns its worst
-    violation, as a float or as an ``Outcome`` carrying what differs from the
-    defaults.
+    Called with the property's ``Trials``, the runner gives a generator: it
+    yields the violation values, as floats or as arrays with one value per
+    stacked item, and returns an ``Outcome`` carrying what differs from the
+    defaults, if anything does.
     """
     if anchor not in REQUIRED_ANCHORS and anchor not in EXTRA_ANCHORS:
         raise ValueError(f"unknown anchor {anchor!r} for property {property_id!r}")
@@ -209,16 +217,30 @@ def all_properties() -> list[PropertySpec]:
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 
 
+def _drain(runner) -> tuple[float, Outcome]:
+    """A runner's worst violation and its outcome.
+
+    The worst violation is the largest yielded value, or 0 if none is larger;
+    it is NaN if any yielded value is NaN.
+    """
+    values = [0.0]
+    while True:
+        try:
+            values.append(next(runner))
+        except StopIteration as stop:
+            # + 0.0 turns a largest value of -0.0 into 0.0, which serializes alike
+            return float(np.hstack(values).max()) + 0.0, stop.value or Outcome()
+
+
 def run_property(spec: PropertySpec, config) -> PropertyRecord:
-    out = spec.runner(Trials(config.seed, config.trials, config.dims, config.cond_cap,
-                             spec.threshold, spec.property_id))
-    if not isinstance(out, Outcome):
-        out = Outcome(out)
+    worst, out = _drain(spec.runner(Trials(config.seed, config.trials, config.dims,
+                                           config.cond_cap, spec.threshold,
+                                           spec.property_id)))
     samples = config.trials if out.samples is None else out.samples
     premise_held = samples if out.premise_held is None else out.premise_held
     note, passed = out.note, True
     if spec.asserted:
-        passed = bool(out.worst <= spec.threshold)
+        passed = bool(worst <= spec.threshold)
         # the premise quota cannot exceed what the trial budget allows
         if premise_held < min(spec.min_premise, config.trials):
             passed = False
@@ -229,7 +251,7 @@ def run_property(spec: PropertySpec, config) -> PropertyRecord:
         anchor=spec.anchor,
         samples=int(samples),
         premise_held=int(premise_held),
-        max_violation=float(out.worst),
+        max_violation=worst,
         threshold=spec.threshold,
         passed=passed,
         asserted=spec.asserted,

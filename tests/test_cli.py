@@ -183,6 +183,14 @@ def test_verify_rejects_bad_dims(capsys):
     assert main(["verify", "--trials", "8", "--dims", "1,2"]) == 2
 
 
+@pytest.mark.parametrize("cap", ["inf", "nan", "1"])
+def test_verify_rejects_a_cond_cap_a_report_cannot_hold(cap, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--trials", "1", "--dims", "2", "--cond-cap", cap,
+                 "--report", str(report_path)]) == 2
+    assert not report_path.exists()
+
+
 def test_counterexample_command(tmp_path, capsys):
     report_path = tmp_path / "ce.json"
     assert main(["counterexample", "--report", str(report_path)]) == 0

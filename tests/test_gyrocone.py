@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gyromean.gyroaxioms import AxiomReport
 from gyromean.gyrocone import (
     axiom_suite,
     cogyroline,
@@ -109,6 +110,14 @@ def test_axiom_suite_random_triples():
     for name in ("G3-gyroassociativity", "G5-loop", "gyrocommutativity",
                  "V2-additive", "V3-multiplicative", "V4-gyration-scalar"):
         assert report.residuals[name] < 1e-8
+
+
+def test_axiom_report_keeps_a_nan_residual():
+    # a NaN after the first axiom must still fail the report
+    report = AxiomReport("cone", 1, {"G1-left-identity": 1e-12, "G5-loop": np.nan})
+    assert np.isnan(report.max_residual)
+    assert not report.passed
+    assert report.worst()[0] == "G5-loop"
 
 
 def test_operation_is_not_commutative_or_associative():

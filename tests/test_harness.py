@@ -5,14 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from gyromean import errors
+from gyromean import closedform2x2, errors, gyrocone, properties
 from gyromean.harness import (
     CampaignConfig,
+    Report,
     reproduce_counterexamples,
     run_campaign,
 )
 from gyromean.randgen import gen_random_pd, substream
-from gyromean.registry import REQUIRED_ANCHORS, all_properties, prop, run_property
+from gyromean.registry import (
+    REQUIRED_ANCHORS,
+    PropertyRecord,
+    all_properties,
+    prop,
+    run_property,
+)
 
 SMALL = CampaignConfig(seed=11, trials=8, dims=(2, 3))
 
@@ -58,6 +65,9 @@ def test_config_validation():
         CampaignConfig(dims=(9,))
     with pytest.raises(ValueError):
         CampaignConfig(cond_cap=1.0)
+    for cap in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            CampaignConfig(cond_cap=cap)
     with pytest.raises(ValueError):
         CampaignConfig(seed=-1)
 
@@ -184,3 +194,54 @@ def test_config_records_the_fixed_grids_and_tolerances():
     assert config["tolerances"] == {
         "hermiticity_tol": 1e-10, "pd_tol": 1e-10, "reconstruct_tol": 1e-10,
         "loewner_tol": 1e-8, "equality_tol": 1e-8}
+
+
+# (samples, premise_held) of every record on the small config that differs
+# from one sample per trial with the premise held on each: a runner that
+# drops its Outcome fails here
+COUNTS = {
+    "majorization-prefix-rules": (10, 10),
+    "riccati-residual": (16, 16),
+    "spectral-defining-residual": (16, 16),
+    "spectral-bounds-premise-free": (3, 3),
+    "triangle-counterexample": (1, 1),
+    "anchor-coverage": (49, 49),
+}
+
+
+def test_record_counts_on_the_small_config():
+    for record in run_campaign(SMALL).records:
+        assert ((record.samples, record.premise_held)
+                == COUNTS.get(record.property_id, (8, 8))), record.property_id
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("module, name, property_id", [
+    (properties, "sup_ratio", "thompson-sup-ratio"),
+    (closedform2x2, "gm2_det1", "two-by-two-mean-combination"),
+    (gyrocone, "gyroline", "cone-gyrolines"),
+])
+def test_a_nan_violation_fails_its_record(monkeypatch, module, name, property_id):
+    computed = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: computed(*args) * np.nan)
+    spec = next(s for s in all_properties() if s.property_id == property_id)
+    record = run_property(spec, SMALL)
+    assert np.isnan(record.max_violation)
+    assert not record.passed
+    report = Report(config=SMALL.to_dict(), records=(record,), passed=record.passed)
+    row = _strict_json(report.to_json())["properties"][0]
+    assert row["max_violation"] is None and row["passed"] is False
+
+
+def test_non_finite_values_serialize_as_null_or_raise():
+    record = PropertyRecord("p", "furuta", 1, 1, float("nan"), float("inf"), False)
+    assert record.to_dict()["max_violation"] is None
+    assert record.to_dict()["threshold"] is None
+    with pytest.raises(ValueError):
+        Report(config={"cond_cap": float("inf")}, records=(), passed=True).to_json()
