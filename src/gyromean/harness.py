@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -39,6 +40,16 @@ DEFAULT_DIMS = (2, 3, 4, 6)
 DEFAULT_COND_CAP = 1e4
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer; a bool is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """Whether x is a real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Validated knobs of a verification campaign.
@@ -53,18 +64,20 @@ class CampaignConfig:
     cond_cap: float = DEFAULT_COND_CAP
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        dims = tuple(int(d) for d in self.dims)
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise ValueError("trials must be an integer of at least 1")
+        dims = tuple(self.dims)
         if not dims:
             raise ValueError("dims must be nonempty")
-        if any(d < 2 or d > 8 for d in dims):
-            raise ValueError("dims must lie in [2, 8]")
-        if not 1 < self.cond_cap < float("inf"):
-            raise ValueError("cond_cap must be finite and exceed 1")
-        object.__setattr__(self, "dims", dims)
+        if not all(_is_int(d) and 2 <= d <= 8 for d in dims):
+            raise ValueError("dims must be integers in [2, 8]")
+        if not (_is_real(self.cond_cap) and 1 < self.cond_cap < float("inf")):
+            raise ValueError("cond_cap must be a finite number exceeding 1")
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
 
     def to_dict(self) -> dict:
         return {

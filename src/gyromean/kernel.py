@@ -124,6 +124,11 @@ def _trace(M: np.ndarray) -> np.ndarray:
     return np.trace(M, axis1=-2, axis2=-1).real
 
 
+def _per(x) -> np.ndarray:
+    """Per-item scalars as factors of a matrix stack (one scalar for one matrix)."""
+    return np.asarray(x)[..., None, None]
+
+
 def require_same_dim(*matrices: np.ndarray) -> None:
     dims = {M.shape for M in matrices}
     if len(dims) > 1:

@@ -10,10 +10,11 @@ substream (seed, property, i) at dimension ``dims[i % len(dims)]``, except
 the defining-equation residual properties, which run every trial at every
 dimension.
 
-Most runners stack their trials' draws by dimension (``Trials.stacks``) and
-evaluate each stack once, with per-trial scalars as arrays, and yield one
-value per stacked trial.  Since the draws come from the per-trial substreams,
-the stacking changes no input.
+Most runners draw each dimension's trials as one stack (``Trials.stacks``),
+evaluate the stack once, with per-trial scalars as arrays, and yield one
+value per stacked trial.  Each trial still draws from its own substream what
+a per-trial call would draw, so the stacking changes no input; the other
+runners, which iterate the trials, call the same samplers one trial at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .gyroaxioms import run_axiom_suite
 from .kernel import (
     DEFAULT_TOL,
     _frobenius,
+    _per,
     _trace,
     hermitian_part,
     invm,
@@ -84,7 +86,8 @@ from .registry import P_GRID, T_GRID, Outcome, prop
 
 
 def _cycle(seq, i):
-    return seq[i % len(seq)]
+    """The grid value of trial i, or of each trial of an index array."""
+    return np.take(seq, i % len(seq))
 
 
 def _premise_held(res) -> tuple[int, np.ndarray]:
@@ -113,11 +116,6 @@ def _pd(rng, d, trials, count=2) -> tuple:
     return tuple(gen_random_pd(rng, d, trials.cond_cap) for _ in range(count))
 
 
-def _per(x) -> np.ndarray:
-    """Per-trial scalars as factors of a matrix stack."""
-    return np.asarray(x)[..., None, None]
-
-
 def _ct(M: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack."""
     return M.conj().mT
@@ -135,7 +133,7 @@ def _eye_like(M: np.ndarray) -> np.ndarray:
 def _geo_identities(trials):
     def draw(rng, d, i):
         A, B = _pd(rng, d, trials)
-        a, b = rng.uniform(0.2, 3.0, 2)
+        a, b = rng.uniform(0.2, 3.0, 2).T
         U = gen_random_unitary(rng, d)
         return (A, B, _cycle(T_GRID, i), a, b, U, *gen_commuting_pair(rng, d))
 
@@ -227,9 +225,9 @@ def _spectral_defining(trials):
 def _spectral_algebra(trials):
     def draw(rng, d, i):
         A, B = _pd(rng, d, trials)
-        a, b = rng.uniform(0.2, 3.0, 2)
+        a, b = rng.uniform(0.2, 3.0, 2).T
         U = gen_random_unitary(rng, d)
-        return (A, B, _cycle(T_GRID, i), a, b, U, *rng.uniform(0.0, 1.0, 3))
+        return (A, B, _cycle(T_GRID, i), a, b, U, *rng.uniform(0.0, 1.0, 3).T)
 
     for A, B, t, a, b, U, s, tt, u in trials.stacks(draw):
         S = spectral_mean(A, B, t)
@@ -272,10 +270,10 @@ def _semimetric_axioms(trials):
 def _semimetric_invariance(trials):
     def draw(rng, d, i):
         A, B = _pd(rng, d, trials)
-        alpha = float(rng.uniform(0.2, 5.0))
+        alpha = rng.uniform(0.2, 5.0)
         U = gen_random_unitary(rng, d)
         Ac, Bc = gen_commuting_pair(rng, d)
-        return A, B, alpha, U, Ac, Bc, float(rng.uniform(-2.0, 2.0))
+        return A, B, alpha, U, Ac, Bc, rng.uniform(-2.0, 2.0)
 
     def dist(X, Y):
         return distance("semimetric_op", X, Y)
@@ -323,7 +321,7 @@ def _triangle(trials):
 def _geodesic_question(trials):
     devs = []
     for A, B, s, t in trials.stacks(
-            lambda rng, d, i: (*_pd(rng, d, trials), *rng.uniform(0.0, 1.0, 2))):
+            lambda rng, d, i: (*_pd(rng, d, trials), *rng.uniform(0.0, 1.0, 2).T)):
         lhs = distance("semimetric_op", spectral_mean(A, B, s),
                        spectral_mean(A, B, t))
         devs.append(abs(lhs - abs(s - t) * distance("semimetric_op", A, B)))
@@ -356,7 +354,7 @@ def _loewner_heinz(trials):
     def draw(rng, d, i):
         A = gen_random_pd(rng, d, cap)
         G = complex_gaussian(rng, (d, d))
-        B = A + hermitian_part(G @ G.conj().T)
+        B = A + hermitian_part(G @ G.conj().mT)
         return A, B, gen_random_hermitian(rng, d), _cycle(T_GRID, i)
 
     held = 0
@@ -413,7 +411,7 @@ def _spectral_ando_hiai(trials):
 def _power_chain(trials):
     def draw(rng, d, i):
         # keep p = 2 in rotation so the displayed special case is exercised
-        return (*gen_sharp_contracted_pair(rng, d), 2.0 if i % 3 == 0 else _cycle(P_GRID, i))
+        return (*gen_sharp_contracted_pair(rng, d), np.where(i % 3 == 0, 2.0, _cycle(P_GRID, i)))
 
     return _held(check_power_chain(A, B, p) for A, B, p in trials.stacks(draw))
 
@@ -560,7 +558,7 @@ def _cone_axioms_v(trials):
 def _cone_ops(trials):
     def draw(rng, d, i):
         A, B = _pd(rng, d, trials)
-        t = float(rng.uniform(-2, 2))
+        t = rng.uniform(-2, 2)
         return (A, B, t, *gen_commuting_pair(rng, d))
 
     for A, B, t, Ac, Bc in trials.stacks(draw):
@@ -612,7 +610,7 @@ def _cooperation(trials):
 @prop("cone-gyrolines", "cone-gyrolines", 1e-9)
 def _cone_gyrolines(trials):
     for A, B, t in trials.stacks(
-            lambda rng, d, i: (*_pd(rng, d, trials), float(rng.uniform(0.0, 1.0)))):
+            lambda rng, d, i: (*_pd(rng, d, trials), rng.uniform(0.0, 1.0))):
         yield _relerr(gc.gyroline(t, A, B), geo_mean(A, B, t))
         yield _relerr(gc.cogyroline(t, A, B), spectral_mean(A, B, t))
         yield _relerr(gc.gyroline(0.5, A, B), gc.cone_scalar(0.5, gc.cooperation(A, B)))
@@ -621,7 +619,7 @@ def _cone_gyrolines(trials):
 @prop("gyroline-translation", "gyroline-cogyroline-defs", 1e-8)
 def _gyroline_translation(trials):
     for A, B, X, t in trials.stacks(
-            lambda rng, d, i: (*_pd(rng, d, trials, 3), float(rng.uniform(0.0, 1.0)))):
+            lambda rng, d, i: (*_pd(rng, d, trials, 3), rng.uniform(0.0, 1.0))):
         lhs = gc.cone_add(X, gc.gyroline(t, A, B))
         yield _relerr(lhs, gc.gyroline(t, gc.cone_add(X, A), gc.cone_add(X, B)))
 
@@ -639,7 +637,7 @@ def _density_axioms(trials):
     def element(rng, d, i):
         rho = gen_density(rng, d)
         sigma = gen_density(rng, d)
-        return rho, sigma, float(rng.uniform(-2.0, 2.0))
+        return rho, sigma, rng.uniform(-2.0, 2.0)
 
     elements = replace(trials, stream="density-gyrovector-space-elements",
                        count=min(trials.count, 50))
@@ -657,7 +655,7 @@ def _density_gyrolines(trials):
     def draw(rng, d, i):
         rho = gen_density(rng, d)
         sigma = gen_density(rng, d)
-        t = float(rng.uniform(0.0, 1.0))
+        t = rng.uniform(0.0, 1.0)
         return (rho, sigma, t, *_pd(rng, d, trials))
 
     for rho, sigma, t, A, B in trials.stacks(draw):
@@ -912,7 +910,7 @@ def _qubit_spectral(trials):
 @prop("frobenius-semimetric-properties", "frobenius-semimetric", 1e-8)
 def _frobenius_semimetric(trials):
     def draw(rng, d, i):
-        return (*_pd(rng, d, trials), float(rng.uniform(0.2, 5.0)), _cycle(T_GRID, i))
+        return (*_pd(rng, d, trials), rng.uniform(0.2, 5.0), _cycle(T_GRID, i))
 
     def dist(X, Y):
         return distance("semimetric_frob", X, Y)

@@ -1,9 +1,17 @@
 """Seeded random generation with order-independent substreams.
 
 The harness derives an independent Philox (counter-based) stream for every
-(property, dim, trial) coordinate by folding the coordinates into the 64-bit
-key with a stable hash.  Parallel or reordered execution therefore cannot
-change any draw, which is what makes campaign reports byte-reproducible.
+(property, trial) coordinate by folding the coordinates into the 64-bit key
+with a stable hash.  Parallel or reordered execution therefore cannot change
+any draw, which is what makes campaign reports byte-reproducible.
+
+Every sampler takes either one ``Generator`` or a ``GeneratorStack``, one
+generator per item of a stack.  Given a stack, it returns what the calls on
+each item's generator return, stacked (..., n, n) or (k,): each generator
+supplies its item's Gaussians and uniforms in the order a single call draws
+them, while the linear algebra runs once over the stack.  The samplers that
+compute with their draws (square roots, powers, means) differ from the single
+calls only in the last bits, as the stacked kernel does.
 
 Also home to the premise-forcing samplers: the conditional theorems are
 tested with constructive inputs (rescaling, congruence by contractions),
@@ -13,11 +21,23 @@ because rejection sampling essentially never hits their premises.
 from __future__ import annotations
 
 import hashlib
+from typing import TypeAlias
 
 import numpy as np
 
 from .errors import GenerationFailure
-from .kernel import hermitian_part, powm, sqrtm
+from .kernel import (
+    SpectralDecomposition,
+    _apply,
+    _per,
+    _powm,
+    _trace,
+    expm,
+    hermitian_part,
+    pd_eigh,
+    powm,
+    sqrtm,
+)
 
 MAX_RESAMPLES = 100
 
@@ -36,62 +56,93 @@ def substream(seed: int, *coords) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+class GeneratorStack:
+    """One generator per item of a stack; a draw stacks the items' own draws."""
+
+    def __init__(self, generators):
+        self.generators = np.array(generators, dtype=object)
+
+    def __getitem__(self, index) -> GeneratorStack:
+        return GeneratorStack(self.generators[index])
+
+    def standard_normal(self, size=None) -> np.ndarray:
+        return np.array([g.standard_normal(size) for g in self.generators])
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return np.array([g.uniform(low, high, size) for g in self.generators])
+
+
+# a string, so that importing this module does not load numpy.random
+Rng: TypeAlias = "np.random.Generator | GeneratorStack"
+
+
+def complex_gaussian(rng: Rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def gen_random_pd(rng: np.random.Generator, dim: int, cond_cap: float = 1e4,
+def _pd_candidate(rng: Rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A = G G* + eps I and its eigenvalues, for complex standard-normal G."""
+    G = complex_gaussian(rng, (dim, dim))
+    A = hermitian_part(G @ G.conj().mT)
+    A = A + _per(1e-3 * _trace(A) / dim) * np.eye(dim)
+    return A, np.linalg.eigvalsh(A)
+
+
+def gen_random_pd(rng: Rng, dim: int, cond_cap: float = 1e4,
                   unit_det: bool = False) -> np.ndarray:
     """Random positive definite matrix with bounded condition number.
 
     Builds A = G G* + eps I with complex standard-normal G and
     eps = 1e-3 * (mean eigenvalue of G G*), resampling until the condition
-    number is at most ``cond_cap``.  With ``unit_det`` the result is scaled
-    by det(A)^{-1/dim}.
+    number is at most ``cond_cap``; in a stack, only the items that miss
+    the cap redraw, each from its own generator.  With ``unit_det`` the
+    result is scaled by det(A)^{-1/dim}.
 
     Raises
     ------
     GenerationFailure
         After 100 unsuccessful resamples.
     """
-    for _ in range(MAX_RESAMPLES):
-        G = complex_gaussian(rng, (dim, dim))
-        A = hermitian_part(G @ G.conj().T)
-        eps = 1e-3 * float(np.trace(A).real) / dim
-        A = A + eps * np.eye(dim)
-        w = np.linalg.eigvalsh(A)
-        if w[-1] / w[0] <= cond_cap:
-            if unit_det:
-                A = A / np.exp(np.mean(np.log(w)))
-            return A
-    raise GenerationFailure(
-        f"no matrix with condition number <= {cond_cap} in {MAX_RESAMPLES} tries")
+    A, w = _pd_candidate(rng, dim)
+    for _ in range(MAX_RESAMPLES - 1):
+        miss = ~(w[..., -1] / w[..., 0] <= cond_cap)
+        if not miss.any():
+            break
+        A[miss], w[miss] = _pd_candidate(rng[miss] if miss.ndim else rng, dim)
+    if not np.all(w[..., -1] / w[..., 0] <= cond_cap):
+        raise GenerationFailure(
+            f"no matrix with condition number <= {cond_cap} in {MAX_RESAMPLES} tries")
+    if unit_det:
+        A = A / _per(np.exp(np.mean(np.log(w), axis=-1)))
+    return A
 
 
-def gen_random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+def gen_random_hermitian(rng: Rng, dim: int) -> np.ndarray:
     return hermitian_part(complex_gaussian(rng, (dim, dim)))
 
 
-def gen_random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+def gen_random_unitary(rng: Rng, dim: int) -> np.ndarray:
     """Haar-ish unitary via QR with a deterministic phase convention."""
     Q, R = np.linalg.qr(complex_gaussian(rng, (dim, dim)))
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
 
 
-def gen_commuting_pair(rng: np.random.Generator, dim: int,
+def _with_spectrum(U: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """U diag(w) U*, item by item."""
+    return _apply(SpectralDecomposition(w, U), w)
+
+
+def gen_commuting_pair(rng: Rng, dim: int,
                        spread: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
     """Two positive definite matrices sharing an eigenbasis."""
     U = gen_random_unitary(rng, dim)
     wa = np.exp(rng.uniform(-spread, spread, dim))
     wb = np.exp(rng.uniform(-spread, spread, dim))
-    A = hermitian_part((U * wa) @ U.conj().T)
-    B = hermitian_part((U * wb) @ U.conj().T)
-    return A, B
+    return _with_spectrum(U, wa), _with_spectrum(U, wb)
 
 
-def gen_spread_pd(rng: np.random.Generator, dim: int,
-                  spread: float = 1.0) -> np.ndarray:
+def gen_spread_pd(rng: Rng, dim: int, spread: float = 1.0) -> np.ndarray:
     """PD matrix with log-uniform spectrum; condition number <= e^{2 spread}.
 
     The order-inequality battery raises its inputs to p-th powers, which
@@ -99,53 +150,63 @@ def gen_spread_pd(rng: np.random.Generator, dim: int,
     that inside the certifiable double-precision window.
     """
     U = gen_random_unitary(rng, dim)
-    w = np.exp(rng.uniform(-spread, spread, dim))
-    return hermitian_part((U * w) @ U.conj().T)
+    return _with_spectrum(U, np.exp(rng.uniform(-spread, spread, dim)))
 
 
-def gen_dominated_pair(rng: np.random.Generator, dim: int,
+def _top_eig(H: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(H)[..., -1]
+
+
+def _opnorm(M: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(M, ord=2, axis=(-2, -1))
+
+
+def gen_dominated_pair(rng: Rng, dim: int,
                        spread: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with B <= A, via B = A^{1/2} K A^{1/2}, ||K|| <= 1."""
     A = gen_spread_pd(rng, dim, spread)
     K = gen_spread_pd(rng, dim, spread / 2.0)
-    K = 0.98 * K / np.linalg.eigvalsh(K)[-1]
+    K = 0.98 * K / _per(_top_eig(K))
     root = sqrtm(A)
     return A, hermitian_part(root @ K @ root)
 
 
-def gen_sharp_contracted_pair(rng: np.random.Generator, dim: int,
+def gen_sharp_contracted_pair(rng: Rng, dim: int,
                               spread: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with A # B <= I, by joint rescaling (homogeneity of #)."""
     from .means import geo_mean
 
     A = gen_spread_pd(rng, dim, spread)
     B = gen_spread_pd(rng, dim, spread)
-    top = np.linalg.eigvalsh(geo_mean(A, B, 0.5))[-1]
-    s = 0.999 / top
+    s = _per(0.999 / _top_eig(geo_mean(A, B, 0.5)))
     return s * A, s * B
 
 
-def gen_contraction_for(rng: np.random.Generator, X: np.ndarray,
-                        hermitian_only: bool = True,
+def gen_contraction_for(rng: Rng, X: np.ndarray, hermitian_only: bool = True,
                         margin: float = 0.97) -> np.ndarray:
     """Hermitian (or PD) S with S X S <= X for the given PD X.
 
     S X S <= X is equivalent to ||X^{-1/2} S X^{1/2}|| <= 1, so any sample
     is admissible after scaling by that norm.
     """
-    dim = X.shape[0]
+    dim = X.shape[-1]
     if hermitian_only:
         S = gen_random_hermitian(rng, dim)
     else:
         S = gen_random_pd(rng, dim)
-    root = sqrtm(X)
-    inv_root = powm(X, -0.5)
-    op = float(np.linalg.norm(inv_root @ S @ root, ord=2))
-    return (margin / op) * S
+    dec = pd_eigh(X)
+    op = _opnorm(_powm(dec, -0.5) @ S @ _powm(dec, 0.5))
+    return _per(margin / op) * S
 
 
-def gen_spectral_premise_pair(rng: np.random.Generator, dim: int,
-                              t: float) -> tuple[np.ndarray, np.ndarray]:
+def _unit_hermitian(rng: Rng, dim: int) -> np.ndarray:
+    """Random Hermitian matrix scaled to spectral radius 1."""
+    H = gen_random_hermitian(rng, dim)
+    return H / _per(np.max(np.abs(np.linalg.eigvalsh(H)), axis=-1))
+
+
+def gen_spectral_premise_pair(rng: Rng, dim: int,
+                              t) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with A^{-1} natural_t B <= A^{-1}.
 
     The premise says S A^{-1} S <= A^{-1} for S = (A # B)^t, which holds iff
@@ -153,39 +214,35 @@ def gen_spectral_premise_pair(rng: np.random.Generator, dim: int,
     (P a congruence perturbation of A, s the scalar making S a strict
     contraction) and recover B as the parameter-2 point of the curve through
     A and sP, which by the halving of curve parameters makes A # B = sP.
+    For a stack, ``t`` may be one float or one value per item.
     """
     from .means import geo_mean
 
     A = gen_spread_pd(rng, dim, 0.8)
-    root, inv_root = sqrtm(A), powm(A, -0.5)
+    dec = pd_eigh(A)
+    root, inv_root = _powm(dec, 0.5), _powm(dec, -0.5)
     # sharp value proportional to a congruence-perturbation of A, so that the
     # recovered B keeps a small condition number (the conclusion raises the
     # pair to p-th powers, which raises conditioning to kappa**p)
-    H = gen_random_hermitian(rng, dim)
-    H = H / float(np.max(np.abs(np.linalg.eigvalsh(H))))
+    H = _unit_hermitian(rng, dim)
     P = hermitian_part(root @ (np.eye(dim) + 0.15 * H) @ root)
-    nu = float(np.linalg.norm(root @ powm(P, t) @ inv_root, ord=2))
-    s = (0.97 / nu) ** (1.0 / t)
-    return A, geo_mean(A, s * P, 2.0)
+    nu = _opnorm(root @ powm(P, t) @ inv_root)
+    s = (0.97 / nu) ** (1.0 / np.asarray(t))
+    return A, geo_mean(A, _per(s) * P, 2.0)
 
 
-def gen_log_sum_pair(rng: np.random.Generator,
-                     dim: int) -> tuple[np.ndarray, np.ndarray]:
+def gen_log_sum_pair(rng: Rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) positive definite with log A + log B <= 0.
 
     Built in log space: log B = -log A - P for a modest positive P, with
     both log factors normalized so the pair stays well conditioned.
     """
-    from .kernel import expm
-
-    H = gen_random_hermitian(rng, dim)
-    H = H / float(np.max(np.abs(np.linalg.eigvalsh(H))))
+    H = _unit_hermitian(rng, dim)
     P = gen_spread_pd(rng, dim, 0.5)
     return expm(H), expm(-H - P)
 
 
-def gen_psd_block_triple(rng: np.random.Generator, dim: int,
-                         cond_cap: float = 1e4):
+def gen_psd_block_triple(rng: Rng, dim: int, cond_cap: float = 1e4):
     """(A, B, X) with the block matrix [[A, X], [X*, B]] positive semidefinite.
 
     Any such X factors as A^{1/2} K B^{1/2} with ||K|| <= 1.
@@ -193,21 +250,19 @@ def gen_psd_block_triple(rng: np.random.Generator, dim: int,
     A = gen_random_pd(rng, dim, cond_cap)
     B = gen_random_pd(rng, dim, cond_cap)
     K = complex_gaussian(rng, (dim, dim))
-    K = K / np.linalg.norm(K, ord=2)
+    K = K / _per(_opnorm(K))
     X = sqrtm(A) @ K @ sqrtm(B)
     return A, B, X
 
 
-def gen_ball_vector(rng: np.random.Generator, dim: int = 3,
-                    rmax: float = 0.95) -> np.ndarray:
+def gen_ball_vector(rng: Rng, dim: int = 3, rmax: float = 0.95) -> np.ndarray:
     """Vector strictly inside the unit ball: uniform direction, radius <= rmax."""
     v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return v * rng.uniform(0.0, rmax)
+    v = v / np.sqrt(np.vecdot(v, v))[..., None]
+    return v * np.asarray(rng.uniform(0.0, rmax))[..., None]
 
 
-def gen_density(rng: np.random.Generator, dim: int,
-                spread: float = 2.0) -> np.ndarray:
+def gen_density(rng: Rng, dim: int, spread: float = 2.0) -> np.ndarray:
     """Random invertible density matrix with log-uniform spectrum."""
     A = gen_spread_pd(rng, dim, spread)
-    return A / np.trace(A).real
+    return A / _per(_trace(A))

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .randgen import substream
+from .randgen import GeneratorStack, substream
 
 # Canonical anchors, one per source statement the campaign must exercise.
 REQUIRED_ANCHORS = (
@@ -149,9 +149,10 @@ class Trials:
     """The seeded trials of one property under one campaign config.
 
     Trial i draws from the substream (seed, stream, i) at dimension
-    ``dims[i % len(dims)]``; the stream is the property id.  Iterating yields ``(rng, d, i)`` per trial, in trial order;
-    ``dataclasses.replace`` gives the same trials at one dimension, on
-    another stream or in another number.
+    ``dims[i % len(dims)]``; the stream is the property id.  Iterating
+    yields ``(rng, d, i)`` per trial, in trial order; ``stacks`` draws each
+    dimension's trials at once.  ``dataclasses.replace`` gives the same
+    trials at one dimension, on another stream or in another number.
     """
 
     seed: int
@@ -166,18 +167,22 @@ class Trials:
             yield substream(self.seed, self.stream, i), self.dims[i % len(self.dims)], i
 
     def stacks(self, draw):
-        """Every trial's ``draw(rng, d, i)``, stacked by matrix dimension.
+        """Each dimension's trials drawn by one ``draw(rng, d, i)`` call, stacked.
 
-        Each draw is a tuple whose first entry is a matrix.  Each yielded tuple
-        holds the same fields over one dimension's trials, in trial order:
-        matrices as (k, d, d) stacks, scalars as (k,) arrays.
+        ``i`` is the array of the trial indices at dimension ``d``, in trial
+        order, and ``rng`` the ``GeneratorStack`` of their substreams, so the
+        stack-generic samplers draw for each trial what a per-trial call on
+        its substream draws.  The draw returns a tuple: matrices as (k, d, d)
+        stacks, per-trial scalars as (k,) arrays, and constants, which are
+        broadcast to (k,).  The dimensions come in order of first appearance.
         """
-        groups = {}
-        for rng, d, i in self:
-            fields = draw(rng, d, i)
-            groups.setdefault(np.shape(fields[0]), []).append(fields)
-        for members in groups.values():
-            yield tuple(np.array(field) for field in zip(*members))
+        index = np.arange(self.count)
+        dim_of = np.array(self.dims)[index % len(self.dims)]
+        for d in dict.fromkeys(dim_of.tolist()):
+            i = index[dim_of == d]
+            rng = GeneratorStack([substream(self.seed, self.stream, int(j)) for j in i])
+            yield tuple(np.full(len(i), f) if np.ndim(f) == 0 else f
+                        for f in draw(rng, d, i))
 
     def flag(self, ok) -> float:
         """A boolean sub-check (every entry of ``ok`` must hold) as a violation value."""

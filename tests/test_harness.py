@@ -15,7 +15,9 @@ from gyromean.harness import (
 from gyromean.randgen import gen_random_pd, substream
 from gyromean.registry import (
     REQUIRED_ANCHORS,
+    T_GRID,
     PropertyRecord,
+    Trials,
     all_properties,
     prop,
     run_property,
@@ -70,6 +72,41 @@ def test_config_validation():
             CampaignConfig(cond_cap=cap)
     with pytest.raises(ValueError):
         CampaignConfig(seed=-1)
+    # a value of the wrong kind is refused, not truncated
+    for bad in ({"trials": 2.5}, {"trials": True}, {"seed": 1.5}, {"seed": -0.5},
+                {"seed": True}, {"dims": (2.7,)}, {"dims": (3, 2.0)},
+                {"dims": (True, 3)}, {"cond_cap": "1e4"}, {"cond_cap": True}):
+        with pytest.raises(ValueError):
+            CampaignConfig(**bad)
+    config = CampaignConfig(seed=np.uint64(2**63), trials=np.int64(5), dims=(np.int32(3),))
+    assert (config.seed, config.trials, config.dims) == (2**63, 5, (3,))
+    assert type(config.seed) is int and type(config.trials) is int
+
+
+@pytest.mark.parametrize("dims, count", [((2, 3), 7), ((3, 2, 3), 8), ((4,), 3),
+                                         ((4, 2, 3), 2)])
+def test_stacks_are_the_per_trial_draws_grouped_by_dimension(dims, count):
+    trials = Trials(5, count, dims, 1e4, 1e-9, "stacks-contract")
+    calls = []
+
+    def draw(rng, d, i):
+        calls.append(d)
+        return (gen_random_pd(rng, d), properties._cycle(T_GRID, i), 0.5,
+                rng.uniform(), i)
+
+    per_dim = {}
+    for rng, d, i in trials:
+        per_dim.setdefault(d, []).append(draw(rng, d, i))
+    del calls[:]
+    stacks = list(trials.stacks(draw))
+    # one draw per dimension, in order of first appearance
+    assert calls == list(per_dim)
+    assert len(stacks) == len(per_dim)
+    for fields, draws in zip(stacks, per_dim.values()):
+        assert len(fields) == len(draws[0])
+        for got, want in zip(fields, zip(*draws)):
+            assert got.shape[0] == len(draws)
+            assert np.array_equal(got, np.array(want))
 
 
 def test_registry_covers_every_anchor():

@@ -3,7 +3,9 @@
 A stack of k operand sets gives what k single calls give (to rtol 1e-12;
 only a single matrix's decomposition fixes eigenvector phases, so the last
 bits may differ), keeps its leading shape, and a stack with one bad item
-raises the named error the single call on that item raises.
+raises the named error the single call on that item raises.  The samplers
+keep the same contract for a stack of generators: each item is what the
+single call on that item's generator draws.
 """
 
 import numpy as np
@@ -13,7 +15,8 @@ import gyromean as gm
 from gyromean import errors
 from gyromean import gyrodensity as gd
 from gyromean.kernel import hermitian_part
-from gyromean.randgen import gen_spread_pd, substream
+from gyromean import randgen as rg
+from gyromean.randgen import GeneratorStack, gen_spread_pd, substream
 
 DIMS = (2, 3, 4, 6)
 ITEMS = 8
@@ -210,3 +213,86 @@ def test_a_stacked_check_gives_what_single_checks_give(case, dim):
     for field in ("premise_held", "conclusion_held"):
         assert np.array_equal(np.broadcast_to(getattr(res, field), (ITEMS,)),
                               [getattr(r, field) for r in singles]), field
+
+
+# sampler -> (call(rng, n, t), bit for bit); t is one curve parameter per item
+SAMPLERS = {
+    "complex_gaussian": (lambda rng, n, t: rg.complex_gaussian(rng, (n, n)), True),
+    "gen_random_pd": (lambda rng, n, t: rg.gen_random_pd(rng, n), True),
+    "gen_random_pd-unit_det": (lambda rng, n, t: rg.gen_random_pd(rng, n, unit_det=True),
+                               True),
+    "gen_random_hermitian": (lambda rng, n, t: rg.gen_random_hermitian(rng, n), True),
+    "gen_random_unitary": (lambda rng, n, t: rg.gen_random_unitary(rng, n), True),
+    "gen_commuting_pair": (lambda rng, n, t: rg.gen_commuting_pair(rng, n), True),
+    "gen_spread_pd": (lambda rng, n, t: rg.gen_spread_pd(rng, n, 1.5), True),
+    "gen_density": (lambda rng, n, t: rg.gen_density(rng, n), True),
+    "gen_ball_vector": (lambda rng, n, t: rg.gen_ball_vector(rng, n), True),
+    "gen_dominated_pair": (lambda rng, n, t: rg.gen_dominated_pair(rng, n), False),
+    "gen_sharp_contracted_pair": (lambda rng, n, t: rg.gen_sharp_contracted_pair(rng, n),
+                                  False),
+    "gen_contraction_for": (
+        lambda rng, n, t: rg.gen_contraction_for(rng, rg.gen_random_pd(rng, n)), False),
+    "gen_contraction_for-pd": (
+        lambda rng, n, t: rg.gen_contraction_for(rng, rg.gen_random_pd(rng, n),
+                                                 hermitian_only=False), False),
+    "gen_spectral_premise_pair": (
+        lambda rng, n, t: rg.gen_spectral_premise_pair(rng, n, t), False),
+    "gen_log_sum_pair": (lambda rng, n, t: rg.gen_log_sum_pair(rng, n), False),
+    "gen_psd_block_triple": (lambda rng, n, t: rg.gen_psd_block_triple(rng, n), False),
+}
+
+
+def _generators(name, n, k=5):
+    return [substream(17, "sampler-stacks", name, n, j) for j in range(k)]
+
+
+def _fields(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _assert_items(stacked, singles, exact):
+    """Each stacked field, item by item, against the single calls' fields."""
+    stacked = _fields(stacked)
+    singles = [_fields(out) for out in singles]
+    assert len(stacked) == len(singles[0])
+    for field, items in zip(stacked, zip(*singles)):
+        want = np.array(items)
+        assert field.shape == want.shape
+        if exact:
+            assert np.array_equal(field, want)
+        else:
+            floor = 1e-13 * max(1.0, float(np.max(np.abs(want))))
+            np.testing.assert_allclose(field, want, rtol=1e-13, atol=floor)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("name", list(SAMPLERS))
+def test_a_generator_stack_draws_what_each_generator_draws(name, n):
+    call, exact = SAMPLERS[name]
+    t = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
+    gens = _generators(name, n)
+    singles = [call(g, n, t[j]) for j, g in enumerate(gens)]
+    stack = GeneratorStack(_generators(name, n))
+    _assert_items(call(stack, n, t), singles, exact)
+    # each generator is left where the single call leaves it
+    assert np.array_equal(stack.standard_normal(3), [g.standard_normal(3) for g in gens])
+
+
+def test_only_the_items_that_miss_the_cap_are_redrawn():
+    n, cap = 4, 30.0
+    gens = _generators("resample", n, k=12)
+    first = rg.gen_random_pd(GeneratorStack(_generators("resample", n, k=12)), n,
+                             cond_cap=np.inf)
+    w = np.linalg.eigvalsh(first)
+    assert np.any(w[:, -1] / w[:, 0] > cap), "no item needs a resample"
+    assert not np.all(w[:, -1] / w[:, 0] > cap), "every item needs a resample"
+    stack = GeneratorStack(_generators("resample", n, k=12))
+    # the draw after the resampled matrix must match too
+    for _ in range(2):
+        _assert_items(rg.gen_random_pd(stack, n, cond_cap=cap),
+                      [rg.gen_random_pd(g, n, cond_cap=cap) for g in gens], exact=True)
+
+
+def test_a_stack_that_cannot_meet_the_cap_fails():
+    with pytest.raises(errors.GenerationFailure):
+        rg.gen_random_pd(GeneratorStack(_generators("fail", 6, k=3)), 6, cond_cap=1.01)
