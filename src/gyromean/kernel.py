@@ -129,6 +129,11 @@ def _per(x) -> np.ndarray:
     return np.asarray(x)[..., None, None]
 
 
+def _top_eig(H: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of a Hermitian matrix, or of each item of a stack."""
+    return np.linalg.eigvalsh(H)[..., -1]
+
+
 def require_same_dim(*matrices: np.ndarray) -> None:
     dims = {M.shape for M in matrices}
     if len(dims) > 1:

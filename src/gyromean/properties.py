@@ -33,6 +33,7 @@ from .kernel import (
     DEFAULT_TOL,
     _frobenius,
     _per,
+    _top_eig,
     _trace,
     hermitian_part,
     invm,
@@ -455,24 +456,21 @@ def _sufficient_conditions(trials):
         log_pair = gen_log_sum_pair(rng, d)
         return (A, B, *log_pair, *gen_spectral_premise_pair(rng, d, _cycle(T_GRID, i)))
 
-    def top_eig(H):
-        return np.linalg.eigvalsh(H)[..., -1]
-
     held = 0
     co_counts = {"cond1": 0, "cond2": 0}
     for A, B, La, Lb, As, Bs in trials.stacks(draw):
         # (contractive inputs) implies (log-sum condition)
-        A1 = 0.99 * A / _per(top_eig(A))
-        B1 = 0.99 * B / _per(top_eig(B))
-        yield top_eig(logm(A1) + logm(B1))
+        A1 = 0.99 * A / _per(_top_eig(A))
+        B1 = 0.99 * B / _per(_top_eig(B))
+        yield _top_eig(logm(A1) + logm(B1))
         # (log-sum condition) implies the contracted geometric mean
         count, shortfalls = _premise_held(check_log_sum_condition(La, Lb))
         held += count
         yield shortfalls
         # co-occurrence of the spectral condition with the other two
-        co_counts["cond2"] += int(np.sum(top_eig(logm(As) + logm(Bs)) <= slack))
-        co_counts["cond1"] += int(np.sum((top_eig(As) <= 1 + slack)
-                                         & (top_eig(Bs) <= 1 + slack)))
+        co_counts["cond2"] += int(np.sum(_top_eig(logm(As) + logm(Bs)) <= slack))
+        co_counts["cond1"] += int(np.sum((_top_eig(As) <= 1 + slack)
+                                          & (_top_eig(Bs) <= 1 + slack)))
     note = (f"spectral-condition samples also satisfying: contractive {co_counts['cond1']}, "
             f"log-sum {co_counts['cond2']} of {trials.count} (recorded only)")
     return Outcome(premise_held=held, note=note)

@@ -31,6 +31,7 @@ from .kernel import (
     _apply,
     _per,
     _powm,
+    _top_eig,
     _trace,
     expm,
     hermitian_part,
@@ -151,10 +152,6 @@ def gen_spread_pd(rng: Rng, dim: int, spread: float = 1.0) -> np.ndarray:
     """
     U = gen_random_unitary(rng, dim)
     return _with_spectrum(U, np.exp(rng.uniform(-spread, spread, dim)))
-
-
-def _top_eig(H: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(H)[..., -1]
 
 
 def _opnorm(M: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ Usage (from the repository root):
 
 Each ``label=path`` names a checkout that holds ``perfbench/run.py``.  The
 script runs ``python3 perfbench/run.py --workload W --seed S --seconds N
---trace 0`` in every checkout in turn, ``--runs`` times over and in reverse
-order every other round, so that drift of the machine hits each checkout
-alike.  It writes ``<out>/BENCH_<workload>-<label>.json`` per checkout: each
+--trace 0``, with N the ``run_seconds`` of this repository's
+``BENCHMARK.json``, in every checkout in turn, ``--runs`` times over and in
+reverse order every other round, so that drift of the machine hits each
+checkout alike.  It writes ``<out>/BENCH_<workload>-<label>.json`` per checkout: each
 end-to-end metric's median, quartiles (inclusive method) and values, the run
 count, whether every run was correct, and the environment each run reported
 (core count, BLAS vendor and version, BLAS thread settings).
@@ -26,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_RUNS = 5
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -74,7 +76,6 @@ def main(argv=None) -> int:
     p.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--runs", type=int, default=MIN_RUNS)
     p.add_argument("--out", type=Path, default=ROOT / "bench")
     args = p.parse_args(argv)
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
         # every other round runs the checkouts in reverse order
         order = list(checkouts.items())[::-1 if k % 2 else 1]
         for label, path in order:
-            result = run_once(path, args.workload, args.seed, args.seconds)
+            result = run_once(path, args.workload, args.seed, RUN_SECONDS)
             runs[label].append(result)
             wall = result["metrics"].get("wall_s", {}).get("value")
             print(f"run {k + 1}/{args.runs} {label}: wall_s {wall} "
@@ -101,7 +102,7 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     for label, results in runs.items():
         path = args.out / f"BENCH_{args.workload}-{label}.json"
-        data = summary(results, label, args.workload, args.seed, args.seconds)
+        data = summary(results, label, args.workload, args.seed, RUN_SECONDS)
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {path}")
     return 0
