@@ -4,6 +4,10 @@ Vectors are real n-vectors of Euclidean norm strictly below 1 (membership
 margin 1e-12 guards the gamma factor against overflow; closer inputs are
 rejected, never clamped).  The Bloch correspondence identifies the 3-ball
 with invertible 2x2 density matrices.
+
+Every operation also takes stacks of vectors (..., n), with one t or one t
+per vector, as :mod:`gyromean.kernel` takes matrix stacks; per-vector scalars
+come back as a float for one vector and as an array for a stack.
 """
 
 from __future__ import annotations
@@ -11,46 +15,62 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotDensity, NotFinite, NotInBall
-from .kernel import DEFAULT_TOL, TolerancePolicy, require_weight
+from .kernel import DEFAULT_TOL, TolerancePolicy, _any, _item, _per_item, require_weight
 from .gyrodensity import require_density
 
 BALL_MARGIN = 1e-12
 
 
+def _norm(u: np.ndarray):
+    return np.sqrt(np.vecdot(u, u))
+
+
+def _col(x, axes: int = 1):
+    """Per-item scalars as factors of items with ``axes`` axes; a scalar stays one."""
+    return x.reshape(x.shape + (1,) * axes) if getattr(x, "ndim", 0) else x
+
+
 def require_in_ball(v) -> np.ndarray:
-    """Validate strict ball membership and return a float vector."""
+    """Validate strict ball membership and return a float vector (or stack)."""
     u = np.asarray(v, dtype=float)
-    if u.ndim != 1:
-        raise NotInBall(f"expected a vector, got shape {u.shape}")
-    norm = np.linalg.norm(u)
-    if not norm < 1.0 - BALL_MARGIN:
-        if not np.isfinite(norm):
-            raise NotFinite("vector has a NaN or infinite entry")
-        raise NotInBall(f"norm {norm!r} not strictly inside the ball")
+    if u.ndim < 1:
+        raise NotInBall(f"expected a vector or a stack of them, got shape {u.shape}")
+    norm = _norm(u)
+    bad = ~(norm < 1.0 - BALL_MARGIN)
+    if _any(bad):
+        first = np.asarray(norm)[bad][0]
+        if not np.isfinite(first):
+            raise NotFinite(_item(bad) + "vector has a NaN or infinite entry")
+        raise NotInBall(_item(bad) + f"norm {float(first)!r} not strictly inside the ball")
     return u
 
 
-def _gamma(u: np.ndarray) -> float:
-    return 1.0 / np.sqrt(1.0 - float(u @ u))
+def _weight(t, u: np.ndarray):
+    """The validated scalar: a float, or one per vector of the stack ``u``."""
+    w = require_weight(t, u[..., None])  # a matrix stack of u's leading shape
+    return w[..., 0] if getattr(w, "ndim", 0) else w
 
 
-def gamma_factor(v) -> float:
+def _gamma(u: np.ndarray):
+    return 1.0 / np.sqrt(1.0 - np.vecdot(u, u))
+
+
+def gamma_factor(v):
     """Lorentz factor 1/sqrt(1 - ||v||^2); equals 1 at the origin."""
-    return _gamma(require_in_ball(v))
+    return _per_item(_gamma(require_in_ball(v)))
 
 
-def _require_ball_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    a = require_in_ball(u)
-    b = require_in_ball(v)
+def _require_ball_pair(u, v, require=require_in_ball) -> tuple[np.ndarray, np.ndarray]:
+    a, b = require(u), require(v)
     if a.shape != b.shape:
-        raise NotInBall("vectors have different lengths")
+        raise NotInBall(f"vectors have different shapes {a.shape} and {b.shape}")
     return a, b
 
 
 def _einstein_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Einstein addition of two validated ball vectors of one length."""
-    ab = float(a @ b)
-    ga = _gamma(a)
+    """Einstein addition of two validated ball vectors (or stacks) of one shape."""
+    ab = _col(np.vecdot(a, b))
+    ga = _col(_gamma(a))
     return (a + b / ga + (ga / (1.0 + ga)) * ab * a) / (1.0 + ab)
 
 
@@ -62,21 +82,20 @@ def einstein_add(u, v) -> np.ndarray:
 def mobius_add(u, v) -> np.ndarray:
     """Mobius addition on the ball."""
     a, b = _require_ball_pair(u, v)
-    ab = float(a @ b)
-    na2 = float(a @ a)
-    nb2 = float(b @ b)
+    ab = _col(np.vecdot(a, b))
+    na2 = _col(np.vecdot(a, a))
+    nb2 = _col(np.vecdot(b, b))
     denom = 1.0 + 2.0 * ab + na2 * nb2
     return ((1.0 + 2.0 * ab + nb2) * a + (1.0 - na2) * b) / denom
 
 
-def ball_scalar(t: float, v) -> np.ndarray:
+def ball_scalar(t, v) -> np.ndarray:
     """t (x) v = tanh(t atanh ||v||) v/||v||, with t (x) 0 = 0."""
-    require_weight(t)
     u = require_in_ball(v)
-    nv = float(np.linalg.norm(u))
-    if nv == 0.0:
-        return np.zeros_like(u)
-    return np.tanh(t * np.arctanh(nv)) * (u / nv)
+    t = _weight(t, u)
+    nv = _norm(u)
+    # at the origin u/1 = 0, which the zero factor tanh(0) keeps
+    return _col(np.tanh(t * np.arctanh(nv))) * (u / _col(np.where(nv == 0.0, 1.0, nv)))
 
 
 def _gyr(add, a, b, x):
@@ -85,48 +104,46 @@ def _gyr(add, a, b, x):
 
 
 def einstein_gyration(a, b, x) -> np.ndarray:
-    return _gyr(einstein_add, np.asarray(a, float), np.asarray(b, float),
-                np.asarray(x, float))
+    return _gyr(einstein_add, a, b, x)
 
 
 def mobius_gyration(a, b, x) -> np.ndarray:
-    return _gyr(mobius_add, np.asarray(a, float), np.asarray(b, float),
-                np.asarray(x, float))
+    return _gyr(mobius_add, a, b, x)
 
 
 def einstein_coaddition(u, v) -> np.ndarray:
     """u [+] v = u (+) gyr[u, -v] v."""
-    a = require_in_ball(u)
-    b = require_in_ball(v)
+    a, b = _require_ball_pair(u, v)
     return einstein_add(a, einstein_gyration(a, -b, b))
 
 
-def rapidity_distance(u, v) -> float:
+def rapidity_distance(u, v):
     """d(u, v) = atanh ||(-u) (+)_E v||; zero iff u = v, symmetric."""
     a, b = _require_ball_pair(u, v)
-    return float(np.arctanh(np.linalg.norm(_einstein_add(-a, b))))
+    return _per_item(np.arctanh(_norm(_einstein_add(-a, b))))
 
 
 def gyromidpoint(u, v) -> np.ndarray:
     """Einstein gyromidpoint (gamma_u u + gamma_v v)/(gamma_u + gamma_v)."""
-    a = require_in_ball(u)
-    b = require_in_ball(v)
-    ga, gb = _gamma(a), _gamma(b)
+    a, b = _require_ball_pair(u, v)
+    ga, gb = _col(_gamma(a)), _col(_gamma(b))
     return (ga * a + gb * b) / (ga + gb)
 
 
 def _require_bloch(v) -> np.ndarray:
     u = require_in_ball(v)
-    if u.shape != (3,):
+    if u.shape[-1] != 3:
         raise NotInBall(f"Bloch vectors live in the 3-ball, got shape {u.shape}")
     return u
 
 
 def _bloch_to_density(u: np.ndarray) -> np.ndarray:
-    v1, v2, v3 = u
-    return 0.5 * np.array(
-        [[1.0 + v3, v1 - 1j * v2],
-         [v1 + 1j * v2, 1.0 - v3]], dtype=complex)
+    v1, v2, v3 = u.T  # filled in reversed axis order: one .T gives (..., 2, 2)
+    rho_t = np.zeros((2, 2) + v1.shape, dtype=complex)
+    re, im = rho_t.real, rho_t.imag
+    re[0, 0], re[1, 1], re[0, 1], re[1, 0] = 1.0 + v3, 1.0 - v3, v1, v1
+    im[0, 1], im[1, 0] = v2, -v2
+    return 0.5 * rho_t.T
 
 
 def bloch_to_density(v) -> np.ndarray:
@@ -140,36 +157,27 @@ def bloch_to_density(v) -> np.ndarray:
 def density_to_bloch(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Bloch vector of an invertible 2x2 density matrix; inverse of the above."""
     r = require_density(rho, tol)
-    if r.shape != (2, 2):
-        raise NotDensity(f"expected a 2x2 density matrix, got shape {r.shape}")
-    v1 = 2.0 * float(r[1, 0].real)
-    v2 = 2.0 * float(r[1, 0].imag)
-    v3 = float((r[0, 0] - r[1, 1]).real)
-    return np.array([v1, v2, v3])
-
-
-def _rowwise(op):
-    """Map a one-vector operation over the rows of stacked arguments."""
-    return lambda *stacks: np.array([op(*row) for row in zip(*stacks)])
+    if r.shape[-2:] != (2, 2):
+        raise NotDensity(f"expected 2x2 density matrices, got shape {r.shape}")
+    off = r[..., 1, 0]
+    return np.stack([2.0 * off.real, 2.0 * off.imag, (r[..., 0, 0] - r[..., 1, 1]).real],
+                    axis=-1)
 
 
 def ball_model(name: str = "einstein"):
     """GyroModel adapter (Einstein or Mobius) for the generic axiom suite.
 
-    The suite hands over stacks of vectors, one row per sample; the ball
-    operations act on one vector, so the adapter maps them over the rows.
+    The suite hands over stacks of vectors, one row per sample, which the
+    ball operations take as they are.
     """
     from .gyroaxioms import GyroModel
 
-    add = einstein_add if name == "einstein" else mobius_add
-    gyr = einstein_gyration if name == "einstein" else mobius_gyration
-    dim = 3
     return GyroModel(
         name=name,
-        identity=np.zeros(dim),
-        add=_rowwise(add),
+        identity=np.zeros(3),
+        add=einstein_add if name == "einstein" else mobius_add,
         neg=lambda a: -np.asarray(a, float),
-        scalar=lambda t, a: _rowwise(ball_scalar)(np.broadcast_to(t, len(a)), a),
-        gyr=_rowwise(gyr),
-        residual=_rowwise(lambda x, y: float(np.linalg.norm(x - y))),
+        scalar=ball_scalar,
+        gyr=einstein_gyration if name == "einstein" else mobius_gyration,
+        residual=lambda x, y: _norm(x - y),
     )

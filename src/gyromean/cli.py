@@ -42,12 +42,8 @@ from .matrixio import MatrixFormatError, load_matrix, matrix_to_payload
 from .means import geo_mean, spectral_mean
 from .metrics import distance
 
-_SCALAR_OPS = {
-    "thompson": "thompson",
-    "riemannian": "riemannian",
-    "semimetric-op": "semimetric_op",
-    "semimetric-frob": "semimetric_frob",
-}
+# the distance kinds, spelled with dashes
+_SCALAR_OPS = ("thompson", "riemannian", "semimetric-op", "semimetric-frob")
 
 
 def _env_seed() -> int:
@@ -103,22 +99,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_matrix(M, out_path) -> None:
-    payload = json.dumps(matrix_to_payload(M), indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+def _write(text: str, path) -> None:
+    """Write text to the file at path, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
+
+
+def _emit_matrix(M, out_path) -> None:
+    _write(json.dumps(matrix_to_payload(M), indent=2) + "\n", out_path)
 
 
 def _emit_scalar(value: float, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump({"value": value}, fh)
-            fh.write("\n")
-    else:
-        print(repr(value))
+    _write((json.dumps({"value": value}) if out_path else repr(value)) + "\n", out_path)
 
 
 def _cmd_compute(args) -> int:
@@ -128,7 +123,7 @@ def _cmd_compute(args) -> int:
         fn = geo_mean if args.op == "geo" else spectral_mean
         _emit_matrix(fn(A, B, args.t), args.out)
     elif args.op in _SCALAR_OPS:
-        _emit_scalar(distance(_SCALAR_OPS[args.op], A, B), args.out)
+        _emit_scalar(distance(args.op.replace("-", "_"), A, B), args.out)
     elif args.op == "gyr":
         if not args.x:
             raise MatrixFormatError("--op gyr requires --x FILE")
@@ -152,27 +147,15 @@ def _cmd_geodesic(args) -> int:
     ts = np.linspace(0.0, 1.0, args.samples)
     points = [{"t": float(t), "matrix": matrix_to_payload(fn(float(t), A, B))}
               for t in ts]
-    payload = json.dumps(
-        {"kind": args.kind, "space": args.space, "samples": args.samples,
-         "points": points}, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(json.dumps({"kind": args.kind, "space": args.space, "samples": args.samples,
+                       "points": points}, indent=2) + "\n", args.out)
     return 0
 
 
-def _write_report(report: Report, path, fmt: str) -> None:
-    text = report.to_csv() if fmt == "csv" else report.to_json()
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _print_summary(report: Report) -> None:
+def _finish(report: Report, args) -> int:
+    """Write the report where --report asks, print the summary; the exit code."""
+    if args.report:
+        _write(report.to_csv() if args.format == "csv" else report.to_json(), args.report)
     for r in report.records:
         status = "PASS" if r.passed else "FAIL"
         tag = "" if r.asserted else " [recorded only]"
@@ -181,6 +164,7 @@ def _print_summary(report: Report) -> None:
     print(f"{'PASS' if report.passed else 'FAIL'}: "
           f"{sum(r.passed for r in report.records)}/{len(report.records)} "
           f"properties")
+    return 0 if report.passed else 1
 
 
 def verify_config(args) -> CampaignConfig:
@@ -195,19 +179,11 @@ def verify_config(args) -> CampaignConfig:
 
 
 def _cmd_verify(args) -> int:
-    report = run_campaign(verify_config(args), jobs=args.jobs)
-    if args.report:
-        _write_report(report, args.report, args.format)
-    _print_summary(report)
-    return 0 if report.passed else 1
+    return _finish(run_campaign(verify_config(args), jobs=args.jobs), args)
 
 
 def _cmd_counterexample(args) -> int:
-    report = reproduce_counterexamples()
-    if args.report:
-        _write_report(report, args.report, args.format)
-    _print_summary(report)
-    return 0 if report.passed else 1
+    return _finish(reproduce_counterexamples(), args)
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,8 @@ two routes.  The difference-quotient map L harmonizes the coefficients: for
 f(x) = x^t it is L_t(x) = (x^t - x^{-t})/(x - x^{-1}), extended continuously
 by t at x = 1, and satisfies L_t(x) = L_t(1/x), which makes every eigenvalue
 branch choice below immaterial.
+Every function also takes stacks of 2x2 matrices or of Bloch vectors, with
+one t or one per item, as the kernel and the ball do.
 """
 
 from __future__ import annotations
@@ -19,24 +21,31 @@ from .errors import (
 )
 from .ball import (
     _bloch_to_density,
+    _col,
     _einstein_add,
     _gamma,
+    _norm,
     _require_ball_pair,
     _require_bloch,
+    _weight,
     gyromidpoint,
-    require_in_ball,
 )
 from .kernel import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _any,
+    _item,
     _pd_eigh,
+    _per_item,
     _powm,
-    as_matrix,
+    _top_eig,
+    _trace,
+    as_stack,
     hermitian_part,
-    invm,
+    require_hermitian,
     pd_eigh,
     powm,
-    require_weight,
+    require_same_dim,
 )
 
 UNIT_DET_TOL = 1e-9
@@ -46,101 +55,101 @@ UNIT_DET_TOL = 1e-9
 LMAP_BRANCH_WINDOW = 1e-7
 
 
-def l_map(t: float, x: float) -> float:
-    """Difference quotient (x^t - x^{-t})/(x - x^{-1}), valued t at x = 1."""
-    if not x > 0:
-        raise NonPositiveArgument(f"l_map needs x > 0, got {x!r}")
-    if abs(x - 1.0) < LMAP_BRANCH_WINDOW:
-        return float(t)
-    return (x**t - x**(-t)) / (x - 1.0 / x)
+def l_map(t, x):
+    """Difference quotient (x^t - x^{-t})/(x - x^{-1}), valued t at x = 1; elementwise."""
+    x = np.asarray(x, dtype=float)[()]  # a numpy scalar for one x
+    bad = ~(x > 0)
+    if _any(bad):
+        raise NonPositiveArgument(
+            _item(bad) + f"l_map needs x > 0, got {float(np.asarray(x)[bad][0])!r}")
+    near = abs(x - 1.0) < LMAP_BRANCH_WINDOW
+    # + near: the unused quotient inside the window never divides by zero
+    quotient = (x**t - x**(-t)) / (x - 1.0 / x + near)
+    if quotient.ndim:
+        return np.where(near, t, quotient)
+    return float(t if near else quotient)
 
 
 def _require_2x2(M) -> np.ndarray:
-    A = as_matrix(M)
-    if A.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 matrix, got shape {A.shape}")
+    A = as_stack(M)
+    if A.shape[-2:] != (2, 2):
+        raise DimensionMismatch(f"expected 2x2 matrices, got shape {A.shape}")
     return A
 
 
-def det2(X) -> complex:
-    """Determinant of a 2x2 matrix, directly."""
+def det2(X):
+    """Determinant of a 2x2 matrix, directly (one per item of a stack)."""
     M = _require_2x2(X)
-    return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-
-
-def _pd_det_root(A, tol) -> float:
-    pd_eigh(A, tol)
-    return float(np.sqrt(det2(A).real))
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
 def _require_unit_det(A, tol) -> np.ndarray:
     M = _require_2x2(A)
     d = det2(M).real
-    if abs(d - 1.0) >= UNIT_DET_TOL:
-        raise NotUnitDeterminant(f"determinant {d!r} differs from 1")
+    bad = np.abs(d - 1.0) >= UNIT_DET_TOL
+    if _any(bad):
+        raise NotUnitDeterminant(
+            _item(bad) + f"determinant {float(np.asarray(d)[bad][0])!r} differs from 1")
     return M
 
 
-def relative_eigenvalue(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def relative_eigenvalue(A, B, tol: TolerancePolicy = DEFAULT_TOL):
     """Larger eigenvalue of A B^{-1} (computed through the Hermitian form)."""
     inv_root = powm(B, -0.5, tol)
-    w = np.linalg.eigvalsh(hermitian_part(inv_root @ as_matrix(A) @ inv_root))
-    return float(w[-1])
+    Am = require_hermitian(A, tol.hermiticity_tol)
+    return _per_item(_top_eig(hermitian_part(inv_root @ Am @ inv_root)))
 
 
-def gm2_det1(A, B, t: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def gm2_det1(A, B, t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Weighted geometric mean of unit-determinant 2x2 matrices.
 
     A #_t B = L_{1-t}(lam) A + L_t(lam) B with lam an eigenvalue of A B^{-1};
     the larger branch is used, and the result does not depend on that choice.
     """
-    require_weight(t)
     Am = _require_unit_det(A, tol)
     Bm = _require_unit_det(B, tol)
-    pd_eigh(Am, tol)
-    pd_eigh(Bm, tol)
+    require_same_dim(Am, Bm)
+    t = _weight(t, Am[..., 0])  # one weight per 2x2 item
+    pd_eigh(Am, tol)  # B's test is in relative_eigenvalue
     lam = relative_eigenvalue(Am, Bm, tol)
-    return l_map(1.0 - t, lam) * Am + l_map(t, lam) * Bm
+    return _col(l_map(1.0 - t, lam), 2) * Am + _col(l_map(t, lam), 2) * Bm
 
 
-def sgm2(A, B, t: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def sgm2(A, B, t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Weighted spectral geometric mean of 2x2 positive definite matrices.
 
     Unit-determinant inputs use
         (A^{-1} + B)^t A (A^{-1} + B)^t / (2 + tr(AB))^t;
     general inputs with det A = a^2, det B = b^2 use
-        (ab A^{-1} + B)^t A (ab A^{-1} + B)^t / (2ab + tr(AB))^t.
+        (ab A^{-1} + B)^t A (ab A^{-1} + B)^t / (2ab + tr(AB))^t,
+    which is the first form at a = b = 1.
     """
     Am = _require_2x2(A)
     Bm = _require_2x2(B)
-    a = _pd_det_root(Am, tol)
-    b = _pd_det_root(Bm, tol)
-    trace_ab = float(np.trace(Am @ Bm).real)
-    if abs(a - 1.0) < UNIT_DET_TOL and abs(b - 1.0) < UNIT_DET_TOL:
-        bracket = invm(Am, tol) + Bm
-        denom = 2.0 + trace_ab
-    else:
-        bracket = a * b * invm(Am, tol) + Bm
-        denom = 2.0 * a * b + trace_ab
+    require_same_dim(Am, Bm)
+    dec_a = pd_eigh(Am, tol)
+    pd_eigh(Bm, tol)
+    ab = np.sqrt(det2(Am).real) * np.sqrt(det2(Bm).real)
+    bracket = _col(ab, 2) * _powm(dec_a, -1.0) + Bm
     Mt = powm(hermitian_part(bracket), t, tol)
-    return hermitian_part(Mt @ Am @ Mt) / denom**t
+    return hermitian_part(Mt @ Am @ Mt) / _col((2.0 * ab + _trace(Am @ Bm)) ** t, 2)
 
 
-def det_shift_identity(c: float, X) -> float:
+def det_shift_identity(c, X):
     """|det(cI + X) - (c^2 + c tr X + det X)| for a 2x2 matrix X."""
     M = _require_2x2(X)
-    lhs = det2(c * np.eye(2) + M)
-    rhs = c**2 + c * np.trace(M) + det2(M)
-    return float(abs(lhs - rhs))
+    lhs = det2(_col(c, 2) * np.eye(2) + M)
+    rhs = c**2 + c * np.trace(M, axis1=-2, axis2=-1) + det2(M)
+    return _per_item(np.abs(lhs - rhs))
 
 
-def _qubit_mean_eigenvalues(a, b, ga: float, gb: float) -> tuple[float, float]:
-    base = ga * gb * (1.0 - float(a @ b))
-    w = float(np.linalg.norm(_einstein_add(a, -b)))
+def _qubit_mean_eigenvalues(a, b, ga, gb):
+    base = ga * gb * (1.0 - np.vecdot(a, b))
+    w = _norm(_einstein_add(a, -b))
     return base * (1.0 + w), base * (1.0 - w)
 
 
-def qubit_mean_eigenvalues(u, v) -> tuple[float, float]:
+def qubit_mean_eigenvalues(u, v) -> tuple:
     """The reciprocal eigenvalue pair governing the qubit mean combination.
 
     These are the eigenvalues of (2 gamma_u rho_u)(2 gamma_v rho_v)^{-1}:
@@ -148,72 +157,64 @@ def qubit_mean_eigenvalues(u, v) -> tuple[float, float]:
     equal to exp(+/- d(u, v)) in the rapidity metric, so mu_+ mu_- = 1.
     """
     a, b = _require_ball_pair(u, v)
-    return _qubit_mean_eigenvalues(a, b, _gamma(a), _gamma(b))
+    mu = _qubit_mean_eigenvalues(a, b, _gamma(a), _gamma(b))
+    return tuple(_per_item(m) for m in mu)
 
 
-def qubit_geo_mean(u, v, t: float) -> np.ndarray:
+def qubit_geo_mean(u, v, t) -> np.ndarray:
     """Weighted geometric mean of two qubit states as a linear combination.
 
     Returns L_{1-t}(mu) (g_u/g_v)^t rho_u + L_t(mu) (g_v/g_u)^{1-t} rho_v,
     the (unnormalized) mean rho_u #_t rho_v itself.
     """
-    require_weight(t)
-    a, b = _require_bloch(u), _require_bloch(v)
+    a, b = _require_ball_pair(u, v, _require_bloch)
+    t = _weight(t, a)
     ga, gb = _gamma(a), _gamma(b)
     mu = _qubit_mean_eigenvalues(a, b, ga, gb)[0]
-    rho_u = _bloch_to_density(a)
-    rho_v = _bloch_to_density(b)
-    return (l_map(1.0 - t, mu) * (ga / gb) ** t * rho_u
-            + l_map(t, mu) * (gb / ga) ** (1.0 - t) * rho_v)
+    return (_col(l_map(1.0 - t, mu) * (ga / gb) ** t, 2) * _bloch_to_density(a)
+            + _col(l_map(t, mu) * (gb / ga) ** (1.0 - t), 2) * _bloch_to_density(b))
 
 
-def qubit_spectral_mean(u, v, t: float,
-                        tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def qubit_spectral_mean(u, v, t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Weighted spectral geometric mean of two qubit states, closed form.
 
     rho_u natural_t rho_v =
         (2 g_u/g_v)^t M^t rho_u M^t / (1 + g_{u (+) v})^t,
     with M = g_u rho_{-u} + g_v rho_v and g_{u (+) v} = g_u g_v (1 + u.v).
     """
-    require_weight(t)
-    a, b = _require_bloch(u), _require_bloch(v)
+    a, b = _require_ball_pair(u, v, _require_bloch)
+    t = _weight(t, a)
     ga, gb = _gamma(a), _gamma(b)
-    M = ga * _bloch_to_density(-a) + gb * _bloch_to_density(b)
-    Mt = _powm(_pd_eigh(hermitian_part(M), tol), t)
-    gamma_sum = ga * gb * (1.0 + float(a @ b))
+    M = _col(ga, 2) * _bloch_to_density(-a) + _col(gb, 2) * _bloch_to_density(b)
+    Mt = _powm(_pd_eigh(hermitian_part(M), tol), _col(t))
+    gamma_sum = ga * gb * (1.0 + np.vecdot(a, b))
     scale = (2.0 * ga / gb) ** t / (1.0 + gamma_sum) ** t
-    return scale * hermitian_part(Mt @ _bloch_to_density(a) @ Mt)
+    return _col(scale, 2) * hermitian_part(Mt @ _bloch_to_density(a) @ Mt)
 
 
-def _opnorm2(A) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
-
-
-def norm_product_check(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def norm_product_check(A, B, tol: TolerancePolicy = DEFAULT_TOL):
     """Margin of ||A + B|| <= sqrt(det(A + B) ||A|| ||B||) for unit-det inputs.
 
     Returns rhs - lhs; nonnegative up to rounding.
     """
     Am = _require_unit_det(A, tol)
     Bm = _require_unit_det(B, tol)
-    pd_eigh(Am, tol)
-    pd_eigh(Bm, tol)
+    require_same_dim(Am, Bm)
+    # the operator norm of a positive definite matrix is its top eigenvalue
+    top_a = pd_eigh(Am, tol).eigenvalues[..., -1]
+    top_b = pd_eigh(Bm, tol).eigenvalues[..., -1]
     S = Am + Bm
-    rhs = np.sqrt(det2(S).real * _opnorm2(Am) * _opnorm2(Bm))
-    return float(rhs - _opnorm2(S))
+    return _per_item(np.sqrt(det2(S).real * top_a * top_b) - _top_eig(S))
 
 
-def midpoint_vector_check(u, v) -> float:
+def midpoint_vector_check(u, v):
     """Margin of the gyromidpoint norm bound, in its symmetric form.
 
     With m the Einstein gyromidpoint of u and v, returns
         sqrt((1+||u||)(1+||v||) / ((1-||u||)(1-||v||))) - (1+||m||)/(1-||m||),
     equivalent to 2 d(0, m) <= d(0, u) + d(0, v) in the rapidity metric.
     """
-    a = require_in_ball(u)
-    b = require_in_ball(v)
-    m = gyromidpoint(a, b)
-    nu, nv, nm = (float(np.linalg.norm(x)) for x in (a, b, m))
+    a, b = _require_ball_pair(u, v)
+    nu, nv, nm = _norm(a), _norm(b), _norm(gyromidpoint(a, b))
     rhs = np.sqrt((1.0 + nu) * (1.0 + nv) / ((1.0 - nu) * (1.0 - nv)))
-    lhs = (1.0 + nm) / (1.0 - nm)
-    return float(rhs - lhs)
+    return _per_item(rhs - (1.0 + nm) / (1.0 - nm))

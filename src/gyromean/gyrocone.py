@@ -16,6 +16,7 @@ from .kernel import (
     DEFAULT_TOL,
     SpectralDecomposition,
     TolerancePolicy,
+    _downscale,
     _frobenius,
     _pd_eigh,
     _polar_unitary,
@@ -49,6 +50,11 @@ def cone_neg(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 def _gyration_unitary(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition,
                       tol: TolerancePolicy) -> np.ndarray:
     """U(A, B) from the decompositions of A and B."""
+    # M M* below overflows as lambda_max(A) lambda_max(B) nears the largest
+    # double; U is scale-free, so such items scale A and B by a power of two
+    s = _downscale(dec_a.eigenvalues[..., -1], dec_b.eigenvalues[..., -1])
+    if s is not None:
+        dec_a, dec_b = dec_a.scaled(s), dec_b.scaled(s)
     return _polar_unitary(_powm(dec_a, 0.5) @ _powm(dec_b, 0.5), tol)
 
 

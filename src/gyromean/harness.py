@@ -185,6 +185,13 @@ def run_campaign(config: CampaignConfig | None = None, jobs: int = 1) -> Report:
     )
 
 
+def _fixture_record(property_id, anchor, samples, violation, threshold, note):
+    """A record of a golden fixture, which passes at or below its threshold."""
+    return PropertyRecord(property_id=property_id, anchor=anchor, samples=samples,
+                          premise_held=samples, max_violation=violation,
+                          threshold=threshold, passed=violation <= threshold, note=note)
+
+
 def reproduce_counterexamples(tol: TolerancePolicy = DEFAULT_TOL) -> Report:
     """Re-measure the two golden counterexamples and report the outcome."""
     m = triangle_measurements(tol)
@@ -196,40 +203,21 @@ def reproduce_counterexamples(tol: TolerancePolicy = DEFAULT_TOL) -> Report:
         else:
             value = m["matched_scale"] * m["variants"][matched]["values"][idx]
             err = abs(value - TRIANGLE_REFERENCE[idx])
-        records.append(PropertyRecord(
-            property_id=f"triangle-value-{idx + 1}",
-            anchor="triangle-counterexample",
-            samples=1,
-            premise_held=1,
-            max_violation=err,
-            threshold=TRIANGLE_REFERENCE_TOL,
-            passed=err <= TRIANGLE_REFERENCE_TOL,
-            note=(f"{name} = {value!r}, reference {TRIANGLE_REFERENCE[idx]}, "
-                  f"variant {matched} at scale {m['matched_scale']}"),
-        ))
+        records.append(_fixture_record(
+            f"triangle-value-{idx + 1}", "triangle-counterexample", 1, err,
+            TRIANGLE_REFERENCE_TOL, f"{name} = {value!r}, reference {TRIANGLE_REFERENCE[idx]}, "
+                                    f"variant {matched} at scale {m['matched_scale']}"))
     gaps = {k: v["triangle_gap"] for k, v in m["variants"].items()}
-    records.append(PropertyRecord(
-        property_id="triangle-inequality-failure",
-        anchor="triangle-counterexample",
-        samples=2,
-        premise_held=2,
-        max_violation=0.0 if all(g > 0 for g in gaps.values()) else 1.0,
-        threshold=0.5,
-        passed=all(g > 0 for g in gaps.values()),
-        note=(f"d(A,C) - d(A,B) - d(B,C): operator {gaps['semimetric_op']:.6f}, "
-              f"frobenius {gaps['semimetric_frob']:.6f} (both positive)"),
-    ))
+    records.append(_fixture_record(
+        "triangle-inequality-failure", "triangle-counterexample", 2,
+        0.0 if all(g > 0 for g in gaps.values()) else 1.0, 0.5,
+        f"d(A,C) - d(A,B) - d(B,C): operator {gaps['semimetric_op']:.6f}, "
+        f"frobenius {gaps['semimetric_frob']:.6f} (both positive)"))
     witness = contraction_converse_witness(tol)
-    records.append(PropertyRecord(
-        property_id="contraction-converse-witness",
-        anchor="contraction-lemma",
-        samples=1,
-        premise_held=1,
-        max_violation=0.0 if witness["converse_fails"] else 1.0,
-        threshold=0.5,
-        passed=witness["converse_fails"],
-        note=(f"S <= I holds; S X S vs X is {witness['sxs_vs_x']}"),
-    ))
+    records.append(_fixture_record(
+        "contraction-converse-witness", "contraction-lemma", 1,
+        0.0 if witness["converse_fails"] else 1.0, 0.5,
+        f"S <= I holds; S X S vs X is {witness['sxs_vs_x']}"))
     return Report(
         config={"fixture": "golden-counterexamples"},
         records=tuple(records),

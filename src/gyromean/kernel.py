@@ -74,6 +74,10 @@ class SpectralDecomposition(NamedTuple):
     def reconstruct(self) -> np.ndarray:
         return _spectral(self, self.eigenvalues)
 
+    def scaled(self, s) -> SpectralDecomposition:
+        """The decomposition of s H, with one s or one per item."""
+        return SpectralDecomposition(self.eigenvalues * np.asarray(s)[..., None], self.vectors)
+
 
 class Loewner(Enum):
     """Outcome of a Loewner-order comparison."""
@@ -105,6 +109,24 @@ def _item(bad: np.ndarray) -> str:
     """Message prefix naming the first flagged item of a stack ("" for one matrix)."""
     where = tuple(int(i) for i in np.argwhere(bad)[0])
     return f"item {where}: " if where else ""
+
+
+def _any(flags) -> bool:
+    """Whether a flag is set, for one numpy flag or an array of them."""
+    return flags.any() if flags.ndim else bool(flags)
+
+
+def _downscale(a, b):
+    """Per item, a power of two s with s**2 a b near 1 where a b passes 2**1000.
+
+    a b is judged as (a 2**-520)(b 2**-520), which cannot overflow; None when
+    no item passes.
+    """
+    big = (a * 2.0**-520) * (b * 2.0**-520) > 2.0**-40
+    if not _any(big):
+        return None
+    e = np.frexp(a)[1] + np.frexp(b)[1]  # |a b| < 2**e
+    return np.where(big, np.ldexp(1.0, -(e // 2)), 1.0)
 
 
 def _per_item(x):

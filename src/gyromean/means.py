@@ -17,12 +17,13 @@ from .kernel import (
     DEFAULT_TOL,
     SpectralDecomposition,
     TolerancePolicy,
+    _downscale,
     _frobenius,
     _logm,
     _pd_eigh,
+    _per,
     _powm,
     _spectral,
-    as_matrix,
     as_stack,
     hermitian_part,
     invm,
@@ -84,7 +85,14 @@ def spectral_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> n
     """
     Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
     t = require_weight(t, Am)
-    return _spectral_mean(Am, _pd_eigh(Am, tol), Bm, t, tol)
+    dec_a = _pd_eigh(Am, tol)
+    # A^{1/2} B A^{1/2} inside overflows as lambda_max(A) max_i B_ii nears the
+    # largest double; the mean is homogeneous, so such items scale A and B by
+    # a power of two s, and the mean by 1/s
+    s = _downscale(dec_a.eigenvalues[..., -1], Bm.diagonal(0, -2, -1).real.max(axis=-1))
+    if s is None:
+        return _spectral_mean(Am, dec_a, Bm, t, tol)
+    return _spectral_mean(_per(s) * Am, dec_a.scaled(s), _per(s) * Bm, t, tol) / _per(s)
 
 
 def mean(kind: str, A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -154,19 +162,15 @@ def mean_left_inverse(kind: str, A, C, t: float,
 
 
 def block_psd_margin(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of the block matrix [[A, X], [X, B]].
+    """Smallest eigenvalue of the block matrix [[A, X], [X, B]] (one per item).
 
     Nonnegative exactly when the Hermitian X is admissible in the
     maximum characterization of the geometric mean; the maximizer A # B
     sits on the boundary with margin zero.
     """
-    Am, Bm = as_matrix(A), as_matrix(B)
+    Am, Bm = as_stack(A), as_stack(B)
     Xm = require_hermitian(X, tol.hermiticity_tol)
     require_same_dim(Am, Bm, Xm)
-    n = Am.shape[0]
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = Am
-    block[:n, n:] = Xm
-    block[n:, :n] = Xm.conj().T
-    block[n:, n:] = Bm
+    block = np.concatenate([np.concatenate([Am, Xm], axis=-1),
+                            np.concatenate([Xm.conj().mT, Bm], axis=-1)], axis=-2)
     return min_eig(block, tol)

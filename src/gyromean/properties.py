@@ -10,11 +10,11 @@ substream (seed, property, i) at dimension ``dims[i % len(dims)]``, except
 the defining-equation residual properties, which run every trial at every
 dimension.
 
-Most runners draw each dimension's trials as one stack (``Trials.stacks``),
-evaluate the stack once, with per-trial scalars as arrays, and yield one
-value per stacked trial.  Each trial still draws from its own substream what
-a per-trial call would draw, so the stacking changes no input; the other
-runners, which iterate the trials, call the same samplers one trial at a time.
+Every runner draws each dimension's trials as one stack (``Trials.stacks``),
+evaluates the stack once, with per-trial scalars as arrays, and yields one
+value per stacked trial; the ball, qubit and 2x2 draws, which do not depend
+on the dimension, make one stack in trial order.  Each trial still draws from
+its own substream what a per-trial call would draw.
 """
 
 from __future__ import annotations
@@ -117,6 +117,17 @@ def _pd(rng, d, trials, count=2) -> tuple:
     return tuple(gen_random_pd(rng, d, trials.cond_cap) for _ in range(count))
 
 
+def _in_trial_order(trials, dim, draw) -> tuple:
+    """All trials drawn at dimension ``dim`` as one stack, in trial order."""
+    return next(replace(trials, dims=(dim,)).stacks(draw))
+
+
+def _ball_vectors(trials, count=2) -> tuple:
+    """``count`` ball vectors per trial, as (trials, 3) stacks in trial order."""
+    return _in_trial_order(
+        trials, 3, lambda rng, d, i: tuple(gen_ball_vector(rng, d) for _ in range(count)))
+
+
 def _ct(M: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack."""
     return M.conj().mT
@@ -167,8 +178,7 @@ def _karcher(trials):
 @prop("block-psd-maximality", "geometric-mean-block-characterization", 1e-9)
 def _block_max(trials):
     yield trials.flag(block_psd_margin(np.eye(2), np.eye(2), 2 * np.eye(2)) < 0)
-    for rng, d, _ in trials:
-        A, B = _pd(rng, d, trials)
+    for A, B in trials.stacks(lambda rng, d, i: _pd(rng, d, trials)):
         G = geo_mean(A, B, 0.5)
         yield -block_psd_margin(A, B, G)
         # strictly inflating the maximizer must leave the block cone
@@ -510,12 +520,11 @@ def _majorization_rules(trials):
     yield trials.flag(dom and tot)
     dom, _ = weak_majorize([3.0, 1.0], [2.0, 2.0])
     yield trials.flag(not dom)
-    for rng, d, _ in trials:
-        A, P = _pd(rng, d, trials)
-        wa = np.linalg.eigvalsh(A)[::-1]
-        wb = np.linalg.eigvalsh(A + P)[::-1]
-        yield trials.flag(weak_majorize(wa, wb)[0])
-        yield trials.flag(weak_majorize(wa, np.exp(1.0) * wa, log_scale=True)[0])
+    for A, P in trials.stacks(lambda rng, d, i: _pd(rng, d, trials)):
+        wa = np.linalg.eigvalsh(A)[..., ::-1]
+        wb = np.linalg.eigvalsh(A + P)[..., ::-1]
+        yield trials.flag([weak_majorize(x, y)[0] for x, y in zip(wa, wb)])
+        yield trials.flag([weak_majorize(x, np.exp(1.0) * x, log_scale=True)[0] for x in wa])
     return Outcome(samples=trials.count + 2)
 
 
@@ -675,53 +684,53 @@ def _density_gyrolines(trials):
 # ball gyrogroups and the Bloch correspondence
 # --------------------------------------------------------------------------
 
+def _ball_axioms(trials, name):
+    # the suite cycles its scalars by position, so the triples keep trial order
+    a, b, c = _ball_vectors(trials, 3)
+    yield from run_axiom_suite(bl.ball_model(name), list(zip(a, b, c))).residuals.values()
+
+
 @prop("einstein-ball-axioms", "ball-gyrogroups", 1e-8)
 def _einstein_axioms(trials):
-    triples = [tuple(gen_ball_vector(rng) for _ in range(3)) for rng, _, _ in trials]
-    yield from run_axiom_suite(bl.ball_model("einstein"), triples).residuals.values()
+    return _ball_axioms(trials, "einstein")
 
 
 @prop("mobius-ball-axioms", "ball-gyrogroups", 1e-8)
 def _mobius_axioms(trials):
-    triples = [tuple(gen_ball_vector(rng) for _ in range(3)) for rng, _, _ in trials]
-    yield from run_axiom_suite(bl.ball_model("mobius"), triples).residuals.values()
+    return _ball_axioms(trials, "mobius")
 
 
 @prop("gamma-factor-identity", "mean-eigenvalue-rewrite", 1e-10)
 def _gamma_identity(trials):
-    for rng, _, _ in trials:
-        u, v = gen_ball_vector(rng), gen_ball_vector(rng)
-        lhs = bl.gamma_factor(bl.einstein_add(u, v))
-        rhs = bl.gamma_factor(u) * bl.gamma_factor(v) * (1.0 + float(u @ v))
-        yield abs(lhs - rhs) / max(1.0, rhs)
+    u, v = _ball_vectors(trials)
+    lhs = bl.gamma_factor(bl.einstein_add(u, v))
+    rhs = bl.gamma_factor(u) * bl.gamma_factor(v) * (1.0 + np.vecdot(u, v))
+    yield abs(lhs - rhs) / np.maximum(1.0, rhs)
 
 
 @prop("rapidity-metric", "mean-eigenvalue-rewrite", 1e-12)
 def _rapidity(trials):
-    for rng, _, _ in trials:
-        u, v = gen_ball_vector(rng), gen_ball_vector(rng)
-        yield abs(bl.rapidity_distance(u, v) - bl.rapidity_distance(v, u))
-        yield bl.rapidity_distance(u, u.copy())
-        yield trials.flag(bl.rapidity_distance(u, v) >= 0)
-        yield abs(bl.rapidity_distance(np.zeros(3), v) - np.arctanh(np.linalg.norm(v)))
+    u, v = _ball_vectors(trials)
+    yield abs(bl.rapidity_distance(u, v) - bl.rapidity_distance(v, u))
+    yield bl.rapidity_distance(u, u.copy())
+    yield trials.flag(bl.rapidity_distance(u, v) >= 0)
+    yield abs(bl.rapidity_distance(np.zeros_like(v), v)
+              - np.arctanh(np.linalg.norm(v, axis=-1)))
 
 
 @prop("einstein-gyromidpoint", "gyromidpoint-norm-bound", 1e-10)
 def _gyromidpoint(trials):
-    asym_violations = 0
-    for rng, _, _ in trials:
-        u, v = gen_ball_vector(rng), gen_ball_vector(rng)
-        m = bl.gyromidpoint(u, v)
-        yield np.linalg.norm(m - bl.ball_scalar(0.5, bl.einstein_coaddition(u, v)))
-        yield -cf.midpoint_vector_check(u, v)
-        lhs = 2.0 * bl.rapidity_distance(np.zeros(3), m)
-        yield lhs - (bl.rapidity_distance(np.zeros(3), u)
-                     + bl.rapidity_distance(np.zeros(3), v))
-        # the asymmetric-denominator variant of the bound, recorded only
-        nu, nv, nm = (np.linalg.norm(x) for x in (u, v, m))
-        asym_rhs = np.sqrt((1 + nu) * (1 + nv) / ((1 - nu) * (1 + nv)))
-        if (1 + nm) / (1 - nm) > asym_rhs + 1e-10:
-            asym_violations += 1
+    u, v = _ball_vectors(trials)
+    zero = np.zeros_like(u)
+    m = bl.gyromidpoint(u, v)
+    yield np.linalg.norm(m - bl.ball_scalar(0.5, bl.einstein_coaddition(u, v)), axis=-1)
+    yield -cf.midpoint_vector_check(u, v)
+    lhs = 2.0 * bl.rapidity_distance(zero, m)
+    yield lhs - (bl.rapidity_distance(zero, u) + bl.rapidity_distance(zero, v))
+    # the asymmetric-denominator variant of the bound, recorded only
+    nu, nv, nm = (np.linalg.norm(x, axis=-1) for x in (u, v, m))
+    asym_rhs = np.sqrt((1 + nu) * (1 + nv) / ((1 - nu) * (1 + nv)))
+    asym_violations = np.count_nonzero((1 + nm) / (1 - nm) > asym_rhs + 1e-10)
     note = (f"asymmetric-denominator variant violated on {asym_violations} of "
             f"{trials.count} samples (recorded only)")
     return Outcome(note=note)
@@ -729,42 +738,38 @@ def _gyromidpoint(trials):
 
 @prop("bloch-correspondence", "qubit-state", 1e-12)
 def _bloch(trials):
-    for rng, _, _ in trials:
-        v = gen_ball_vector(rng)
-        rho = bl.bloch_to_density(v)
-        yield np.linalg.norm(bl.density_to_bloch(rho) - v)
-        yield abs(float(np.trace(rho).real) - 1.0)
-        yield trials.flag(min_eig(rho) > 0)
+    (v,) = _ball_vectors(trials, 1)
+    rho = bl.bloch_to_density(v)
+    yield np.linalg.norm(bl.density_to_bloch(rho) - v, axis=-1)
+    yield abs(_trace(rho) - 1.0)
+    yield trials.flag(min_eig(rho) > 0)
     yield np.linalg.norm(bl.bloch_to_density(np.zeros(3)) - np.eye(2) / 2)
 
 
 @prop("qubit-eigenvalues", "qubit-eigenvalues", 1e-12)
 def _qubit_eigs(trials):
-    for rng, _, _ in trials:
-        v = gen_ball_vector(rng)
-        rho = bl.bloch_to_density(v)
-        nv = float(np.linalg.norm(v))
-        w = np.linalg.eigvalsh(rho)
-        yield abs(w[0] - (1 - nv) / 2)
-        yield abs(w[1] - (1 + nv) / 2)
-        det = float(np.linalg.det(rho).real)
-        yield abs(det - (1 - nv**2) / 4)
-        yield abs(det - 1 / (4 * bl.gamma_factor(v) ** 2))
+    (v,) = _ball_vectors(trials, 1)
+    rho = bl.bloch_to_density(v)
+    nv = np.linalg.norm(v, axis=-1)
+    w = np.linalg.eigvalsh(rho)
+    yield abs(w[:, 0] - (1 - nv) / 2)
+    yield abs(w[:, 1] - (1 + nv) / 2)
+    det = np.linalg.det(rho).real
+    yield abs(det - (1 - nv**2) / 4)
+    yield abs(det - 1 / (4 * bl.gamma_factor(v) ** 2))
 
 
 @prop("qubit-inverse-normalization", "qubit-inverse-normalization", 1e-10)
 def _qubit_inverse(trials):
-    err_plain, err_square = 0.0, 0.0
-    for rng, _, _ in trials:
-        u = gen_ball_vector(rng)
-        rho = bl.bloch_to_density(u)
-        rho_neg = bl.bloch_to_density(-u)
-        inv = invm(rho)
-        yield _relerr(gd.dens_neg(rho), rho_neg)
-        yield _relerr(inv / np.trace(inv).real, rho_neg)
-        g = bl.gamma_factor(u)
-        err_plain = max(err_plain, float(np.linalg.norm(inv / (4 * g) - rho_neg)))
-        err_square = max(err_square, float(np.linalg.norm(inv / (4 * g**2) - rho_neg)))
+    (u,) = _ball_vectors(trials, 1)
+    rho = bl.bloch_to_density(u)
+    rho_neg = bl.bloch_to_density(-u)
+    inv = invm(rho)
+    yield _relerr(gd.dens_neg(rho), rho_neg)
+    yield _relerr(inv / _per(_trace(inv)), rho_neg)
+    g = _per(bl.gamma_factor(u))
+    err_plain = float(np.max(_frobenius(inv / (4 * g) - rho_neg)))
+    err_square = float(np.max(_frobenius(inv / (4 * g**2) - rho_neg)))
     constant = "4*gamma^2" if err_square < err_plain else "4*gamma"
     note = (f"normalizing constant matching the inverse state: {constant} "
             f"(worst errors: 4*gamma {err_plain:.3e}, 4*gamma^2 {err_square:.3e})")
@@ -773,18 +778,24 @@ def _qubit_inverse(trials):
 
 @prop("bloch-isomorphism", "qubit-state", 1e-10)
 def _bloch_isomorphism(trials):
-    for rng, _, _ in trials:
-        u, v = gen_ball_vector(rng), gen_ball_vector(rng)
-        t = float(rng.uniform(-2.0, 2.0))
-        lhs = bl.bloch_to_density(bl.einstein_add(u, v))
-        yield np.linalg.norm(lhs - gd.dens_add(bl.bloch_to_density(u), bl.bloch_to_density(v)))
-        lhs = bl.bloch_to_density(bl.ball_scalar(t, v))
-        yield np.linalg.norm(lhs - gd.dens_scalar(t, bl.bloch_to_density(v)))
+    def draw(rng, d, i):
+        return gen_ball_vector(rng, d), gen_ball_vector(rng, d), rng.uniform(-2.0, 2.0)
+
+    u, v, t = _in_trial_order(trials, 3, draw)
+    lhs = bl.bloch_to_density(bl.einstein_add(u, v))
+    yield _frobenius(lhs - gd.dens_add(bl.bloch_to_density(u), bl.bloch_to_density(v)))
+    lhs = bl.bloch_to_density(bl.ball_scalar(t, v))
+    yield _frobenius(lhs - gd.dens_scalar(t, bl.bloch_to_density(v)))
 
 
 # --------------------------------------------------------------------------
 # 2x2 closed forms
 # --------------------------------------------------------------------------
+
+def _unit_det_pd(rng, trials, count=2) -> tuple:
+    """``count`` unit-determinant 2x2 positive definite matrices."""
+    return tuple(gen_random_pd(rng, 2, trials.cond_cap, unit_det=True) for _ in range(count))
+
 
 @prop("lmap-identities", "difference-quotient-map", 1e-8)
 def _lmap(trials):
@@ -793,112 +804,101 @@ def _lmap(trials):
     # continuity across the switch can be asserted
     yield abs(cf.l_map(0.37, 1.0) - 0.37)
     yield abs(cf.l_map(0.5, 4.0) - 0.4)
-    for rng, _, _ in trials:
-        t = float(rng.uniform(-2.0, 2.0))
-        x = float(np.exp(rng.uniform(-3.0, 3.0)))
-        yield abs(cf.l_map(t, x) - cf.l_map(t, 1.0 / x))
-        # continuity across the branch switch
-        yield abs(cf.l_map(t, 1.0 + 1.0000001e-7) - cf.l_map(t, 1.0))
+    t, x = _in_trial_order(
+        trials, 2, lambda rng, d, i: (rng.uniform(-2.0, 2.0), np.exp(rng.uniform(-3.0, 3.0))))
+    yield abs(cf.l_map(t, x) - cf.l_map(t, 1.0 / x))
+    # continuity across the branch switch
+    yield abs(cf.l_map(t, 1.0 + 1.0000001e-7) - cf.l_map(t, 1.0))
 
 
 @prop("two-by-two-mean-combination", "two-by-two-mean-combination", 1e-9)
 def _gm2(trials):
-    for rng, _, i in trials:
-        A = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
-        B = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
-        t = _cycle((0.2, 0.5, 0.7), i)
-        yield _relerr(cf.gm2_det1(A, B, t), geo_mean(A, B, t))
-        # midpoint rewrite and the value of the half-weight coefficient
-        S = A + B
-        sqrt_det = np.sqrt(cf.det2(S).real)
-        yield _relerr(geo_mean(A, B, 0.5), S / sqrt_det)
-        lam = cf.relative_eigenvalue(A, B)
-        yield abs(cf.l_map(0.5, lam) - 1.0 / sqrt_det)
-        # branch independence: both eigenvalues of A B^{-1} give one answer
-        combo_lo = (cf.l_map(1 - t, 1 / lam) * A + cf.l_map(t, 1 / lam) * B)
-        yield _relerr(cf.gm2_det1(A, B, t), combo_lo)
+    A, B, t = _in_trial_order(
+        trials, 2, lambda rng, d, i: (*_unit_det_pd(rng, trials), _cycle((0.2, 0.5, 0.7), i)))
+    G = cf.gm2_det1(A, B, t)
+    yield _relerr(G, geo_mean(A, B, t))
+    # midpoint rewrite and the value of the half-weight coefficient
+    S = A + B
+    sqrt_det = np.sqrt(cf.det2(S).real)
+    yield _relerr(geo_mean(A, B, 0.5), S / _per(sqrt_det))
+    lam = cf.relative_eigenvalue(A, B)
+    yield abs(cf.l_map(0.5, lam) - 1.0 / sqrt_det)
+    # branch independence: both eigenvalues of A B^{-1} give one answer
+    combo_lo = _per(cf.l_map(1 - t, 1 / lam)) * A + _per(cf.l_map(t, 1 / lam)) * B
+    yield _relerr(G, combo_lo)
 
 
 @prop("two-by-two-spectral-closed-form", "two-by-two-spectral-closed-form", 1e-9)
 def _sgm2(trials):
-    for rng, _, i in trials:
-        t = _cycle((0.3, 0.5, 0.8), i)
-        A = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
-        B = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
-        yield _relerr(cf.sgm2(A, B, t), spectral_mean(A, B, t))
-        A, B = _pd(rng, 2, trials)
-        yield _relerr(cf.sgm2(A, B, t), spectral_mean(A, B, t))
+    def draw(rng, d, i):
+        return (_cycle((0.3, 0.5, 0.8), i), *_unit_det_pd(rng, trials), *_pd(rng, 2, trials))
+
+    t, A, B, A2, B2 = _in_trial_order(trials, 2, draw)
+    for X, Y in ((A, B), (A2, B2)):
+        yield _relerr(cf.sgm2(X, Y, t), spectral_mean(X, Y, t))
 
 
 @prop("det-shift-identity", "det-shift-identity", 1e-12)
 def _det_shift(trials):
     yield cf.det_shift_identity(1.0, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    for rng, _, _ in trials:
-        c = float(rng.uniform(-3.0, 3.0))
-        X = complex_gaussian(rng, (2, 2))
-        yield cf.det_shift_identity(c, X)
-        yield cf.det_shift_identity(0.0, X)
+    c, X = _in_trial_order(
+        trials, 2, lambda rng, d, i: (rng.uniform(-3.0, 3.0), complex_gaussian(rng, (2, 2))))
+    yield cf.det_shift_identity(c, X)
+    yield cf.det_shift_identity(0.0, X)
 
 
 @prop("block-norm-bound", "block-norm-bound", 1e-10)
 def _block_norm(trials):
-    for rng, d, _ in trials:
-        A, B, X = gen_psd_block_triple(rng, d, trials.cond_cap)
-        op = float(np.linalg.norm(X, ord=2))
-        yield op - np.sqrt(np.linalg.eigvalsh(A)[-1] * np.linalg.eigvalsh(B)[-1])
+    for A, B, X in trials.stacks(
+            lambda rng, d, i: gen_psd_block_triple(rng, d, trials.cond_cap)):
+        op = np.linalg.norm(X, ord=2, axis=(-2, -1))
+        yield op - np.sqrt(_top_eig(A) * _top_eig(B))
 
 
 @prop("sum-norm-bound", "sum-norm-bound", 1e-10)
 def _sum_norm(trials):
-    for rng, _, _ in trials:
-        A = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
-        B = gen_random_pd(rng, 2, trials.cond_cap, unit_det=True)
-        yield -cf.norm_product_check(A, B)
-        # rescaled form for general determinants
-        A2, B2 = _pd(rng, 2, trials)
-        a = np.sqrt(cf.det2(A2).real)
-        b = np.sqrt(cf.det2(B2).real)
-        S = A2 / a + B2 / b
-        lhs = np.sqrt(a * b) * float(np.max(np.abs(np.linalg.eigvalsh(S))))
-        rhs = np.sqrt(cf.det2(S).real
-                      * np.max(np.abs(np.linalg.eigvalsh(A2)))
-                      * np.max(np.abs(np.linalg.eigvalsh(B2))))
-        yield lhs - rhs
+    A, B, A2, B2 = _in_trial_order(
+        trials, 2, lambda rng, d, i: (*_unit_det_pd(rng, trials), *_pd(rng, 2, trials)))
+    yield -cf.norm_product_check(A, B)
+    # rescaled form for general determinants
+    a = np.sqrt(cf.det2(A2).real)
+    b = np.sqrt(cf.det2(B2).real)
+    S = A2 / _per(a) + B2 / _per(b)
+    lhs = np.sqrt(a * b) * _top_eig(S)
+    rhs = np.sqrt(cf.det2(S).real * _top_eig(A2) * _top_eig(B2))
+    yield lhs - rhs
 
 
 @prop("qubit-mean-combination", "qubit-mean-combination", 1e-9)
 def _qubit_geo(trials):
-    for rng, _, i in trials:
-        u, v = gen_ball_vector(rng), gen_ball_vector(rng)
-        t = _cycle((0.25, 0.5, 0.75), i)
-        oracle = geo_mean(bl.bloch_to_density(u), bl.bloch_to_density(v), t)
-        yield _relerr(cf.qubit_geo_mean(u, v, t), oracle)
-        yield _relerr(cf.qubit_geo_mean(u, u.copy(), t), bl.bloch_to_density(u))
+    u, v = _ball_vectors(trials)
+    t = _cycle((0.25, 0.5, 0.75), np.arange(trials.count))
+    oracle = geo_mean(bl.bloch_to_density(u), bl.bloch_to_density(v), t)
+    yield _relerr(cf.qubit_geo_mean(u, v, t), oracle)
+    yield _relerr(cf.qubit_geo_mean(u, u.copy(), t), bl.bloch_to_density(u))
 
 
 @prop("mu-eigenvalue-rewrite", "mean-eigenvalue-rewrite", 1e-10)
 def _mu_rewrite(trials):
-    for rng, _, _ in trials:
-        u, v = gen_ball_vector(rng), gen_ball_vector(rng)
-        mu_hi, mu_lo = cf.qubit_mean_eigenvalues(u, v)
-        yield abs(mu_hi * mu_lo - 1.0)
-        d = bl.rapidity_distance(u, v)
-        yield abs(mu_hi - np.exp(d)) / max(1.0, np.exp(d))
-        # they really are the spectrum of (2 g_u rho_u)(2 g_v rho_v)^{-1}
-        A = 2 * bl.gamma_factor(u) * bl.bloch_to_density(u)
-        B = 2 * bl.gamma_factor(v) * bl.bloch_to_density(v)
-        spec = np.sort(np.linalg.eigvals(A @ invm(B)).real)
-        yield np.abs(spec - np.sort([mu_hi, mu_lo]))
+    u, v = _ball_vectors(trials)
+    mu_hi, mu_lo = cf.qubit_mean_eigenvalues(u, v)
+    yield abs(mu_hi * mu_lo - 1.0)
+    d = bl.rapidity_distance(u, v)
+    yield abs(mu_hi - np.exp(d)) / np.maximum(1.0, np.exp(d))
+    # they really are the spectrum of (2 g_u rho_u)(2 g_v rho_v)^{-1}
+    A = 2 * _per(bl.gamma_factor(u)) * bl.bloch_to_density(u)
+    B = 2 * _per(bl.gamma_factor(v)) * bl.bloch_to_density(v)
+    spec = np.sort(np.linalg.eigvals(A @ invm(B)).real, axis=-1)
+    yield np.max(np.abs(spec - np.stack([mu_lo, mu_hi], axis=-1)), axis=-1)
 
 
 @prop("qubit-spectral-closed-form", "qubit-spectral-closed-form", 1e-9)
 def _qubit_spectral(trials):
-    for rng, _, i in trials:
-        u, v = gen_ball_vector(rng), gen_ball_vector(rng)
-        t = _cycle((0.25, 0.75, 0.5), i)
-        oracle = spectral_mean(bl.bloch_to_density(u), bl.bloch_to_density(v), t)
-        yield _relerr(cf.qubit_spectral_mean(u, v, t), oracle)
-        yield _relerr(cf.qubit_spectral_mean(u, u.copy(), t), bl.bloch_to_density(u))
+    u, v = _ball_vectors(trials)
+    t = _cycle((0.25, 0.75, 0.5), np.arange(trials.count))
+    oracle = spectral_mean(bl.bloch_to_density(u), bl.bloch_to_density(v), t)
+    yield _relerr(cf.qubit_spectral_mean(u, v, t), oracle)
+    yield _relerr(cf.qubit_spectral_mean(u, u.copy(), t), bl.bloch_to_density(u))
 
 
 # --------------------------------------------------------------------------

@@ -149,10 +149,9 @@ class Trials:
     """The seeded trials of one property under one campaign config.
 
     Trial i draws from the substream (seed, stream, i) at dimension
-    ``dims[i % len(dims)]``; the stream is the property id.  Iterating
-    yields ``(rng, d, i)`` per trial, in trial order; ``stacks`` draws each
-    dimension's trials at once.  ``dataclasses.replace`` gives the same
-    trials at one dimension, on another stream or in another number.
+    ``dims[i % len(dims)]``; the stream is the property id.  ``stacks``
+    draws each dimension's trials at once.  ``dataclasses.replace`` gives the
+    same trials at one dimension, on another stream or in another number.
     """
 
     seed: int
@@ -161,10 +160,6 @@ class Trials:
     cond_cap: float
     threshold: float
     stream: str
-
-    def __iter__(self):
-        for i in range(self.count):
-            yield substream(self.seed, self.stream, i), self.dims[i % len(self.dims)], i
 
     def stacks(self, draw):
         """Each dimension's trials drawn by one ``draw(rng, d, i)`` call, stacked.

@@ -1,0 +1,67 @@
+"""tools/bench_series.py on synthetic perfbench runs (no subprocess)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_series.py"
+SPEC = importlib.util.spec_from_file_location("bench_series", PATH)
+bench_series = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_series)
+
+
+def _run(wall_s, ops_per_s, factor, correct=True, env=None):
+    return {
+        "correct": correct,
+        "attempted": 10,
+        "failed": 0 if correct else 1,
+        "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                    "ops_per_s": {"value": ops_per_s, "unit": "1/s"}},
+        "env": env or {"cores": 2},
+        "calibration_factor": factor,
+    }
+
+
+def test_calibration_factor_is_read_off_the_timed_runs_line():
+    lines = [
+        "setup: unscaled 0.081835 s, calibration factor 0.6212",
+        "unscaled wall_s 0.0108794, ops_per_s 1378.75, op_p50_us 288.297; "
+        "calibration factor 0.4640",
+        "env {}",
+    ]
+    assert bench_series.calibration_factor(lines) == pytest.approx(0.464)
+    assert bench_series.calibration_factor(lines[:1]) is None
+
+
+def test_summary_keeps_medians_quartiles_values_and_factors():
+    runs = [_run(w, 1 / w, f) for w, f in
+            [(2.0, 1.0), (1.0, 1.1), (4.0, 0.9), (3.0, 5.0), (5.0, 1.0)]]
+    out = bench_series.summary(runs, "change", "campaign", 42, 30)
+    wall = out["metrics"]["wall_s"]
+    assert wall["values"] == [2.0, 1.0, 4.0, 3.0, 5.0]
+    assert (wall["q1"], wall["median"], wall["q3"]) == (2.0, 3.0, 4.0)
+    assert wall["unit"] == "s"
+    # the stray factor of run 4 is on record
+    assert out["calibration_factors"] == [1.0, 1.1, 0.9, 5.0, 1.0]
+    assert out["runs"] == 5 and out["correct"] and out["failed"] == 0
+    assert out["env"] == {"cores": 2}
+
+
+def test_summary_lists_each_env_when_they_differ_and_counts_failures():
+    runs = [_run(1.0, 1.0, 1.0), _run(1.0, 1.0, 1.0, correct=False, env={"cores": 4})]
+    out = bench_series.summary(runs, "x", "ops-n2", 11, 30)
+    assert out["env"] == [{"cores": 2}, {"cores": 4}]
+    assert not out["correct"] and out["failed"] == 1
+
+
+def test_win_counts_follow_the_declared_direction():
+    base = [_run(w, o, 1.0) for w, o in [(2.0, 10.0), (2.0, 10.0), (2.0, 10.0)]]
+    change = [_run(w, o, 1.0) for w, o in [(1.0, 12.0), (3.0, 12.0), (2.0, 8.0)]]
+    counts = bench_series.win_counts(base, change)
+    # wall_s is better lower: one win, one loss, one tie
+    assert counts["wall_s"] == (1, 3)
+    # ops_per_s is better higher
+    assert counts["ops_per_s"] == (2, 3)
+    # only the metrics the runs carry are counted
+    assert set(counts) == {"wall_s", "ops_per_s"}

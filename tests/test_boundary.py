@@ -178,3 +178,24 @@ def test_polar_unitary_rejects_a_non_finite_matrix(bad):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(errors.NotFinite):
             polar_unitary(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+
+def test_the_means_and_gyration_survive_operands_near_the_largest_square():
+    # M M sits at the edge of the double range; spectral_mean is positively
+    # homogeneous and gyration is scale-free, so both rescale such operands
+    # by a power of two instead of overflowing into NaN
+    big = 1.3407807929942594e154
+    M = big * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(spectral_mean(M, M), M, rtol=1e-14)
+        np.testing.assert_allclose(gyration(M, M, M), M, rtol=1e-14)
+        np.testing.assert_allclose(spectral_mean(big * A, big * B, T) / big,
+                                   spectral_mean(A, B, T), rtol=1e-12)
+        np.testing.assert_allclose(gyration(big * A, big * B, X), gyration(A, B, X),
+                                   rtol=1e-12)
+        # in a stack, the ordinary item keeps the ordinary path
+        got = spectral_mean(np.stack([A, big * A]), np.stack([B, big * B]), T)
+        np.testing.assert_allclose(got[0], spectral_mean(A, B, T), rtol=1e-12)
+        np.testing.assert_allclose(got[1] / big, spectral_mean(A, B, T), rtol=1e-12)

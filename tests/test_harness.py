@@ -94,9 +94,11 @@ def test_stacks_are_the_per_trial_draws_grouped_by_dimension(dims, count):
         return (gen_random_pd(rng, d), properties._cycle(T_GRID, i), 0.5,
                 rng.uniform(), i)
 
+    # the per-trial draws: trial i on its substream at dims[i % len(dims)]
     per_dim = {}
-    for rng, d, i in trials:
-        per_dim.setdefault(d, []).append(draw(rng, d, i))
+    for i in range(count):
+        d = dims[i % len(dims)]
+        per_dim.setdefault(d, []).append(draw(substream(5, "stacks-contract", i), d, i))
     del calls[:]
     stacks = list(trials.stacks(draw))
     # one draw per dimension, in order of first appearance

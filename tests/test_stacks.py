@@ -296,3 +296,168 @@ def test_only_the_items_that_miss_the_cap_are_redrawn():
 def test_a_stack_that_cannot_meet_the_cap_fails():
     with pytest.raises(errors.GenerationFailure):
         rg.gen_random_pd(GeneratorStack(_generators("fail", 6, k=3)), 6, cond_cap=1.01)
+
+
+# The ball and the 2x2 closed forms keep the same contract over vector stacks
+# (..., 3) and 2x2 stacks (..., 2, 2).  Operand kinds: a ball vector, a
+# unit-determinant 2x2 PD matrix, a 2x2 PD matrix, a 2x2 density matrix, a
+# complex 2x2 matrix and a positive scalar.
+def _vector_items(kind, rng):
+    if kind == "ball":
+        return rg.gen_ball_vector(rng)
+    if kind == "unit-det":
+        return rg.gen_random_pd(rng, 2, unit_det=True)
+    if kind == "pd":
+        return rg.gen_random_pd(rng, 2)
+    if kind == "density":
+        return _dens(rg.gen_random_pd(rng, 2))
+    if kind == "matrix":
+        return rg.complex_gaussian(rng, (2, 2))
+    return float(np.exp(rng.uniform(-3.0, 3.0)))  # "positive"
+
+
+# name -> (call(operands, t), operand kinds, takes t, bit for bit); the bit
+# for bit ones use only + - * / and sqrt, which numpy rounds alike for a stack
+# and for one item, while its vector loops of tanh, arctanh and powers may
+# differ from the one-item loops in the last bit
+BALL_OPS = {
+    "require_in_ball": (lambda m, t: gm.ball.require_in_ball(*m), ("ball",), False, True),
+    "gamma_factor": (lambda m, t: gm.gamma_factor(*m), ("ball",), False, True),
+    "einstein_add": (lambda m, t: gm.einstein_add(*m), ("ball",) * 2, False, True),
+    "mobius_add": (lambda m, t: gm.mobius_add(*m), ("ball",) * 2, False, True),
+    "ball_scalar": (lambda m, t: gm.ball_scalar(t, *m), ("ball",), True, False),
+    "einstein_gyration": (lambda m, t: gm.ball.einstein_gyration(*m), ("ball",) * 3, False,
+                          True),
+    "mobius_gyration": (lambda m, t: gm.ball.mobius_gyration(*m), ("ball",) * 3, False, True),
+    "einstein_coaddition": (lambda m, t: gm.ball.einstein_coaddition(*m), ("ball",) * 2,
+                            False, True),
+    "rapidity_distance": (lambda m, t: gm.rapidity_distance(*m), ("ball",) * 2, False, False),
+    "gyromidpoint": (lambda m, t: gm.gyromidpoint(*m), ("ball",) * 2, False, True),
+    "bloch_to_density": (lambda m, t: gm.bloch_to_density(*m), ("ball",), False, True),
+    "density_to_bloch": (lambda m, t: gm.density_to_bloch(*m), ("density",), False, True),
+    "l_map": (lambda m, t: gm.closedform2x2.l_map(t, *m), ("positive",), True, False),
+    "det2": (lambda m, t: gm.closedform2x2.det2(*m), ("matrix",), False, True),
+    "det_shift_identity": (lambda m, t: gm.closedform2x2.det_shift_identity(t, *m),
+                           ("matrix",), True, True),
+    "relative_eigenvalue": (lambda m, t: gm.closedform2x2.relative_eigenvalue(*m),
+                            ("pd",) * 2, False, False),
+    "gm2_det1": (lambda m, t: gm.gm2_det1(*m, t), ("unit-det",) * 2, True, False),
+    "sgm2": (lambda m, t: gm.sgm2(*m, t), ("pd",) * 2, True, False),
+    "sgm2-unit-det": (lambda m, t: gm.sgm2(*m, t), ("unit-det",) * 2, True, False),
+    "norm_product_check": (lambda m, t: gm.closedform2x2.norm_product_check(*m),
+                           ("unit-det",) * 2, False, False),
+    "midpoint_vector_check": (lambda m, t: gm.closedform2x2.midpoint_vector_check(*m),
+                              ("ball",) * 2, False, True),
+    "qubit_mean_eigenvalues": (
+        lambda m, t: np.stack(gm.closedform2x2.qubit_mean_eigenvalues(*m), axis=-1),
+        ("ball",) * 2, False, True),
+    "qubit_geo_mean": (lambda m, t: gm.qubit_geo_mean(*m, t), ("ball",) * 2, True, False),
+    "qubit_spectral_mean": (lambda m, t: gm.qubit_spectral_mean(*m, t), ("ball",) * 2, True,
+                            False),
+}
+
+
+def _vector_operands(kinds, shape=(ITEMS,)):
+    rng = substream(7, "vector-stacks", *kinds)
+    size = int(np.prod(shape))
+    out = []
+    for kind in kinds:
+        items = np.array([_vector_items(kind, rng) for _ in range(size)])
+        out.append(items.reshape(shape + items.shape[1:]))
+    return out
+
+
+def _vector_per_item(call, operands, t, lead):
+    """The single calls, one per item of the leading shape ``lead``."""
+    out = [np.asarray(call([m[idx] for m in operands],
+                           t[idx] if isinstance(t, np.ndarray) else t))
+           for idx in np.ndindex(*lead)]
+    return np.array(out).reshape(lead + out[0].shape)
+
+
+@pytest.mark.parametrize("shape", [(ITEMS,), (2, 3)], ids=["flat", "2x3"])
+@pytest.mark.parametrize("name", list(BALL_OPS))
+def test_a_vector_or_2x2_stack_gives_what_single_calls_give(name, shape):
+    call, kinds, takes_t, exact = BALL_OPS[name]
+    operands = _vector_operands(kinds, shape)
+    for t in ([0.3, _weights(shape)] if takes_t else [0.3]):
+        got = np.asarray(call(operands, t))
+        want = _vector_per_item(call, operands, t, shape)
+        if exact:
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        else:
+            _assert_close(got, want)
+
+
+# case -> the bad item for each operand kind it applies to; a determinant
+# other than 1 is bad only for the operations that require unit determinants
+BAD_VECTOR_ITEMS = {
+    "nan-entry": {"ball": np.array([np.nan, 0.0, 0.0]),
+                  "unit-det": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                  "pd": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                  "density": np.array([[np.nan, 0.0], [0.0, 0.5]])},
+    "on-the-sphere": {"ball": np.array([0.6, 0.8 - 1e-13, 0.0])},
+    "unit-det-missed": {"unit-det": 2.0 * np.eye(2)},
+    "non-positive": {"positive": -1.0},
+}
+UNIT_DET_OPS = ("gm2_det1", "norm_product_check")
+
+
+def _bad_vector_cases():
+    for name, (_, kinds, takes_t, _) in BALL_OPS.items():
+        for case, items in BAD_VECTOR_ITEMS.items():
+            if case == "unit-det-missed" and name not in UNIT_DET_OPS:
+                continue
+            for pos, kind in enumerate(kinds):
+                if kind in items:
+                    yield pytest.param(name, case, pos, id=f"{name}-{case}-operand{pos}")
+        if takes_t:
+            yield pytest.param(name, "nan-weight", None, id=f"{name}-nan-weight")
+
+
+@pytest.mark.parametrize("name, case, pos", list(_bad_vector_cases()))
+def test_one_bad_vector_or_2x2_item_raises_the_single_calls_error(name, case, pos):
+    call, kinds, takes_t, _ = BALL_OPS[name]
+    operands = _vector_operands(kinds)
+    t = _weights((ITEMS,))
+    if case == "nan-weight":
+        t[4] = np.nan
+    else:
+        operands[pos][4] = BAD_VECTOR_ITEMS[case][kinds[pos]]
+    if not takes_t:
+        t = 0.3
+    try:
+        call([m[4] for m in operands], t[4] if takes_t else t)
+    except errors.GyromeanError as exc:
+        with pytest.raises(type(exc), match=r"item \(4,\)"):
+            call(operands, t)
+    else:
+        # det_shift_identity takes any c and l_map any t; every other bad
+        # item must raise
+        assert (name, case) in (("det_shift_identity", "nan-weight"),
+                                ("l_map", "nan-weight")), "the single call accepts it"
+        call(operands, t)
+
+
+def _rowwise(op):
+    """A one-vector operation mapped over the rows of stacked arguments."""
+    return lambda *stacks: np.array([op(*row) for row in zip(*stacks)])
+
+
+@pytest.mark.parametrize("name", ["einstein", "mobius"])
+def test_the_stacked_ball_suites_give_the_per_triple_residuals(name):
+    rng = substream(7, "ball-suite", name)
+    triples = [tuple(rg.gen_ball_vector(rng) for _ in range(3)) for _ in range(40)]
+    stacked = gm.ball.ball_model(name)
+    # the same model, evaluated one triple at a time with single-vector calls;
+    # the suite cycles the same scalars over the triples in both
+    per_triple = gm.gyroaxioms.GyroModel(
+        name=name, identity=stacked.identity, add=_rowwise(stacked.add), neg=stacked.neg,
+        scalar=lambda t, a: _rowwise(gm.ball_scalar)(np.broadcast_to(t, len(a)), a),
+        gyr=_rowwise(stacked.gyr),
+        residual=_rowwise(lambda x, y: float(np.linalg.norm(x - y))))
+    got = gm.gyroaxioms.run_axiom_suite(stacked, triples).residuals
+    want = gm.gyroaxioms.run_axiom_suite(per_triple, triples).residuals
+    assert list(got) == list(want)
+    np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=1e-12, atol=1e-17)

@@ -12,14 +12,19 @@ script runs ``python3 perfbench/run.py --workload W --seed S --seconds N
 reverse order every other round, so that drift of the machine hits each
 checkout alike.  It writes ``<out>/BENCH_<workload>-<label>.json`` per checkout: each
 end-to-end metric's median, quartiles (inclusive method) and values, the run
-count, whether every run was correct, and the environment each run reported
-(core count, BLAS vendor and version, BLAS thread settings).
+count, whether every run was correct, the calibration factor that scaled each
+run's times (a run scaled by a stray factor stands out there), and the
+environment each run reported (core count, BLAS vendor and version, BLAS
+thread settings).  Given two checkouts, it also prints, per metric, in how
+many of the alternating pairs of runs the second one did better, with
+"better" as ``BENCHMARK.json`` declares it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -27,7 +32,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_RUNS = 5
-RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+RUN_SECONDS = SPEC["run_seconds"]
+BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+# the line a timed perfbench run prints with its unscaled figures
+FACTOR_LINE = re.compile(r"^unscaled .*; calibration factor ([0-9.eE+-]+)$")
+
+
+def calibration_factor(lines: list[str]) -> float | None:
+    """The calibration factor of the timed run, read off its ``unscaled`` line."""
+    found = [float(m.group(1)) for m in map(FACTOR_LINE.match, lines) if m]
+    return found[-1] if found else None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -43,6 +58,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     result = json.loads(lines[-1])
     env = [ln[len("env "):] for ln in lines if ln.startswith("env ")]
     result["env"] = json.loads(env[-1]) if env else {}
+    result["calibration_factor"] = calibration_factor(lines)
     return result
 
 
@@ -65,9 +81,28 @@ def summary(runs: list[dict], label: str, workload: str, seed: int,
         "correct": all(r["correct"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
         "metrics": metrics,
+        "calibration_factors": [r.get("calibration_factor") for r in runs],
         # one env when every run reported the same, else each run's
         "env": envs[0] if all(e == envs[0] for e in envs) else envs,
     }
+
+
+def win_counts(base: list[dict], change: list[dict]) -> dict[str, tuple[int, int]]:
+    """Per metric, in how many pairs (base[k], change[k]) the change did better.
+
+    "Better" is lower or higher as ``BENCHMARK.json`` declares the metric; a
+    tie is no win.  Returns (wins, pairs) per metric the declaration names.
+    """
+    pairs = list(zip(base, change))
+    counts = {}
+    for name, better in BETTER.items():
+        if not pairs or name not in base[0]["metrics"]:
+            continue
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (c["metrics"][name]["value"] - b["metrics"][name]["value"]) > 0
+                   for b, c in pairs)
+        counts[name] = (wins, len(pairs))
+    return counts
 
 
 def main(argv=None) -> int:
@@ -105,6 +140,10 @@ def main(argv=None) -> int:
         data = summary(results, label, args.workload, args.seed, RUN_SECONDS)
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {path}")
+    if len(runs) == 2:
+        (base, base_runs), (change, change_runs) = runs.items()
+        for name, (wins, pairs) in win_counts(base_runs, change_runs).items():
+            print(f"{name}: {change} better than {base} in {wins} of {pairs} pairs")
     return 0
 
 
