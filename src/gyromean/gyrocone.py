@@ -79,10 +79,8 @@ def gyration(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 def _cooperation(rootA: np.ndarray, Bm: np.ndarray, dec_b: SpectralDecomposition,
                  tol: TolerancePolicy) -> np.ndarray:
     """A [+] B from A^{1/2}, a validated B and B's decomposition."""
-    root_binv = _powm(_pd_eigh(_powm(dec_b, -1.0), tol), 0.5)
-    U = _polar_unitary(rootA @ root_binv, tol)
+    U = _polar_unitary(rootA @ _powm(dec_b, -0.5), tol)
     G = hermitian_part(U @ Bm @ U.conj().mT)
-    _pd_eigh(G, tol)
     return hermitian_part(rootA @ G @ rootA)
 
 
@@ -102,10 +100,9 @@ def gyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     t = require_weight(t, Am)
     dec_a = _pd_eigh(Am, tol)
     _pd_eigh(Bm, tol)
-    root_ainv = _powm(_pd_eigh(_powm(dec_a, -1.0), tol), 0.5)
+    root_ainv = _powm(dec_a, -0.5)
     step = hermitian_part(root_ainv @ Bm @ root_ainv)
     scaled = _powm(_pd_eigh(step, tol), t)
-    _pd_eigh(scaled, tol)
     rootA = _powm(dec_a, 0.5)
     return hermitian_part(rootA @ scaled @ rootA)
 
@@ -118,9 +115,8 @@ def cogyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
     Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
     t = require_weight(t, Am)
     dec_a = _pd_eigh(Am, tol)
-    root_ainv = _powm(_pd_eigh(_powm(dec_a, -1.0), tol), 0.5)
-    step = _cooperation(root_ainv, Bm, _pd_eigh(Bm, tol), tol)
-    root_scaled = _powm(_pd_eigh(_powm(_pd_eigh(step, tol), t), tol), 0.5)
+    step = _cooperation(_powm(dec_a, -0.5), Bm, _pd_eigh(Bm, tol), tol)
+    root_scaled = _powm(_pd_eigh(step, tol), 0.5 * t)
     return hermitian_part(root_scaled @ Am @ root_scaled)
 
 

@@ -10,6 +10,9 @@ primitives ``_eigh``, ``_pd_eigh``, ``_powm`` and ``_logm``, which trust
 their input: a Hermitian complex ndarray, or a decomposition already made.
 The other modules do the same at their own public boundary, so one public
 call checks each operand once and decomposes each distinct matrix once.
+A function of a function of H, such as H^{-1}, H^{-1/2} or (H^t)^{1/2},
+comes from H's own decomposition (``SpectralDecomposition.inverse``, or
+``_powm`` at the product of the exponents), not from a second eigensolve.
 
 Stacks.  The primitives, and every public function built on them that says
 so, also take a stack of matrices, shape (..., n, n), and act on each item:
@@ -77,6 +80,10 @@ class SpectralDecomposition(NamedTuple):
     def scaled(self, s) -> SpectralDecomposition:
         """The decomposition of s H, with one s or one per item."""
         return SpectralDecomposition(self.eigenvalues * np.asarray(s)[..., None], self.vectors)
+
+    def inverse(self) -> SpectralDecomposition:
+        """The decomposition of H^{-1}, for nonsingular H; eigenvalues stay ascending."""
+        return SpectralDecomposition(1.0 / self.eigenvalues[..., ::-1], self.vectors[..., ::-1])
 
 
 class Loewner(Enum):
@@ -228,8 +235,12 @@ def require_weight(t, operand: np.ndarray | None = None):
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
-    """(M + M*)/2, item by item for a stack; strips rounding drift from results."""
-    return 0.5 * (M + M.conj().mT)
+    """(M + M*)/2, item by item for a stack; strips rounding drift from results.
+
+    Halving first keeps the sum finite wherever M is.
+    """
+    H = 0.5 * M
+    return H + H.conj().mT
 
 
 def _eigh(M: np.ndarray) -> SpectralDecomposition:

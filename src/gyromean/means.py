@@ -51,7 +51,7 @@ def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float,
 def _spectral_mean(Am: np.ndarray, dec_a: SpectralDecomposition, Bm: np.ndarray,
                    t: float, tol: TolerancePolicy) -> np.ndarray:
     """A natural_t B from A and its decomposition; Bm as in ``_geo_mean``."""
-    W = _geo_mean(_pd_eigh(_powm(dec_a, -1.0), tol), Bm, 0.5, tol)
+    W = _geo_mean(dec_a.inverse(), Bm, 0.5, tol)
     Wt = _powm(_pd_eigh(W, tol), t)
     return hermitian_part(Wt @ Am @ Wt)
 
@@ -88,11 +88,14 @@ def spectral_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> n
     dec_a = _pd_eigh(Am, tol)
     # A^{1/2} B A^{1/2} inside overflows as lambda_max(A) max_i B_ii nears the
     # largest double; the mean is homogeneous, so such items scale A and B by
-    # a power of two s, and the mean by 1/s
+    # a power of two s = 2**k, and the mean by 2**-k (1/s can overflow)
     s = _downscale(dec_a.eigenvalues[..., -1], Bm.diagonal(0, -2, -1).real.max(axis=-1))
     if s is None:
         return _spectral_mean(Am, dec_a, Bm, t, tol)
-    return _spectral_mean(_per(s) * Am, dec_a.scaled(s), _per(s) * Bm, t, tol) / _per(s)
+    X = _spectral_mean(_per(s) * Am, dec_a.scaled(s), _per(s) * Bm, t, tol)
+    k = _per(np.frexp(s)[1] - 1)
+    X.real, X.imag = np.ldexp(X.real, -k), np.ldexp(X.imag, -k)
+    return X
 
 
 def mean(kind: str, A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -144,7 +147,7 @@ def spectral_defining_residual(A, B, t: float, X,
     """
     Am, Bm, Xm = require_hermitians(A, B, X, tol=tol.hermiticity_tol)
     t = require_weight(t, Am)
-    dec_ainv = _pd_eigh(_powm(_pd_eigh(Am, tol), -1.0), tol)
+    dec_ainv = _pd_eigh(Am, tol).inverse()
     lhs = _powm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5, tol), tol), t)
     rhs = _geo_mean(dec_ainv, Xm, 0.5, tol)
     return _frobenius(lhs - rhs)

@@ -47,8 +47,7 @@ def _log_whitened(dec_a: SpectralDecomposition, Bm: np.ndarray, tol) -> np.ndarr
 
 def _log_inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray, tol) -> np.ndarray:
     """log(A^{-1} # B), from A's decomposition."""
-    dec_ainv = _pd_eigh(_powm(dec_a, -1.0), tol)
-    return _logm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5, tol), tol))
+    return _logm(_pd_eigh(_geo_mean(dec_a.inverse(), Bm, 0.5, tol), tol))
 
 
 def _opnorm(H):

@@ -22,6 +22,7 @@ from .errors import LengthMismatch, NonPositiveEntry, UnknownCase
 from .kernel import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _item,
     _per_item,
     as_stack,
     hermitian_part,
@@ -295,26 +296,33 @@ def equivalence_statements(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> tuple:
 
 
 def weak_majorize(x, y, log_scale: bool = False,
-                  tol: float = DEFAULT_TOL.loewner_tol) -> tuple[bool, bool]:
+                  tol: float = DEFAULT_TOL.loewner_tol) -> tuple:
     """Prefix-dominance of descending vectors, with a totals-equal flag.
 
     Linear scale compares prefix sums; log scale compares prefix products
     (via log sums) and requires strictly positive entries.  Returns
     (dominates, totals_equal); both true together means majorization proper.
+    Also takes stacks of vectors (..., n) and then returns two bool arrays
+    of the leading shape; a bad item raises the single call's error.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape or xv.ndim != 1:
+    if xv.shape != yv.shape or xv.ndim < 1:
         raise LengthMismatch(f"shapes {xv.shape} and {yv.shape} differ")
     for v in (xv, yv):
-        if np.any(np.diff(v) > tol):
-            raise ValueError("vectors must be sorted in descending order")
+        bad = (np.diff(v, axis=-1) > tol).any(axis=-1)
+        if bad.any():
+            raise ValueError(_item(bad) + "vectors must be sorted in descending order")
     if log_scale:
-        if np.any(xv <= 0) or np.any(yv <= 0):
-            raise NonPositiveEntry("log-scale majorization needs positive entries")
+        bad = ((xv <= 0) | (yv <= 0)).any(axis=-1)
+        if bad.any():
+            raise NonPositiveEntry(_item(bad) + "log-scale majorization needs positive entries")
         xv, yv = np.log(xv), np.log(yv)
-    gaps = np.cumsum(yv) - np.cumsum(xv)
-    dominates = bool(gaps.min() >= -tol)
-    scale = max(1.0, float(np.abs(np.cumsum(yv)).max()))
-    totals_equal = bool(abs(gaps[-1]) <= tol * scale)
+    prefix_y = np.cumsum(yv, axis=-1)
+    gaps = prefix_y - np.cumsum(xv, axis=-1)
+    dominates = gaps.min(axis=-1) >= -tol
+    scale = np.maximum(1.0, np.abs(prefix_y).max(axis=-1))
+    totals_equal = np.abs(gaps[..., -1]) <= tol * scale
+    if xv.ndim == 1:
+        return bool(dominates), bool(totals_equal)
     return dominates, totals_equal

@@ -523,8 +523,8 @@ def _majorization_rules(trials):
     for A, P in trials.stacks(lambda rng, d, i: _pd(rng, d, trials)):
         wa = np.linalg.eigvalsh(A)[..., ::-1]
         wb = np.linalg.eigvalsh(A + P)[..., ::-1]
-        yield trials.flag([weak_majorize(x, y)[0] for x, y in zip(wa, wb)])
-        yield trials.flag([weak_majorize(x, np.exp(1.0) * x, log_scale=True)[0] for x in wa])
+        yield trials.flag(weak_majorize(wa, wb)[0])
+        yield trials.flag(weak_majorize(wa, np.exp(1.0) * wa, log_scale=True)[0])
     return Outcome(samples=trials.count + 2)
 
 

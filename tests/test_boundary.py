@@ -199,3 +199,21 @@ def test_the_means_and_gyration_survive_operands_near_the_largest_square():
         got = spectral_mean(np.stack([A, big * A]), np.stack([B, big * B]), T)
         np.testing.assert_allclose(got[0], spectral_mean(A, B, T), rtol=1e-12)
         np.testing.assert_allclose(got[1] / big, spectral_mean(A, B, T), rtol=1e-12)
+
+
+def test_results_at_the_top_of_the_double_range_stay_finite():
+    # A^2 and the spectral mean below are finite, just under the largest
+    # double; the Hermitian part halves before it adds, and the mean undoes
+    # its rescale by s = 2**-1024 with ldexp, since 1/s is infinite
+    big = 1.3407807929942594e154
+    M = big * np.eye(2)
+    top = 1.7e308
+    A_top, B_top = top * np.eye(2), top * np.array([[1.0, 0.15], [0.15, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(cone_add(M, M), big * big * np.eye(2), rtol=1e-14)
+        np.testing.assert_allclose(cooperation(M, M), big * big * np.eye(2), rtol=1e-14)
+        np.testing.assert_allclose(spectral_mean(A_top, B_top, T),
+                                   top * spectral_mean(np.eye(2), B_top / top, T), rtol=1e-13)
+        np.testing.assert_allclose(gyration(A_top, B_top, A_top), A_top,
+                                   rtol=1e-13, atol=1e-13 * top)

@@ -142,3 +142,26 @@ def test_gyration_singularity_test_is_scale_free():
     for scale in (1.0, 1e6):
         np.testing.assert_allclose(gyration(scale * A, scale * B, np.eye(2)),
                                    np.eye(2), atol=1e-12)
+
+
+# kappa 1e4 pairs whose whitened step^t has kappa up to 1e24, far outside the
+# relative positive definiteness tolerance; the curve point is still the mean's
+ILL_PAIRS = [
+    (np.eye(3), np.diag([1e-2, 1.0, 1e2])),
+    (np.diag([1e2, 1.0, 1e-2]), np.diag([1e-2, 1.0, 1e2])),
+    (np.diag([4.0, 0.5, 2.0]), np.diag([1e4, 1.0, 3e2])),
+]
+
+
+def _relative(X, Y):
+    return np.linalg.norm(X - Y, axis=(-2, -1)) / np.linalg.norm(Y, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("t", [-1.0, 2.0, 3.0])
+def test_gyrolines_follow_the_means_to_ill_conditioned_powers(t):
+    for A, B in ILL_PAIRS:
+        assert _relative(gyroline(t, A, B), geo_mean(A, B, t)) < 1e-12
+        assert _relative(cogyroline(t, A, B), spectral_mean(A, B, t)) < 1e-12
+    As, Bs = (np.stack(m) for m in zip(*ILL_PAIRS))
+    assert (_relative(gyroline(t, As, Bs), geo_mean(As, Bs, t)) < 1e-12).all()
+    assert (_relative(cogyroline(t, As, Bs), spectral_mean(As, Bs, t)) < 1e-12).all()

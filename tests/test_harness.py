@@ -1,5 +1,6 @@
 """Random generation, campaign determinism, reports, counterexamples."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from gyromean.harness import (
     reproduce_counterexamples,
     run_campaign,
 )
-from gyromean.randgen import gen_random_pd, substream
+from gyromean.randgen import _key_type, gen_random_pd, substream
 from gyromean.registry import (
     REQUIRED_ANCHORS,
     T_GRID,
@@ -24,6 +25,17 @@ from gyromean.registry import (
 )
 
 SMALL = CampaignConfig(seed=11, trials=8, dims=(2, 3))
+
+
+def test_substreams_draw_what_philox_with_their_key_draws():
+    digest = hashlib.blake2b(b"harness-key\x1f3\x1f", digest_size=8).digest()
+    derived = 901 ^ int.from_bytes(digest, "little")
+    keyed = [(np.random.Generator(np.random.Philox(_key_type()(k))), k)
+             for k in (0, 1, 2**64 - 1)]
+    for rng, key in keyed + [(substream(901, "harness-key", 3), derived)]:
+        ref = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+        assert np.array_equal(rng.integers(0, 2**63, 16), ref.integers(0, 2**63, 16))
 
 
 def test_gen_random_pd_is_pd_and_conditioned():

@@ -18,15 +18,18 @@ from gyromean.kernel import (
     matrix_function,
     min_eig,
     norm,
+    pd_eigh,
     polar_unitary,
     powm,
     sqrtm,
 )
 from gyromean.randgen import (
+    GeneratorStack,
     gen_commuting_pair,
     gen_random_hermitian,
     gen_random_pd,
     gen_random_unitary,
+    gen_spread_pd,
     substream,
 )
 
@@ -229,3 +232,17 @@ def test_tolerance_policy_validation():
         TolerancePolicy(pd_tol=0.0)
     with pytest.raises(ValueError):
         TolerancePolicy(loewner_tol=-1e-8)
+
+
+@pytest.mark.parametrize("items", [None, 5])
+def test_inverse_decomposition(items):
+    if items is None:
+        rng = substream(121, "kernel-inverse")
+    else:
+        rng = GeneratorStack([substream(121, "kernel-inverse", i) for i in range(items)])
+    A = gen_spread_pd(rng, 4, 1.5)
+    dec = pd_eigh(A).inverse()
+    assert (np.diff(dec.eigenvalues, axis=-1) > 0).all()
+    Ainv = np.linalg.inv(A)
+    err = np.linalg.norm(dec.reconstruct() - Ainv, axis=(-2, -1))
+    assert (err < 1e-13 * np.linalg.norm(Ainv, axis=(-2, -1))).all()

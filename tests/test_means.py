@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gyromean import errors
+from gyromean.gyrocone import cogyroline, cooperation, gyroline
 from gyromean.kernel import invm, min_eig, powm
 from gyromean.means import (
     block_psd_margin,
@@ -15,6 +16,7 @@ from gyromean.means import (
     spectral_defining_residual,
     spectral_mean,
 )
+from gyromean.metrics import distance
 from gyromean.randgen import (
     gen_commuting_pair,
     gen_random_pd,
@@ -199,3 +201,34 @@ def test_dimension_mismatch():
         geo_mean(np.eye(2), np.eye(3), 0.5)
     with pytest.raises(errors.DimensionMismatch):
         riccati_residual(np.eye(2), np.eye(2), np.eye(3))
+
+
+# eigensolves per single call: one per operand, plus one per intermediate
+# that is raised to a power or logged; an inverse, an inverse square root or
+# a power of a power comes from a decomposition already made
+EIGENSOLVES = {
+    "geo_mean": (lambda A, B: geo_mean(A, B, 0.3), 2),
+    "spectral_mean": (lambda A, B: spectral_mean(A, B, 0.3), 3),
+    "semimetric_op": (lambda A, B: distance("semimetric_op", A, B), 3),
+    "semimetric_frob": (lambda A, B: distance("semimetric_frob", A, B), 3),
+    "cooperation": (cooperation, 3),
+    "gyroline": (lambda A, B: gyroline(0.3, A, B), 3),
+    "cogyroline": (lambda A, B: cogyroline(0.3, A, B), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(EIGENSOLVES))
+def test_no_call_decomposes_a_spectrum_it_already_has(name, monkeypatch):
+    call, expected = EIGENSOLVES[name]
+    rng = substream(215, "means-eigensolves")
+    A, B = gen_random_pd(rng, 3), gen_random_pd(rng, 3)
+    solves = []
+    eigh = np.linalg.eigh
+
+    def counted(M):
+        solves.append(M.shape)
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    call(A, B)
+    assert len(solves) == expected

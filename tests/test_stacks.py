@@ -215,6 +215,35 @@ def test_a_stacked_check_gives_what_single_checks_give(case, dim):
                               [getattr(r, field) for r in singles]), field
 
 
+@pytest.mark.parametrize("log_scale", [False, True])
+@pytest.mark.parametrize("shape", [(ITEMS,), (2, 3)], ids=["flat", "2x3"])
+def test_weak_majorize_on_a_stack_gives_what_single_calls_give(shape, log_scale):
+    rng = np.random.default_rng(17)
+    x = -np.sort(-rng.uniform(0.1, 2.0, (*shape, 4)), axis=-1)
+    y = -np.sort(-x * rng.uniform(0.6, 1.6, (*shape, 4)), axis=-1)
+    y[(0,) * len(shape)] = x[(0,) * len(shape)]  # one majorization proper
+    dom, tot = gm.weak_majorize(x, y, log_scale=log_scale)
+    singles = [gm.weak_majorize(a, b, log_scale=log_scale)
+               for a, b in zip(x.reshape(-1, 4), y.reshape(-1, 4))]
+    assert dom.shape == tot.shape == shape
+    assert dom.ravel().tolist() == [d for d, _ in singles]
+    assert tot.ravel().tolist() == [t for _, t in singles]
+    assert dom.any() and not dom.all() and tot.any()
+
+
+def test_one_bad_vector_pair_raises_the_single_calls_error():
+    x = np.tile([3.0, 2.0, 1.0], (ITEMS, 1))
+    unsorted, negative = x.copy(), x.copy()
+    unsorted[4] = [1.0, 2.0, 3.0]
+    negative[4, -1] = -1.0
+    with pytest.raises(ValueError, match=r"item \(4,\)"):
+        gm.weak_majorize(x, unsorted)
+    with pytest.raises(errors.NonPositiveEntry, match=r"item \(4,\)"):
+        gm.weak_majorize(negative, x, log_scale=True)
+    with pytest.raises(errors.LengthMismatch):
+        gm.weak_majorize(x, x[:, :2])
+
+
 # sampler -> (call(rng, n, t), bit for bit); t is one curve parameter per item
 SAMPLERS = {
     "complex_gaussian": (lambda rng, n, t: rg.complex_gaussian(rng, (n, n)), True),
