@@ -12,10 +12,8 @@ verification harness behind the ``gyromean`` CLI.
 __version__ = "0.1.0"
 
 from .kernel import (
-    DEFAULT_TOL,
     Loewner,
     SpectralDecomposition,
-    TolerancePolicy,
     congruence,
     eigh,
     expm,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotDensity, NotFinite, NotInBall
-from .kernel import DEFAULT_TOL, TolerancePolicy, _any, _item, _per_item, require_weight
+from .kernel import _any, _item, _per_item, require_weight
 from .gyrodensity import require_density
 
 BALL_MARGIN = 1e-12
@@ -154,9 +154,9 @@ def bloch_to_density(v) -> np.ndarray:
     return _bloch_to_density(_require_bloch(v))
 
 
-def density_to_bloch(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def density_to_bloch(rho) -> np.ndarray:
     """Bloch vector of an invertible 2x2 density matrix; inverse of the above."""
-    r = require_density(rho, tol)
+    r = require_density(rho)
     if r.shape[-2:] != (2, 2):
         raise NotDensity(f"expected 2x2 density matrices, got shape {r.shape}")
     off = r[..., 1, 0]

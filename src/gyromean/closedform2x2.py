@@ -31,8 +31,6 @@ from .ball import (
     gyromidpoint,
 )
 from .kernel import (
-    DEFAULT_TOL,
-    TolerancePolicy,
     _any,
     _item,
     _pd_eigh,
@@ -83,7 +81,7 @@ def det2(X):
     return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
-def _require_unit_det(A, tol) -> np.ndarray:
+def _require_unit_det(A) -> np.ndarray:
     M = _require_2x2(A)
     d = det2(M).real
     bad = np.abs(d - 1.0) >= UNIT_DET_TOL
@@ -93,29 +91,29 @@ def _require_unit_det(A, tol) -> np.ndarray:
     return M
 
 
-def relative_eigenvalue(A, B, tol: TolerancePolicy = DEFAULT_TOL):
+def relative_eigenvalue(A, B):
     """Larger eigenvalue of A B^{-1} (computed through the Hermitian form)."""
-    inv_root = powm(B, -0.5, tol)
-    Am = require_hermitian(A, tol.hermiticity_tol)
+    inv_root = powm(B, -0.5)
+    Am = require_hermitian(A)
     return _per_item(_top_eig(hermitian_part(inv_root @ Am @ inv_root)))
 
 
-def gm2_det1(A, B, t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def gm2_det1(A, B, t) -> np.ndarray:
     """Weighted geometric mean of unit-determinant 2x2 matrices.
 
     A #_t B = L_{1-t}(lam) A + L_t(lam) B with lam an eigenvalue of A B^{-1};
     the larger branch is used, and the result does not depend on that choice.
     """
-    Am = _require_unit_det(A, tol)
-    Bm = _require_unit_det(B, tol)
+    Am = _require_unit_det(A)
+    Bm = _require_unit_det(B)
     require_same_dim(Am, Bm)
     t = _weight(t, Am[..., 0])  # one weight per 2x2 item
-    pd_eigh(Am, tol)  # B's test is in relative_eigenvalue
-    lam = relative_eigenvalue(Am, Bm, tol)
+    pd_eigh(Am)  # B's test is in relative_eigenvalue
+    lam = relative_eigenvalue(Am, Bm)
     return _col(l_map(1.0 - t, lam), 2) * Am + _col(l_map(t, lam), 2) * Bm
 
 
-def sgm2(A, B, t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def sgm2(A, B, t) -> np.ndarray:
     """Weighted spectral geometric mean of 2x2 positive definite matrices.
 
     Unit-determinant inputs use
@@ -127,11 +125,11 @@ def sgm2(A, B, t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     Am = _require_2x2(A)
     Bm = _require_2x2(B)
     require_same_dim(Am, Bm)
-    dec_a = pd_eigh(Am, tol)
-    pd_eigh(Bm, tol)
+    dec_a = pd_eigh(Am)
+    pd_eigh(Bm)
     ab = np.sqrt(det2(Am).real) * np.sqrt(det2(Bm).real)
     bracket = _col(ab, 2) * _powm(dec_a, -1.0) + Bm
-    Mt = powm(hermitian_part(bracket), t, tol)
+    Mt = powm(hermitian_part(bracket), t)
     return hermitian_part(Mt @ Am @ Mt) / _col((2.0 * ab + _trace(Am @ Bm)) ** t, 2)
 
 
@@ -175,7 +173,7 @@ def qubit_geo_mean(u, v, t) -> np.ndarray:
             + _col(l_map(t, mu) * (gb / ga) ** (1.0 - t), 2) * _bloch_to_density(b))
 
 
-def qubit_spectral_mean(u, v, t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def qubit_spectral_mean(u, v, t) -> np.ndarray:
     """Weighted spectral geometric mean of two qubit states, closed form.
 
     rho_u natural_t rho_v =
@@ -186,23 +184,23 @@ def qubit_spectral_mean(u, v, t, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarr
     t = _weight(t, a)
     ga, gb = _gamma(a), _gamma(b)
     M = _col(ga, 2) * _bloch_to_density(-a) + _col(gb, 2) * _bloch_to_density(b)
-    Mt = _powm(_pd_eigh(hermitian_part(M), tol), _col(t))
+    Mt = _powm(_pd_eigh(hermitian_part(M)), _col(t))
     gamma_sum = ga * gb * (1.0 + np.vecdot(a, b))
     scale = (2.0 * ga / gb) ** t / (1.0 + gamma_sum) ** t
     return _col(scale, 2) * hermitian_part(Mt @ _bloch_to_density(a) @ Mt)
 
 
-def norm_product_check(A, B, tol: TolerancePolicy = DEFAULT_TOL):
+def norm_product_check(A, B):
     """Margin of ||A + B|| <= sqrt(det(A + B) ||A|| ||B||) for unit-det inputs.
 
     Returns rhs - lhs; nonnegative up to rounding.
     """
-    Am = _require_unit_det(A, tol)
-    Bm = _require_unit_det(B, tol)
+    Am = _require_unit_det(A)
+    Bm = _require_unit_det(B)
     require_same_dim(Am, Bm)
     # the operator norm of a positive definite matrix is its top eigenvalue
-    top_a = pd_eigh(Am, tol).eigenvalues[..., -1]
-    top_b = pd_eigh(Bm, tol).eigenvalues[..., -1]
+    top_a = pd_eigh(Am).eigenvalues[..., -1]
+    top_b = pd_eigh(Bm).eigenvalues[..., -1]
     S = Am + Bm
     return _per_item(np.sqrt(det2(S).real * top_a * top_b) - _top_eig(S))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import DEFAULT_TOL, Loewner, hermitian_part, loewner_compare
+from .kernel import Loewner, hermitian_part, loewner_compare
 from .metrics import distance
 
 TRIANGLE_A = np.diag([5.0, 0.2]).astype(complex)
@@ -34,7 +34,7 @@ CONTRACTION_S = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 CONTRACTION_X = np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex)
 
 
-def triangle_measurements(tol=DEFAULT_TOL) -> dict:
+def triangle_measurements() -> dict:
     """Evaluate the triangle triple under both semi-metric variants.
 
     Returns the three pair distances per variant, the triangle gap
@@ -46,7 +46,7 @@ def triangle_measurements(tol=DEFAULT_TOL) -> dict:
     out = {"variants": {}, "matched_variant": None, "matched_scale": None,
            "reference": TRIANGLE_REFERENCE}
     for kind in ("semimetric_op", "semimetric_frob"):
-        values = tuple(distance(kind, P, Q, tol) for P, Q in pairs)
+        values = tuple(distance(kind, P, Q) for P, Q in pairs)
         gap = values[2] - values[0] - values[1]
         out["variants"][kind] = {"values": values, "triangle_gap": gap}
         for scale in (1.0, 0.5):
@@ -59,12 +59,11 @@ def triangle_measurements(tol=DEFAULT_TOL) -> dict:
     return out
 
 
-def contraction_converse_witness(tol=DEFAULT_TOL) -> dict:
+def contraction_converse_witness() -> dict:
     """Confirm S <= I while S X S <= X fails on the fixture pair."""
-    s_le_identity = loewner_compare(CONTRACTION_S, np.eye(2),
-                                    tol.loewner_tol) in (Loewner.LE, Loewner.EQ)
+    s_le_identity = loewner_compare(CONTRACTION_S, np.eye(2)) in (Loewner.LE, Loewner.EQ)
     sxs = hermitian_part(CONTRACTION_S @ CONTRACTION_X @ CONTRACTION_S)
-    order = loewner_compare(sxs, CONTRACTION_X, tol.loewner_tol)
+    order = loewner_compare(sxs, CONTRACTION_X)
     return {
         "s_le_identity": s_le_identity,
         "sxs_vs_x": order.value,

@@ -13,14 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import (
-    DEFAULT_TOL,
     SpectralDecomposition,
-    TolerancePolicy,
     _downscale,
     _frobenius,
     _pd_eigh,
     _polar_unitary,
     _powm,
+    _sandwich,
     as_matrix,
     hermitian_part,
     powm,
@@ -29,114 +28,113 @@ from .kernel import (
 )
 
 
-def cone_add(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def cone_add(A, B) -> np.ndarray:
     """A (+) B = A^{1/2} B A^{1/2}."""
-    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
-    _pd_eigh(Bm, tol)
-    rootA = _powm(_pd_eigh(Am, tol), 0.5)
+    Am, Bm = require_hermitians(A, B)
+    _pd_eigh(Bm)
+    rootA = _powm(_pd_eigh(Am), 0.5)
     return hermitian_part(rootA @ Bm @ rootA)
 
 
-def cone_scalar(t: float, A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def cone_scalar(t: float, A) -> np.ndarray:
     """t (.) A = A^t."""
-    return powm(A, t, tol)
+    return powm(A, t)
 
 
-def cone_neg(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def cone_neg(A) -> np.ndarray:
     """Gyrogroup inverse (-1) (.) A = A^{-1}."""
-    return powm(A, -1.0, tol)
+    return powm(A, -1.0)
 
 
-def _gyration_unitary(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition,
-                      tol: TolerancePolicy) -> np.ndarray:
+def _gyration_unitary(dec_a: SpectralDecomposition,
+                      dec_b: SpectralDecomposition) -> np.ndarray:
     """U(A, B) from the decompositions of A and B."""
     # M M* below overflows as lambda_max(A) lambda_max(B) nears the largest
     # double; U is scale-free, so such items scale A and B by a power of two
     s = _downscale(dec_a.eigenvalues[..., -1], dec_b.eigenvalues[..., -1])
     if s is not None:
         dec_a, dec_b = dec_a.scaled(s), dec_b.scaled(s)
-    return _polar_unitary(_powm(dec_a, 0.5) @ _powm(dec_b, 0.5), tol)
+    return _polar_unitary(_powm(dec_a, 0.5) @ _powm(dec_b, 0.5))
 
 
-def gyration_unitary(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def gyration_unitary(A, B) -> np.ndarray:
     """U(A, B) = (A^{1/2} B A^{1/2})^{-1/2} A^{1/2} B^{1/2}.
 
     The unitary polar factor of A^{1/2} B^{1/2}, so that
     A^{1/2} B^{1/2} = (A (+) B)^{1/2} U(A, B).
     """
-    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
-    return _gyration_unitary(_pd_eigh(Am, tol), _pd_eigh(Bm, tol), tol)
+    Am, Bm = require_hermitians(A, B)
+    return _gyration_unitary(_pd_eigh(Am), _pd_eigh(Bm))
 
 
-def gyration(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def gyration(A, B, X) -> np.ndarray:
     """gyr[A, B] X = U(A, B) X U(A, B)^{-1}; preserves positive definiteness."""
-    Am, Bm, Xm = require_hermitians(A, B, X, tol=tol.hermiticity_tol)
-    _pd_eigh(Xm, tol)
-    U = _gyration_unitary(_pd_eigh(Am, tol), _pd_eigh(Bm, tol), tol)
+    Am, Bm, Xm = require_hermitians(A, B, X)
+    _pd_eigh(Xm)
+    U = _gyration_unitary(_pd_eigh(Am), _pd_eigh(Bm))
     return hermitian_part(U @ Xm @ U.conj().mT)
 
 
-def _cooperation(rootA: np.ndarray, Bm: np.ndarray, dec_b: SpectralDecomposition,
-                 tol: TolerancePolicy) -> np.ndarray:
+def _cooperation(rootA: np.ndarray, Bm: np.ndarray,
+                 dec_b: SpectralDecomposition) -> np.ndarray:
     """A [+] B from A^{1/2}, a validated B and B's decomposition."""
-    U = _polar_unitary(rootA @ _powm(dec_b, -0.5), tol)
+    U = _polar_unitary(rootA @ _powm(dec_b, -0.5))
     G = hermitian_part(U @ Bm @ U.conj().mT)
     return hermitian_part(rootA @ G @ rootA)
 
 
-def cooperation(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def cooperation(A, B) -> np.ndarray:
     """A [+] B = A (+) gyr[A, (-)B] B; commutative on this cone."""
-    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
-    dec_b = _pd_eigh(Bm, tol)
-    return _cooperation(_powm(_pd_eigh(Am, tol), 0.5), Bm, dec_b, tol)
+    Am, Bm = require_hermitians(A, B)
+    dec_b = _pd_eigh(Bm)
+    return _cooperation(_powm(_pd_eigh(Am), 0.5), Bm, dec_b)
 
 
-def gyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def gyroline(t: float, A, B) -> np.ndarray:
     """L(t; A, B) = A (+) t (.) ((-)A (+) B), built from the gyro primitives.
 
     Coincides with the weighted geometric mean A #_t B.
     """
-    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    dec_a = _pd_eigh(Am, tol)
-    _pd_eigh(Bm, tol)
+    dec_a = _pd_eigh(Am)
+    _pd_eigh(Bm)
     root_ainv = _powm(dec_a, -0.5)
     step = hermitian_part(root_ainv @ Bm @ root_ainv)
-    scaled = _powm(_pd_eigh(step, tol), t)
+    scaled = _powm(_pd_eigh(step), t)
     rootA = _powm(dec_a, 0.5)
-    return hermitian_part(rootA @ scaled @ rootA)
+    return _sandwich(rootA, scaled)
 
 
-def cogyroline(t: float, A, B, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def cogyroline(t: float, A, B) -> np.ndarray:
     """Lc(t; A, B) = t (.) ((-)A [+] B) (+) A, built from the gyro primitives.
 
     Coincides with the weighted spectral mean A natural_t B.
     """
-    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    dec_a = _pd_eigh(Am, tol)
-    step = _cooperation(_powm(dec_a, -0.5), Bm, _pd_eigh(Bm, tol), tol)
-    root_scaled = _powm(_pd_eigh(step, tol), 0.5 * t)
-    return hermitian_part(root_scaled @ Am @ root_scaled)
+    dec_a = _pd_eigh(Am)
+    step = _cooperation(_powm(dec_a, -0.5), Bm, _pd_eigh(Bm))
+    root_scaled = _powm(_pd_eigh(step), 0.5 * t)
+    return _sandwich(root_scaled, Am)
 
 
-def cone_model(dim: int, tol: TolerancePolicy = DEFAULT_TOL):
+def cone_model(dim: int):
     """GyroModel adapter for the generic axiom suite."""
     from .gyroaxioms import GyroModel
 
     return GyroModel(
         name="cone",
         identity=np.eye(dim, dtype=complex),
-        add=lambda a, b: cone_add(a, b, tol),
-        neg=lambda a: cone_neg(a, tol),
-        scalar=lambda t, a: cone_scalar(t, a, tol),
-        gyr=lambda a, b, x: gyration(a, b, x, tol),
+        add=cone_add,
+        neg=cone_neg,
+        scalar=cone_scalar,
+        gyr=gyration,
         residual=lambda x, y: _frobenius(x - y),
     )
 
 
-def axiom_suite(samples, scalars=None, tol: TolerancePolicy = DEFAULT_TOL,
-                threshold: float = 1e-8):
+def axiom_suite(samples, scalars=None, threshold: float = 1e-8):
     """Run the gyrovector-space axiom suite over a list of PD triples.
 
     Returns the per-axiom max-residual report from
@@ -148,5 +146,5 @@ def axiom_suite(samples, scalars=None, tol: TolerancePolicy = DEFAULT_TOL,
     if not samples:
         raise ValueError("axiom suite needs at least one sample triple")
     dim = samples[0][0].shape[0]
-    return run_axiom_suite(cone_model(dim, tol), samples, scalars=scalars,
+    return run_axiom_suite(cone_model(dim), samples, scalars=scalars,
                            threshold=threshold)

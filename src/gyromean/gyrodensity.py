@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import GyromeanError, NotDensity
 from .kernel import (
-    DEFAULT_TOL,
     SpectralDecomposition,
-    TolerancePolicy,
     _frobenius,
     _hermitian,
     _item,
@@ -34,12 +32,11 @@ from .means import _geo_mean, _spectral_mean
 TRACE_TOL = 1e-10
 
 
-def _require_density(rho, tol: TolerancePolicy
-                     ) -> tuple[np.ndarray, SpectralDecomposition]:
+def _require_density(rho) -> tuple[np.ndarray, SpectralDecomposition]:
     """Validate an invertible density matrix; return it with its decomposition."""
     M = as_stack(rho)
     try:
-        dec = _pd_eigh(_hermitian(M, tol.hermiticity_tol), tol)
+        dec = _pd_eigh(_hermitian(M))
     except GyromeanError as exc:
         raise NotDensity(str(exc)) from exc
     if M.ndim > 2:
@@ -55,9 +52,9 @@ def _require_density(rho, tol: TolerancePolicy
     return M, dec
 
 
-def require_density(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def require_density(rho) -> np.ndarray:
     """Validate an invertible density matrix (PD Hermitian, trace one)."""
-    return _require_density(rho, tol)[0]
+    return _require_density(rho)[0]
 
 
 def normalize_to_density(A) -> np.ndarray:
@@ -68,72 +65,72 @@ def normalize_to_density(A) -> np.ndarray:
     return M / np.trace(M).real
 
 
-def dens_add(rho, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def dens_add(rho, sigma) -> np.ndarray:
     """rho (*) sigma = rho^{1/2} sigma rho^{1/2} / tr(rho sigma)."""
-    r, dec_r = _require_density(rho, tol)
-    s, _ = _require_density(sigma, tol)
+    r, dec_r = _require_density(rho)
+    s, _ = _require_density(sigma)
     require_same_dim(r, s)
     root = _powm(dec_r, 0.5)
     return normalize_to_density(hermitian_part(root @ s @ root))
 
 
-def dens_scalar(t: float, rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def dens_scalar(t: float, rho) -> np.ndarray:
     """t (*) rho = rho^t / tr(rho^t)."""
-    r, dec = _require_density(rho, tol)
+    r, dec = _require_density(rho)
     return normalize_to_density(_powm(dec, require_weight(t, r)))
 
 
-def dens_neg(rho, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def dens_neg(rho) -> np.ndarray:
     """Inverse element rho^{-1} / tr(rho^{-1})."""
-    return dens_scalar(-1.0, rho, tol)
+    return dens_scalar(-1.0, rho)
 
 
 def dens_identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
-def dens_gyration(rho, sigma, tau, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def dens_gyration(rho, sigma, tau) -> np.ndarray:
     """Gyration on densities: the same unitary conjugation as on the cone.
 
     Unitary conjugation preserves the trace, so the cone gyration descends
     to the trace-normalized carrier unchanged.
     """
-    r, dec_r = _require_density(rho, tol)
-    s, dec_s = _require_density(sigma, tol)
-    x, _ = _require_density(tau, tol)
+    r, dec_r = _require_density(rho)
+    s, dec_s = _require_density(sigma)
+    x, _ = _require_density(tau)
     require_same_dim(r, s, x)
-    U = _gyration_unitary(dec_r, dec_s, tol)
+    U = _gyration_unitary(dec_r, dec_s)
     return hermitian_part(U @ x @ U.conj().mT)
 
 
-def dens_gyroline(t: float, rho, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def dens_gyroline(t: float, rho, sigma) -> np.ndarray:
     """L(t; rho, sigma): the trace-normalized weighted geometric mean."""
-    r, dec_r = _require_density(rho, tol)
-    s, _ = _require_density(sigma, tol)
+    r, dec_r = _require_density(rho)
+    s, _ = _require_density(sigma)
     require_same_dim(r, s)
     t = require_weight(t, r)
-    return normalize_to_density(_geo_mean(dec_r, s, t, tol))
+    return normalize_to_density(_geo_mean(dec_r, s, t))
 
 
-def dens_cogyroline(t: float, rho, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def dens_cogyroline(t: float, rho, sigma) -> np.ndarray:
     """Lc(t; rho, sigma): the trace-normalized weighted spectral mean."""
-    r, dec_r = _require_density(rho, tol)
-    s, _ = _require_density(sigma, tol)
+    r, dec_r = _require_density(rho)
+    s, _ = _require_density(sigma)
     require_same_dim(r, s)
     t = require_weight(t, r)
-    return normalize_to_density(_spectral_mean(r, dec_r, s, t, tol))
+    return normalize_to_density(_spectral_mean(r, dec_r, s, t))
 
 
-def density_model(dim: int, tol: TolerancePolicy = DEFAULT_TOL):
+def density_model(dim: int):
     """GyroModel adapter for the generic axiom suite."""
     from .gyroaxioms import GyroModel
 
     return GyroModel(
         name="density",
         identity=dens_identity(dim),
-        add=lambda a, b: dens_add(a, b, tol),
-        neg=lambda a: dens_neg(a, tol),
-        scalar=lambda t, a: dens_scalar(t, a, tol),
-        gyr=lambda a, b, x: dens_gyration(a, b, x, tol),
+        add=dens_add,
+        neg=dens_neg,
+        scalar=dens_scalar,
+        gyr=dens_gyration,
         residual=lambda x, y: _frobenius(x - y),
     )

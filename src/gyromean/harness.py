@@ -13,7 +13,7 @@ import io
 import json
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__ as VERSION
@@ -23,7 +23,7 @@ from .fixtures import (
     contraction_converse_witness,
     triangle_measurements,
 )
-from .kernel import DEFAULT_TOL, TolerancePolicy
+from .kernel import HERMITICITY_TOL, LOEWNER_TOL, PD_TOL
 from .registry import (
     EXTRA_ANCHORS,
     P_GRID,
@@ -54,8 +54,8 @@ def _is_real(x) -> bool:
 class CampaignConfig:
     """Validated knobs of a verification campaign.
 
-    The grids and the tolerances (``DEFAULT_TOL``) are fixed; ``to_dict``
-    records them with the knobs.
+    The grids and the tolerances (``kernel.HERMITICITY_TOL``, ``PD_TOL`` and
+    ``LOEWNER_TOL``) are fixed; ``to_dict`` records them with the knobs.
     """
 
     seed: int = DEFAULT_SEED
@@ -87,7 +87,8 @@ class CampaignConfig:
             "cond_cap": float(self.cond_cap),
             "t_grid": list(T_GRID),
             "p_grid": list(P_GRID),
-            "tolerances": asdict(DEFAULT_TOL),
+            "tolerances": {"hermiticity_tol": HERMITICITY_TOL, "pd_tol": PD_TOL,
+                           "loewner_tol": LOEWNER_TOL},
         }
 
 
@@ -192,9 +193,9 @@ def _fixture_record(property_id, anchor, samples, violation, threshold, note):
                           threshold=threshold, passed=violation <= threshold, note=note)
 
 
-def reproduce_counterexamples(tol: TolerancePolicy = DEFAULT_TOL) -> Report:
+def reproduce_counterexamples() -> Report:
     """Re-measure the two golden counterexamples and report the outcome."""
-    m = triangle_measurements(tol)
+    m = triangle_measurements()
     records = []
     matched = m["matched_variant"]
     for idx, name in enumerate(("d(A,B)", "d(B,C)", "d(A,C)")):
@@ -213,7 +214,7 @@ def reproduce_counterexamples(tol: TolerancePolicy = DEFAULT_TOL) -> Report:
         0.0 if all(g > 0 for g in gaps.values()) else 1.0, 0.5,
         f"d(A,C) - d(A,B) - d(B,C): operator {gaps['semimetric_op']:.6f}, "
         f"frobenius {gaps['semimetric_frob']:.6f} (both positive)"))
-    witness = contraction_converse_witness(tol)
+    witness = contraction_converse_witness()
     records.append(_fixture_record(
         "contraction-converse-witness", "contraction-lemma", 1,
         0.0 if witness["converse_fails"] else 1.0, 0.5,

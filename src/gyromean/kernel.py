@@ -14,6 +14,10 @@ A function of a function of H, such as H^{-1}, H^{-1/2} or (H^t)^{1/2},
 comes from H's own decomposition (``SpectralDecomposition.inverse``, or
 ``_powm`` at the product of the exponents), not from a second eigensolve.
 
+Tolerances are the constants ``HERMITICITY_TOL``, ``PD_TOL`` and
+``LOEWNER_TOL``, read where their test is made; only ``loewner_compare``
+takes its slack per call.
+
 Stacks.  The primitives, and every public function built on them that says
 so, also take a stack of matrices, shape (..., n, n), and act on each item:
 a stack of k operand sets gives what k single calls give, and a stack with
@@ -27,7 +31,6 @@ spectral function V f(w) V* does not depend on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -45,27 +48,11 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Numerical tolerances used by validation and comparisons.
-
-    Defaults are roughly 100x the double-precision eigensolve error at desk
-    scale (n <= 16, condition number <= 1e4). All fields must be positive.
-    """
-
-    hermiticity_tol: float = 1e-10
-    pd_tol: float = 1e-10
-    reconstruct_tol: float = 1e-10
-    loewner_tol: float = 1e-8
-    equality_tol: float = 1e-8
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise ValueError(f"{f.name} must be strictly positive")
-
-
-DEFAULT_TOL = TolerancePolicy()
+# about 100x the eigensolve error at n <= 16, kappa <= 1e4; judged relative to
+# max(1, largest |entry|), relative to the spectral radius, and absolutely
+HERMITICITY_TOL = 1e-10
+PD_TOL = 1e-10
+LOEWNER_TOL = 1e-8
 
 
 class SpectralDecomposition(NamedTuple):
@@ -169,26 +156,25 @@ def require_same_dim(*matrices: np.ndarray) -> None:
         raise DimensionMismatch(f"operands have mixed shapes {sorted(dims)}")
 
 
-def require_hermitian(H, tol: float = DEFAULT_TOL.hermiticity_tol) -> np.ndarray:
+def require_hermitian(H) -> np.ndarray:
     """Validate finiteness and hermiticity; return the matrix as a complex ndarray.
 
     Also takes a stack (..., n, n) and checks each item.
     """
-    return _hermitian(as_stack(H), tol)
+    return _hermitian(as_stack(H))
 
 
-def require_hermitians(*operands, tol: float = DEFAULT_TOL.hermiticity_tol
-                       ) -> list[np.ndarray]:
+def require_hermitians(*operands) -> list[np.ndarray]:
     """Validate Hermitian operands of one common shape; return them as complex ndarrays.
 
     The operands may be stacks (..., n, n) of one common shape.
     """
     matrices = [as_stack(X) for X in operands]
     require_same_dim(*matrices)
-    return [_hermitian(M, tol) for M in matrices]
+    return [_hermitian(M) for M in matrices]
 
 
-def _hermitian(M: np.ndarray, tol: float) -> np.ndarray:
+def _hermitian(M: np.ndarray) -> np.ndarray:
     """The checks of ``require_hermitian`` on a complex ndarray of square matrices."""
     if M.ndim > 2:
         peak = np.max(np.abs(M), axis=(-2, -1))
@@ -196,7 +182,7 @@ def _hermitian(M: np.ndarray, tol: float) -> np.ndarray:
         if bad.any():
             raise NotFinite(_item(bad) + "matrix has a NaN or infinite entry")
         defect = np.max(np.abs(M - M.conj().mT), axis=(-2, -1))
-        bad = defect > tol * np.maximum(1.0, peak)
+        bad = defect > HERMITICITY_TOL * np.maximum(1.0, peak)
         if bad.any():
             raise NotHermitian(
                 _item(bad) + f"hermiticity defect {defect[bad][0]:.3e} exceeds tolerance")
@@ -206,7 +192,7 @@ def _hermitian(M: np.ndarray, tol: float) -> np.ndarray:
         raise NotFinite("matrix has a NaN or infinite entry")
     scale = max(1.0, peak)
     defect = float(np.max(np.abs(M - M.conj().T)))
-    if defect > tol * scale:
+    if defect > HERMITICITY_TOL * scale:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
     return M
 
@@ -260,32 +246,30 @@ def _not_pd(smallest, scale) -> str:
             f"(relative to spectral radius {scale:.3e})")
 
 
-def _pd_eigh(M: np.ndarray, tol: TolerancePolicy) -> SpectralDecomposition:
+def _pd_eigh(M: np.ndarray) -> SpectralDecomposition:
     """``_eigh`` followed by the positive definiteness test of ``pd_eigh``."""
     dec = _eigh(M)
     w = dec.eigenvalues
     if w.ndim > 1:
         lo = w[..., 0]
         scale = np.maximum(np.abs(lo), np.abs(w[..., -1]))
-        bad = ~(lo > tol.pd_tol * scale)
+        bad = ~(lo > PD_TOL * scale)
         if bad.any():
             raise NotPositiveDefinite(_item(bad) + _not_pd(lo[bad][0], scale[bad][0]))
         return dec
     scale = max(abs(float(w[0])), abs(float(w[-1])))
-    if not w[0] > tol.pd_tol * scale:
+    if not w[0] > PD_TOL * scale:
         raise NotPositiveDefinite(_not_pd(w[0], scale))
     return dec
 
 
-def eigh(H, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDecomposition:
+def eigh(H) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     H : array_like, shape (n, n)
         Hermitian matrix.
-    tol : TolerancePolicy
-        Validation tolerances.
 
     Returns
     -------
@@ -300,11 +284,12 @@ def eigh(H, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDecomposition:
     NotFinite
         If an entry is NaN or infinite.
     NotHermitian
-        If the symmetry defect exceeds ``tol.hermiticity_tol``.
+        If the symmetry defect exceeds ``HERMITICITY_TOL`` times
+        max(1, largest |entry|).
     NoConvergence
         If the underlying iteration fails.
     """
-    return _eigh(require_hermitian(H, tol.hermiticity_tol))
+    return _eigh(require_hermitian(H))
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
@@ -318,28 +303,28 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def pd_eigh(A, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralDecomposition:
+def pd_eigh(A) -> SpectralDecomposition:
     """Eigendecomposition of a positive definite matrix.
 
     Positive definiteness is judged relative to the spectral radius: the
-    smallest eigenvalue must exceed ``tol.pd_tol`` times the largest
+    smallest eigenvalue must exceed ``PD_TOL`` times the largest
     magnitude.  (Matrices at extreme overall scales arise legitimately as
     powers of curve points; an absolute floor would misclassify them.)
     """
-    return _pd_eigh(require_hermitian(A, tol.hermiticity_tol), tol)
+    return _pd_eigh(require_hermitian(A))
 
 
-def is_positive_definite(A, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def is_positive_definite(A) -> bool:
     try:
-        pd_eigh(A, tol)
+        pd_eigh(A)
     except (NotPositiveDefinite, NotHermitian, NotFinite):
         return False
     return True
 
 
-def min_eig(H, tol: TolerancePolicy = DEFAULT_TOL):
+def min_eig(H):
     """Smallest eigenvalue of a Hermitian matrix (one per item for a stack)."""
-    return _per_item(eigh(H, tol).eigenvalues[..., 0])
+    return _per_item(eigh(H).eigenvalues[..., 0])
 
 
 def _spectral(dec: SpectralDecomposition, fw: np.ndarray) -> np.ndarray:
@@ -354,9 +339,36 @@ def _apply(dec: SpectralDecomposition, fw: np.ndarray) -> np.ndarray:
     return hermitian_part(_spectral(dec, fw))
 
 
+def _finite_positive(fw: np.ndarray) -> np.ndarray:
+    """fw, a monotone map of ascending eigenvalues, if its two ends, and so all
+    of it, are finite positive doubles; NotFinite where they overflow or underflow."""
+    lo, hi = fw[..., 0], fw[..., -1]
+    bad = ~((0 < lo) & (lo < np.inf) & (0 < hi) & (hi < np.inf))
+    if _any(bad):
+        raise NotFinite(_item(bad) + "an eigenvalue maps outside the finite positive doubles")
+    return fw
+
+
 def _powm(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """The t-th power of a positive definite matrix, from its decomposition."""
-    return _apply(dec, np.power(dec.eigenvalues, t))
+    w = dec.eigenvalues
+    if w.ndim == 1 and abs(t * math.log(w[0])) < 708 and abs(t * math.log(w[-1])) < 708:
+        # every w**t lies within e**+-708, inside the normal doubles
+        return _apply(dec, np.power(w, t))
+    with np.errstate(over="ignore"):
+        fw = np.power(w, t)
+    return _apply(dec, _finite_positive(fw))
+
+
+def _sandwich(S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """S X S for Hermitian S and X, item by item; NotFinite where it overflows,
+    as a mean's curve points do far out on the curve."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = hermitian_part(S @ X @ S)
+    bad = ~np.isfinite(P).all(axis=(-2, -1))
+    if _any(bad):
+        raise NotFinite(_item(bad) + "the result overflows the double range")
+    return P
 
 
 def _logm(dec: SpectralDecomposition) -> np.ndarray:
@@ -364,33 +376,37 @@ def _logm(dec: SpectralDecomposition) -> np.ndarray:
     return _apply(dec, np.log(dec.eigenvalues))
 
 
-def powm(A, t: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """A**t for positive definite A and any finite real t, via the spectral map."""
-    Am = require_hermitian(A, tol.hermiticity_tol)
-    return _powm(_pd_eigh(Am, tol), require_weight(t, Am))
+def powm(A, t: float) -> np.ndarray:
+    """A**t for positive definite A and any finite real t, via the spectral map.
+
+    Raises NotFinite where an eigenvalue's power overflows or underflows to 0.
+    """
+    Am = require_hermitian(A)
+    return _powm(_pd_eigh(Am), require_weight(t, Am))
 
 
-def sqrtm(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    return _powm(pd_eigh(A, tol), 0.5)
+def sqrtm(A) -> np.ndarray:
+    return _powm(pd_eigh(A), 0.5)
 
 
-def invm(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    return _powm(pd_eigh(A, tol), -1.0)
+def invm(A) -> np.ndarray:
+    return _powm(pd_eigh(A), -1.0)
 
 
-def logm(A, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def logm(A) -> np.ndarray:
     """Principal logarithm of a positive definite matrix (Hermitian result)."""
-    return _logm(pd_eigh(A, tol))
+    return _logm(pd_eigh(A))
 
 
-def expm(H, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """exp of a Hermitian matrix (positive definite result)."""
-    dec = eigh(H, tol)
-    return _apply(dec, np.exp(dec.eigenvalues))
+def expm(H) -> np.ndarray:
+    """exp of a Hermitian matrix (positive definite result, else NotFinite)."""
+    dec = eigh(H)
+    with np.errstate(over="ignore"):
+        fw = np.exp(dec.eigenvalues)
+    return _apply(dec, _finite_positive(fw))
 
 
-def matrix_function(A, kind: str, t: float | None = None,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def matrix_function(A, kind: str, t: float | None = None) -> np.ndarray:
     """Spectral function of a positive definite matrix.
 
     ``kind`` is one of ``"sqrt"``, ``"log"``, ``"power"``; ``power`` requires
@@ -399,19 +415,19 @@ def matrix_function(A, kind: str, t: float | None = None,
     is no pseudo-inverse fallback.
     """
     if kind == "sqrt":
-        return sqrtm(A, tol)
+        return sqrtm(A)
     if kind == "log":
-        return logm(A, tol)
+        return logm(A)
     if kind == "power":
         if t is None:
             raise UnknownCase("power requires an exponent t")
-        return powm(A, t, tol)
+        return powm(A, t)
     raise UnknownCase(f"unknown matrix function {kind!r}")
 
 
-def congruence(X, S, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def congruence(X, S) -> np.ndarray:
     """Congruence transform S X S* of a Hermitian X."""
-    Xm = require_hermitian(as_matrix(X), tol.hermiticity_tol)
+    Xm = require_hermitian(as_matrix(X))
     Sm = np.asarray(S, dtype=complex)
     if Sm.ndim != 2 or Sm.shape[1] != Xm.shape[0]:
         raise DimensionMismatch(
@@ -420,9 +436,9 @@ def congruence(X, S, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return hermitian_part(Sm @ Xm @ Sm.conj().T)
 
 
-def norm(H, kind: str = "operator", tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def norm(H, kind: str = "operator") -> float:
     """Operator (largest |eigenvalue|) or Frobenius norm of a Hermitian matrix."""
-    M = require_hermitian(as_matrix(H), tol.hermiticity_tol)
+    M = require_hermitian(as_matrix(H))
     if kind == "operator":
         w = _eigh(M).eigenvalues
         return float(np.max(np.abs(w)))
@@ -431,13 +447,11 @@ def norm(H, kind: str = "operator", tol: TolerancePolicy = DEFAULT_TOL) -> float
     raise UnknownCase(f"unknown norm kind {kind!r}")
 
 
-def loewner_compare(X, Y, tol: float | None = None) -> Loewner:
+def loewner_compare(X, Y, tol: float = LOEWNER_TOL) -> Loewner:
     """Compare Hermitian X, Y in the Loewner order at eigenvalue slack ``tol``.
 
     LE iff min-eig(Y - X) >= -tol, GE symmetrically, EQ if both hold.
     """
-    if tol is None:
-        tol = DEFAULT_TOL.loewner_tol
     Xm = require_hermitian(as_matrix(X))
     Ym = require_hermitian(as_matrix(Y))
     require_same_dim(Xm, Ym)
@@ -456,28 +470,28 @@ def loewner_compare(X, Y, tol: float | None = None) -> Loewner:
 _SINGULAR = "matrix has a (numerically) vanishing singular value"
 
 
-def polar_unitary(M, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def polar_unitary(M) -> np.ndarray:
     """Unitary factor U = (M M*)^{-1/2} M of an invertible matrix (or a stack).
 
     Satisfies M = (M M*)^{1/2} U with U U* = I.  M counts as singular when
-    the smallest eigenvalue of M M* is at most ``tol.pd_tol`` times the
+    the smallest eigenvalue of M M* is at most ``PD_TOL`` times the
     largest, a test that does not depend on the scale of M.
     """
     Mm = as_stack(M)
     bad = ~np.isfinite(Mm).all(axis=(-2, -1))
     if bad.any():
         raise NotFinite(_item(bad) + "matrix has a NaN or infinite entry")
-    return _polar_unitary(Mm, tol)
+    return _polar_unitary(Mm)
 
 
-def _polar_unitary(Mm: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+def _polar_unitary(Mm: np.ndarray) -> np.ndarray:
     """``polar_unitary`` of a finite complex matrix or stack."""
     w, V = np.linalg.eigh(hermitian_part(Mm @ Mm.conj().mT))
     if w.ndim > 1:
-        bad = w[..., 0] <= tol.pd_tol * w[..., -1]
+        bad = w[..., 0] <= PD_TOL * w[..., -1]
         if bad.any():
             raise Singular(_item(bad) + _SINGULAR)
-    elif w[0] <= tol.pd_tol * w[-1]:
+    elif w[0] <= PD_TOL * w[-1]:
         raise Singular(_SINGULAR)
     inv_sqrt = _spectral(SpectralDecomposition(w, V), 1.0 / np.sqrt(w))
     return inv_sqrt @ Mm

@@ -14,15 +14,14 @@ import numpy as np
 
 from .errors import UnknownCase, WeightOutOfRange
 from .kernel import (
-    DEFAULT_TOL,
     SpectralDecomposition,
-    TolerancePolicy,
     _downscale,
     _frobenius,
     _logm,
     _pd_eigh,
     _per,
     _powm,
+    _sandwich,
     _spectral,
     as_stack,
     hermitian_part,
@@ -38,25 +37,24 @@ from .kernel import (
 MEAN_KINDS = ("metric", "spectral")
 
 
-def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float,
-              tol: TolerancePolicy) -> np.ndarray:
+def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float) -> np.ndarray:
     """A #_t B from A's decomposition; Bm is a validated Hermitian of A's size."""
     root_w = np.sqrt(dec_a.eigenvalues)
     rootA = _spectral(dec_a, root_w)
     inv_rootA = _spectral(dec_a, 1.0 / root_w)
-    inner = _powm(_pd_eigh(hermitian_part(inv_rootA @ Bm @ inv_rootA), tol), t)
-    return hermitian_part(rootA @ inner @ rootA)
+    inner = _powm(_pd_eigh(hermitian_part(inv_rootA @ Bm @ inv_rootA)), t)
+    return _sandwich(rootA, inner)
 
 
 def _spectral_mean(Am: np.ndarray, dec_a: SpectralDecomposition, Bm: np.ndarray,
-                   t: float, tol: TolerancePolicy) -> np.ndarray:
+                   t: float) -> np.ndarray:
     """A natural_t B from A and its decomposition; Bm as in ``_geo_mean``."""
-    W = _geo_mean(dec_a.inverse(), Bm, 0.5, tol)
-    Wt = _powm(_pd_eigh(W, tol), t)
-    return hermitian_part(Wt @ Am @ Wt)
+    W = _geo_mean(dec_a.inverse(), Bm, 0.5)
+    Wt = _powm(_pd_eigh(W), t)
+    return _sandwich(Wt, Am)
 
 
-def geo_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def geo_mean(A, B, t: float = 0.5) -> np.ndarray:
     """Weighted geometric mean A #_t B on the positive definite cone.
 
     Parameters
@@ -72,55 +70,55 @@ def geo_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     ndarray
         A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}, positive definite.
     """
-    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    return _geo_mean(_pd_eigh(Am, tol), Bm, t, tol)
+    return _geo_mean(_pd_eigh(Am), Bm, t)
 
 
-def spectral_mean(A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def spectral_mean(A, B, t: float = 0.5) -> np.ndarray:
     """Weighted spectral geometric mean A natural_t B.
 
     Computed as W^t A W^t with W = A^{-1} # B.  At t = 1/2 its eigenvalues
     are the positive square roots of the eigenvalues of A B.
     """
-    Am, Bm = require_hermitians(A, B, tol=tol.hermiticity_tol)
+    Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    dec_a = _pd_eigh(Am, tol)
+    dec_a = _pd_eigh(Am)
     # A^{1/2} B A^{1/2} inside overflows as lambda_max(A) max_i B_ii nears the
     # largest double; the mean is homogeneous, so such items scale A and B by
     # a power of two s = 2**k, and the mean by 2**-k (1/s can overflow)
     s = _downscale(dec_a.eigenvalues[..., -1], Bm.diagonal(0, -2, -1).real.max(axis=-1))
     if s is None:
-        return _spectral_mean(Am, dec_a, Bm, t, tol)
-    X = _spectral_mean(_per(s) * Am, dec_a.scaled(s), _per(s) * Bm, t, tol)
+        return _spectral_mean(Am, dec_a, Bm, t)
+    X = _spectral_mean(_per(s) * Am, dec_a.scaled(s), _per(s) * Bm, t)
     k = _per(np.frexp(s)[1] - 1)
     X.real, X.imag = np.ldexp(X.real, -k), np.ldexp(X.imag, -k)
     return X
 
 
-def mean(kind: str, A, B, t: float = 0.5, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def mean(kind: str, A, B, t: float = 0.5) -> np.ndarray:
     """Dispatch on mean kind: ``"metric"`` -> #_t, ``"spectral"`` -> natural_t."""
     if kind == "metric":
-        return geo_mean(A, B, t, tol)
+        return geo_mean(A, B, t)
     if kind == "spectral":
-        return spectral_mean(A, B, t, tol)
+        return spectral_mean(A, B, t)
     raise UnknownCase(f"unknown mean kind {kind!r}")
 
 
-def riccati_residual(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def riccati_residual(A, B, X) -> float:
     """Frobenius residual of X A^{-1} X = B (Riccati), one per item of a stack.
 
     A, B and X must be positive definite.
     """
-    Am, Bm, Xm = require_hermitians(A, B, X, tol=tol.hermiticity_tol)
-    dec_a = _pd_eigh(Am, tol)
+    Am, Bm, Xm = require_hermitians(A, B, X)
+    dec_a = _pd_eigh(Am)
     # the PD checks of B and X
-    _pd_eigh(Bm, tol)
-    _pd_eigh(Xm, tol)
+    _pd_eigh(Bm)
+    _pd_eigh(Xm)
     return _frobenius(Xm @ _powm(dec_a, -1.0) @ Xm - Bm)
 
 
-def karcher_residual(A, B, t: float, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def karcher_residual(A, B, t: float, X) -> float:
     """Residual of the two-variable weighted stationarity equation.
 
     Frobenius norm of
@@ -131,40 +129,38 @@ def karcher_residual(A, B, t: float, X, tol: TolerancePolicy = DEFAULT_TOL) -> f
     Am, Bm, Xm = as_stack(A), as_stack(B), as_stack(X)
     require_same_dim(Am, Bm, Xm)
     t = np.asarray(require_weight(t, Am))[..., None]
-    rootX = sqrtm(Xm, tol)
-    term_a = _logm(_pd_eigh(hermitian_part(rootX @ invm(Am, tol) @ rootX), tol))
-    term_b = _logm(_pd_eigh(hermitian_part(rootX @ invm(Bm, tol) @ rootX), tol))
+    rootX = sqrtm(Xm)
+    term_a = _logm(_pd_eigh(hermitian_part(rootX @ invm(Am) @ rootX)))
+    term_b = _logm(_pd_eigh(hermitian_part(rootX @ invm(Bm) @ rootX)))
     return _frobenius((1.0 - t) * term_a + t * term_b)
 
 
-def spectral_defining_residual(A, B, t: float, X,
-                               tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def spectral_defining_residual(A, B, t: float, X) -> float:
     """Frobenius residual of (A^{-1} # B)^t = A^{-1} # X.
 
     Zero (to tolerance) exactly when X = A natural_t B, since the right side
     determines X uniquely.  Takes stacks, with one t or one per item; A, B
     and X must be positive definite.
     """
-    Am, Bm, Xm = require_hermitians(A, B, X, tol=tol.hermiticity_tol)
+    Am, Bm, Xm = require_hermitians(A, B, X)
     t = require_weight(t, Am)
-    dec_ainv = _pd_eigh(Am, tol).inverse()
-    lhs = _powm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5, tol), tol), t)
-    rhs = _geo_mean(dec_ainv, Xm, 0.5, tol)
+    dec_ainv = _pd_eigh(Am).inverse()
+    lhs = _powm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5)), t)
+    rhs = _geo_mean(dec_ainv, Xm, 0.5)
     return _frobenius(lhs - rhs)
 
 
-def mean_left_inverse(kind: str, A, C, t: float,
-                      tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def mean_left_inverse(kind: str, A, C, t: float) -> np.ndarray:
     """Solve kind-mean(A, X, t) = C for X, as the extended curve at 1/t.
 
     Raises WeightOutOfRange at t = 0, where the mean ignores X.
     """
     if np.any(np.asarray(t) == 0):
         raise WeightOutOfRange("no left inverse at t = 0")
-    return mean(kind, A, C, 1.0 / t, tol)
+    return mean(kind, A, C, 1.0 / t)
 
 
-def block_psd_margin(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def block_psd_margin(A, B, X) -> float:
     """Smallest eigenvalue of the block matrix [[A, X], [X, B]] (one per item).
 
     Nonnegative exactly when the Hermitian X is admissible in the
@@ -172,8 +168,8 @@ def block_psd_margin(A, B, X, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     sits on the boundary with margin zero.
     """
     Am, Bm = as_stack(A), as_stack(B)
-    Xm = require_hermitian(X, tol.hermiticity_tol)
+    Xm = require_hermitian(X)
     require_same_dim(Am, Bm, Xm)
     block = np.concatenate([np.concatenate([Am, Xm], axis=-1),
                             np.concatenate([Xm.conj().mT, Bm], axis=-1)], axis=-2)
-    return min_eig(block, tol)
+    return min_eig(block)

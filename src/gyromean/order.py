@@ -2,7 +2,7 @@
 
 Each case evaluates a premise and, when it holds, asserts the conclusion at a
 small negative eigenvalue slack (chained matrix functions amplify rounding,
-so conclusions use the looser ``loewner_tol`` rather than equality
+so conclusions use the looser ``LOEWNER_TOL`` rather than equality
 tolerance).  The result records both truth values and the worst margin, so a
 randomized campaign can distinguish "premise never sampled" from "conclusion
 violated".
@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import LengthMismatch, NonPositiveEntry, UnknownCase
 from .kernel import (
-    DEFAULT_TOL,
-    TolerancePolicy,
+    LOEWNER_TOL,
+    PD_TOL,
     _item,
     _per_item,
     as_stack,
@@ -58,7 +58,7 @@ class CheckResult:
 
     ``margin`` is the most negative eigenvalue slack across the orderings the
     case asserts (a scalar gap for the scalar cases); when the premise holds,
-    a margin below -loewner_tol is an implementation bug, not a data state.
+    a margin below -LOEWNER_TOL is an implementation bug, not a data state.
     For a stack of inputs the truth values and the margin are arrays with
     one entry per item, except where a case fixes them for every input.
     """
@@ -75,9 +75,14 @@ def _gap(X, Y):
     return min_eig(hermitian_part(as_stack(Y) - as_stack(X)))
 
 
-def _combine(case, premise, gaps, slack, witness=""):
+def _le(X, Y):
+    """X <= Y in the Loewner order at ``LOEWNER_TOL``, item by item for stacks."""
+    return _gap(X, Y) >= -LOEWNER_TOL
+
+
+def _combine(case, premise, gaps, witness=""):
     margin = _per_item(np.min(gaps, axis=0))
-    return CheckResult(case, premise, premise & (margin >= -slack), margin, witness)
+    return CheckResult(case, premise, premise & (margin >= -LOEWNER_TOL), margin, witness)
 
 
 def _fmt(x, spec: str) -> str:
@@ -93,55 +98,50 @@ def _weight(x):
     return np.asarray(x)[..., None, None]
 
 
-def check_loewner_heinz(A, B, C, tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_loewner_heinz(A, B, C) -> CheckResult:
     """C^2 <= A <= B implies C <= A^{1/2} <= B^{1/2} (C Hermitian, A, B PD)."""
     Am, Bm = as_stack(A), as_stack(B)
-    Cm = require_hermitian(C, tol.hermiticity_tol)
+    Cm = require_hermitian(C)
     require_same_dim(Am, Bm, Cm)
-    slack = tol.loewner_tol
-    premise = (_gap(Cm @ Cm, Am) >= -slack) & (_gap(Am, Bm) >= -slack)
-    gaps = [_gap(Cm, sqrtm(Am, tol)), _gap(sqrtm(Am, tol), sqrtm(Bm, tol))]
-    return _combine("loewner_heinz", premise, gaps, slack)
+    premise = _le(Cm @ Cm, Am) & _le(Am, Bm)
+    gaps = [_gap(Cm, sqrtm(Am)), _gap(sqrtm(Am), sqrtm(Bm))]
+    return _combine("loewner_heinz", premise, gaps)
 
 
-def check_furuta(A, B, p: float, tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_furuta(A, B, p: float) -> CheckResult:
     """0 <= B <= A implies A^p # B^{-p} >= I for any p > 0."""
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    slack = tol.loewner_tol
-    premise = (_gap(Bm, Am) >= -slack) & (p > 0)
-    G = geo_mean(powm(Am, p, tol), powm(Bm, -p, tol), 0.5, tol)
+    premise = _le(Bm, Am) & (p > 0)
+    G = geo_mean(powm(Am, p), powm(Bm, -p), 0.5)
     gaps = [_gap(np.eye(Am.shape[-1]), G)]
-    return _combine("furuta", premise, gaps, slack, witness=f"p={p}")
+    return _combine("furuta", premise, gaps, witness=f"p={p}")
 
 
-def check_ando_hiai(A, B, p: float, tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_ando_hiai(A, B, p: float) -> CheckResult:
     """A # B <= I implies A^p # B^p <= I for p >= 1."""
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    slack = tol.loewner_tol
     eye = np.eye(Am.shape[-1])
-    premise = (_gap(geo_mean(Am, Bm, 0.5, tol), eye) >= -slack) & (p >= 1)
-    G = geo_mean(powm(Am, p, tol), powm(Bm, p, tol), 0.5, tol)
-    return _combine("ando_hiai", premise, [_gap(G, eye)], slack, witness=f"p={p}")
+    premise = _le(geo_mean(Am, Bm, 0.5), eye) & (p >= 1)
+    G = geo_mean(powm(Am, p), powm(Bm, p), 0.5)
+    return _combine("ando_hiai", premise, [_gap(G, eye)], witness=f"p={p}")
 
 
-def check_main_spectral_AH(A, B, t: float, p: float,
-                           tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_main_spectral_AH(A, B, t: float, p: float) -> CheckResult:
     """A^{-1} natural_t B <= A^{-1} implies A^p # B^p <= I for p >= 1."""
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    slack = tol.loewner_tol
-    Ainv = invm(Am, tol)
-    premise = ((_gap(spectral_mean(Ainv, Bm, t, tol), Ainv) >= -slack)
+    Ainv = invm(Am)
+    premise = (_le(spectral_mean(Ainv, Bm, t), Ainv)
                & (0 < t) & (t <= 1) & (p >= 1))
     eye = np.eye(Am.shape[-1])
-    G = geo_mean(powm(Am, p, tol), powm(Bm, p, tol), 0.5, tol)
-    return _combine("main_spectral_AH", premise, [_gap(G, eye)], slack,
+    G = geo_mean(powm(Am, p), powm(Bm, p), 0.5)
+    return _combine("main_spectral_AH", premise, [_gap(G, eye)],
                     witness=f"t={t}, p={p}")
 
 
-def check_power_chain(A, B, p: float, tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_power_chain(A, B, p: float) -> CheckResult:
     """A # B <= I implies A^{p+1} # (A #_{p/2} B) <= A for p > 0.
 
     At p = 2 the conclusion reads A^3 # B <= A, which is also asserted
@@ -149,39 +149,36 @@ def check_power_chain(A, B, p: float, tol: TolerancePolicy = DEFAULT_TOL) -> Che
     """
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    slack = tol.loewner_tol
     eye = np.eye(Am.shape[-1])
-    premise = (_gap(geo_mean(Am, Bm, 0.5, tol), eye) >= -slack) & (p > 0)
-    G = geo_mean(powm(Am, p + 1.0, tol), geo_mean(Am, Bm, p / 2.0, tol), 0.5, tol)
+    premise = _le(geo_mean(Am, Bm, 0.5), eye) & (p > 0)
+    G = geo_mean(powm(Am, p + 1.0), geo_mean(Am, Bm, p / 2.0), 0.5)
     gaps = [_gap(G, Am)]
     at_two = np.asarray(p) == 2
     if at_two.any():
-        direct = _gap(geo_mean(powm(Am, 3.0, tol), Bm, 0.5, tol), Am)
+        direct = _gap(geo_mean(powm(Am, 3.0), Bm, 0.5), Am)
         gaps.append(np.where(at_two, direct, np.inf))
-    return _combine("power_chain", premise, gaps, slack, witness=f"p={p}")
+    return _combine("power_chain", premise, gaps, witness=f"p={p}")
 
 
-def check_equivalence_five(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_equivalence_five(A, B) -> CheckResult:
     """The five order statements must share one truth value on every input."""
-    flags = equivalence_statements(A, B, tol)
+    flags = equivalence_statements(A, B)
     stacked = np.array(flags)
     consistent = stacked.all(axis=0) | ~stacked.any(axis=0)
     return CheckResult("equivalence_five", True, consistent, 0.0,
                        witness=f"statements={flags}")
 
 
-def check_contraction(S, X, tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_contraction(S, X) -> CheckResult:
     """S X S <= X (S Hermitian, X PD) implies S <= I."""
-    Sm = require_hermitian(S, tol.hermiticity_tol)
+    Sm = require_hermitian(S)
     Xm = as_stack(X)
     require_same_dim(Sm, Xm)
-    slack = tol.loewner_tol
-    premise = _gap(hermitian_part(Sm @ Xm @ Sm), Xm) >= -slack
-    return _combine("contraction", premise, [_gap(Sm, np.eye(Sm.shape[-1]))], slack)
+    premise = _le(hermitian_part(Sm @ Xm @ Sm), Xm)
+    return _combine("contraction", premise, [_gap(Sm, np.eye(Sm.shape[-1]))])
 
 
-def check_bounds_spectral(A, B, t: float,
-                          tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_bounds_spectral(A, B, t: float) -> CheckResult:
     """Two-sided bound on the weighted spectral mean.
 
     Lower: 2^{1+t}(A + B^{-1})^{-t} - A^{-1} <= A natural_t B.  The upper
@@ -194,57 +191,54 @@ def check_bounds_spectral(A, B, t: float,
     """
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    slack = tol.loewner_tol
-    S = spectral_mean(Am, Bm, t, tol)
+    S = spectral_mean(Am, Bm, t)
     scale = _weight(2.0 ** (1.0 + np.asarray(t)))
-    lower = scale * powm(Am + invm(Bm, tol), -t, tol) - invm(Am, tol)
-    dual = scale * powm(invm(Am, tol) + Bm, -t, tol) - Am
-    gaps = [_gap(lower, S), _gap(dual, invm(S, tol))]
-    pd = min_eig(dual, tol) > tol.pd_tol
+    lower = scale * powm(Am + invm(Bm), -t) - invm(Am)
+    dual = scale * powm(invm(Am) + Bm, -t) - Am
+    gaps = [_gap(lower, S), _gap(dual, invm(S))]
+    pd = min_eig(dual) > PD_TOL
     if S.ndim == 2:
         if pd:
-            gaps.append(_gap(S, invm(dual, tol)))
+            gaps.append(_gap(S, invm(dual)))
     elif pd.any():
         direct = np.full(pd.shape, np.inf)
-        direct[pd] = _gap(S[pd], invm(dual[pd], tol))
+        direct[pd] = _gap(S[pd], invm(dual[pd]))
         gaps.append(direct)
-    return _combine("bounds_spectral", True, gaps, slack, witness=f"t={t}")
+    return _combine("bounds_spectral", True, gaps, witness=f"t={t}")
 
 
-def check_log_sum_condition(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_log_sum_condition(A, B) -> CheckResult:
     """log A + log B <= 0 implies A # B <= I."""
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    slack = tol.loewner_tol
     n = Am.shape[-1]
-    premise = _gap(logm(Am, tol) + logm(Bm, tol), np.zeros((n, n))) >= -slack
-    gap = _gap(geo_mean(Am, Bm, 0.5, tol), np.eye(n))
-    return _combine("log_sum_condition", premise, [gap], slack)
+    premise = _le(logm(Am) + logm(Bm), np.zeros((n, n)))
+    gap = _gap(geo_mean(Am, Bm, 0.5), np.eye(n))
+    return _combine("log_sum_condition", premise, [gap])
 
 
-def check_d_le_delta(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_d_le_delta(A, B) -> CheckResult:
     """Frobenius semi-metric never exceeds the Riemannian trace metric."""
-    d = distance("semimetric_frob", A, B, tol)
-    delta = distance("riemannian", A, B, tol)
+    d = distance("semimetric_frob", A, B)
+    delta = distance("riemannian", A, B)
     margin = delta - d
-    return CheckResult("d_le_delta", True, margin >= -tol.loewner_tol, margin,
+    return CheckResult("d_le_delta", True, margin >= -LOEWNER_TOL, margin,
                        witness=f"d={_fmt(d, '.6g')}, delta={_fmt(delta, '.6g')}")
 
 
-def check_logmaj_mean(A, B, t: float,
-                      tol: TolerancePolicy = DEFAULT_TOL) -> CheckResult:
+def check_logmaj_mean(A, B, t: float) -> CheckResult:
     """Eigenvalues of A #_t B are log-majorized by those of A^{1-t} B^t."""
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    x = np.linalg.eigvalsh(geo_mean(Am, Bm, t, tol))[..., ::-1]
+    x = np.linalg.eigvalsh(geo_mean(Am, Bm, t))[..., ::-1]
     # A^{1-t} B^t has the eigenvalues of the Hermitian form B^{t/2} A^{1-t} B^{t/2}
-    half = powm(Bm, t / 2.0, tol)
-    y = np.linalg.eigvalsh(hermitian_part(half @ powm(Am, 1.0 - t, tol) @ half))[..., ::-1]
+    half = powm(Bm, t / 2.0)
+    y = np.linalg.eigvalsh(hermitian_part(half @ powm(Am, 1.0 - t) @ half))[..., ::-1]
     lx, ly = np.log(x), np.log(y)
     prefix_gaps = np.cumsum(ly, axis=-1) - np.cumsum(lx, axis=-1)
     margin = _per_item(prefix_gaps.min(axis=-1))
     det_gap = prefix_gaps[..., -1]
-    held = (margin >= -tol.loewner_tol) & (abs(det_gap) <= tol.loewner_tol)
+    held = (margin >= -LOEWNER_TOL) & (abs(det_gap) <= LOEWNER_TOL)
     return CheckResult("logmaj_mean", True, held, margin,
                        witness=f"t={t}, det-gap={_fmt(det_gap, '.3e')}")
 
@@ -264,39 +258,37 @@ _DISPATCH = {
 }
 
 
-def check(case: str, *args, tol: TolerancePolicy = DEFAULT_TOL, **kwargs) -> CheckResult:
+def check(case: str, *args, **kwargs) -> CheckResult:
     """Run one inequality case on case-specific inputs."""
     try:
         fn = _DISPATCH[case]
     except KeyError:
         raise UnknownCase(f"unknown inequality case {case!r}") from None
-    return fn(*args, tol=tol, **kwargs)
+    return fn(*args, **kwargs)
 
 
-def equivalence_statements(A, B, tol: TolerancePolicy = DEFAULT_TOL) -> tuple:
+def equivalence_statements(A, B) -> tuple:
     """Truth values of the five equivalent order statements.
 
     (1) A^{-1} natural B <= I, (2) A natural B^{-1} >= I, (3) A # B <= A,
-    (4) A # B >= B, (5) B <= A -- all evaluated independently at loewner_tol.
+    (4) A # B >= B, (5) B <= A -- all evaluated independently at LOEWNER_TOL.
     For stacks of pairs each truth value is an array, one per item.
     """
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    slack = tol.loewner_tol
     eye = np.eye(Am.shape[-1])
-    Ainv, Binv = invm(Am, tol), invm(Bm, tol)
-    sharp = geo_mean(Am, Bm, 0.5, tol)
+    Ainv, Binv = invm(Am), invm(Bm)
+    sharp = geo_mean(Am, Bm, 0.5)
     return (
-        _gap(spectral_mean(Ainv, Bm, 0.5, tol), eye) >= -slack,
-        _gap(eye, spectral_mean(Am, Binv, 0.5, tol)) >= -slack,
-        _gap(sharp, Am) >= -slack,
-        _gap(Bm, sharp) >= -slack,
-        _gap(Bm, Am) >= -slack,
+        _le(spectral_mean(Ainv, Bm, 0.5), eye),
+        _le(eye, spectral_mean(Am, Binv, 0.5)),
+        _le(sharp, Am),
+        _le(Bm, sharp),
+        _le(Bm, Am),
     )
 
 
-def weak_majorize(x, y, log_scale: bool = False,
-                  tol: float = DEFAULT_TOL.loewner_tol) -> tuple:
+def weak_majorize(x, y, log_scale: bool = False) -> tuple:
     """Prefix-dominance of descending vectors, with a totals-equal flag.
 
     Linear scale compares prefix sums; log scale compares prefix products
@@ -310,7 +302,7 @@ def weak_majorize(x, y, log_scale: bool = False,
     if xv.shape != yv.shape or xv.ndim < 1:
         raise LengthMismatch(f"shapes {xv.shape} and {yv.shape} differ")
     for v in (xv, yv):
-        bad = (np.diff(v, axis=-1) > tol).any(axis=-1)
+        bad = (np.diff(v, axis=-1) > LOEWNER_TOL).any(axis=-1)
         if bad.any():
             raise ValueError(_item(bad) + "vectors must be sorted in descending order")
     if log_scale:
@@ -320,9 +312,9 @@ def weak_majorize(x, y, log_scale: bool = False,
         xv, yv = np.log(xv), np.log(yv)
     prefix_y = np.cumsum(yv, axis=-1)
     gaps = prefix_y - np.cumsum(xv, axis=-1)
-    dominates = gaps.min(axis=-1) >= -tol
+    dominates = gaps.min(axis=-1) >= -LOEWNER_TOL
     scale = np.maximum(1.0, np.abs(prefix_y).max(axis=-1))
-    totals_equal = np.abs(gaps[..., -1]) <= tol * scale
+    totals_equal = np.abs(gaps[..., -1]) <= LOEWNER_TOL * scale
     if xv.ndim == 1:
         return bool(dominates), bool(totals_equal)
     return dominates, totals_equal

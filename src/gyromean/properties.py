@@ -30,7 +30,7 @@ from . import gyrodensity as gd
 from .fixtures import contraction_converse_witness, triangle_measurements
 from .gyroaxioms import run_axiom_suite
 from .kernel import (
-    DEFAULT_TOL,
+    LOEWNER_TOL,
     _frobenius,
     _per,
     _top_eig,
@@ -459,8 +459,6 @@ def _contraction(trials):
 
 @prop("sufficient-conditions", "sufficient-conditions", 1e-8, min_premise=50)
 def _sufficient_conditions(trials):
-    slack = DEFAULT_TOL.loewner_tol
-
     def draw(rng, d, i):
         A, B = _pd(rng, d, trials)
         log_pair = gen_log_sum_pair(rng, d)
@@ -478,9 +476,9 @@ def _sufficient_conditions(trials):
         held += count
         yield shortfalls
         # co-occurrence of the spectral condition with the other two
-        co_counts["cond2"] += int(np.sum(_top_eig(logm(As) + logm(Bs)) <= slack))
-        co_counts["cond1"] += int(np.sum((_top_eig(As) <= 1 + slack)
-                                          & (_top_eig(Bs) <= 1 + slack)))
+        co_counts["cond2"] += int(np.sum(_top_eig(logm(As) + logm(Bs)) <= LOEWNER_TOL))
+        co_counts["cond1"] += int(np.sum((_top_eig(As) <= 1 + LOEWNER_TOL)
+                                          & (_top_eig(Bs) <= 1 + LOEWNER_TOL)))
     note = (f"spectral-condition samples also satisfying: contractive {co_counts['cond1']}, "
             f"log-sum {co_counts['cond2']} of {trials.count} (recorded only)")
     return Outcome(premise_held=held, note=note)

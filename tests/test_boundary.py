@@ -30,7 +30,7 @@ from gyromean.gyrocone import (
     gyroline,
 )
 from gyromean.gyrodensity import dens_cogyroline, dens_gyroline, dens_scalar
-from gyromean.kernel import polar_unitary, powm
+from gyromean.kernel import expm, invm, polar_unitary, powm
 from gyromean.means import (
     geo_mean,
     mean,
@@ -217,3 +217,37 @@ def test_results_at_the_top_of_the_double_range_stay_finite():
                                    top * spectral_mean(np.eye(2), B_top / top, T), rtol=1e-13)
         np.testing.assert_allclose(gyration(A_top, B_top, A_top), A_top,
                                    rtol=1e-13, atol=1e-13 * top)
+
+
+SPREAD = np.diag([1e-2, 1.0, 1e2])  # kappa^200 = 1e800 leaves the double range
+
+
+@pytest.mark.parametrize("filter_", ["error", "ignore"])
+@pytest.mark.parametrize("call", [
+    lambda: geo_mean(np.eye(3), SPREAD, 200.0),
+    lambda: powm(SPREAD, 200.0),
+    lambda: powm(SPREAD, -200.0),
+    lambda: gyroline(200.0, np.eye(3), SPREAD),
+    lambda: spectral_mean(np.eye(3), SPREAD, 200.0),
+    lambda: cogyroline(200.0, np.eye(3), SPREAD),
+    lambda: invm(1e-320 * np.eye(2)),  # subnormal, yet relatively positive definite
+    lambda: expm(np.diag([1000.0, 0.0])),
+    lambda: cone_scalar(400.0, np.diag([0.1, 0.9])),  # underflows to a singular power
+], ids=["geo_mean", "powm", "powm-negative", "gyroline", "spectral_mean", "cogyroline",
+        "invm-subnormal", "expm", "cone_scalar-underflow"])
+def test_a_result_outside_the_double_range_raises_not_finite(call, filter_):
+    # the named error must not hang on the RuntimeWarning, which only pytest
+    # turns into an error: with warnings ignored it is raised all the same
+    with warnings.catch_warnings():
+        warnings.simplefilter(filter_)
+        with pytest.raises(errors.NotFinite):
+            call()
+
+
+def test_a_stack_names_the_item_whose_power_leaves_the_double_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.NotFinite, match=r"^item \(1,\): "):
+            powm(np.stack([np.eye(3), SPREAD]), 200.0)
+        with pytest.raises(errors.NotFinite, match=r"^item \(0,\): "):
+            spectral_mean(np.stack([np.eye(3)] * 2), np.stack([SPREAD, np.eye(3)]), 200.0)

@@ -13,6 +13,7 @@ from gyromean.harness import (
     reproduce_counterexamples,
     run_campaign,
 )
+from gyromean.kernel import HERMITICITY_TOL, LOEWNER_TOL, PD_TOL
 from gyromean.randgen import _key_type, gen_random_pd, substream
 from gyromean.registry import (
     REQUIRED_ANCHORS,
@@ -243,8 +244,8 @@ def test_config_records_the_fixed_grids_and_tolerances():
     assert config["t_grid"] == [0.1, 0.25, 0.5, 0.75, 0.9]
     assert config["p_grid"] == [1.0, 1.5, 2.0, 3.0, 5.0]
     assert config["tolerances"] == {
-        "hermiticity_tol": 1e-10, "pd_tol": 1e-10, "reconstruct_tol": 1e-10,
-        "loewner_tol": 1e-8, "equality_tol": 1e-8}
+        "hermiticity_tol": HERMITICITY_TOL, "pd_tol": PD_TOL, "loewner_tol": LOEWNER_TOL}
+    assert (HERMITICITY_TOL, PD_TOL, LOEWNER_TOL) == (1e-10, 1e-10, 1e-8)
 
 
 # (samples, premise_held) of every record on the small config that differs

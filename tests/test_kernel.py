@@ -1,13 +1,17 @@
 """Spectral kernel: eigendecomposition, matrix functions, norms, comparisons."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import gyromean
 from gyromean import errors
 from gyromean.kernel import (
-    DEFAULT_TOL,
+    LOEWNER_TOL,
     Loewner,
-    TolerancePolicy,
     congruence,
     eigh,
     expm,
@@ -175,7 +179,7 @@ def test_loewner_permutation_congruence_remark():
 
 def test_loewner_transitivity_at_tolerance():
     rng = substream(107, "kernel-loewner-trans")
-    tol = DEFAULT_TOL.loewner_tol
+    tol = LOEWNER_TOL
     for _ in range(50):
         X = gen_random_pd(rng, 3)
         Y = X + gen_random_pd(rng, 3)
@@ -227,11 +231,24 @@ def test_min_eig_and_hermitian_part():
     np.testing.assert_allclose(hermitian_part(M), [[1.0, 0.5], [0.5, 1.0]])
 
 
-def test_tolerance_policy_validation():
-    with pytest.raises(ValueError):
-        TolerancePolicy(pd_tol=0.0)
-    with pytest.raises(ValueError):
-        TolerancePolicy(loewner_tol=-1e-8)
+def test_no_public_function_takes_a_tolerance():
+    # the tolerances are the module constants of the kernel; only the Loewner
+    # comparison takes its eigenvalue slack per call
+    modules = [gyromean] + [importlib.import_module(f"gyromean.{m.name}")
+                            for m in pkgutil.iter_modules(gyromean.__path__)]
+    takes_tol = set()
+    for module in modules:
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or not getattr(obj, "__module__", "").startswith("gyromean")):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:
+                continue
+            if "tol" in params:
+                takes_tol.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert takes_tol == {"gyromean.kernel.loewner_compare"}
 
 
 @pytest.mark.parametrize("items", [None, 5])
