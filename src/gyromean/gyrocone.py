@@ -32,8 +32,7 @@ def cone_add(A, B) -> np.ndarray:
     """A (+) B = A^{1/2} B A^{1/2}."""
     Am, Bm = require_hermitians(A, B)
     _pd_eigh(Bm)
-    rootA = _powm(_pd_eigh(Am), 0.5)
-    return hermitian_part(rootA @ Bm @ rootA)
+    return _sandwich(_powm(_pd_eigh(Am), 0.5), Bm)
 
 
 def cone_scalar(t: float, A) -> np.ndarray:

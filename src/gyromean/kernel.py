@@ -26,11 +26,24 @@ A curve parameter may then be one float or an array of the stack's leading
 shape, one weight per item.  A single matrix keeps its own code path, bit
 for bit; only its eigendecomposition fixes eigenvector phases, because a
 spectral function V f(w) V* does not depend on them.
+
+Memo.  While ``registry.run_property`` runs one property, inside
+``_eigh_memo()``, the eigensolve remembers its last ``MEMO_SIZE``
+decompositions, keyed by the shape, dtype and bytes of the matrix or
+stack solved: the campaign chains the means and gyro operations on the
+same operands, and each public call would otherwise decompose them anew.
+A hit needs byte equality, so it returns exactly what LAPACK returned for
+the same input, and the stored arrays are read-only, so no caller can
+change a shared result.  Each thread has its own memo, it is emptied
+when the property ends, and outside that scope there is none.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from enum import Enum
 from typing import NamedTuple
 
@@ -53,6 +66,10 @@ from .errors import (
 HERMITICITY_TOL = 1e-10
 PD_TOL = 1e-10
 LOEWNER_TOL = 1e-8
+
+# the decompositions the memo holds; the campaign's repeats recur within 16
+MEMO_SIZE = 16
+_MEMO: ContextVar[OrderedDict | None] = ContextVar("eigh_memo", default=None)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -229,21 +246,53 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
     return H + H.conj().mT
 
 
+@contextmanager
+def _eigh_memo():
+    """Remember the last ``MEMO_SIZE`` eigendecompositions within this block."""
+    token = _MEMO.set(OrderedDict())
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _solve(M: np.ndarray):
+    """LAPACK's (w, V) for a Hermitian complex ndarray, through the memo."""
+    memo = _MEMO.get()
+    if memo is not None:
+        key = (M.shape, M.dtype.str, M.tobytes())
+        dec = memo.get(key)
+        if dec is not None:
+            memo.move_to_end(key)
+            return dec
+    try:
+        w, V = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    if memo is not None:
+        w.flags.writeable = False
+        V.flags.writeable = False
+        memo[key] = SpectralDecomposition(w, V)
+        if len(memo) > MEMO_SIZE:
+            memo.popitem(last=False)
+    return w, V
+
+
 def _eigh(M: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of M, trusted to be a Hermitian complex ndarray.
 
     M may be a stack; only a single matrix gets the phase convention of ``eigh``.
     """
-    try:
-        w, V = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    w, V = _solve(M)
     return SpectralDecomposition(w, _fix_phases(V) if V.ndim == 2 else V)
 
 
-def _not_pd(smallest, scale) -> str:
-    return (f"smallest eigenvalue {smallest:.3e} not above tolerance "
-            f"(relative to spectral radius {scale:.3e})")
+def _raise_not_pd(where: str, smallest, scale):
+    # a NaN eigenvalue comes from a matrix that overflowed on its way here
+    if math.isnan(smallest):
+        raise NotFinite(where + "the matrix overflows the double range")
+    raise NotPositiveDefinite(where + f"smallest eigenvalue {smallest:.3e} not above "
+                              f"tolerance (relative to spectral radius {scale:.3e})")
 
 
 def _pd_eigh(M: np.ndarray) -> SpectralDecomposition:
@@ -255,11 +304,11 @@ def _pd_eigh(M: np.ndarray) -> SpectralDecomposition:
         scale = np.maximum(np.abs(lo), np.abs(w[..., -1]))
         bad = ~(lo > PD_TOL * scale)
         if bad.any():
-            raise NotPositiveDefinite(_item(bad) + _not_pd(lo[bad][0], scale[bad][0]))
+            _raise_not_pd(_item(bad), lo[bad][0], scale[bad][0])
         return dec
     scale = max(abs(float(w[0])), abs(float(w[-1])))
     if not w[0] > PD_TOL * scale:
-        raise NotPositiveDefinite(_not_pd(w[0], scale))
+        _raise_not_pd("", w[0], scale)
     return dec
 
 
@@ -486,7 +535,7 @@ def polar_unitary(M) -> np.ndarray:
 
 def _polar_unitary(Mm: np.ndarray) -> np.ndarray:
     """``polar_unitary`` of a finite complex matrix or stack."""
-    w, V = np.linalg.eigh(hermitian_part(Mm @ Mm.conj().mT))
+    w, V = _solve(hermitian_part(Mm @ Mm.conj().mT))
     if w.ndim > 1:
         bad = w[..., 0] <= PD_TOL * w[..., -1]
         if bad.any():

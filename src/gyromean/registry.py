@@ -3,10 +3,11 @@
 Each registered property verifies one statement (or a small family sharing a
 source anchor) over seeded random samples.  Its runner yields violation
 values; ``run_property`` reduces all of them at once to the record's worst
-violation, which a NaN among them turns into NaN, failing the record.  The
-campaign requires every canonical anchor to be covered; a missing anchor is a
-structural failure of the harness itself, independent of any numerical
-outcome.
+violation, which a NaN among them turns into NaN, failing the record.  It
+runs the runner inside the kernel's eigensolve memo, so a stack the property
+decomposes twice is solved once.  The campaign requires every canonical
+anchor to be covered; a missing anchor is a structural failure of the
+harness itself, independent of any numerical outcome.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .kernel import _eigh_memo
 from .randgen import GeneratorStack, substream
 
 # Canonical anchors, one per source statement the campaign must exercise.
@@ -233,9 +235,11 @@ def _drain(runner) -> tuple[float, Outcome]:
 
 
 def run_property(spec: PropertySpec, config) -> PropertyRecord:
-    worst, out = _drain(spec.runner(Trials(config.seed, config.trials, config.dims,
-                                           config.cond_cap, spec.threshold,
-                                           spec.property_id)))
+    """Run one property's trials into its record, with the eigensolve memo on."""
+    with _eigh_memo():
+        worst, out = _drain(spec.runner(Trials(config.seed, config.trials, config.dims,
+                                               config.cond_cap, spec.threshold,
+                                               spec.property_id)))
     samples = config.trials if out.samples is None else out.samples
     premise_held = samples if out.premise_held is None else out.premise_held
     note, passed = out.note, True

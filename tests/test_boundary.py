@@ -251,3 +251,23 @@ def test_a_stack_names_the_item_whose_power_leaves_the_double_range():
             powm(np.stack([np.eye(3), SPREAD]), 200.0)
         with pytest.raises(errors.NotFinite, match=r"^item \(0,\): "):
             spectral_mean(np.stack([np.eye(3)] * 2), np.stack([SPREAD, np.eye(3)]), 200.0)
+
+
+TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)
+
+
+@pytest.mark.parametrize("call, where", [
+    (lambda: cone_add(HUGE, HUGE), ""),
+    (lambda: geo_mean(TINY, HUGE), ""),
+    (lambda: distance("thompson", TINY, HUGE), ""),
+    (lambda: gyroline(T, TINY, HUGE), ""),
+    (lambda: geo_mean(np.stack([np.eye(2), TINY]), np.stack([np.eye(2), HUGE])),
+     r"item \(1,\): "),
+], ids=["cone_add", "geo_mean", "thompson", "gyroline", "geo_mean-stack"])
+def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
+    # A^{1/2} B A^{1/2} and the whitened A^{-1/2} B A^{-1/2} overflow here; the
+    # named error comes only with warnings ignored, since numpy warns first
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(errors.NotFinite, match="^" + where + "the"):
+            call()

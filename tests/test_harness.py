@@ -1,12 +1,13 @@
 """Random generation, campaign determinism, reports, counterexamples."""
 
+import contextlib
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from gyromean import closedform2x2, errors, gyrocone, properties
+from gyromean import closedform2x2, errors, gyrocone, properties, registry
 from gyromean.harness import (
     CampaignConfig,
     Report,
@@ -224,6 +225,28 @@ def test_each_property_alone_gives_its_campaign_record_and_threshold():
         record = records[spec.property_id]
         assert run_property(spec, SMALL) == record, spec.property_id
         assert record.threshold == THRESHOLDS[spec.property_id], spec.property_id
+
+
+def test_the_eigensolve_memo_changes_no_record(monkeypatch):
+    with_memo = [run_property(spec, SMALL) for spec in all_properties()]
+    monkeypatch.setattr(registry, "_eigh_memo", contextlib.nullcontext)
+    assert [run_property(spec, SMALL) for spec in all_properties()] == with_memo
+
+
+def test_a_property_decomposes_each_stack_once(monkeypatch):
+    # cone-gyrogroup-axioms chains cone_add and gyration on the same operands;
+    # without the memo it makes 110 eigensolves on the small config
+    spec = next(s for s in all_properties() if s.property_id == "cone-gyrogroup-axioms")
+    solves = []
+    solve = np.linalg.eigh
+
+    def counted(M):
+        solves.append(M.shape)
+        return solve(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    run_property(spec, SMALL)
+    assert len(solves) == 28
 
 
 def test_registration_needs_a_positive_threshold_and_a_new_id():

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import gyromean
-from gyromean import errors
+from gyromean import errors, kernel
 from gyromean.kernel import (
     LOEWNER_TOL,
+    MEMO_SIZE,
     Loewner,
+    _eigh_memo,
     congruence,
     eigh,
     expm,
@@ -263,3 +265,85 @@ def test_inverse_decomposition(items):
     Ainv = np.linalg.inv(A)
     err = np.linalg.norm(dec.reconstruct() - Ainv, axis=(-2, -1))
     assert (err < 1e-13 * np.linalg.norm(Ainv, axis=(-2, -1))).all()
+
+
+def _counted_eigh(monkeypatch) -> list:
+    """Record the shape of every LAPACK eigensolve from here on."""
+    solves = []
+    solve = np.linalg.eigh
+
+    def counted(M):
+        solves.append(M.shape)
+        return solve(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return solves
+
+
+def _stack(seed, items=4, n=3):
+    return gen_random_pd(GeneratorStack([substream(seed, "kernel-memo", i)
+                                         for i in range(items)]), n)
+
+
+def test_the_memo_decomposes_a_stack_once_and_shares_it_read_only(monkeypatch):
+    A = _stack(131)
+    solves = _counted_eigh(monkeypatch)
+    with _eigh_memo():
+        first = pd_eigh(A)
+        again = pd_eigh(A.copy())
+        assert len(solves) == 1
+        for name in ("eigenvalues", "vectors"):
+            assert getattr(again, name) is getattr(first, name)
+            with pytest.raises(ValueError):
+                getattr(again, name)[0, 0] = 1.0
+        polar_unitary(A)
+        polar_unitary(A)
+        assert len(solves) == 2
+    assert kernel._MEMO.get() is None
+    bare = pd_eigh(A)
+    pd_eigh(A)
+    assert len(solves) == 4
+    # a hit is what LAPACK gives, bit for bit
+    assert np.array_equal(bare.eigenvalues, first.eigenvalues)
+    assert np.array_equal(bare.vectors, first.vectors)
+    bare.vectors[0, 0] = 1.0  # outside the memo nothing is shared
+
+
+def test_the_memo_keeps_a_single_matrix_phase_convention(monkeypatch):
+    A = _stack(137)[0]
+    bare, bare_polar = eigh(A), polar_unitary(A)
+    solves = _counted_eigh(monkeypatch)
+    with _eigh_memo():
+        decs = [eigh(A), eigh(A)]
+        polars = [polar_unitary(A), polar_unitary(A)]
+        assert len(solves) == 2
+    for dec in decs:
+        assert np.array_equal(dec.vectors, bare.vectors)
+    for polar in polars:
+        assert np.array_equal(polar, bare_polar)
+
+
+def test_the_memo_holds_at_most_its_size_least_recently_used_first(monkeypatch):
+    stacks = [_stack(139 + k, items=2, n=2) for k in range(MEMO_SIZE + 2)]
+    solves = _counted_eigh(monkeypatch)
+    with _eigh_memo():
+        for k, A in enumerate(stacks):
+            eigh(A)
+            if k == MEMO_SIZE - 1:
+                eigh(stacks[0])  # a hit makes it the most recent
+            assert len(kernel._MEMO.get()) <= MEMO_SIZE
+        assert len(solves) == len(stacks)
+        eigh(stacks[0])
+        assert len(solves) == len(stacks)
+        eigh(stacks[1])
+        assert len(solves) == len(stacks) + 1
+
+
+def test_polar_unitary_reports_a_failed_eigensolve_as_no_convergence(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    for M in (np.eye(2), np.stack([np.eye(2)] * 2)):
+        with pytest.raises(errors.NoConvergence):
+            polar_unitary(M)
