@@ -108,7 +108,23 @@ def einstein_gyration(a, b, x) -> np.ndarray:
 
 
 def mobius_gyration(a, b, x) -> np.ndarray:
-    return _gyr(mobius_add, a, b, x)
+    """gyr[a,b]x = x + 2(A a + B b)/D in closed form (Ungar, *Analytic
+    Hyperbolic Geometry*, 2005, ch. 3), with A = -<a,x>|b|^2 + <b,x>
+    + 2<a,b><b,x>, B = -<b,x>|a|^2 - <a,x> and D = 1 + 2<a,b> + |a|^2|b|^2.
+
+    The universal formula's four Mobius additions cancel near the boundary
+    of the ball; these inner products do not.
+    """
+    u, v = _require_ball_pair(a, b)
+    w = require_in_ball(x)
+    if w.shape != u.shape:
+        raise NotInBall(f"vectors have different shapes {u.shape} and {w.shape}")
+    uv, uu, vv = np.vecdot(u, v), np.vecdot(u, u), np.vecdot(v, v)
+    uw, vw = np.vecdot(u, w), np.vecdot(v, w)
+    A = -uw * vv + vw + 2.0 * uv * vw
+    B = -vw * uu - uw
+    D = 1.0 + 2.0 * uv + uu * vv
+    return w + 2.0 * (_col(A) * u + _col(B) * v) / _col(D)
 
 
 def einstein_coaddition(u, v) -> np.ndarray:

@@ -5,16 +5,15 @@ Each runner is registered with its id, anchor and threshold, receives its
 reduces them to the record's worst violation and applies the pass/fail
 policy.  A value at or below zero is no violation, so a runner yields the
 negation of a margin that must stay nonnegative.  A runner whose record
-differs from the defaults returns an ``Outcome``.  Trial i draws from the
-substream (seed, property, i) at dimension ``dims[i % len(dims)]``, except
-the defining-equation residual properties, which run every trial at every
-dimension.
+differs from the defaults returns an ``Outcome``.  Trial i runs at dimension
+``dims[i % len(dims)]``, except in the defining-equation residual
+properties, which run every trial at every dimension.
 
-Every runner draws each dimension's trials as one stack (``Trials.stacks``),
-evaluates the stack once, with per-trial scalars as arrays, and yields one
-value per stacked trial; the ball, qubit and 2x2 draws, which do not depend
-on the dimension, make one stack in trial order.  Each trial still draws from
-its own substream what a per-trial call would draw.
+Every runner draws each dimension's trials as one stack (``Trials.stacks``)
+from that dimension's substream (seed, property, "dim=<d>"), evaluates the
+stack once, with per-trial scalars as arrays, and yields one value per
+stacked trial; the ball, qubit and 2x2 draws, which do not depend on the
+dimension, make one stack in trial order.  Trial i is its row of its stack.
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
 """Seeded random generation with order-independent substreams.
 
 The harness derives an independent Philox (counter-based) stream for every
-(property, trial) coordinate by folding the coordinates into the 64-bit key
-with a stable hash.  Parallel or reordered execution therefore cannot change
-any draw, which is what makes campaign reports byte-reproducible.
+(property, dimension) coordinate by folding the coordinates into the 64-bit
+key with a stable hash, and draws that dimension's trials from it as one
+stack.  Parallel or reordered execution therefore cannot change any draw,
+which is what makes campaign reports byte-reproducible.
 
-Every sampler takes either one ``Generator`` or a ``GeneratorStack``, one
-generator per item of a stack.  Given a stack, it returns what the calls on
-each item's generator return, stacked (..., n, n) or (k,): each generator
-supplies its item's Gaussians and uniforms in the order a single call draws
-them, while the linear algebra runs once over the stack.  The samplers that
-compute with their draws (square roots, powers, means) differ from the single
-calls only in the last bits, as the stacked kernel does.
+Every sampler takes either one ``Generator`` or a ``GeneratorStack`` of k
+items on one generator, and returns (..., n, n) or (k,) stacks: each numpy
+draw is one call for the whole stack, row j for item j, and the linear
+algebra runs once over the stack.  The sampler bodies only index a stack
+(``rng[miss]`` redraws the items that missed a cap) and draw from it, so
+given a stack of one generator per item they return, item by item, what the
+single calls on those generators return; the samplers that compute with
+their draws (square roots, powers, means) differ from the single calls only
+in the last bits, as the stacked kernel does.
 
 Also home to the premise-forcing samplers: the conditional theorems are
 tested with constructive inputs (rescaling, congruence by contractions),
@@ -75,19 +78,29 @@ def substream(seed: int, *coords) -> np.random.Generator:
 
 
 class GeneratorStack:
-    """One generator per item of a stack; a draw stacks the items' own draws."""
+    """The draws of ``k`` stacked items from one generator.
 
-    def __init__(self, generators):
-        self.generators = np.array(generators, dtype=object)
+    A draw of ``size`` returns the ``(k, *size)`` block of one call, so row j
+    is item j's draw; ``stack[index]`` is the stack of the indexed items,
+    whose draws continue the same generator.
+    """
+
+    def __init__(self, generator: np.random.Generator, k: int):
+        self.generator, self.k = generator, k
 
     def __getitem__(self, index) -> GeneratorStack:
-        return GeneratorStack(self.generators[index])
+        return GeneratorStack(self.generator, np.arange(self.k)[index].size)
+
+    def _size(self, size) -> tuple:
+        if size is None:
+            return (self.k,)
+        return (self.k, *size) if np.iterable(size) else (self.k, size)
 
     def standard_normal(self, size=None) -> np.ndarray:
-        return np.array([g.standard_normal(size) for g in self.generators])
+        return self.generator.standard_normal(self._size(size))
 
     def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return np.array([g.uniform(low, high, size) for g in self.generators])
+        return self.generator.uniform(low, high, self._size(size))
 
 
 # a string, so that importing this module does not load numpy.random
@@ -113,8 +126,8 @@ def gen_random_pd(rng: Rng, dim: int, cond_cap: float = 1e4,
     Builds A = G G* + eps I with complex standard-normal G and
     eps = 1e-3 * (mean eigenvalue of G G*), resampling until the condition
     number is at most ``cond_cap``; in a stack, only the items that miss
-    the cap redraw, each from its own generator.  With ``unit_det`` the
-    result is scaled by det(A)^{-1/dim}.
+    the cap redraw.  With ``unit_det`` the result is scaled by
+    det(A)^{-1/dim}.
 
     Raises
     ------

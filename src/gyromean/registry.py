@@ -150,10 +150,14 @@ class Outcome(NamedTuple):
 class Trials:
     """The seeded trials of one property under one campaign config.
 
-    Trial i draws from the substream (seed, stream, i) at dimension
-    ``dims[i % len(dims)]``; the stream is the property id.  ``stacks``
-    draws each dimension's trials at once.  ``dataclasses.replace`` gives the
-    same trials at one dimension, on another stream or in another number.
+    Trial i runs at dimension ``dims[i % len(dims)]``; the stream is the
+    property id.  ``stacks`` draws each dimension's trials at once, from the
+    one substream (seed, stream, "dim=<d>"), and trial i is its row in its
+    dimension's stack.  So a trial's draws depend on how many trials share
+    its dimension: changing ``count`` redraws every trial, and one trial is
+    reproduced by drawing its dimension's stack and taking its row.
+    ``dataclasses.replace`` gives trials at one dimension, on another stream
+    or in another number.
     """
 
     seed: int
@@ -167,17 +171,18 @@ class Trials:
         """Each dimension's trials drawn by one ``draw(rng, d, i)`` call, stacked.
 
         ``i`` is the array of the trial indices at dimension ``d``, in trial
-        order, and ``rng`` the ``GeneratorStack`` of their substreams, so the
-        stack-generic samplers draw for each trial what a per-trial call on
-        its substream draws.  The draw returns a tuple: matrices as (k, d, d)
-        stacks, per-trial scalars as (k,) arrays, and constants, which are
-        broadcast to (k,).  The dimensions come in order of first appearance.
+        order, and ``rng`` the ``GeneratorStack`` of ``len(i)`` items on that
+        dimension's substream, so each numpy draw of a stack-generic sampler
+        is one call for the whole stack.  The draw returns a tuple: matrices
+        as (k, d, d) stacks, per-trial scalars as (k,) arrays, and constants,
+        which are broadcast to (k,).  The dimensions come in order of first
+        appearance.
         """
         index = np.arange(self.count)
         dim_of = np.array(self.dims)[index % len(self.dims)]
         for d in dict.fromkeys(dim_of.tolist()):
             i = index[dim_of == d]
-            rng = GeneratorStack([substream(self.seed, self.stream, int(j)) for j in i])
+            rng = GeneratorStack(substream(self.seed, self.stream, f"dim={d}"), len(i))
             yield tuple(np.full(len(i), f) if np.ndim(f) == 0 else f
                         for f in draw(rng, d, i))
 

@@ -14,13 +14,15 @@ from gyromean.ball import (
     einstein_gyration,
     gamma_factor,
     gyromidpoint,
+    _gyr,
     mobius_add,
+    mobius_gyration,
     rapidity_distance,
 )
 from gyromean.gyroaxioms import run_axiom_suite
 from gyromean.gyrodensity import dens_add, dens_neg, dens_scalar
 from gyromean.kernel import invm
-from gyromean.randgen import gen_ball_vector, substream
+from gyromean.randgen import GeneratorStack, gen_ball_vector, substream
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -114,6 +116,23 @@ def test_gyration_is_orthogonal():
     a, b, x = (gen_ball_vector(rng) for _ in range(3))
     g = einstein_gyration(a, b, x)
     assert np.linalg.norm(g) == pytest.approx(np.linalg.norm(x), abs=1e-12)
+
+
+def test_the_closed_form_mobius_gyration_is_the_universal_formula():
+    rng = GeneratorStack(substream(710, "ball-mobius-gyr"), 2000)
+    u, v, w = (gen_ball_vector(rng, 3, 0.5) for _ in range(3))
+    err = np.linalg.norm(mobius_gyration(u, v, w) - _gyr(mobius_add, u, v, w), axis=-1)
+    assert err.max() < 1e-14
+
+
+def test_the_mobius_gyration_is_an_isometry_near_the_boundary():
+    # at radius 0.999 the universal formula loses 1e-9 of the norm; the closed
+    # form keeps it, and gyr[v,u] inverts gyr[u,v]
+    rng = GeneratorStack(substream(711, "ball-mobius-edge"), 2000)
+    u, v, w = (gen_ball_vector(rng, 3, 0.999) for _ in range(3))
+    g = mobius_gyration(u, v, w)
+    assert np.abs(np.linalg.norm(g, axis=-1) - np.linalg.norm(w, axis=-1)).max() < 1e-14
+    assert np.abs(mobius_gyration(v, u, g) - w).max() < 1e-14
 
 
 def test_bloch_to_density_fixtures():

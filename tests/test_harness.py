@@ -1,5 +1,6 @@
 """Random generation, campaign determinism, reports, counterexamples."""
 
+import collections
 import contextlib
 import hashlib
 import json
@@ -15,7 +16,7 @@ from gyromean.harness import (
     run_campaign,
 )
 from gyromean.kernel import HERMITICITY_TOL, LOEWNER_TOL, PD_TOL
-from gyromean.randgen import _key_type, gen_random_pd, substream
+from gyromean.randgen import GeneratorStack, _key_type, gen_random_pd, substream
 from gyromean.registry import (
     REQUIRED_ANCHORS,
     T_GRID,
@@ -99,7 +100,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("dims, count", [((2, 3), 7), ((3, 2, 3), 8), ((4,), 3),
                                          ((4, 2, 3), 2)])
-def test_stacks_are_the_per_trial_draws_grouped_by_dimension(dims, count):
+def test_each_dimension_stack_draws_from_its_own_substream(dims, count):
     trials = Trials(5, count, dims, 1e4, 1e-9, "stacks-contract")
     calls = []
 
@@ -108,21 +109,44 @@ def test_stacks_are_the_per_trial_draws_grouped_by_dimension(dims, count):
         return (gen_random_pd(rng, d), properties._cycle(T_GRID, i), 0.5,
                 rng.uniform(), i)
 
-    # the per-trial draws: trial i on its substream at dims[i % len(dims)]
+    # trial i runs at dims[i % len(dims)]; its dimension's trials are drawn at
+    # once on the substream (seed, stream, "dim=<d>"), and trial i is its row
     per_dim = {}
     for i in range(count):
-        d = dims[i % len(dims)]
-        per_dim.setdefault(d, []).append(draw(substream(5, "stacks-contract", i), d, i))
+        per_dim.setdefault(dims[i % len(dims)], []).append(i)
+    want = [draw(GeneratorStack(substream(5, "stacks-contract", f"dim={d}"), len(i)), d,
+                 np.array(i))
+            for d, i in per_dim.items()]
     del calls[:]
     stacks = list(trials.stacks(draw))
     # one draw per dimension, in order of first appearance
     assert calls == list(per_dim)
     assert len(stacks) == len(per_dim)
-    for fields, draws in zip(stacks, per_dim.values()):
-        assert len(fields) == len(draws[0])
-        for got, want in zip(fields, zip(*draws)):
-            assert got.shape[0] == len(draws)
-            assert np.array_equal(got, np.array(want))
+    for fields, draws, i in zip(stacks, want, per_dim.values()):
+        assert len(fields) == len(draws)
+        assert np.array_equal(fields[-1], i)
+        for got, expected in zip(fields, draws):
+            assert got.shape[0] == len(i)
+            assert np.array_equal(got, np.broadcast_to(expected, got.shape))
+
+
+def test_a_campaign_builds_one_substream_per_dimension_stack(monkeypatch):
+    drawn = []
+
+    def counted(seed, *coords):
+        drawn.append(coords)
+        return substream(seed, *coords)
+
+    monkeypatch.setattr(registry, "substream", counted)
+    run_campaign(SMALL)
+    # one per (stream, dimension) stack; one per trial made 472.  The two cone
+    # axiom properties share the "cone-gyrogroup-axioms" samples, so draw
+    # each of its stacks twice
+    assert len(drawn) == 97
+    assert {d for _, d in drawn} == {"dim=2", "dim=3"}
+    repeated = {c: n for c, n in collections.Counter(drawn).items() if n > 1}
+    assert repeated == {("cone-gyrogroup-axioms", "dim=2"): 2,
+                        ("cone-gyrogroup-axioms", "dim=3"): 2}
 
 
 def test_registry_covers_every_anchor():

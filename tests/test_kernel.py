@@ -30,7 +30,6 @@ from gyromean.kernel import (
     sqrtm,
 )
 from gyromean.randgen import (
-    GeneratorStack,
     gen_commuting_pair,
     gen_random_hermitian,
     gen_random_pd,
@@ -38,6 +37,7 @@ from gyromean.randgen import (
     gen_spread_pd,
     substream,
 )
+from per_item_stack import PerItemStack
 
 
 def test_eigh_diagonal_sorting():
@@ -258,7 +258,7 @@ def test_inverse_decomposition(items):
     if items is None:
         rng = substream(121, "kernel-inverse")
     else:
-        rng = GeneratorStack([substream(121, "kernel-inverse", i) for i in range(items)])
+        rng = PerItemStack([substream(121, "kernel-inverse", i) for i in range(items)])
     A = gen_spread_pd(rng, 4, 1.5)
     dec = pd_eigh(A).inverse()
     assert (np.diff(dec.eigenvalues, axis=-1) > 0).all()
@@ -281,8 +281,8 @@ def _counted_eigh(monkeypatch) -> list:
 
 
 def _stack(seed, items=4, n=3):
-    return gen_random_pd(GeneratorStack([substream(seed, "kernel-memo", i)
-                                         for i in range(items)]), n)
+    return gen_random_pd(PerItemStack([substream(seed, "kernel-memo", i)
+                                       for i in range(items)]), n)
 
 
 def test_the_memo_decomposes_a_stack_once_and_shares_it_read_only(monkeypatch):

@@ -4,8 +4,10 @@ A stack of k operand sets gives what k single calls give (to rtol 1e-12;
 only a single matrix's decomposition fixes eigenvector phases, so the last
 bits may differ), keeps its leading shape, and a stack with one bad item
 raises the named error the single call on that item raises.  The samplers
-keep the same contract for a stack of generators: each item is what the
-single call on that item's generator draws.
+keep the same contract for a stack of generators, one per item
+(``PerItemStack``): each item is what the single call on that item's
+generator draws.  The library's ``GeneratorStack`` draws all items' values as
+one block from one generator.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from gyromean import gyrodensity as gd
 from gyromean.kernel import hermitian_part
 from gyromean import randgen as rg
 from gyromean.randgen import GeneratorStack, gen_spread_pd, substream
+from per_item_stack import PerItemStack
 
 DIMS = (2, 3, 4, 6)
 ITEMS = 8
@@ -301,7 +304,7 @@ def test_a_generator_stack_draws_what_each_generator_draws(name, n):
     t = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
     gens = _generators(name, n)
     singles = [call(g, n, t[j]) for j, g in enumerate(gens)]
-    stack = GeneratorStack(_generators(name, n))
+    stack = PerItemStack(_generators(name, n))
     _assert_items(call(stack, n, t), singles, exact)
     # each generator is left where the single call leaves it
     assert np.array_equal(stack.standard_normal(3), [g.standard_normal(3) for g in gens])
@@ -310,12 +313,12 @@ def test_a_generator_stack_draws_what_each_generator_draws(name, n):
 def test_only_the_items_that_miss_the_cap_are_redrawn():
     n, cap = 4, 30.0
     gens = _generators("resample", n, k=12)
-    first = rg.gen_random_pd(GeneratorStack(_generators("resample", n, k=12)), n,
+    first = rg.gen_random_pd(PerItemStack(_generators("resample", n, k=12)), n,
                              cond_cap=np.inf)
     w = np.linalg.eigvalsh(first)
     assert np.any(w[:, -1] / w[:, 0] > cap), "no item needs a resample"
     assert not np.all(w[:, -1] / w[:, 0] > cap), "every item needs a resample"
-    stack = GeneratorStack(_generators("resample", n, k=12))
+    stack = PerItemStack(_generators("resample", n, k=12))
     # the draw after the resampled matrix must match too
     for _ in range(2):
         _assert_items(rg.gen_random_pd(stack, n, cond_cap=cap),
@@ -324,7 +327,39 @@ def test_only_the_items_that_miss_the_cap_are_redrawn():
 
 def test_a_stack_that_cannot_meet_the_cap_fails():
     with pytest.raises(errors.GenerationFailure):
-        rg.gen_random_pd(GeneratorStack(_generators("fail", 6, k=3)), 6, cond_cap=1.01)
+        rg.gen_random_pd(PerItemStack(_generators("fail", 6, k=3)), 6, cond_cap=1.01)
+
+
+def test_a_generator_stack_draws_one_block_per_call():
+    stack = GeneratorStack(substream(17, "library-stack"), 5)
+    g = substream(17, "library-stack")
+    for size in (None, 3, (2, 4)):
+        shape = (5,) if size is None else (5, *np.atleast_1d(size))
+        assert np.array_equal(stack.standard_normal(size), g.standard_normal(shape))
+        assert np.array_equal(stack.uniform(-1.0, 2.0, size), g.uniform(-1.0, 2.0, shape))
+
+
+def test_a_masked_generator_stack_draws_only_its_rows():
+    mask = np.array([True, False, True, True, False])
+    stack = GeneratorStack(substream(17, "library-mask"), 5)
+    g = substream(17, "library-mask")
+    assert np.array_equal(stack[mask].standard_normal((2, 2)), g.standard_normal((3, 2, 2)))
+    assert np.array_equal(stack[1:].uniform(), g.uniform(size=4))
+    # the whole stack continues the same generator
+    assert np.array_equal(stack.standard_normal(2), g.standard_normal((5, 2)))
+
+
+def test_a_generator_stack_redraws_only_the_items_that_miss_the_cap():
+    n, cap, k = 4, 30.0, 12
+    first = rg.gen_random_pd(GeneratorStack(substream(17, "library-resample"), k), n,
+                             cond_cap=np.inf)
+    capped = rg.gen_random_pd(GeneratorStack(substream(17, "library-resample"), k), n,
+                              cond_cap=cap)
+    w, wc = np.linalg.eigvalsh(first), np.linalg.eigvalsh(capped)
+    met = w[:, -1] / w[:, 0] <= cap
+    assert met.any() and not met.all()
+    assert np.array_equal(capped[met], first[met])
+    assert np.all(wc[:, -1] / wc[:, 0] <= cap)
 
 
 # The ball and the 2x2 closed forms keep the same contract over vector stacks
