@@ -1,5 +1,6 @@
 """tools/seed_sweep.py on two seeds of a tiny config."""
 
+import functools
 import importlib.util
 import json
 from pathlib import Path
@@ -11,14 +12,12 @@ SPEC = importlib.util.spec_from_file_location("seed_sweep", PATH)
 seed_sweep = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(seed_sweep)
 
+TINY = CampaignConfig(trials=2, dims=(2,))
 
-def test_a_sweep_records_each_propertys_worst_headroom_and_its_seed(tmp_path):
-    out = tmp_path / "sweep.json"
-    assert seed_sweep.main(["--seeds", "3:5", "--trials", "2", "--dims", "2",
-                            "--out", str(out)]) == 0
-    result = json.loads(out.read_text(encoding="utf-8"))
+
+def test_a_sweep_records_each_propertys_worst_headroom_and_its_seed():
+    result = seed_sweep.sweep(range(3, 5), TINY)
     assert result["seeds"] == [3, 4] and result["campaigns"] == 2
-    assert result["passed_at_every_seed"] and result["failures"] == []
     assert result["config"] == {"trials": 2, "dims": [2], "cond_cap": 1e4}
     reports = {seed: {r.property_id: r for r in
                       run_campaign(CampaignConfig(seed=seed, trials=2, dims=(2,))).records}
@@ -37,3 +36,11 @@ def test_a_sweep_records_each_propertys_worst_headroom_and_its_seed(tmp_path):
         assert headrooms[row["worst_seed"]] == row["worst_headroom"]
         assert row["worst_seed"] == min(s for s, h in headrooms.items()
                                         if h == row["worst_headroom"])
+
+
+def test_main_writes_the_sweep_and_exits_0_when_every_seed_passes(tmp_path, monkeypatch):
+    monkeypatch.setattr(seed_sweep, "sweep", functools.partial(seed_sweep.sweep, config=TINY))
+    out = tmp_path / "sweep.json"
+    assert seed_sweep.main(["--seeds", "3:5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8")) == json.loads(
+        json.dumps(seed_sweep.sweep(range(3, 5))))

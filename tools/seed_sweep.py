@@ -5,20 +5,19 @@ Usage (from the repository root):
     python3 tools/seed_sweep.py --seeds 0:200 --out bench/SWEEP_seeds-0-199.json
 
 ``--seeds A:B`` runs the seeds A, A+1, ..., B-1, each as a campaign with the
-default config except for the seed; ``--trials``, ``--dims`` and
-``--cond-cap`` change the config of every seed alike.  For every asserted
-property with a finite threshold the output records its worst headroom,
+default config except for the seed.  For every asserted property with a
+finite threshold the output records its worst headroom,
 ``max_violation / threshold`` (above 1 fails the record), the seed of that
 worst value (the first such seed on a tie), and the seeds at which the record
 failed.  A NaN violation counts as failing and as a headroom of null.  The
-file also lists every failing (seed, property) pair, so a sweep that passes
-everywhere shows an empty list.  The output is the same for the same
-arguments on every run: it holds no timing.
+tool exits 1 if any record failed at any seed.  The output is the same for
+the same arguments on every run: it holds no timing.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -38,18 +37,20 @@ def _headroom(record) -> float | None:
     return None if math.isnan(value) else value
 
 
-def sweep(seeds, trials: int, dims: tuple, cond_cap: float) -> dict:
-    """Each property's worst headroom and its seed over the campaigns of ``seeds``."""
-    properties, failures = {}, []
+def sweep(seeds: range, config: CampaignConfig = CampaignConfig()) -> dict:
+    """Each property's worst headroom and its seed over the campaigns of ``seeds``.
+
+    Every seed runs ``config`` with its seed replaced.
+    """
+    properties = {}
     for seed in seeds:
-        config = CampaignConfig(seed=seed, trials=trials, dims=dims, cond_cap=cond_cap)
-        for record in run_campaign(config).records:
+        report = run_campaign(dataclasses.replace(config, seed=seed))
+        for record in report.records:
             row = properties.setdefault(record.property_id, {
                 "threshold": None, "worst_headroom": None, "worst_seed": None,
                 "failed_seeds": []})
             if not record.passed:
                 row["failed_seeds"].append(seed)
-                failures.append({"seed": seed, "property_id": record.property_id})
             headroom = _headroom(record)
             if headroom is None:
                 continue
@@ -57,11 +58,10 @@ def sweep(seeds, trials: int, dims: tuple, cond_cap: float) -> dict:
             if row["worst_headroom"] is None or headroom > row["worst_headroom"]:
                 row["worst_headroom"], row["worst_seed"] = headroom, seed
     return {
-        "config": {"trials": trials, "dims": list(dims), "cond_cap": cond_cap},
+        "config": {"trials": config.trials, "dims": list(config.dims),
+                   "cond_cap": config.cond_cap},
         "seeds": [seeds.start, seeds.stop - 1],
         "campaigns": len(seeds),
-        "passed_at_every_seed": not failures,
-        "failures": failures,
         "properties": properties,
     }
 
@@ -77,24 +77,21 @@ def _seed_range(text: str) -> range:
 
 
 def main(argv=None) -> int:
-    defaults = CampaignConfig()
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seeds", type=_seed_range, required=True, metavar="A:B")
-    p.add_argument("--trials", type=int, default=defaults.trials)
-    p.add_argument("--dims", default=",".join(map(str, defaults.dims)))
-    p.add_argument("--cond-cap", type=float, default=defaults.cond_cap)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
-    dims = tuple(int(d) for d in args.dims.split(","))
-    result = sweep(args.seeds, args.trials, dims, args.cond_cap)
+    result = sweep(args.seeds)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    worst = max((row["worst_headroom"], pid) for pid, row in result["properties"].items()
+    rows = result["properties"].items()
+    failing = sum(len(row["failed_seeds"]) for _, row in rows)
+    worst = max((row["worst_headroom"], pid) for pid, row in rows
                 if row["worst_headroom"] is not None)
-    print(f"{result['campaigns']} campaigns, {len(result['failures'])} failing records; "
+    print(f"{result['campaigns']} campaigns, {failing} failing records; "
           f"closest to its threshold: {worst[1]} at {worst[0]:.3g}; wrote {args.out}")
-    return 0 if result["passed_at_every_seed"] else 1
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":
