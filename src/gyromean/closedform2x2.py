@@ -34,6 +34,7 @@ from .kernel import (
     _any,
     _item,
     _pd_eigh,
+    _pd_eigvals,
     _per_item,
     _powm,
     _top_eig,
@@ -108,7 +109,7 @@ def gm2_det1(A, B, t) -> np.ndarray:
     Bm = _require_unit_det(B)
     require_same_dim(Am, Bm)
     t = _weight(t, Am[..., 0])  # one weight per 2x2 item
-    pd_eigh(Am)  # B's test is in relative_eigenvalue
+    _pd_eigvals(require_hermitian(Am))  # B's test is in relative_eigenvalue
     lam = relative_eigenvalue(Am, Bm)
     return _col(l_map(1.0 - t, lam), 2) * Am + _col(l_map(t, lam), 2) * Bm
 
@@ -126,7 +127,7 @@ def sgm2(A, B, t) -> np.ndarray:
     Bm = _require_2x2(B)
     require_same_dim(Am, Bm)
     dec_a = pd_eigh(Am)
-    pd_eigh(Bm)
+    _pd_eigvals(require_hermitian(Bm))
     ab = np.sqrt(det2(Am).real) * np.sqrt(det2(Bm).real)
     bracket = _col(ab, 2) * _powm(dec_a, -1.0) + Bm
     Mt = powm(hermitian_part(bracket), t)
@@ -199,8 +200,8 @@ def norm_product_check(A, B):
     Bm = _require_unit_det(B)
     require_same_dim(Am, Bm)
     # the operator norm of a positive definite matrix is its top eigenvalue
-    top_a = pd_eigh(Am).eigenvalues[..., -1]
-    top_b = pd_eigh(Bm).eigenvalues[..., -1]
+    top_a = _pd_eigvals(require_hermitian(Am))[..., -1]
+    top_b = _pd_eigvals(require_hermitian(Bm))[..., -1]
     S = Am + Bm
     return _per_item(np.sqrt(det2(S).real * top_a * top_b) - _top_eig(S))
 

@@ -17,6 +17,7 @@ from .kernel import (
     _downscale,
     _frobenius,
     _pd_eigh,
+    _pd_eigvals,
     _polar_unitary,
     _powm,
     _sandwich,
@@ -31,7 +32,7 @@ from .kernel import (
 def cone_add(A, B) -> np.ndarray:
     """A (+) B = A^{1/2} B A^{1/2}."""
     Am, Bm = require_hermitians(A, B)
-    _pd_eigh(Bm)
+    _pd_eigvals(Bm)
     return _sandwich(_powm(_pd_eigh(Am), 0.5), Bm)
 
 
@@ -69,7 +70,7 @@ def gyration_unitary(A, B) -> np.ndarray:
 def gyration(A, B, X) -> np.ndarray:
     """gyr[A, B] X = U(A, B) X U(A, B)^{-1}; preserves positive definiteness."""
     Am, Bm, Xm = require_hermitians(A, B, X)
-    _pd_eigh(Xm)
+    _pd_eigvals(Xm)
     U = _gyration_unitary(_pd_eigh(Am), _pd_eigh(Bm))
     return hermitian_part(U @ Xm @ U.conj().mT)
 
@@ -79,7 +80,7 @@ def _cooperation(rootA: np.ndarray, Bm: np.ndarray,
     """A [+] B from A^{1/2}, a validated B and B's decomposition."""
     U = _polar_unitary(rootA @ _powm(dec_b, -0.5))
     G = hermitian_part(U @ Bm @ U.conj().mT)
-    return hermitian_part(rootA @ G @ rootA)
+    return _sandwich(rootA, G)
 
 
 def cooperation(A, B) -> np.ndarray:
@@ -97,9 +98,8 @@ def gyroline(t: float, A, B) -> np.ndarray:
     Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
     dec_a = _pd_eigh(Am)
-    _pd_eigh(Bm)
-    root_ainv = _powm(dec_a, -0.5)
-    step = hermitian_part(root_ainv @ Bm @ root_ainv)
+    _pd_eigvals(Bm)
+    step = _sandwich(_powm(dec_a, -0.5), Bm)
     scaled = _powm(_pd_eigh(step), t)
     rootA = _powm(dec_a, 0.5)
     return _sandwich(rootA, scaled)

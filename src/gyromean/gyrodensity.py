@@ -19,6 +19,7 @@ from .kernel import (
     _hermitian,
     _item,
     _pd_eigh,
+    _pd_eigvals,
     _powm,
     _trace,
     as_stack,
@@ -32,11 +33,16 @@ from .means import _geo_mean, _spectral_mean
 TRACE_TOL = 1e-10
 
 
-def _require_density(rho) -> tuple[np.ndarray, SpectralDecomposition]:
-    """Validate an invertible density matrix; return it with its decomposition."""
+def _require_density(
+        rho, check=_pd_eigh) -> tuple[np.ndarray, SpectralDecomposition | np.ndarray]:
+    """Validate an invertible density matrix; return it with its decomposition.
+
+    With ``check=_pd_eigvals``, for an operand whose decomposition nothing
+    reads, the same test returns only the eigenvalues.
+    """
     M = as_stack(rho)
     try:
-        dec = _pd_eigh(_hermitian(M))
+        dec = check(_hermitian(M))
     except GyromeanError as exc:
         raise NotDensity(str(exc)) from exc
     if M.ndim > 2:
@@ -54,7 +60,7 @@ def _require_density(rho) -> tuple[np.ndarray, SpectralDecomposition]:
 
 def require_density(rho) -> np.ndarray:
     """Validate an invertible density matrix (PD Hermitian, trace one)."""
-    return _require_density(rho)[0]
+    return _require_density(rho, _pd_eigvals)[0]
 
 
 def normalize_to_density(A) -> np.ndarray:
@@ -68,7 +74,7 @@ def normalize_to_density(A) -> np.ndarray:
 def dens_add(rho, sigma) -> np.ndarray:
     """rho (*) sigma = rho^{1/2} sigma rho^{1/2} / tr(rho sigma)."""
     r, dec_r = _require_density(rho)
-    s, _ = _require_density(sigma)
+    s, _ = _require_density(sigma, _pd_eigvals)
     require_same_dim(r, s)
     root = _powm(dec_r, 0.5)
     return normalize_to_density(hermitian_part(root @ s @ root))
@@ -97,7 +103,7 @@ def dens_gyration(rho, sigma, tau) -> np.ndarray:
     """
     r, dec_r = _require_density(rho)
     s, dec_s = _require_density(sigma)
-    x, _ = _require_density(tau)
+    x, _ = _require_density(tau, _pd_eigvals)
     require_same_dim(r, s, x)
     U = _gyration_unitary(dec_r, dec_s)
     return hermitian_part(U @ x @ U.conj().mT)
@@ -106,7 +112,7 @@ def dens_gyration(rho, sigma, tau) -> np.ndarray:
 def dens_gyroline(t: float, rho, sigma) -> np.ndarray:
     """L(t; rho, sigma): the trace-normalized weighted geometric mean."""
     r, dec_r = _require_density(rho)
-    s, _ = _require_density(sigma)
+    s, _ = _require_density(sigma, _pd_eigvals)
     require_same_dim(r, s)
     t = require_weight(t, r)
     return normalize_to_density(_geo_mean(dec_r, s, t))
@@ -115,7 +121,7 @@ def dens_gyroline(t: float, rho, sigma) -> np.ndarray:
 def dens_cogyroline(t: float, rho, sigma) -> np.ndarray:
     """Lc(t; rho, sigma): the trace-normalized weighted spectral mean."""
     r, dec_r = _require_density(rho)
-    s, _ = _require_density(sigma)
+    s, _ = _require_density(sigma, _pd_eigvals)
     require_same_dim(r, s)
     t = require_weight(t, r)
     return normalize_to_density(_spectral_mean(r, dec_r, s, t))

@@ -36,6 +36,13 @@ A hit needs byte equality, so it returns exactly what LAPACK returned for
 the same input, and the stored arrays are read-only, so no caller can
 change a shared result.  Each thread has its own memo, it is emptied
 when the property ends, and outside that scope there is none.
+Eigenvalue-only reads never touch the memo: ``_pd_eigvals`` and
+``min_eig`` call ``eigvalsh``, so a memo hit stays bit for bit what the
+unmemoised call gives.  They serve every caller that reads only a spectrum:
+the smallest eigenvalue behind the Loewner order and the block margin, the
+four distances (log-eigenvalues of A^{-1/2} B A^{-1/2} and of A^{-1} # B),
+the operator norm, and the positive definiteness check of an operand whose
+decomposition nothing uses.
 """
 
 from __future__ import annotations
@@ -194,6 +201,11 @@ def require_hermitians(*operands) -> list[np.ndarray]:
 def _hermitian(M: np.ndarray) -> np.ndarray:
     """The checks of ``require_hermitian`` on a complex ndarray of square matrices."""
     if M.ndim > 2:
+        # pass first: a defect within the bare tolerance passes every item's
+        # test, and a NaN or infinite entry makes the defect NaN or infinite
+        with np.errstate(invalid="ignore", over="ignore"):
+            if np.abs(M - M.conj().mT).max(initial=0.0) <= HERMITICITY_TOL:
+                return M
         peak = np.max(np.abs(M), axis=(-2, -1))
         bad = ~np.isfinite(peak)
         if bad.any():
@@ -278,6 +290,14 @@ def _solve(M: np.ndarray):
     return w, V
 
 
+def _eigvalsh(M: np.ndarray) -> np.ndarray:
+    """LAPACK's ascending eigenvalues of a Hermitian complex ndarray, never memoised."""
+    try:
+        return np.linalg.eigvalsh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def _eigh(M: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of M, trusted to be a Hermitian complex ndarray.
 
@@ -295,21 +315,35 @@ def _raise_not_pd(where: str, smallest, scale):
                               f"tolerance (relative to spectral radius {scale:.3e})")
 
 
+def _require_pd(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues w, one row per item, if each item is positive definite."""
+    if w.ndim == 1:
+        lo, hi = float(w[0]), float(w[-1])  # Python floats: numpy scalars cost more
+        scale = max(abs(lo), abs(hi))
+        if not lo > PD_TOL * scale:
+            _raise_not_pd("", lo, scale)
+        return w
+    lo, hi = w[..., 0], w[..., -1]
+    # pass first: with w ascending this implies 0 < lo <= hi, which passes
+    if (lo > PD_TOL * hi).all():
+        return w
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    bad = ~(lo > PD_TOL * scale)
+    if bad.any():
+        _raise_not_pd(_item(bad), lo[bad][0], scale[bad][0])
+    return w
+
+
 def _pd_eigh(M: np.ndarray) -> SpectralDecomposition:
     """``_eigh`` followed by the positive definiteness test of ``pd_eigh``."""
     dec = _eigh(M)
-    w = dec.eigenvalues
-    if w.ndim > 1:
-        lo = w[..., 0]
-        scale = np.maximum(np.abs(lo), np.abs(w[..., -1]))
-        bad = ~(lo > PD_TOL * scale)
-        if bad.any():
-            _raise_not_pd(_item(bad), lo[bad][0], scale[bad][0])
-        return dec
-    scale = max(abs(float(w[0])), abs(float(w[-1])))
-    if not w[0] > PD_TOL * scale:
-        _raise_not_pd("", w[0], scale)
+    _require_pd(dec.eigenvalues)
     return dec
+
+
+def _pd_eigvals(M: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of M, with the test of ``_pd_eigh``; no memo."""
+    return _require_pd(_eigvalsh(M))
 
 
 def eigh(H) -> SpectralDecomposition:
@@ -365,7 +399,7 @@ def pd_eigh(A) -> SpectralDecomposition:
 
 def is_positive_definite(A) -> bool:
     try:
-        pd_eigh(A)
+        _pd_eigvals(require_hermitian(A))
     except (NotPositiveDefinite, NotHermitian, NotFinite):
         return False
     return True
@@ -373,7 +407,7 @@ def is_positive_definite(A) -> bool:
 
 def min_eig(H):
     """Smallest eigenvalue of a Hermitian matrix (one per item for a stack)."""
-    return _per_item(eigh(H).eigenvalues[..., 0])
+    return _per_item(_eigvalsh(require_hermitian(H))[..., 0])
 
 
 def _spectral(dec: SpectralDecomposition, fw: np.ndarray) -> np.ndarray:
@@ -414,6 +448,9 @@ def _sandwich(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     as a mean's curve points do far out on the curve."""
     with np.errstate(over="ignore", invalid="ignore"):
         P = hermitian_part(S @ X @ S)
+        # pass first: a NaN or infinite entry makes the sum NaN or infinite
+        if math.isfinite(abs(P.sum())):
+            return P
     bad = ~np.isfinite(P).all(axis=(-2, -1))
     if _any(bad):
         raise NotFinite(_item(bad) + "the result overflows the double range")
@@ -489,8 +526,7 @@ def norm(H, kind: str = "operator") -> float:
     """Operator (largest |eigenvalue|) or Frobenius norm of a Hermitian matrix."""
     M = require_hermitian(as_matrix(H))
     if kind == "operator":
-        w = _eigh(M).eigenvalues
-        return float(np.max(np.abs(w)))
+        return float(np.max(np.abs(_eigvalsh(M))))
     if kind == "frobenius":
         return float(np.linalg.norm(M))
     raise UnknownCase(f"unknown norm kind {kind!r}")

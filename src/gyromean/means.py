@@ -19,6 +19,7 @@ from .kernel import (
     _frobenius,
     _logm,
     _pd_eigh,
+    _pd_eigvals,
     _per,
     _powm,
     _sandwich,
@@ -42,7 +43,7 @@ def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float) -> np.ndar
     root_w = np.sqrt(dec_a.eigenvalues)
     rootA = _spectral(dec_a, root_w)
     inv_rootA = _spectral(dec_a, 1.0 / root_w)
-    inner = _powm(_pd_eigh(hermitian_part(inv_rootA @ Bm @ inv_rootA)), t)
+    inner = _powm(_pd_eigh(_sandwich(inv_rootA, Bm)), t)
     return _sandwich(rootA, inner)
 
 
@@ -113,8 +114,8 @@ def riccati_residual(A, B, X) -> float:
     Am, Bm, Xm = require_hermitians(A, B, X)
     dec_a = _pd_eigh(Am)
     # the PD checks of B and X
-    _pd_eigh(Bm)
-    _pd_eigh(Xm)
+    _pd_eigvals(Bm)
+    _pd_eigvals(Xm)
     return _frobenius(Xm @ _powm(dec_a, -1.0) @ Xm - Bm)
 
 

@@ -20,15 +20,15 @@ import numpy as np
 from .errors import UnknownCase
 from .kernel import (
     SpectralDecomposition,
-    _frobenius,
-    _logm,
+    _eigvalsh,
     _pd_eigh,
+    _pd_eigvals,
     _per_item,
     _powm,
+    _sandwich,
     as_stack,
-    hermitian_part,
-    pd_eigh,
     powm,
+    require_hermitian,
     require_hermitians,
     require_same_dim,
 )
@@ -38,30 +38,39 @@ DISTANCE_KINDS = ("thompson", "riemannian", "semimetric_op", "semimetric_frob")
 
 
 def _log_whitened(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
-    """log(A^{-1/2} B A^{-1/2}), from A's decomposition."""
-    inv_root = _powm(dec_a, -0.5)
-    return _logm(_pd_eigh(hermitian_part(inv_root @ Bm @ inv_root)))
+    """The log-eigenvalues of A^{-1/2} B A^{-1/2}, from A's decomposition."""
+    return np.log(_pd_eigvals(_sandwich(_powm(dec_a, -0.5), Bm)))
 
 
 def _log_inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
-    """log(A^{-1} # B), from A's decomposition."""
-    return _logm(_pd_eigh(_geo_mean(dec_a.inverse(), Bm, 0.5)))
+    """The log-eigenvalues of A^{-1} # B, from A's decomposition."""
+    return np.log(_pd_eigvals(_geo_mean(dec_a.inverse(), Bm, 0.5)))
 
 
-def _opnorm(H):
-    return _per_item(np.max(np.abs(np.linalg.eigvalsh(H)), axis=-1))
+def _opnorm(lw: np.ndarray):
+    """The operator norm of a Hermitian matrix with eigenvalues lw."""
+    return _per_item(np.max(np.abs(lw), axis=-1))
+
+
+def _frobnorm(lw: np.ndarray):
+    """The Frobenius norm of a Hermitian matrix with eigenvalues lw."""
+    return _per_item(np.linalg.norm(lw, axis=-1))
 
 
 def _distance(kind: str, dec_a: SpectralDecomposition, Bm: np.ndarray):
-    """The distance of the given kind, from A's decomposition and a validated B."""
+    """The distance of the given kind, from A's decomposition and a validated B.
+
+    Each kind is a norm of log X for a positive definite X, so it reads only
+    X's log-eigenvalues.
+    """
     if kind == "thompson":
         return _opnorm(_log_whitened(dec_a, Bm))
     if kind == "riemannian":
-        return _frobenius(_log_whitened(dec_a, Bm))
+        return _frobnorm(_log_whitened(dec_a, Bm))
     if kind == "semimetric_op":
         return 2.0 * _opnorm(_log_inv_sharp(dec_a, Bm))
     if kind == "semimetric_frob":
-        return 2.0 * _frobenius(_log_inv_sharp(dec_a, Bm))
+        return 2.0 * _frobnorm(_log_inv_sharp(dec_a, Bm))
     raise UnknownCase(f"unknown distance kind {kind!r}")
 
 
@@ -78,9 +87,8 @@ def sup_ratio(A, B):
     """
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    pd_eigh(Bm)
-    inv_root = powm(Am, -0.5)
-    w = np.linalg.eigvalsh(hermitian_part(inv_root @ Bm @ inv_root))
+    _pd_eigvals(require_hermitian(Bm))
+    w = _eigvalsh(_sandwich(powm(Am, -0.5), Bm))
     return _per_item(w[..., -1])
 
 

@@ -111,12 +111,20 @@ def complex_gaussian(rng: Rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _pd_candidate(rng: Rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """A = G G* + eps I and its eigenvalues, for complex standard-normal G."""
+def _pd_candidate(rng: Rng, dim: int) -> np.ndarray:
+    """A = G G* + eps I, for complex standard-normal G and eps = tr(G G*)/(1000 dim)."""
     G = complex_gaussian(rng, (dim, dim))
     A = hermitian_part(G @ G.conj().mT)
-    A = A + _per(1e-3 * _trace(A) / dim) * np.eye(dim)
-    return A, np.linalg.eigvalsh(A)
+    return A + _per(1e-3 * _trace(A) / dim) * np.eye(dim)
+
+
+def _cond_bound(dim: int) -> float:
+    """A bound on the condition number of every ``_pd_candidate`` of this size.
+
+    The top eigenvalue of G G* is at most its trace, 1000 dim eps, so
+    kappa(A) <= (1000 dim eps + eps) / eps; the margin covers rounding.
+    """
+    return (1000 * dim + 1) * (1 + 1e-9)
 
 
 def gen_random_pd(rng: Rng, dim: int, cond_cap: float = 1e4,
@@ -129,17 +137,25 @@ def gen_random_pd(rng: Rng, dim: int, cond_cap: float = 1e4,
     the cap redraw.  With ``unit_det`` the result is scaled by
     det(A)^{-1/dim}.
 
+    By construction kappa(A) <= 1000 dim + 1, so no candidate can miss a cap
+    at or above that bound: without ``unit_det`` such a cap skips the
+    eigensolve and the resample loop, and changes no draw.
+
     Raises
     ------
     GenerationFailure
         After 100 unsuccessful resamples.
     """
-    A, w = _pd_candidate(rng, dim)
+    A = _pd_candidate(rng, dim)
+    if not unit_det and cond_cap >= _cond_bound(dim):
+        return A
+    w = np.linalg.eigvalsh(A)
     for _ in range(MAX_RESAMPLES - 1):
         miss = ~(w[..., -1] / w[..., 0] <= cond_cap)
         if not miss.any():
             break
-        A[miss], w[miss] = _pd_candidate(rng[miss] if miss.ndim else rng, dim)
+        redrawn = _pd_candidate(rng[miss] if miss.ndim else rng, dim)
+        A[miss], w[miss] = redrawn, np.linalg.eigvalsh(redrawn)
     if not np.all(w[..., -1] / w[..., 0] <= cond_cap):
         raise GenerationFailure(
             f"no matrix with condition number <= {cond_cap} in {MAX_RESAMPLES} tries")

@@ -260,14 +260,19 @@ TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)
     (lambda: cone_add(HUGE, HUGE), ""),
     (lambda: geo_mean(TINY, HUGE), ""),
     (lambda: distance("thompson", TINY, HUGE), ""),
+    (lambda: distance("riemannian", TINY, HUGE), ""),
     (lambda: gyroline(T, TINY, HUGE), ""),
+    (lambda: cogyroline(T, TINY, HUGE), ""),
     (lambda: geo_mean(np.stack([np.eye(2), TINY]), np.stack([np.eye(2), HUGE])),
      r"item \(1,\): "),
-], ids=["cone_add", "geo_mean", "thompson", "gyroline", "geo_mean-stack"])
+], ids=["cone_add", "geo_mean", "thompson", "riemannian", "gyroline", "cogyroline",
+        "geo_mean-stack"])
 def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
-    # A^{1/2} B A^{1/2} and the whitened A^{-1/2} B A^{-1/2} overflow here; the
-    # named error comes only with warnings ignored, since numpy warns first
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(errors.NotFinite, match="^" + where + "the"):
-            call()
+    # A^{1/2} B A^{1/2}, the whitened A^{-1/2} B A^{-1/2} and the cooperation's
+    # A^{-1/2} B A^{-1/2} overflow here; each is made inside a guard, so the
+    # named error comes before numpy can warn, and also with warnings ignored
+    for filter_ in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)
+            with pytest.raises(errors.NotFinite, match="^" + where + "the"):
+                call()

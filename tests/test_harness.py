@@ -259,7 +259,7 @@ def test_the_eigensolve_memo_changes_no_record(monkeypatch):
 
 def test_a_property_decomposes_each_stack_once(monkeypatch):
     # cone-gyrogroup-axioms chains cone_add and gyration on the same operands;
-    # without the memo it makes 110 eigensolves on the small config
+    # without the memo it makes 72 eigensolves on the small config
     spec = next(s for s in all_properties() if s.property_id == "cone-gyrogroup-axioms")
     solves = []
     solve = np.linalg.eigh
@@ -270,7 +270,28 @@ def test_a_property_decomposes_each_stack_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     run_property(spec, SMALL)
-    assert len(solves) == 28
+    assert len(solves) == 20
+
+
+def test_a_campaign_solves_only_what_it_reads(monkeypatch):
+    # (calls, items) of each LAPACK solver over the small campaign: a spectrum
+    # of which only the eigenvalues are read costs an eigvalsh, not an eigh,
+    # and a sampler cap no candidate can miss costs no eigvalsh at all
+    counts = {"eigh": [0, 0], "eigvalsh": [0, 0]}
+
+    def counting(solver):
+        solve = getattr(np.linalg, solver)
+
+        def counted(M):
+            counts[solver][0] += 1
+            counts[solver][1] += int(np.prod(M.shape[:-2]))
+            return solve(M)
+        return counted
+
+    for solver in counts:
+        monkeypatch.setattr(np.linalg, solver, counting(solver))
+    run_campaign(SMALL)
+    assert counts == {"eigh": [592, 2423], "eigvalsh": [395, 1596]}
 
 
 def test_registration_needs_a_positive_threshold_and_a_new_id():

@@ -19,6 +19,7 @@ from gyromean.kernel import (
     expm,
     hermitian_part,
     invm,
+    is_positive_definite,
     loewner_compare,
     logm,
     matrix_function,
@@ -27,6 +28,7 @@ from gyromean.kernel import (
     pd_eigh,
     polar_unitary,
     powm,
+    require_hermitian,
     sqrtm,
 )
 from gyromean.randgen import (
@@ -231,6 +233,62 @@ def test_min_eig_and_hermitian_part():
     assert min_eig(np.diag([3.0, -2.0])) == pytest.approx(-2.0)
     M = np.array([[1.0, 1.0], [0.0, 1.0]])
     np.testing.assert_allclose(hermitian_part(M), [[1.0, 0.5], [0.5, 1.0]])
+
+
+def test_min_eig_is_the_smallest_eigenvalue_of_each_item():
+    rng = substream(122, "kernel-min-eig")
+    H = gen_random_hermitian(rng, 5)
+    stack = np.stack([gen_random_hermitian(rng, 5) for _ in range(4)])
+    assert min_eig(H) == pytest.approx(eigh(H).eigenvalues[0], rel=1e-13, abs=1e-14)
+    np.testing.assert_allclose(min_eig(stack), np.linalg.eigh(stack)[0][:, 0],
+                               rtol=1e-13, atol=1e-14)
+
+
+# the stack checks test the whole stack at once and diagnose item by item only
+# when that test fails, so the verdicts and messages are those of the items
+def test_a_stack_within_the_scaled_hermiticity_tolerance_passes():
+    # a defect of 1e-7 fails the bare tolerance, but not 1e-10 times the
+    # entries' scale of 1e6, which the per-item test applies
+    stack = 1e6 * np.stack([np.eye(3)] * 4).astype(complex)
+    stack[2, 0, 1] += 1e-7
+    assert require_hermitian(stack) is stack
+
+
+def test_a_stack_names_its_non_hermitian_item():
+    stack = np.stack([np.eye(3)] * 5).astype(complex)
+    stack[3, 0, 2] = 1e-3
+    with pytest.raises(errors.NotHermitian, match=r"^item \(3,\): hermiticity defect 1.000e-03"):
+        require_hermitian(stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+def test_a_stack_names_its_non_finite_item(bad):
+    stack = np.stack([np.eye(3)] * 5).astype(complex)
+    stack[1, 2, 2] = bad
+    with pytest.raises(errors.NotFinite, match=r"^item \(1,\): "):
+        require_hermitian(stack)
+
+
+def test_an_empty_stack_passes_the_checks():
+    empty = np.zeros((0, 3, 3), dtype=complex)
+    assert require_hermitian(empty).shape == (0, 3, 3)
+    assert pd_eigh(empty).eigenvalues.shape == (0, 3)
+    assert is_positive_definite(empty)
+    assert min_eig(empty).shape == (0,)
+
+
+@pytest.mark.parametrize("lowest", [0.0, -1.0, 1e-11])
+def test_the_eigenvalue_only_check_gives_the_decompositions_verdict(lowest):
+    stack = np.stack([np.eye(3)] * 4).astype(complex)
+    stack[2, 1, 1] = lowest
+    with pytest.raises(errors.NotPositiveDefinite) as by_eigh:
+        pd_eigh(stack)
+    with pytest.raises(errors.NotPositiveDefinite) as by_eigvals:
+        kernel._pd_eigvals(stack)
+    assert str(by_eigvals.value) == str(by_eigh.value)
+    assert str(by_eigh.value).startswith("item (2,): smallest eigenvalue")
+    assert not is_positive_definite(stack)
+    assert is_positive_definite(stack[[0, 1, 3]])
 
 
 def test_no_public_function_takes_a_tolerance():

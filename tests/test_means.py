@@ -203,32 +203,40 @@ def test_dimension_mismatch():
         riccati_residual(np.eye(2), np.eye(2), np.eye(3))
 
 
-# eigensolves per single call: one per operand, plus one per intermediate
-# that is raised to a power or logged; an inverse, an inverse square root or
-# a power of a power comes from a decomposition already made
+# (eigh, eigvalsh) calls per single call: one decomposition per operand and
+# per intermediate raised to a power; an inverse, an inverse square root or a
+# power of a power comes from a decomposition already made, and a matrix of
+# which only the spectrum is read (a positive definiteness check, the
+# log-eigenvalues behind a distance) costs one eigvalsh instead
 EIGENSOLVES = {
-    "geo_mean": (lambda A, B: geo_mean(A, B, 0.3), 2),
-    "spectral_mean": (lambda A, B: spectral_mean(A, B, 0.3), 3),
-    "semimetric_op": (lambda A, B: distance("semimetric_op", A, B), 3),
-    "semimetric_frob": (lambda A, B: distance("semimetric_frob", A, B), 3),
-    "cooperation": (cooperation, 3),
-    "gyroline": (lambda A, B: gyroline(0.3, A, B), 3),
-    "cogyroline": (lambda A, B: cogyroline(0.3, A, B), 4),
+    "geo_mean": (lambda A, B: geo_mean(A, B, 0.3), 2, 0),
+    "spectral_mean": (lambda A, B: spectral_mean(A, B, 0.3), 3, 0),
+    "thompson": (lambda A, B: distance("thompson", A, B), 1, 1),
+    "riemannian": (lambda A, B: distance("riemannian", A, B), 1, 1),
+    "semimetric_op": (lambda A, B: distance("semimetric_op", A, B), 2, 1),
+    "semimetric_frob": (lambda A, B: distance("semimetric_frob", A, B), 2, 1),
+    "cooperation": (cooperation, 3, 0),
+    "gyroline": (lambda A, B: gyroline(0.3, A, B), 2, 1),
+    "cogyroline": (lambda A, B: cogyroline(0.3, A, B), 4, 0),
 }
 
 
 @pytest.mark.parametrize("name", list(EIGENSOLVES))
 def test_no_call_decomposes_a_spectrum_it_already_has(name, monkeypatch):
-    call, expected = EIGENSOLVES[name]
+    call, expected_eigh, expected_eigvalsh = EIGENSOLVES[name]
     rng = substream(215, "means-eigensolves")
     A, B = gen_random_pd(rng, 3), gen_random_pd(rng, 3)
-    solves = []
-    eigh = np.linalg.eigh
+    solves = {"eigh": 0, "eigvalsh": 0}
 
-    def counted(M):
-        solves.append(M.shape)
-        return eigh(M)
+    def counting(solver):
+        solve = getattr(np.linalg, solver)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        def counted(M):
+            solves[solver] += 1
+            return solve(M)
+        return counted
+
+    for solver in solves:
+        monkeypatch.setattr(np.linalg, solver, counting(solver))
     call(A, B)
-    assert len(solves) == expected
+    assert solves == {"eigh": expected_eigh, "eigvalsh": expected_eigvalsh}

@@ -11,9 +11,9 @@ from gyromean.fixtures import (
     TRIANGLE_REFERENCE,
     triangle_measurements,
 )
-from gyromean.kernel import invm, powm
+from gyromean.kernel import hermitian_part, invm, logm, norm, powm
 from gyromean.means import geo_mean, spectral_mean
-from gyromean.metrics import distance, midpoint_deviation, sup_ratio
+from gyromean.metrics import DISTANCE_KINDS, distance, midpoint_deviation, sup_ratio
 from gyromean.randgen import (
     gen_commuting_pair,
     gen_random_pd,
@@ -142,3 +142,37 @@ def test_distance_requires_pd():
         distance("thompson", np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(errors.DimensionMismatch):
         distance("thompson", np.eye(2), np.eye(3))
+
+
+def _log_route(kind, A, B):
+    """The distance as a norm of a matrix logarithm, through the public functions."""
+    if kind in ("thompson", "riemannian"):
+        root = powm(A, -0.5)
+        L = logm(hermitian_part(root @ B @ root))
+    else:
+        L = logm(geo_mean(invm(A), B, 0.5))
+    scale = 2.0 if kind.startswith("semimetric") else 1.0
+    return scale * norm(L, "operator" if kind in ("thompson", "semimetric_op") else "frobenius")
+
+
+def _pinned_pd(rng, n, kappa):
+    """A PD matrix with spectrum from 1 to kappa, at a random overall scale."""
+    U = gen_random_unitary(rng, n)
+    w = np.geomspace(1.0, kappa, n) * np.exp(rng.uniform(-3.0, 3.0))
+    return hermitian_part((U * w) @ U.conj().T)
+
+
+@pytest.mark.parametrize("kappa", [1e1, 1e2])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_a_distance_from_log_eigenvalues_matches_the_matrix_log_route(kind, n, kappa):
+    # each distance reads only the log-eigenvalues of A^{-1/2} B A^{-1/2} or of
+    # A^{-1} # B; with kappa(A) = kappa(B) = 1e2 the whitened step reaches
+    # kappa 1e4, where the two routes' eigensolves differ by about 7e-13
+    rng = substream(311, "metrics-log-route", kind, n, kappa)
+    pairs = [(_pinned_pd(rng, n, kappa), _pinned_pd(rng, n, kappa)) for _ in range(6)]
+    want = np.array([_log_route(kind, A, B) for A, B in pairs])
+    got = [distance(kind, A, B) for A, B in pairs]
+    np.testing.assert_allclose(got, want, rtol=2e-12)
+    A, B = (np.stack(ops) for ops in zip(*pairs))
+    np.testing.assert_allclose(distance(kind, A, B), want, rtol=2e-12)

@@ -362,6 +362,58 @@ def test_a_generator_stack_redraws_only_the_items_that_miss_the_cap():
     assert np.all(wc[:, -1] / wc[:, 0] <= cap)
 
 
+
+def _counted_eigvalsh(monkeypatch) -> list:
+    """Record the shape of every eigvalsh call from here on."""
+    solves, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(M):
+        solves.append(M.shape)
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return solves
+
+
+def _pd_draws(seed, n, cap, unit_det=False) -> list:
+    """gen_random_pd and the draw after it, on one generator and on a stack of 6."""
+    out = []
+    for rng in (substream(seed, "pd-skip", n), GeneratorStack(substream(seed, "pd-skip", n), 6)):
+        out += [rg.gen_random_pd(rng, n, cond_cap=cap, unit_det=unit_det),
+                rng.standard_normal(3)]
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_a_cap_no_candidate_can_miss_skips_the_eigensolve_and_changes_no_draw(n, monkeypatch):
+    # kappa(G G* + eps I) <= 1000 n + 1 by construction, so a cap at or above
+    # that bound leaves the resample loop nothing to redraw
+    solves = _counted_eigvalsh(monkeypatch)
+    for seed in range(4):
+        for cap in (rg._cond_bound(n), 1e4 if n < 9 else 1e5, np.inf):
+            skipped = _pd_draws(seed, n, cap)
+            assert solves == []
+            with monkeypatch.context() as m:
+                m.setattr(rg, "_cond_bound", lambda dim: np.nan)  # no cap reaches it
+                looped = _pd_draws(seed, n, cap)
+            assert solves, "the resample loop did not run"
+            solves.clear()
+            for a, b in zip(skipped, looped, strict=True):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_the_resample_loop_still_runs_below_the_bound_and_for_unit_det(n, monkeypatch):
+    solves = _counted_eigvalsh(monkeypatch)
+    for cap, unit_det in ((1000.0 * n, False), (np.inf, True)):
+        A, _, stack, _ = _pd_draws(3, n, cap, unit_det)
+        assert len(solves) >= 2, (cap, unit_det)
+        solves.clear()
+        w = np.linalg.eigvalsh(np.concatenate([A[None], stack]))
+        assert np.all(w[:, -1] / w[:, 0] <= cap)
+        if unit_det:
+            np.testing.assert_allclose(np.sum(np.log(w), axis=-1), 0.0, atol=1e-12)
+
 # The ball and the 2x2 closed forms keep the same contract over vector stacks
 # (..., 3) and 2x2 stacks (..., 2, 2).  Operand kinds: a ball vector, a
 # unit-determinant 2x2 PD matrix, a 2x2 PD matrix, a 2x2 density matrix, a
