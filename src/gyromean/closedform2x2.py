@@ -37,6 +37,7 @@ from .kernel import (
     _pd_eigvals,
     _per_item,
     _powm,
+    _sandwich,
     _top_eig,
     _trace,
     as_stack,
@@ -96,7 +97,7 @@ def relative_eigenvalue(A, B):
     """Larger eigenvalue of A B^{-1} (computed through the Hermitian form)."""
     inv_root = powm(B, -0.5)
     Am = require_hermitian(A)
-    return _per_item(_top_eig(hermitian_part(inv_root @ Am @ inv_root)))
+    return _per_item(_top_eig(_sandwich(inv_root, Am)))
 
 
 def gm2_det1(A, B, t) -> np.ndarray:

@@ -171,7 +171,7 @@ def _per(x) -> np.ndarray:
 
 def _top_eig(H: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of a Hermitian matrix, or of each item of a stack."""
-    return np.linalg.eigvalsh(H)[..., -1]
+    return _eigvalsh(H)[..., -1]
 
 
 def require_same_dim(*matrices: np.ndarray) -> None:
@@ -324,12 +324,11 @@ def _require_pd(w: np.ndarray) -> np.ndarray:
             _raise_not_pd("", lo, scale)
         return w
     lo, hi = w[..., 0], w[..., -1]
-    # pass first: with w ascending this implies 0 < lo <= hi, which passes
-    if (lo > PD_TOL * hi).all():
-        return w
-    scale = np.maximum(np.abs(lo), np.abs(hi))
-    bad = ~(lo > PD_TOL * scale)
+    # with w ascending, hi is the spectral radius wherever lo > 0, and where
+    # lo <= 0 or is NaN the test fails either way: the same test as above
+    bad = ~(lo > PD_TOL * hi)
     if bad.any():
+        scale = np.maximum(np.abs(lo), np.abs(hi))
         _raise_not_pd(_item(bad), lo[bad][0], scale[bad][0])
     return w
 

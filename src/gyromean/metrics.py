@@ -20,12 +20,12 @@ import numpy as np
 from .errors import UnknownCase
 from .kernel import (
     SpectralDecomposition,
-    _eigvalsh,
     _pd_eigh,
     _pd_eigvals,
     _per_item,
     _powm,
     _sandwich,
+    _top_eig,
     as_stack,
     powm,
     require_hermitian,
@@ -88,8 +88,7 @@ def sup_ratio(A, B):
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
     _pd_eigvals(require_hermitian(Bm))
-    w = _eigvalsh(_sandwich(powm(Am, -0.5), Bm))
-    return _per_item(w[..., -1])
+    return _per_item(_top_eig(_sandwich(powm(Am, -0.5), Bm)))
 
 
 def midpoint_deviation(kind: str, A, B, M) -> tuple:

@@ -20,7 +20,12 @@ from gyromean.ball import (
     rapidity_distance,
     require_in_ball,
 )
-from gyromean.closedform2x2 import gm2_det1, qubit_geo_mean, qubit_spectral_mean
+from gyromean.closedform2x2 import (
+    gm2_det1,
+    qubit_geo_mean,
+    qubit_spectral_mean,
+    relative_eigenvalue,
+)
 from gyromean.gyrocone import (
     cogyroline,
     cone_add,
@@ -263,14 +268,16 @@ TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)
     (lambda: distance("riemannian", TINY, HUGE), ""),
     (lambda: gyroline(T, TINY, HUGE), ""),
     (lambda: cogyroline(T, TINY, HUGE), ""),
+    (lambda: relative_eigenvalue(HUGE, TINY), ""),
     (lambda: geo_mean(np.stack([np.eye(2), TINY]), np.stack([np.eye(2), HUGE])),
      r"item \(1,\): "),
 ], ids=["cone_add", "geo_mean", "thompson", "riemannian", "gyroline", "cogyroline",
-        "geo_mean-stack"])
+        "relative_eigenvalue", "geo_mean-stack"])
 def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
-    # A^{1/2} B A^{1/2}, the whitened A^{-1/2} B A^{-1/2} and the cooperation's
-    # A^{-1/2} B A^{-1/2} overflow here; each is made inside a guard, so the
-    # named error comes before numpy can warn, and also with warnings ignored
+    # A^{1/2} B A^{1/2}, the whitened A^{-1/2} B A^{-1/2} (B^{-1/2} A B^{-1/2}
+    # for relative_eigenvalue) and the cooperation's A^{-1/2} B A^{-1/2}
+    # overflow here; each is made inside a guard, so the named error comes
+    # before numpy can warn, and also with warnings ignored
     for filter_ in ("error", "ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter(filter_)
