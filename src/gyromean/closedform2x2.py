@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     NonPositiveArgument,
     NotUnitDeterminant,
+    WeightOutOfRange,
 )
 from .ball import (
     _bloch_to_density,
@@ -37,6 +38,7 @@ from .kernel import (
     _pd_eigvals,
     _per_item,
     _powm,
+    _require_finite,
     _sandwich,
     _top_eig,
     _trace,
@@ -57,7 +59,12 @@ LMAP_BRANCH_WINDOW = 1e-7
 
 def l_map(t, x):
     """Difference quotient (x^t - x^{-t})/(x - x^{-1}), valued t at x = 1; elementwise."""
+    bad = ~np.isfinite(t)
+    if _any(bad):
+        raise WeightOutOfRange(
+            _item(bad) + f"curve parameter {float(np.asarray(t)[bad][0])!r} is not finite")
     x = np.asarray(x, dtype=float)[()]  # a numpy scalar for one x
+    _require_finite(x, "l_map needs a finite x", axes=())
     bad = ~(x > 0)
     if _any(bad):
         raise NonPositiveArgument(
@@ -137,7 +144,8 @@ def sgm2(A, B, t) -> np.ndarray:
 
 def det_shift_identity(c, X):
     """|det(cI + X) - (c^2 + c tr X + det X)| for a 2x2 matrix X."""
-    M = _require_2x2(X)
+    M = _require_finite(_require_2x2(X))
+    _require_finite(c, "shift c is not finite", axes=())
     lhs = det2(_col(c, 2) * np.eye(2) + M)
     rhs = c**2 + c * np.trace(M, axis1=-2, axis2=-1) + det2(M)
     return _per_item(np.abs(lhs - rhs))

@@ -60,6 +60,3 @@ class NonPositiveArgument(GyromeanError):
 class UnknownCase(GyromeanError):
     """Unrecognized inequality-case or option tag."""
 
-
-class GenerationFailure(GyromeanError):
-    """Random sampler exhausted its resampling budget."""

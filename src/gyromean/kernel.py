@@ -134,6 +134,16 @@ def _any(flags) -> bool:
     return flags.any() if flags.ndim else bool(flags)
 
 
+def _require_finite(x, message: str = "matrix has a NaN or infinite entry",
+                    axes=(-2, -1)):
+    """x, once every item (its trailing ``axes``) is finite; else NotFinite
+    naming the first bad item."""
+    bad = ~np.isfinite(x).all(axis=axes)
+    if _any(bad):
+        raise NotFinite(_item(bad) + message)
+    return x
+
+
 def _downscale(a, b):
     """Per item, a power of two s with s**2 a b near 1 where a b passes 2**1000.
 
@@ -442,18 +452,16 @@ def _powm(dec: SpectralDecomposition, t: float) -> np.ndarray:
     return _apply(dec, _finite_positive(fw))
 
 
-def _sandwich(S: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """S X S for Hermitian S and X, item by item; NotFinite where it overflows,
-    as a mean's curve points do far out on the curve."""
+def _sandwich(S: np.ndarray, X: np.ndarray, S_adj: np.ndarray | None = None) -> np.ndarray:
+    """S X S_adj for Hermitian X (S X S for Hermitian S when ``S_adj`` is None),
+    item by item; NotFinite where it overflows, as a mean's curve points do
+    far out on the curve."""
     with np.errstate(over="ignore", invalid="ignore"):
-        P = hermitian_part(S @ X @ S)
+        P = hermitian_part(S @ X @ (S if S_adj is None else S_adj))
         # pass first: a NaN or infinite entry makes the sum NaN or infinite
         if math.isfinite(abs(P.sum())):
             return P
-    bad = ~np.isfinite(P).all(axis=(-2, -1))
-    if _any(bad):
-        raise NotFinite(_item(bad) + "the result overflows the double range")
-    return P
+    return _require_finite(P, "the result overflows the double range")
 
 
 def _logm(dec: SpectralDecomposition) -> np.ndarray:
@@ -511,14 +519,15 @@ def matrix_function(A, kind: str, t: float | None = None) -> np.ndarray:
 
 
 def congruence(X, S) -> np.ndarray:
-    """Congruence transform S X S* of a Hermitian X."""
+    """Congruence transform S X S* of a Hermitian X (NotFinite where it overflows)."""
     Xm = require_hermitian(as_matrix(X))
     Sm = np.asarray(S, dtype=complex)
     if Sm.ndim != 2 or Sm.shape[1] != Xm.shape[0]:
         raise DimensionMismatch(
             f"congruence factor shape {Sm.shape} incompatible with {Xm.shape}"
         )
-    return hermitian_part(Sm @ Xm @ Sm.conj().T)
+    Sm = _require_finite(Sm, "the congruence factor has a NaN or infinite entry")
+    return _sandwich(Sm, Xm, Sm.conj().T)
 
 
 def norm(H, kind: str = "operator") -> float:
@@ -534,12 +543,16 @@ def norm(H, kind: str = "operator") -> float:
 def loewner_compare(X, Y, tol: float = LOEWNER_TOL) -> Loewner:
     """Compare Hermitian X, Y in the Loewner order at eigenvalue slack ``tol``.
 
-    LE iff min-eig(Y - X) >= -tol, GE symmetrically, EQ if both hold.
+    LE iff min-eig(Y - X) >= -tol, GE symmetrically, EQ if both hold;
+    NotFinite where Y - X overflows the double range.
     """
     Xm = require_hermitian(as_matrix(X))
     Ym = require_hermitian(as_matrix(Y))
     require_same_dim(Xm, Ym)
-    w = np.linalg.eigvalsh(hermitian_part(Ym - Xm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = Ym - Xm
+    _require_finite(D, "the difference Y - X overflows the double range")
+    w = _eigvalsh(hermitian_part(D))
     le = w[0] >= -tol
     ge = w[-1] <= tol
     if le and ge:
@@ -561,11 +574,7 @@ def polar_unitary(M) -> np.ndarray:
     the smallest eigenvalue of M M* is at most ``PD_TOL`` times the
     largest, a test that does not depend on the scale of M.
     """
-    Mm = as_stack(M)
-    bad = ~np.isfinite(Mm).all(axis=(-2, -1))
-    if bad.any():
-        raise NotFinite(_item(bad) + "matrix has a NaN or infinite entry")
-    return _polar_unitary(Mm)
+    return _polar_unitary(_require_finite(as_stack(M)))
 
 
 def _polar_unitary(Mm: np.ndarray) -> np.ndarray:

@@ -22,8 +22,10 @@ from .errors import LengthMismatch, NonPositiveEntry, UnknownCase
 from .kernel import (
     LOEWNER_TOL,
     PD_TOL,
+    _eigvalsh,
     _item,
     _per_item,
+    _require_finite,
     as_stack,
     hermitian_part,
     invm,
@@ -230,10 +232,10 @@ def check_logmaj_mean(A, B, t: float) -> CheckResult:
     """Eigenvalues of A #_t B are log-majorized by those of A^{1-t} B^t."""
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
-    x = np.linalg.eigvalsh(geo_mean(Am, Bm, t))[..., ::-1]
+    x = _eigvalsh(geo_mean(Am, Bm, t))[..., ::-1]
     # A^{1-t} B^t has the eigenvalues of the Hermitian form B^{t/2} A^{1-t} B^{t/2}
     half = powm(Bm, t / 2.0)
-    y = np.linalg.eigvalsh(hermitian_part(half @ powm(Am, 1.0 - t) @ half))[..., ::-1]
+    y = _eigvalsh(hermitian_part(half @ powm(Am, 1.0 - t) @ half))[..., ::-1]
     lx, ly = np.log(x), np.log(y)
     prefix_gaps = np.cumsum(ly, axis=-1) - np.cumsum(lx, axis=-1)
     margin = _per_item(prefix_gaps.min(axis=-1))
@@ -302,6 +304,7 @@ def weak_majorize(x, y, log_scale: bool = False) -> tuple:
     if xv.shape != yv.shape or xv.ndim < 1:
         raise LengthMismatch(f"shapes {xv.shape} and {yv.shape} differ")
     for v in (xv, yv):
+        _require_finite(v, "vector has a NaN or infinite entry", axes=-1)
         bad = (np.diff(v, axis=-1) > LOEWNER_TOL).any(axis=-1)
         if bad.any():
             raise ValueError(_item(bad) + "vectors must be sorted in descending order")

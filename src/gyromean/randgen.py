@@ -9,10 +9,9 @@ which is what makes campaign reports byte-reproducible.
 Every sampler takes either one ``Generator`` or a ``GeneratorStack`` of k
 items on one generator, and returns (..., n, n) or (k,) stacks: each numpy
 draw is one call for the whole stack, row j for item j, and the linear
-algebra runs once over the stack.  The sampler bodies only index a stack
-(``rng[miss]`` redraws the items that missed a cap) and draw from it, so
-given a stack of one generator per item they return, item by item, what the
-single calls on those generators return; the samplers that compute with
+algebra runs once over the stack.  The sampler bodies only draw from a
+stack, so given a stack of one generator per item they return, item by item,
+what the single calls on those generators return; the samplers that compute with
 their draws (square roots, powers, means) differ from the single calls only
 in the last bits, as the stacked kernel does.
 
@@ -29,10 +28,10 @@ from typing import TypeAlias
 
 import numpy as np
 
-from .errors import GenerationFailure
 from .kernel import (
     SpectralDecomposition,
     _apply,
+    _eigvalsh,
     _per,
     _powm,
     _top_eig,
@@ -43,8 +42,6 @@ from .kernel import (
     powm,
     sqrtm,
 )
-
-MAX_RESAMPLES = 100
 
 
 @functools.cache
@@ -81,15 +78,11 @@ class GeneratorStack:
     """The draws of ``k`` stacked items from one generator.
 
     A draw of ``size`` returns the ``(k, *size)`` block of one call, so row j
-    is item j's draw; ``stack[index]`` is the stack of the indexed items,
-    whose draws continue the same generator.
+    is item j's draw.
     """
 
     def __init__(self, generator: np.random.Generator, k: int):
         self.generator, self.k = generator, k
-
-    def __getitem__(self, index) -> GeneratorStack:
-        return GeneratorStack(self.generator, np.arange(self.k)[index].size)
 
     def _size(self, size) -> tuple:
         if size is None:
@@ -111,56 +104,36 @@ def complex_gaussian(rng: Rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _pd_candidate(rng: Rng, dim: int) -> np.ndarray:
-    """A = G G* + eps I, for complex standard-normal G and eps = tr(G G*)/(1000 dim)."""
-    G = complex_gaussian(rng, (dim, dim))
-    A = hermitian_part(G @ G.conj().mT)
-    return A + _per(1e-3 * _trace(A) / dim) * np.eye(dim)
-
-
-def _cond_bound(dim: int) -> float:
-    """A bound on the condition number of every ``_pd_candidate`` of this size.
-
-    The top eigenvalue of G G* is at most its trace, 1000 dim eps, so
-    kappa(A) <= (1000 dim eps + eps) / eps; the margin covers rounding.
-    """
-    return (1000 * dim + 1) * (1 + 1e-9)
-
-
 def gen_random_pd(rng: Rng, dim: int, cond_cap: float = 1e4,
                   unit_det: bool = False) -> np.ndarray:
-    """Random positive definite matrix with bounded condition number.
+    """Random positive definite matrix with condition number at most ``cond_cap``.
 
     Builds A = G G* + eps I with complex standard-normal G and
-    eps = 1e-3 * (mean eigenvalue of G G*), resampling until the condition
-    number is at most ``cond_cap``; in a stack, only the items that miss
-    the cap redraw.  With ``unit_det`` the result is scaled by
-    det(A)^{-1/dim}.
 
-    By construction kappa(A) <= 1000 dim + 1, so no candidate can miss a cap
-    at or above that bound: without ``unit_det`` such a cap skips the
-    eigensolve and the resample loop, and changes no draw.
+        eps = max(tr(G G*) / (1000 dim), ||G G*||_F (1 + 1e-9) / (cond_cap - 1)).
+
+    The top eigenvalue of G G* is at most ||G G*||_F, so kappa(A) <=
+    1 + ||G G*||_F / eps <= cond_cap by construction, with one draw and no
+    eigensolve; the factor 1 + 1e-9 covers rounding.  Since ||G G*||_F <=
+    tr(G G*), the first term wins at caps of (1000 dim + 1)(1 + 1e-9) and
+    above, where kappa(A) <= 1000 dim + 1 whatever the cap.  With
+    ``unit_det`` the result is scaled by det(A)^{-1/dim}.
 
     Raises
     ------
-    GenerationFailure
-        After 100 unsuccessful resamples.
+    ValueError
+        If ``cond_cap`` is not above 1 (NaN included).
     """
-    A = _pd_candidate(rng, dim)
-    if not unit_det and cond_cap >= _cond_bound(dim):
-        return A
-    w = np.linalg.eigvalsh(A)
-    for _ in range(MAX_RESAMPLES - 1):
-        miss = ~(w[..., -1] / w[..., 0] <= cond_cap)
-        if not miss.any():
-            break
-        redrawn = _pd_candidate(rng[miss] if miss.ndim else rng, dim)
-        A[miss], w[miss] = redrawn, np.linalg.eigvalsh(redrawn)
-    if not np.all(w[..., -1] / w[..., 0] <= cond_cap):
-        raise GenerationFailure(
-            f"no matrix with condition number <= {cond_cap} in {MAX_RESAMPLES} tries")
+    if not cond_cap > 1:
+        raise ValueError(f"cond_cap must exceed 1, got {cond_cap!r}")
+    G = complex_gaussian(rng, (dim, dim))
+    A = hermitian_part(G @ G.conj().mT)
+    # the norm over both axes sums a matrix as a stack sums each item
+    frobenius = np.linalg.norm(A, axis=(-2, -1))
+    eps = np.maximum(1e-3 * _trace(A) / dim, frobenius * (1 + 1e-9) / (cond_cap - 1))
+    A = A + _per(eps) * np.eye(dim)
     if unit_det:
-        A = A / _per(np.exp(np.mean(np.log(w), axis=-1)))
+        A = A / _per(np.exp(np.mean(np.log(_eigvalsh(A)), axis=-1)))
     return A
 
 

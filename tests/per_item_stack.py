@@ -15,9 +15,6 @@ class PerItemStack:
     def __init__(self, generators):
         self.generators = np.array(generators, dtype=object)
 
-    def __getitem__(self, index):
-        return PerItemStack(self.generators[index])
-
     def standard_normal(self, size=None) -> np.ndarray:
         return np.array([g.standard_normal(size) for g in self.generators])
 

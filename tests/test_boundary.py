@@ -21,7 +21,9 @@ from gyromean.ball import (
     require_in_ball,
 )
 from gyromean.closedform2x2 import (
+    det_shift_identity,
     gm2_det1,
+    l_map,
     qubit_geo_mean,
     qubit_spectral_mean,
     relative_eigenvalue,
@@ -35,7 +37,7 @@ from gyromean.gyrocone import (
     gyroline,
 )
 from gyromean.gyrodensity import dens_cogyroline, dens_gyroline, dens_scalar
-from gyromean.kernel import expm, invm, polar_unitary, powm
+from gyromean.kernel import congruence, expm, invm, loewner_compare, polar_unitary, powm
 from gyromean.means import (
     geo_mean,
     mean,
@@ -44,6 +46,7 @@ from gyromean.means import (
     spectral_mean,
 )
 from gyromean.metrics import distance
+from gyromean.order import weak_majorize
 
 A = np.array([[2.0, 0.3], [0.3, 1.0]])
 B = np.array([[1.0, 0.2j], [-0.2j, 1.5]])
@@ -271,15 +274,54 @@ TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)
     (lambda: relative_eigenvalue(HUGE, TINY), ""),
     (lambda: geo_mean(np.stack([np.eye(2), TINY]), np.stack([np.eye(2), HUGE])),
      r"item \(1,\): "),
+    (lambda: congruence(np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]), ""),
+    (lambda: congruence(HUGE, 1e100 * np.eye(2)), ""),
+    (lambda: loewner_compare(-1e308 * np.eye(2), 1e308 * np.eye(2)), ""),
 ], ids=["cone_add", "geo_mean", "thompson", "riemannian", "gyroline", "cogyroline",
-        "relative_eigenvalue", "geo_mean-stack"])
+        "relative_eigenvalue", "geo_mean-stack", "congruence-nan", "congruence",
+        "loewner_compare"])
 def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
     # A^{1/2} B A^{1/2}, the whitened A^{-1/2} B A^{-1/2} (B^{-1/2} A B^{-1/2}
-    # for relative_eigenvalue) and the cooperation's A^{-1/2} B A^{-1/2}
-    # overflow here; each is made inside a guard, so the named error comes
-    # before numpy can warn, and also with warnings ignored
+    # for relative_eigenvalue), the cooperation's A^{-1/2} B A^{-1/2}, the
+    # congruence S X S* and loewner_compare's Y - X overflow here; each is
+    # made inside a guard, so the named error comes before numpy can warn,
+    # and also with warnings ignored
     for filter_ in ("error", "ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter(filter_)
             with pytest.raises(errors.NotFinite, match="^" + where + "the"):
+                call()
+
+
+NAN_2X2 = np.array([[np.nan, 0.0], [0.0, 1.0]])
+PAIR = np.stack([np.eye(2)] * 2)
+
+
+@pytest.mark.parametrize("call, error, where", [
+    (lambda: l_map(np.nan, 2.0), errors.WeightOutOfRange, ""),
+    (lambda: l_map(0.5, np.inf), errors.NotFinite, ""),
+    (lambda: l_map(0.5, np.nan), errors.NotFinite, ""),
+    (lambda: l_map(np.array([0.5, np.inf]), np.array([2.0, 3.0])), errors.WeightOutOfRange,
+     r"item \(1,\): "),
+    (lambda: l_map(0.5, np.array([2.0, np.inf])), errors.NotFinite, r"item \(1,\): "),
+    (lambda: det_shift_identity(np.nan, np.eye(2)), errors.NotFinite, ""),
+    (lambda: det_shift_identity(1.0, NAN_2X2), errors.NotFinite, ""),
+    (lambda: det_shift_identity(np.array([1.0, np.inf]), PAIR), errors.NotFinite,
+     r"item \(1,\): "),
+    (lambda: det_shift_identity(1.0, np.stack([np.eye(2), NAN_2X2])), errors.NotFinite,
+     r"item \(1,\): "),
+    (lambda: weak_majorize([np.nan, 1.0], [2.0, 0.0]), errors.NotFinite, ""),
+    (lambda: weak_majorize([2.0, 1.0], [np.inf, 0.0], log_scale=True), errors.NotFinite,
+     ""),
+    (lambda: weak_majorize([[2.0, 1.0]] * 2, [[2.0, 1.0], [2.0, np.nan]]),
+     errors.NotFinite, r"item \(1,\): "),
+], ids=["l_map-t", "l_map-x-inf", "l_map-x-nan", "l_map-t-stack", "l_map-x-stack",
+        "det_shift_identity-c", "det_shift_identity-X", "det_shift_identity-c-stack",
+        "det_shift_identity-X-stack", "weak_majorize", "weak_majorize-log",
+        "weak_majorize-stack"])
+def test_a_non_finite_scalar_or_vector_raises_its_named_error(call, error, where):
+    for filter_ in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)
+            with pytest.raises(error, match="^" + where):
                 call()

@@ -191,6 +191,13 @@ def test_verify_rejects_a_cond_cap_a_report_cannot_hold(cap, tmp_path, capsys):
     assert not report_path.exists()
 
 
+def test_verify_meets_a_small_cond_cap_at_a_larger_dimension(capsys):
+    # the sampler meets any cap above 1 by construction, with no resampling
+    assert main(["verify", "--seed", "99", "--trials", "60", "--dims", "7,2",
+                 "--cond-cap", "50"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS: 59/59 properties"
+
+
 def test_counterexample_command(tmp_path, capsys):
     report_path = tmp_path / "ce.json"
     assert main(["counterexample", "--report", str(report_path)]) == 0

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from gyromean import closedform2x2, errors, gyrocone, properties, registry
+from gyromean import closedform2x2, gyrocone, properties, registry
 from gyromean.harness import (
     CampaignConfig,
     Report,
@@ -65,10 +65,10 @@ def test_gen_random_pd_determinism():
     assert not np.array_equal(a, c)
 
 
-def test_gen_random_pd_generation_failure():
-    rng = substream(903, "harness-fail")
-    with pytest.raises(errors.GenerationFailure):
-        gen_random_pd(rng, 6, cond_cap=1.01)
+@pytest.mark.parametrize("cap", [1.0, 0.5, -1.0, float("nan")])
+def test_gen_random_pd_refuses_a_cap_no_matrix_meets(cap):
+    with pytest.raises(ValueError, match="cond_cap must exceed 1"):
+        gen_random_pd(substream(903, "harness-cap"), 3, cond_cap=cap)
 
 
 def test_config_validation():
@@ -276,7 +276,7 @@ def test_a_property_decomposes_each_stack_once(monkeypatch):
 def test_a_campaign_solves_only_what_it_reads(monkeypatch):
     # (calls, items) of each LAPACK solver over the small campaign: a spectrum
     # of which only the eigenvalues are read costs an eigvalsh, not an eigh,
-    # and a sampler cap no candidate can miss costs no eigvalsh at all
+    # and the sampler meets its cap with no eigvalsh at all
     counts = {"eigh": [0, 0], "eigvalsh": [0, 0]}
 
     def counting(solver):
@@ -291,7 +291,7 @@ def test_a_campaign_solves_only_what_it_reads(monkeypatch):
     for solver in counts:
         monkeypatch.setattr(np.linalg, solver, counting(solver))
     run_campaign(SMALL)
-    assert counts == {"eigh": [592, 2423], "eigvalsh": [395, 1596]}
+    assert counts == {"eigh": [592, 2423], "eigvalsh": [391, 1586]}
 
 
 def test_registration_needs_a_positive_threshold_and_a_new_id():

@@ -31,6 +31,7 @@ from gyromean.kernel import (
     require_hermitian,
     sqrtm,
 )
+from gyromean.order import check_logmaj_mean
 from gyromean.randgen import (
     gen_commuting_pair,
     gen_random_hermitian,
@@ -395,6 +396,18 @@ def test_the_memo_holds_at_most_its_size_least_recently_used_first(monkeypatch):
         assert len(solves) == len(stacks)
         eigh(stacks[1])
         assert len(solves) == len(stacks) + 1
+
+
+def test_an_eigenvalue_read_reports_a_failed_eigensolve_as_no_convergence(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    A = np.diag([2.0, 1.0])
+    for call in (lambda: loewner_compare(np.eye(2), A),
+                 lambda: check_logmaj_mean(A, np.eye(2), 0.5)):
+        with pytest.raises(errors.NoConvergence):
+            call()
 
 
 def test_polar_unitary_reports_a_failed_eigensolve_as_no_convergence(monkeypatch):

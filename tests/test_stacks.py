@@ -253,6 +253,7 @@ SAMPLERS = {
     "gen_random_pd": (lambda rng, n, t: rg.gen_random_pd(rng, n), True),
     "gen_random_pd-unit_det": (lambda rng, n, t: rg.gen_random_pd(rng, n, unit_det=True),
                                True),
+    "gen_random_pd-cap": (lambda rng, n, t: rg.gen_random_pd(rng, n, cond_cap=1.5), True),
     "gen_random_hermitian": (lambda rng, n, t: rg.gen_random_hermitian(rng, n), True),
     "gen_random_unitary": (lambda rng, n, t: rg.gen_random_unitary(rng, n), True),
     "gen_commuting_pair": (lambda rng, n, t: rg.gen_commuting_pair(rng, n), True),
@@ -310,26 +311,6 @@ def test_a_generator_stack_draws_what_each_generator_draws(name, n):
     assert np.array_equal(stack.standard_normal(3), [g.standard_normal(3) for g in gens])
 
 
-def test_only_the_items_that_miss_the_cap_are_redrawn():
-    n, cap = 4, 30.0
-    gens = _generators("resample", n, k=12)
-    first = rg.gen_random_pd(PerItemStack(_generators("resample", n, k=12)), n,
-                             cond_cap=np.inf)
-    w = np.linalg.eigvalsh(first)
-    assert np.any(w[:, -1] / w[:, 0] > cap), "no item needs a resample"
-    assert not np.all(w[:, -1] / w[:, 0] > cap), "every item needs a resample"
-    stack = PerItemStack(_generators("resample", n, k=12))
-    # the draw after the resampled matrix must match too
-    for _ in range(2):
-        _assert_items(rg.gen_random_pd(stack, n, cond_cap=cap),
-                      [rg.gen_random_pd(g, n, cond_cap=cap) for g in gens], exact=True)
-
-
-def test_a_stack_that_cannot_meet_the_cap_fails():
-    with pytest.raises(errors.GenerationFailure):
-        rg.gen_random_pd(PerItemStack(_generators("fail", 6, k=3)), 6, cond_cap=1.01)
-
-
 def test_a_generator_stack_draws_one_block_per_call():
     stack = GeneratorStack(substream(17, "library-stack"), 5)
     g = substream(17, "library-stack")
@@ -339,80 +320,39 @@ def test_a_generator_stack_draws_one_block_per_call():
         assert np.array_equal(stack.uniform(-1.0, 2.0, size), g.uniform(-1.0, 2.0, shape))
 
 
-def test_a_masked_generator_stack_draws_only_its_rows():
-    mask = np.array([True, False, True, True, False])
-    stack = GeneratorStack(substream(17, "library-mask"), 5)
-    g = substream(17, "library-mask")
-    assert np.array_equal(stack[mask].standard_normal((2, 2)), g.standard_normal((3, 2, 2)))
-    assert np.array_equal(stack[1:].uniform(), g.uniform(size=4))
-    # the whole stack continues the same generator
-    assert np.array_equal(stack.standard_normal(2), g.standard_normal((5, 2)))
+def _kappa(A):
+    w = np.linalg.eigvalsh(A)
+    return w[..., -1] / w[..., 0]
 
 
-def test_a_generator_stack_redraws_only_the_items_that_miss_the_cap():
-    n, cap, k = 4, 30.0, 12
-    first = rg.gen_random_pd(GeneratorStack(substream(17, "library-resample"), k), n,
-                             cond_cap=np.inf)
-    capped = rg.gen_random_pd(GeneratorStack(substream(17, "library-resample"), k), n,
-                              cond_cap=cap)
-    w, wc = np.linalg.eigvalsh(first), np.linalg.eigvalsh(capped)
-    met = w[:, -1] / w[:, 0] <= cap
-    assert met.any() and not met.all()
-    assert np.array_equal(capped[met], first[met])
-    assert np.all(wc[:, -1] / wc[:, 0] <= cap)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gen_random_pd_meets_every_cap_by_construction(n):
+    caps = (1.0001, 1.5, 2.0, 10.0, 50.0, 80.0, 1e3, 1000.0 * n + 1, 1e4, np.inf)
+    for cap in caps:
+        g = substream(17, "cap", n, cap)
+        singles = [rg.gen_random_pd(g, n, cond_cap=cap) for _ in range(20)]
+        stack = rg.gen_random_pd(GeneratorStack(substream(17, "cap-stack", n, cap), 500), n,
+                                 cond_cap=cap)
+        for kappa in (_kappa(np.array(singles)), _kappa(stack)):
+            assert np.all((kappa >= 1.0) & (kappa <= cap)), (cap, kappa.max())
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_cap_above_the_bound_draws_the_bare_shift(n):
+    # kappa(G G* + (tr(G G*)/(1000 n)) I) <= 1000 n + 1, so from there on the
+    # cap does not move the shift
+    for cap in ((1000 * n + 1) * (1 + 1e-9), 1e4, np.inf):
+        for rng, ref in ((substream(3, "bare", n), substream(3, "bare", n)),
+                         (GeneratorStack(substream(3, "bare", n), 6),
+                          GeneratorStack(substream(3, "bare", n), 6))):
+            G = rg.complex_gaussian(ref, (n, n))
+            H = hermitian_part(G @ G.conj().mT)
+            eps = 1e-3 * np.trace(H, axis1=-2, axis2=-1).real / n
+            want = H + eps[..., None, None] * np.eye(n)
+            assert np.array_equal(rg.gen_random_pd(rng, n, cond_cap=cap), want)
+            # the draw after it continues the same generator
+            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
-def _counted_eigvalsh(monkeypatch) -> list:
-    """Record the shape of every eigvalsh call from here on."""
-    solves, eigvalsh = [], np.linalg.eigvalsh
-
-    def counted(M):
-        solves.append(M.shape)
-        return eigvalsh(M)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return solves
-
-
-def _pd_draws(seed, n, cap, unit_det=False) -> list:
-    """gen_random_pd and the draw after it, on one generator and on a stack of 6."""
-    out = []
-    for rng in (substream(seed, "pd-skip", n), GeneratorStack(substream(seed, "pd-skip", n), 6)):
-        out += [rg.gen_random_pd(rng, n, cond_cap=cap, unit_det=unit_det),
-                rng.standard_normal(3)]
-    return out
-
-
-@pytest.mark.parametrize("n", range(2, 10))
-def test_a_cap_no_candidate_can_miss_skips_the_eigensolve_and_changes_no_draw(n, monkeypatch):
-    # kappa(G G* + eps I) <= 1000 n + 1 by construction, so a cap at or above
-    # that bound leaves the resample loop nothing to redraw
-    solves = _counted_eigvalsh(monkeypatch)
-    for seed in range(4):
-        for cap in (rg._cond_bound(n), 1e4 if n < 9 else 1e5, np.inf):
-            skipped = _pd_draws(seed, n, cap)
-            assert solves == []
-            with monkeypatch.context() as m:
-                m.setattr(rg, "_cond_bound", lambda dim: np.nan)  # no cap reaches it
-                looped = _pd_draws(seed, n, cap)
-            assert solves, "the resample loop did not run"
-            solves.clear()
-            for a, b in zip(skipped, looped, strict=True):
-                assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("n", [2, 5, 9])
-def test_the_resample_loop_still_runs_below_the_bound_and_for_unit_det(n, monkeypatch):
-    solves = _counted_eigvalsh(monkeypatch)
-    for cap, unit_det in ((1000.0 * n, False), (np.inf, True)):
-        A, _, stack, _ = _pd_draws(3, n, cap, unit_det)
-        assert len(solves) >= 2, (cap, unit_det)
-        solves.clear()
-        w = np.linalg.eigvalsh(np.concatenate([A[None], stack]))
-        assert np.all(w[:, -1] / w[:, 0] <= cap)
-        if unit_det:
-            np.testing.assert_allclose(np.sum(np.log(w), axis=-1), 0.0, atol=1e-12)
 
 # The ball and the 2x2 closed forms keep the same contract over vector stacks
 # (..., 3) and 2x2 stacks (..., 2, 2).  Operand kinds: a ball vector, a
