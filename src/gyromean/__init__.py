@@ -47,7 +47,6 @@ from .order import (
     weak_majorize,
 )
 from .gyrocone import (
-    axiom_suite,
     cogyroline,
     cone_add,
     cone_neg,

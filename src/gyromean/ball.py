@@ -189,7 +189,6 @@ def ball_model(name: str = "einstein"):
     from .gyroaxioms import GyroModel
 
     return GyroModel(
-        name=name,
         identity=np.zeros(3),
         add=einstein_add if name == "einstein" else mobius_add,
         neg=lambda a: -np.asarray(a, float),

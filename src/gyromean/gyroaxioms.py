@@ -4,14 +4,18 @@ One suite serves all three concrete models (positive definite cone, invertible
 density matrices, Einstein and Mobius balls): a model supplies its identity,
 operations, gyration, and a residual measuring how far two elements differ.
 Gyrations are compared as maps, by their action on probe elements, not by
-comparing any particular matrix representation.  The suite evaluates each
-axiom once over the whole stack of sample triples, so a model's operations
-act on stacks of elements.
+comparing any particular matrix representation.
+
+``run_axiom_suite(model, a, b, c)`` takes the samples as three stacks, item
+k of each forming the k-th triple, and evaluates each axiom once over the
+whole stack, so a model's operations act on stacks of elements.  It returns
+each axiom's worst residual; the campaign judges them against its record's
+threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -41,7 +45,6 @@ DEFAULT_SCALARS = ((0.3, 0.8), (-0.7, 1.6), (2.0, -0.4))
 class GyroModel:
     """Concrete carrier of the gyro operations, acting on stacks of elements."""
 
-    name: str
     identity: object
     add: Callable
     neg: Callable
@@ -50,36 +53,12 @@ class GyroModel:
     residual: Callable  # residual(x, y) -> one value per stacked element
 
 
-@dataclass
-class AxiomReport:
-    """Per-axiom worst residual over the sample set."""
+def run_axiom_suite(model: GyroModel, a, b, c, axioms=AXIOM_NAMES) -> dict:
+    """Evaluate (G1)-(G5), gyrocommutativity and (V1)-(V4) on stacked triples.
 
-    model: str
-    samples: int
-    residuals: dict = field(default_factory=dict)
-    threshold: float = 1e-8
-
-    @property
-    def max_residual(self) -> float:
-        """The largest residual, NaN if any residual is NaN."""
-        return float(np.max(list(self.residuals.values()), initial=0.0))
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.threshold
-
-    def worst(self):
-        """The axiom with the largest residual (the first NaN one, if any)."""
-        name = list(self.residuals)[int(np.argmax(list(self.residuals.values())))]
-        return name, self.residuals[name]
-
-
-def run_axiom_suite(model: GyroModel, triples, scalars=None,
-                    threshold: float = 1e-8, axioms=AXIOM_NAMES) -> AxiomReport:
-    """Evaluate (G1)-(G5), gyrocommutativity and (V1)-(V4) on sample triples.
-
-    The triples are stacked, and each axiom is one expression over the whole
-    stack; its residual is the max over the stack.
+    Each axiom is one expression over the whole stack; its residual is the
+    max over the stack.  Returns ``{axiom: worst residual}``, NaN where any
+    item's residual is NaN.
 
     Parameters
     ----------
@@ -87,25 +66,19 @@ def run_axiom_suite(model: GyroModel, triples, scalars=None,
         Its operations take stacks of elements (leading axis: the sample);
         its scalar multiplication takes one weight per sample and its
         residual returns one value per sample.
-    triples : list of (a, b, c)
-        Sample elements of the carrier, all of one shape.
-    scalars : list of (s, t), optional
-        Scalar pairs, cycled over the triples; defaults to a fixed grid.
-    threshold : float
-        Pass iff every evaluated axiom's max residual stays below this.
+    a, b, c : ndarray
+        Stacks of sample elements of the carrier, all of one shape; item k
+        of each forms the k-th triple, and the pairs of ``DEFAULT_SCALARS``
+        are cycled over the triples in that order.
     axioms : iterable of str
         The axioms to evaluate, a subset of ``AXIOM_NAMES``.
     """
-    if not triples:
+    if not len(a):
         raise ValueError("axiom suite needs at least one sample triple")
     unknown = set(axioms) - set(AXIOM_NAMES)
     if unknown:
         raise ValueError(f"unknown axioms {sorted(unknown)}")
-    if scalars is None:
-        scalars = DEFAULT_SCALARS
-    a, b, c = (np.stack([np.asarray(x) for x in column]) for column in zip(*triples))
-    pairs = np.array([scalars[i % len(scalars)] for i in range(len(a))], dtype=float)
-    s, t = pairs[:, 0], pairs[:, 1]
+    s, t = np.resize(np.array(DEFAULT_SCALARS), (len(a), 2)).T
     e = np.broadcast_to(np.asarray(model.identity), a.shape)
     add, neg, scal, gyr, res = (
         model.add, model.neg, model.scalar, model.gyr, model.residual,
@@ -153,6 +126,4 @@ def run_axiom_suite(model: GyroModel, triples, scalars=None,
         "V3-multiplicative": lambda: [res(scal(s * t, a), scal(s, t_a()))],
         "V4-gyration-scalar": lambda: [res(gyr(a, b, scal(t, c)), scal(t, gyr_c()))],
     }
-    residuals = {name: float(np.max(checks[name]())) for name in axioms}
-    return AxiomReport(model=model.name, samples=len(a),
-                       residuals=residuals, threshold=threshold)
+    return {name: float(np.max(checks[name]())) for name in axioms}

@@ -21,7 +21,6 @@ from .kernel import (
     _polar_unitary,
     _powm,
     _sandwich,
-    as_matrix,
     hermitian_part,
     powm,
     require_hermitians,
@@ -123,7 +122,6 @@ def cone_model(dim: int):
     from .gyroaxioms import GyroModel
 
     return GyroModel(
-        name="cone",
         identity=np.eye(dim, dtype=complex),
         add=cone_add,
         neg=cone_neg,
@@ -131,19 +129,3 @@ def cone_model(dim: int):
         gyr=gyration,
         residual=lambda x, y: _frobenius(x - y),
     )
-
-
-def axiom_suite(samples, scalars=None, threshold: float = 1e-8):
-    """Run the gyrovector-space axiom suite over a list of PD triples.
-
-    Returns the per-axiom max-residual report from
-    :func:`gyromean.gyroaxioms.run_axiom_suite`.
-    """
-    from .gyroaxioms import run_axiom_suite
-
-    samples = [tuple(as_matrix(M) for M in triple) for triple in samples]
-    if not samples:
-        raise ValueError("axiom suite needs at least one sample triple")
-    dim = samples[0][0].shape[0]
-    return run_axiom_suite(cone_model(dim), samples, scalars=scalars,
-                           threshold=threshold)

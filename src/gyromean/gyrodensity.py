@@ -18,6 +18,7 @@ from .kernel import (
     _frobenius,
     _hermitian,
     _item,
+    _per,
     _pd_eigh,
     _pd_eigvals,
     _powm,
@@ -45,16 +46,11 @@ def _require_density(
         dec = check(_hermitian(M))
     except GyromeanError as exc:
         raise NotDensity(str(exc)) from exc
-    if M.ndim > 2:
-        trace = _trace(M)
-        bad = np.abs(trace - 1.0) > TRACE_TOL
-        if bad.any():
-            raise NotDensity(
-                _item(bad) + f"trace {trace[bad][0]!r} differs from 1 beyond tolerance")
-        return M, dec
-    trace = float(np.trace(M).real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise NotDensity(f"trace {trace!r} differs from 1 beyond tolerance")
+    trace = _trace(M)
+    bad = np.abs(trace - 1.0) > TRACE_TOL
+    if bad.any():
+        raise NotDensity(
+            _item(bad) + f"trace {float(trace[bad][0])!r} differs from 1 beyond tolerance")
     return M, dec
 
 
@@ -66,9 +62,7 @@ def require_density(rho) -> np.ndarray:
 def normalize_to_density(A) -> np.ndarray:
     """Project a positive definite matrix (or each item of a stack) onto unit trace."""
     M = as_stack(A)
-    if M.ndim > 2:
-        return M / _trace(M)[..., None, None]
-    return M / np.trace(M).real
+    return M / _per(_trace(M))
 
 
 def dens_add(rho, sigma) -> np.ndarray:
@@ -132,7 +126,6 @@ def density_model(dim: int):
     from .gyroaxioms import GyroModel
 
     return GyroModel(
-        name="density",
         identity=dens_identity(dim),
         add=dens_add,
         neg=dens_neg,

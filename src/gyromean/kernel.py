@@ -23,9 +23,19 @@ so, also take a stack of matrices, shape (..., n, n), and act on each item:
 a stack of k operand sets gives what k single calls give, and a stack with
 one bad item raises the named error the single call on that item raises.
 A curve parameter may then be one float or an array of the stack's leading
-shape, one weight per item.  A single matrix keeps its own code path, bit
-for bit; only its eigendecomposition fixes eigenvector phases, because a
-spectral function V f(w) V* does not depend on them.
+shape, one weight per item.  One matrix takes the stack's code, with four
+forks that stay because they pay:
+- ``_require_pd`` tests one spectrum on Python floats: 0.6 against 4.2 us
+  a call, and the stack's test cost the ``ops-n2`` benchmark 2.1%;
+- ``_powm`` skips the errstate and the overflow guard, on Python floats,
+  when each w**t of one matrix lies within e**+-708;
+- ``_frobenius`` takes one matrix's norm as a dot product of its flattened
+  entries, whose last bit differs from the stacked norm's for about one
+  random matrix in four;
+- ``_eigh`` fixes one matrix's eigenvector phases, as ``eigh`` promises.
+  A spectral function V f(w) V* does not depend on them, but dropping the
+  fix changes the bits of every single-matrix result, and the speed-up it
+  gave pushed the ops benchmarks' peak RSS past its 10% bound.
 
 Memo.  While ``registry.run_property`` runs one property, inside
 ``_eigh_memo()``, the eigensolve remembers its last ``MEMO_SIZE``
@@ -210,29 +220,21 @@ def require_hermitians(*operands) -> list[np.ndarray]:
 
 def _hermitian(M: np.ndarray) -> np.ndarray:
     """The checks of ``require_hermitian`` on a complex ndarray of square matrices."""
-    if M.ndim > 2:
-        # pass first: a defect within the bare tolerance passes every item's
-        # test, and a NaN or infinite entry makes the defect NaN or infinite
-        with np.errstate(invalid="ignore", over="ignore"):
-            if np.abs(M - M.conj().mT).max(initial=0.0) <= HERMITICITY_TOL:
-                return M
-        peak = np.max(np.abs(M), axis=(-2, -1))
-        bad = ~np.isfinite(peak)
-        if bad.any():
-            raise NotFinite(_item(bad) + "matrix has a NaN or infinite entry")
-        defect = np.max(np.abs(M - M.conj().mT), axis=(-2, -1))
-        bad = defect > HERMITICITY_TOL * np.maximum(1.0, peak)
-        if bad.any():
-            raise NotHermitian(
-                _item(bad) + f"hermiticity defect {defect[bad][0]:.3e} exceeds tolerance")
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = np.abs(M - M.conj().mT)
+    # pass first: a defect within the bare tolerance passes every item's
+    # test, and a NaN or infinite entry makes the defect NaN or infinite
+    if defect.max(initial=0.0) <= HERMITICITY_TOL:
         return M
-    peak = float(np.max(np.abs(M)))
-    if not math.isfinite(peak):
-        raise NotFinite("matrix has a NaN or infinite entry")
-    scale = max(1.0, peak)
-    defect = float(np.max(np.abs(M - M.conj().T)))
-    if defect > HERMITICITY_TOL * scale:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
+    peak = np.max(np.abs(M), axis=(-2, -1))
+    bad = ~np.isfinite(peak)
+    if bad.any():
+        raise NotFinite(_item(bad) + "matrix has a NaN or infinite entry")
+    defect = defect.max(axis=(-2, -1))
+    bad = defect > HERMITICITY_TOL * np.maximum(1.0, peak)
+    if bad.any():
+        raise NotHermitian(
+            _item(bad) + f"hermiticity defect {defect[bad][0]:.3e} exceeds tolerance")
     return M
 
 
@@ -543,18 +545,16 @@ def norm(H, kind: str = "operator") -> float:
 def loewner_compare(X, Y, tol: float = LOEWNER_TOL) -> Loewner:
     """Compare Hermitian X, Y in the Loewner order at eigenvalue slack ``tol``.
 
-    LE iff min-eig(Y - X) >= -tol, GE symmetrically, EQ if both hold;
-    NotFinite where Y - X overflows the double range.
+    LE iff min-eig(Y - X) >= -tol, GE symmetrically, EQ if both hold.
+    The test is made on Y/2 - X/2 at slack tol/2: halving is exact for
+    normal doubles, and the halved difference cannot overflow.
     """
     Xm = require_hermitian(as_matrix(X))
     Ym = require_hermitian(as_matrix(Y))
     require_same_dim(Xm, Ym)
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = Ym - Xm
-    _require_finite(D, "the difference Y - X overflows the double range")
-    w = _eigvalsh(hermitian_part(D))
-    le = w[0] >= -tol
-    ge = w[-1] <= tol
+    w = _eigvalsh(hermitian_part(0.5 * Ym - 0.5 * Xm))
+    le = w[0] >= -0.5 * tol
+    ge = w[-1] <= 0.5 * tol
     if le and ge:
         return Loewner.EQ
     if le:
@@ -562,9 +562,6 @@ def loewner_compare(X, Y, tol: float = LOEWNER_TOL) -> Loewner:
     if ge:
         return Loewner.GE
     return Loewner.INCOMPARABLE
-
-
-_SINGULAR = "matrix has a (numerically) vanishing singular value"
 
 
 def polar_unitary(M) -> np.ndarray:
@@ -580,11 +577,8 @@ def polar_unitary(M) -> np.ndarray:
 def _polar_unitary(Mm: np.ndarray) -> np.ndarray:
     """``polar_unitary`` of a finite complex matrix or stack."""
     w, V = _solve(hermitian_part(Mm @ Mm.conj().mT))
-    if w.ndim > 1:
-        bad = w[..., 0] <= PD_TOL * w[..., -1]
-        if bad.any():
-            raise Singular(_item(bad) + _SINGULAR)
-    elif w[0] <= PD_TOL * w[-1]:
-        raise Singular(_SINGULAR)
+    bad = w[..., 0] <= PD_TOL * w[..., -1]
+    if bad.any():
+        raise Singular(_item(bad) + "matrix has a (numerically) vanishing singular value")
     inv_sqrt = _spectral(SpectralDecomposition(w, V), 1.0 / np.sqrt(w))
     return inv_sqrt @ Mm

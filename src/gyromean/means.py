@@ -35,9 +35,6 @@ from .kernel import (
     sqrtm,
 )
 
-MEAN_KINDS = ("metric", "spectral")
-
-
 def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float) -> np.ndarray:
     """A #_t B from A's decomposition; Bm is a validated Hermitian of A's size."""
     root_w = np.sqrt(dec_a.eigenvalues)

@@ -24,6 +24,7 @@ from .kernel import (
     PD_TOL,
     _eigvalsh,
     _item,
+    _per,
     _per_item,
     _require_finite,
     as_stack,
@@ -65,11 +66,9 @@ class CheckResult:
     one entry per item, except where a case fixes them for every input.
     """
 
-    case: str
     premise_held: bool
     conclusion_held: bool
     margin: float
-    witness: str = ""
 
 
 def _gap(X, Y):
@@ -82,22 +81,9 @@ def _le(X, Y):
     return _gap(X, Y) >= -LOEWNER_TOL
 
 
-def _combine(case, premise, gaps, witness=""):
+def _combine(premise, gaps):
     margin = _per_item(np.min(gaps, axis=0))
-    return CheckResult(case, premise, premise & (margin >= -LOEWNER_TOL), margin, witness)
-
-
-def _fmt(x, spec: str) -> str:
-    """Format a per-item value, or each entry of an array of them."""
-    if np.ndim(x) == 0:
-        return format(x, spec)
-    return np.array2string(np.asarray(x),
-                           formatter={"float_kind": lambda v: format(v, spec)})
-
-
-def _weight(x):
-    """A scalar parameter as a factor of a matrix or of each item of a stack."""
-    return np.asarray(x)[..., None, None]
+    return CheckResult(premise, premise & (margin >= -LOEWNER_TOL), margin)
 
 
 def check_loewner_heinz(A, B, C) -> CheckResult:
@@ -107,7 +93,7 @@ def check_loewner_heinz(A, B, C) -> CheckResult:
     require_same_dim(Am, Bm, Cm)
     premise = _le(Cm @ Cm, Am) & _le(Am, Bm)
     gaps = [_gap(Cm, sqrtm(Am)), _gap(sqrtm(Am), sqrtm(Bm))]
-    return _combine("loewner_heinz", premise, gaps)
+    return _combine(premise, gaps)
 
 
 def check_furuta(A, B, p: float) -> CheckResult:
@@ -117,7 +103,7 @@ def check_furuta(A, B, p: float) -> CheckResult:
     premise = _le(Bm, Am) & (p > 0)
     G = geo_mean(powm(Am, p), powm(Bm, -p), 0.5)
     gaps = [_gap(np.eye(Am.shape[-1]), G)]
-    return _combine("furuta", premise, gaps, witness=f"p={p}")
+    return _combine(premise, gaps)
 
 
 def check_ando_hiai(A, B, p: float) -> CheckResult:
@@ -127,7 +113,7 @@ def check_ando_hiai(A, B, p: float) -> CheckResult:
     eye = np.eye(Am.shape[-1])
     premise = _le(geo_mean(Am, Bm, 0.5), eye) & (p >= 1)
     G = geo_mean(powm(Am, p), powm(Bm, p), 0.5)
-    return _combine("ando_hiai", premise, [_gap(G, eye)], witness=f"p={p}")
+    return _combine(premise, [_gap(G, eye)])
 
 
 def check_main_spectral_AH(A, B, t: float, p: float) -> CheckResult:
@@ -139,8 +125,7 @@ def check_main_spectral_AH(A, B, t: float, p: float) -> CheckResult:
                & (0 < t) & (t <= 1) & (p >= 1))
     eye = np.eye(Am.shape[-1])
     G = geo_mean(powm(Am, p), powm(Bm, p), 0.5)
-    return _combine("main_spectral_AH", premise, [_gap(G, eye)],
-                    witness=f"t={t}, p={p}")
+    return _combine(premise, [_gap(G, eye)])
 
 
 def check_power_chain(A, B, p: float) -> CheckResult:
@@ -159,7 +144,7 @@ def check_power_chain(A, B, p: float) -> CheckResult:
     if at_two.any():
         direct = _gap(geo_mean(powm(Am, 3.0), Bm, 0.5), Am)
         gaps.append(np.where(at_two, direct, np.inf))
-    return _combine("power_chain", premise, gaps, witness=f"p={p}")
+    return _combine(premise, gaps)
 
 
 def check_equivalence_five(A, B) -> CheckResult:
@@ -167,8 +152,7 @@ def check_equivalence_five(A, B) -> CheckResult:
     flags = equivalence_statements(A, B)
     stacked = np.array(flags)
     consistent = stacked.all(axis=0) | ~stacked.any(axis=0)
-    return CheckResult("equivalence_five", True, consistent, 0.0,
-                       witness=f"statements={flags}")
+    return CheckResult(True, consistent, 0.0)
 
 
 def check_contraction(S, X) -> CheckResult:
@@ -177,7 +161,7 @@ def check_contraction(S, X) -> CheckResult:
     Xm = as_stack(X)
     require_same_dim(Sm, Xm)
     premise = _le(hermitian_part(Sm @ Xm @ Sm), Xm)
-    return _combine("contraction", premise, [_gap(Sm, np.eye(Sm.shape[-1]))])
+    return _combine(premise, [_gap(Sm, np.eye(Sm.shape[-1]))])
 
 
 def check_bounds_spectral(A, B, t: float) -> CheckResult:
@@ -194,7 +178,7 @@ def check_bounds_spectral(A, B, t: float) -> CheckResult:
     Am, Bm = as_stack(A), as_stack(B)
     require_same_dim(Am, Bm)
     S = spectral_mean(Am, Bm, t)
-    scale = _weight(2.0 ** (1.0 + np.asarray(t)))
+    scale = _per(2.0 ** (1.0 + np.asarray(t)))
     lower = scale * powm(Am + invm(Bm), -t) - invm(Am)
     dual = scale * powm(invm(Am) + Bm, -t) - Am
     gaps = [_gap(lower, S), _gap(dual, invm(S))]
@@ -206,7 +190,7 @@ def check_bounds_spectral(A, B, t: float) -> CheckResult:
         direct = np.full(pd.shape, np.inf)
         direct[pd] = _gap(S[pd], invm(dual[pd]))
         gaps.append(direct)
-    return _combine("bounds_spectral", True, gaps, witness=f"t={t}")
+    return _combine(True, gaps)
 
 
 def check_log_sum_condition(A, B) -> CheckResult:
@@ -216,7 +200,7 @@ def check_log_sum_condition(A, B) -> CheckResult:
     n = Am.shape[-1]
     premise = _le(logm(Am) + logm(Bm), np.zeros((n, n)))
     gap = _gap(geo_mean(Am, Bm, 0.5), np.eye(n))
-    return _combine("log_sum_condition", premise, [gap])
+    return _combine(premise, [gap])
 
 
 def check_d_le_delta(A, B) -> CheckResult:
@@ -224,8 +208,7 @@ def check_d_le_delta(A, B) -> CheckResult:
     d = distance("semimetric_frob", A, B)
     delta = distance("riemannian", A, B)
     margin = delta - d
-    return CheckResult("d_le_delta", True, margin >= -LOEWNER_TOL, margin,
-                       witness=f"d={_fmt(d, '.6g')}, delta={_fmt(delta, '.6g')}")
+    return CheckResult(True, margin >= -LOEWNER_TOL, margin)
 
 
 def check_logmaj_mean(A, B, t: float) -> CheckResult:
@@ -241,8 +224,7 @@ def check_logmaj_mean(A, B, t: float) -> CheckResult:
     margin = _per_item(prefix_gaps.min(axis=-1))
     det_gap = prefix_gaps[..., -1]
     held = (margin >= -LOEWNER_TOL) & (abs(det_gap) <= LOEWNER_TOL)
-    return CheckResult("logmaj_mean", True, held, margin,
-                       witness=f"t={t}, det-gap={_fmt(det_gap, '.3e')}")
+    return CheckResult(True, held, margin)
 
 
 _DISPATCH = {

@@ -537,8 +537,7 @@ def _cone_axioms(trials, axioms):
         return tuple(gen_spread_pd(rng, d, 2.0) for _ in range(3))
 
     for a, b, c in replace(trials, stream="cone-gyrogroup-axioms").stacks(draw):
-        yield from run_axiom_suite(gc.cone_model(a.shape[-1]), list(zip(a, b, c)),
-                                   axioms=axioms).residuals.values()
+        yield from run_axiom_suite(gc.cone_model(a.shape[-1]), a, b, c, axioms).values()
 
 
 _G_AXIOMS = ("G1-left-identity", "G1-right-identity", "G2-left-inverse",
@@ -635,8 +634,7 @@ def _gyroline_translation(trials):
 @prop("density-gyrovector-space", "density-gyrovector-space", 1e-8)
 def _density_axioms(trials):
     for a, b, c in trials.stacks(lambda rng, d, i: tuple(gen_density(rng, d) for _ in range(3))):
-        yield from run_axiom_suite(gd.density_model(a.shape[-1]),
-                                   list(zip(a, b, c))).residuals.values()
+        yield from run_axiom_suite(gd.density_model(a.shape[-1]), a, b, c).values()
 
     def element(rng, d, i):
         rho = gen_density(rng, d)
@@ -683,8 +681,7 @@ def _density_gyrolines(trials):
 
 def _ball_axioms(trials, name):
     # the suite cycles its scalars by position, so the triples keep trial order
-    a, b, c = _ball_vectors(trials, 3)
-    yield from run_axiom_suite(bl.ball_model(name), list(zip(a, b, c))).residuals.values()
+    yield from run_axiom_suite(bl.ball_model(name), *_ball_vectors(trials, 3)).values()
 
 
 @prop("einstein-ball-axioms", "ball-gyrogroups", 1e-8)

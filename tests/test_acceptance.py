@@ -179,6 +179,11 @@ def test_criterion_5_semimetric_riemannian_bound():
              ok, f"worst gap {worst_gap:.2e}, commuting mismatch {worst_eq:.2e}")
 
 
+def _worst_residual(model, triples):
+    """The largest axiom residual of ``model`` over a list of triples, stacked."""
+    return max(run_axiom_suite(model, *(np.stack(col) for col in zip(*triples))).values())
+
+
 def test_criterion_6_gyro_axiom_suites():
     worst_suite, worst_line = 0.0, 0.0
     # cone triples across dimensions
@@ -189,19 +194,16 @@ def test_criterion_6_gyro_axiom_suites():
         by_dim.setdefault(d, []).append(
             tuple(gen_spread_pd(rng, d, 2.0) for _ in range(3)))
     for d, triples in by_dim.items():
-        worst_suite = max(worst_suite,
-                          gyrocone.axiom_suite(triples).max_residual)
+        worst_suite = max(worst_suite, _worst_residual(gyrocone.cone_model(d), triples))
     # density triples
     triples = [tuple(gen_density(substream(4242, "acceptance-dens", i), 3)
                      for _ in range(3)) for i in range(100)]
-    worst_suite = max(worst_suite, run_axiom_suite(
-        gyrodensity.density_model(3), triples).max_residual)
+    worst_suite = max(worst_suite, _worst_residual(gyrodensity.density_model(3), triples))
     # both ball models
     triples = [tuple(gen_ball_vector(substream(4242, "acceptance-ball", i, k))
                      for k in range(3)) for i in range(100)]
     for name in ("einstein", "mobius"):
-        worst_suite = max(worst_suite,
-                          run_axiom_suite(ball_model(name), triples).max_residual)
+        worst_suite = max(worst_suite, _worst_residual(ball_model(name), triples))
     # gyroline / cogyroline identifications
     for i in range(60):
         rng = substream(4242, "acceptance-lines", i)

@@ -11,7 +11,7 @@ bench_series = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_series)
 
 
-def _run(wall_s, ops_per_s, factor, correct=True, env=None):
+def _run(wall_s, ops_per_s, factor, correct=True, env=None, sha=None):
     return {
         "correct": correct,
         "attempted": 10,
@@ -20,6 +20,7 @@ def _run(wall_s, ops_per_s, factor, correct=True, env=None):
                     "ops_per_s": {"value": ops_per_s, "unit": "1/s"}},
         "env": env or {"cores": 2},
         "calibration_factor": factor,
+        "canonical_sha256": sha,
     }
 
 
@@ -65,3 +66,27 @@ def test_win_counts_follow_the_declared_direction():
     assert counts["ops_per_s"] == (2, 3)
     # only the metrics the runs carry are counted
     assert set(counts) == {"wall_s", "ops_per_s"}
+
+
+def test_canonical_sha_is_read_off_the_campaign_checks():
+    lines = [
+        "check canonical JSON byte-identical: ok",
+        "canonical JSON sha256 70276bcae8758963 (2 campaigns)",
+        "self-test: a 1e-6 relative perturbation of one record is caught",
+    ]
+    assert bench_series.canonical_sha(lines) == "70276bcae8758963"
+    # the ops workloads print no hash
+    assert bench_series.canonical_sha(lines[:1] + lines[2:]) is None
+
+
+def test_summary_keeps_each_runs_hash_and_pairs_are_compared():
+    base = [_run(1.0, 1.0, 1.0, sha="aa11") for _ in range(2)]
+    out = bench_series.summary(base, "parent", "campaign", 42, 30)
+    assert out["canonical_sha256"] == ["aa11", "aa11"]
+    assert bench_series.same_reports(base, [_run(1.0, 1.0, 1.0, sha="aa11")] * 2)
+    moved = [_run(1.0, 1.0, 1.0, sha="aa11"), _run(1.0, 1.0, 1.0, sha="bb22")]
+    assert bench_series.same_reports(base, moved) is False
+    # a run that printed no hash cannot match one that did
+    assert bench_series.same_reports(base, [_run(1.0, 1.0, 1.0)]) is False
+    ops = [_run(1.0, 1.0, 1.0)]
+    assert bench_series.same_reports(ops, ops) is None

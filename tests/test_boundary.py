@@ -37,7 +37,15 @@ from gyromean.gyrocone import (
     gyroline,
 )
 from gyromean.gyrodensity import dens_cogyroline, dens_gyroline, dens_scalar
-from gyromean.kernel import congruence, expm, invm, loewner_compare, polar_unitary, powm
+from gyromean.kernel import (
+    Loewner,
+    congruence,
+    expm,
+    invm,
+    loewner_compare,
+    polar_unitary,
+    powm,
+)
 from gyromean.means import (
     geo_mean,
     mean,
@@ -276,21 +284,32 @@ TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)
      r"item \(1,\): "),
     (lambda: congruence(np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]), ""),
     (lambda: congruence(HUGE, 1e100 * np.eye(2)), ""),
-    (lambda: loewner_compare(-1e308 * np.eye(2), 1e308 * np.eye(2)), ""),
 ], ids=["cone_add", "geo_mean", "thompson", "riemannian", "gyroline", "cogyroline",
-        "relative_eigenvalue", "geo_mean-stack", "congruence-nan", "congruence",
-        "loewner_compare"])
+        "relative_eigenvalue", "geo_mean-stack", "congruence-nan", "congruence"])
 def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
     # A^{1/2} B A^{1/2}, the whitened A^{-1/2} B A^{-1/2} (B^{-1/2} A B^{-1/2}
-    # for relative_eigenvalue), the cooperation's A^{-1/2} B A^{-1/2}, the
-    # congruence S X S* and loewner_compare's Y - X overflow here; each is
-    # made inside a guard, so the named error comes before numpy can warn,
-    # and also with warnings ignored
+    # for relative_eigenvalue), the cooperation's A^{-1/2} B A^{-1/2} and the
+    # congruence S X S* overflow here; each is made inside a guard, so the
+    # named error comes before numpy can warn, and also with warnings ignored
     for filter_ in ("error", "ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter(filter_)
             with pytest.raises(errors.NotFinite, match="^" + where + "the"):
                 call()
+
+
+@pytest.mark.parametrize("X, Y, expected", [
+    (-1e308, 1e308, Loewner.LE),
+    (1e308, -1e308, Loewner.GE),
+    (1e308, 1e308, Loewner.EQ),
+])
+def test_loewner_compare_at_the_top_of_the_double_range(X, Y, expected):
+    # Y - X overflows here, but Y/2 - X/2, which the comparison is made on,
+    # does not
+    for filter_ in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)
+            assert loewner_compare(X * np.eye(2), Y * np.eye(2)) is expected
 
 
 NAN_2X2 = np.array([[np.nan, 0.0], [0.0, 1.0]])

@@ -96,13 +96,16 @@ def test_projection_compatibility():
 def test_axiom_suite_density_model():
     rng = substream(607, "dens-suite")
     triples = [tuple(gen_density(rng, 3) for _ in range(3)) for _ in range(25)]
-    report = run_axiom_suite(density_model(3), triples)
-    assert report.passed, report.worst()
+    residuals = run_axiom_suite(density_model(3), *(np.stack(col) for col in zip(*triples)))
+    for name, residual in residuals.items():
+        assert residual < 1e-8, name
 
 
 def test_require_density_rejections():
-    with pytest.raises(errors.NotDensity):
-        require_density(np.diag([0.9, 0.2]))  # trace 1.1
+    with pytest.raises(errors.NotDensity, match=r"^trace 1\.1 differs from 1 beyond tolerance$"):
+        require_density(np.diag([0.9, 0.2]))
+    with pytest.raises(errors.NotDensity, match=r"^item \(1,\): trace 1\.1 differs from 1 "):
+        require_density(np.stack([np.eye(2) / 2, np.diag([0.9, 0.2])]))
     with pytest.raises(errors.NotDensity):
         require_density(np.diag([1.5, -0.5]))  # not PD
     with pytest.raises(errors.NotDensity):

@@ -82,7 +82,8 @@ def test_eigh_phase_determinism():
 
 
 def test_eigh_rejects_non_hermitian():
-    with pytest.raises(errors.NotHermitian):
+    with pytest.raises(errors.NotHermitian,
+                       match=r"^hermiticity defect 1\.000e\+00 exceeds tolerance$"):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -212,7 +213,8 @@ def test_polar_unitary_fixtures():
     A, B = gen_commuting_pair(rng, 3)
     np.testing.assert_allclose(polar_unitary(sqrtm(A) @ sqrtm(B)), np.eye(3),
                                atol=1e-11)
-    with pytest.raises(errors.Singular):
+    with pytest.raises(errors.Singular,
+                       match=r"^matrix has a \(numerically\) vanishing singular value$"):
         polar_unitary(np.array([[1.0, 0.0], [0.0, 0.0]]))
     # singularity is judged relative to the largest singular value
     for scale in (1e-6, 1.0, 1e6):

@@ -178,7 +178,7 @@ def test_logmaj_mean():
         A = gen_random_pd(rng, 4)
         B = gen_random_pd(rng, 4)
         res = check_logmaj_mean(A, B, t)
-        assert res.conclusion_held, res.witness
+        assert res.conclusion_held, res.margin
 
 
 def test_weak_majorize_fixtures():

@@ -509,11 +509,12 @@ def test_the_stacked_ball_suites_give_the_per_triple_residuals(name):
     # the same model, evaluated one triple at a time with single-vector calls;
     # the suite cycles the same scalars over the triples in both
     per_triple = gm.gyroaxioms.GyroModel(
-        name=name, identity=stacked.identity, add=_rowwise(stacked.add), neg=stacked.neg,
+        identity=stacked.identity, add=_rowwise(stacked.add), neg=stacked.neg,
         scalar=lambda t, a: _rowwise(gm.ball_scalar)(np.broadcast_to(t, len(a)), a),
         gyr=_rowwise(stacked.gyr),
         residual=_rowwise(lambda x, y: float(np.linalg.norm(x - y))))
-    got = gm.gyroaxioms.run_axiom_suite(stacked, triples).residuals
-    want = gm.gyroaxioms.run_axiom_suite(per_triple, triples).residuals
+    a, b, c = (np.stack(column) for column in zip(*triples))
+    got = gm.gyroaxioms.run_axiom_suite(stacked, a, b, c)
+    want = gm.gyroaxioms.run_axiom_suite(per_triple, a, b, c)
     assert list(got) == list(want)
     np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=1e-12, atol=1e-17)

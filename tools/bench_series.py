@@ -15,9 +15,11 @@ end-to-end metric's median, quartiles (inclusive method) and values, the run
 count, whether every run was correct, the calibration factor that scaled each
 run's times (a run scaled by a stray factor stands out there), and the
 environment each run reported (core count, BLAS vendor and version, BLAS
-thread settings).  Given two checkouts, it also prints, per metric, in how
-many of the alternating pairs of runs the second one did better, with
-"better" as ``BENCHMARK.json`` declares it.
+thread settings) and the canonical JSON sha256 each campaign run printed.
+Given two checkouts, it also prints, per metric, in how many of the
+alternating pairs of runs the second one did better, with "better" as
+``BENCHMARK.json`` declares it, and whether the two checkouts' campaign
+reports have the same canonical sha256.
 """
 
 from __future__ import annotations
@@ -37,12 +39,29 @@ RUN_SECONDS = SPEC["run_seconds"]
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 # the line a timed perfbench run prints with its unscaled figures
 FACTOR_LINE = re.compile(r"^unscaled .*; calibration factor ([0-9.eE+-]+)$")
+# the line a campaign run prints with the hash of its report's canonical JSON
+SHA_LINE = re.compile(r"^canonical JSON sha256 ([0-9a-f]+)\b")
 
 
 def calibration_factor(lines: list[str]) -> float | None:
     """The calibration factor of the timed run, read off its ``unscaled`` line."""
     found = [float(m.group(1)) for m in map(FACTOR_LINE.match, lines) if m]
     return found[-1] if found else None
+
+
+def canonical_sha(lines: list[str]) -> str | None:
+    """The canonical JSON sha256 (prefix) a campaign run printed, if any."""
+    found = [m.group(1) for m in map(SHA_LINE.match, lines) if m]
+    return found[-1] if found else None
+
+
+def same_reports(base: list[dict], change: list[dict]) -> bool | None:
+    """Whether every run of both checkouts printed one canonical sha256;
+    None when no run printed one (the ``ops-*`` workloads print none)."""
+    hashes = {r.get("canonical_sha256") for r in base + change}
+    if hashes == {None}:
+        return None
+    return len(hashes) == 1
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -59,6 +78,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     env = [ln[len("env "):] for ln in lines if ln.startswith("env ")]
     result["env"] = json.loads(env[-1]) if env else {}
     result["calibration_factor"] = calibration_factor(lines)
+    result["canonical_sha256"] = canonical_sha(lines)
     return result
 
 
@@ -82,6 +102,7 @@ def summary(runs: list[dict], label: str, workload: str, seed: int,
         "failed": sum(r["failed"] for r in runs),
         "metrics": metrics,
         "calibration_factors": [r.get("calibration_factor") for r in runs],
+        "canonical_sha256": [r.get("canonical_sha256") for r in runs],
         # one env when every run reported the same, else each run's
         "env": envs[0] if all(e == envs[0] for e in envs) else envs,
     }
@@ -144,6 +165,10 @@ def main(argv=None) -> int:
         (base, base_runs), (change, change_runs) = runs.items()
         for name, (wins, pairs) in win_counts(base_runs, change_runs).items():
             print(f"{name}: {change} better than {base} in {wins} of {pairs} pairs")
+        same = same_reports(base_runs, change_runs)
+        if same is not None:
+            print(f"canonical JSON sha256: {change} "
+                  f"{'matches' if same else 'DIFFERS from'} {base}")
     return 0
 
 
