@@ -23,6 +23,7 @@ from gyromean.gyroaxioms import run_axiom_suite
 from gyromean.gyrodensity import dens_add, dens_neg, dens_scalar
 from gyromean.kernel import invm
 from gyromean.randgen import GeneratorStack, gen_ball_vector, substream
+from triple_stacks import triple_stacks
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -105,8 +106,7 @@ def test_ball_membership_guard():
 
 def test_axiom_suites():
     rng = substream(707, "ball-suites")
-    triples = [tuple(gen_ball_vector(rng) for _ in range(3)) for _ in range(40)]
-    stacks = [np.stack(column) for column in zip(*triples)]
+    stacks = triple_stacks(gen_ball_vector(rng) for _ in range(3 * 40))
     for name in ("einstein", "mobius"):
         for axiom, residual in run_axiom_suite(ball_model(name), *stacks).items():
             assert residual < 1e-8, (name, axiom)

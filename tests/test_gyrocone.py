@@ -18,15 +18,11 @@ from gyromean.gyrocone import (
 from gyromean.kernel import invm, sqrtm
 from gyromean.means import geo_mean, spectral_mean
 from gyromean.randgen import gen_commuting_pair, gen_spread_pd, substream
+from triple_stacks import triple_stacks
 
 
 def _triple(rng, dim=3):
     return tuple(gen_spread_pd(rng, dim, 1.5) for _ in range(3))
-
-
-def _suite(triples):
-    """The cone axiom residuals over a list of 3x3 triples, stacked."""
-    return run_axiom_suite(cone_model(3), *(np.stack(column) for column in zip(*triples)))
 
 
 def test_identity_and_inverse():
@@ -99,16 +95,16 @@ def test_left_translation_of_gyrolines():
 
 
 def test_axiom_suite_commuting_triples():
-    triples = [tuple(np.diag(d).astype(complex) for d in
-                     ((1.0, 2.0, 3.0), (0.5, 1.5, 2.5), (2.0, 0.25, 1.0)))]
-    residuals = _suite(triples)
-    assert max(residuals.values()) < 1e-12
+    a, b, c = triple_stacks(np.diag(d).astype(complex) for d in
+                            ((1.0, 2.0, 3.0), (0.5, 1.5, 2.5), (2.0, 0.25, 1.0)))
+    for name, residual in run_axiom_suite(cone_model(3), a, b, c).items():
+        assert residual < 1e-12, name
 
 
 def test_axiom_suite_random_triples():
     rng = substream(508, "cone-suite")
-    triples = [_triple(rng) for _ in range(25)]
-    residuals = _suite(triples)
+    stacks = triple_stacks(gen_spread_pd(rng, 3, 1.5) for _ in range(3 * 25))
+    residuals = run_axiom_suite(cone_model(3), *stacks)
     assert len(residuals) == 15
     for name, residual in residuals.items():
         assert residual < 1e-8, name

@@ -19,6 +19,7 @@ from gyromean.gyrodensity import (
 from gyromean.kernel import invm
 from gyromean.means import geo_mean
 from gyromean.randgen import gen_density, gen_spread_pd, substream
+from triple_stacks import triple_stacks
 
 
 def test_identity_element():
@@ -95,8 +96,8 @@ def test_projection_compatibility():
 
 def test_axiom_suite_density_model():
     rng = substream(607, "dens-suite")
-    triples = [tuple(gen_density(rng, 3) for _ in range(3)) for _ in range(25)]
-    residuals = run_axiom_suite(density_model(3), *(np.stack(col) for col in zip(*triples)))
+    stacks = triple_stacks(gen_density(rng, 3) for _ in range(3 * 25))
+    residuals = run_axiom_suite(density_model(3), *stacks)
     for name, residual in residuals.items():
         assert residual < 1e-8, name
 

@@ -20,6 +20,7 @@ from gyromean.kernel import hermitian_part
 from gyromean import randgen as rg
 from gyromean.randgen import GeneratorStack, gen_spread_pd, substream
 from per_item_stack import PerItemStack
+from triple_stacks import triple_stacks
 
 DIMS = (2, 3, 4, 6)
 ITEMS = 8
@@ -504,7 +505,7 @@ def _rowwise(op):
 @pytest.mark.parametrize("name", ["einstein", "mobius"])
 def test_the_stacked_ball_suites_give_the_per_triple_residuals(name):
     rng = substream(7, "ball-suite", name)
-    triples = [tuple(rg.gen_ball_vector(rng) for _ in range(3)) for _ in range(40)]
+    a, b, c = triple_stacks(rg.gen_ball_vector(rng) for _ in range(3 * 40))
     stacked = gm.ball.ball_model(name)
     # the same model, evaluated one triple at a time with single-vector calls;
     # the suite cycles the same scalars over the triples in both
@@ -513,7 +514,6 @@ def test_the_stacked_ball_suites_give_the_per_triple_residuals(name):
         scalar=lambda t, a: _rowwise(gm.ball_scalar)(np.broadcast_to(t, len(a)), a),
         gyr=_rowwise(stacked.gyr),
         residual=_rowwise(lambda x, y: float(np.linalg.norm(x - y))))
-    a, b, c = (np.stack(column) for column in zip(*triples))
     got = gm.gyroaxioms.run_axiom_suite(stacked, a, b, c)
     want = gm.gyroaxioms.run_axiom_suite(per_triple, a, b, c)
     assert list(got) == list(want)
