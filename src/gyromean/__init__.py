@@ -5,11 +5,18 @@ defining-equation residuals, distances on the cone, the order-inequality
 checkers, three gyrovector-space models (cone, densities, Einstein/Mobius
 ball with the Bloch correspondence), 2x2 closed forms, and the randomized
 verification harness behind the ``gyromean`` CLI.
+
+Importing the package loads the numerical core alone.  The names of the
+campaign (``run_campaign``, ``CampaignConfig``, ...), of its sampler and of
+the order checkers, listed in ``_LAZY``, load their module on first access
+and are then ordinary attributes.
 """
 
 # the one place the version is written: pyproject.toml reads it from here, and
 # every campaign report records it
 __version__ = "0.1.0"
+
+from importlib import import_module as _import_module
 
 from .kernel import (
     Loewner,
@@ -39,13 +46,6 @@ from .means import (
     spectral_mean,
 )
 from .metrics import DISTANCE_KINDS, distance, midpoint_deviation, sup_ratio
-from .order import (
-    INEQUALITY_CASES,
-    CheckResult,
-    check,
-    equivalence_statements,
-    weak_majorize,
-)
 from .gyrocone import (
     cogyroline,
     cone_add,
@@ -84,12 +84,26 @@ from .closedform2x2 import (
     qubit_spectral_mean,
     sgm2,
 )
-from .randgen import gen_random_pd, substream
-from .harness import (
-    CampaignConfig,
-    Report,
-    reproduce_counterexamples,
-    run_campaign,
-)
 from . import errors
 
+# name -> the module that defines it, imported on the name's first access
+_LAZY = {
+    **dict.fromkeys(("CampaignConfig", "Report", "reproduce_counterexamples",
+                     "run_campaign"), "harness"),
+    **dict.fromkeys(("gen_random_pd", "substream"), "randgen"),
+    **dict.fromkeys(("INEQUALITY_CASES", "CheckResult", "check",
+                     "equivalence_statements", "weak_majorize"), "order"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -25,22 +25,15 @@ import sys
 
 import numpy as np
 
+from .defaults import DEFAULT_COND_CAP, DEFAULT_DIMS, DEFAULT_SEED, DEFAULT_TRIALS
 from .errors import GyromeanError
 from .gyrocone import cogyroline, cooperation, gyration, gyroline
 from .gyrodensity import dens_cogyroline, dens_gyroline, require_density
-from .harness import (
-    DEFAULT_COND_CAP,
-    DEFAULT_DIMS,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    CampaignConfig,
-    Report,
-    reproduce_counterexamples,
-    run_campaign,
-)
-from .matrixio import MatrixFormatError, load_matrix, matrix_to_payload
 from .means import geo_mean, spectral_mean
 from .metrics import distance
+
+# ``harness`` and ``matrixio`` are imported by the handlers that use them, so
+# ``compute`` and ``geodesic`` never load the campaign
 
 # the distance kinds, spelled with dashes
 _SCALAR_OPS = ("thompson", "riemannian", "semimetric-op", "semimetric-frob")
@@ -109,6 +102,8 @@ def _write(text: str, path) -> None:
 
 
 def _emit_matrix(M, out_path) -> None:
+    from .matrixio import matrix_to_payload
+
     _write(json.dumps(matrix_to_payload(M), indent=2) + "\n", out_path)
 
 
@@ -117,6 +112,8 @@ def _emit_scalar(value: float, out_path) -> None:
 
 
 def _cmd_compute(args) -> int:
+    from .matrixio import MatrixFormatError, load_matrix
+
     A = load_matrix(args.a)
     B = load_matrix(args.b)
     if args.op in ("geo", "spectral"):
@@ -134,6 +131,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    from .matrixio import MatrixFormatError, load_matrix, matrix_to_payload
+
     if args.samples < 1:
         raise MatrixFormatError("--samples must be at least 1")
     A = load_matrix(args.a)
@@ -152,7 +151,7 @@ def _cmd_geodesic(args) -> int:
     return 0
 
 
-def _finish(report: Report, args) -> int:
+def _finish(report, args) -> int:
     """Write the report where --report asks, print the summary; the exit code."""
     if args.report:
         _write(report.to_csv() if args.format == "csv" else report.to_json(), args.report)
@@ -167,8 +166,11 @@ def _finish(report: Report, args) -> int:
     return 0 if report.passed else 1
 
 
-def verify_config(args) -> CampaignConfig:
-    """The campaign config that ``verify``'s parsed arguments ask for."""
+def verify_config(args):
+    """The ``CampaignConfig`` that ``verify``'s parsed arguments ask for."""
+    from .harness import CampaignConfig
+    from .matrixio import MatrixFormatError
+
     seed = args.seed if args.seed is not None else _env_seed()
     try:
         dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
@@ -179,10 +181,14 @@ def verify_config(args) -> CampaignConfig:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import run_campaign
+
     return _finish(run_campaign(verify_config(args), jobs=args.jobs), args)
 
 
 def _cmd_counterexample(args) -> int:
+    from .harness import reproduce_counterexamples
+
     return _finish(reproduce_counterexamples(), args)
 
 
@@ -204,7 +210,8 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: operands out of floating-point range ({exc})", file=sys.stderr)
         return 2
-    except (GyromeanError, MatrixFormatError, OSError, ValueError) as exc:
+    # a MatrixFormatError is a ValueError
+    except (GyromeanError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,11 @@ import csv
 import io
 import json
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__ as VERSION
+from .defaults import DEFAULT_COND_CAP, DEFAULT_DIMS, DEFAULT_SEED, DEFAULT_TRIALS
 from .fixtures import (
     TRIANGLE_REFERENCE,
     TRIANGLE_REFERENCE_TOL,
@@ -33,11 +33,6 @@ from .registry import (
     all_properties,
     run_property,
 )
-
-DEFAULT_SEED = 42
-DEFAULT_TRIALS = 200
-DEFAULT_DIMS = (2, 3, 4, 6)
-DEFAULT_COND_CAP = 1e4
 
 
 def _is_int(x) -> bool:
@@ -171,6 +166,9 @@ def run_campaign(config: CampaignConfig | None = None, jobs: int = 1) -> Report:
     config = config or CampaignConfig()
     specs = all_properties()
     if jobs > 1:
+        # imported here: a serial campaign loads no pool machinery
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(lambda s: run_property(s, config), specs))
     else:

@@ -38,21 +38,22 @@ forks that stay because they pay:
   gave pushed the ops benchmarks' peak RSS past its 10% bound.
 
 Memo.  While ``registry.run_property`` runs one property, inside
-``_eigh_memo()``, the eigensolve remembers its last ``MEMO_SIZE``
-decompositions, keyed by the shape, dtype and bytes of the matrix or
-stack solved: the campaign chains the means and gyro operations on the
-same operands, and each public call would otherwise decompose them anew.
+``_eigh_memo()``, each LAPACK solver remembers its last ``MEMO_SIZE``
+results, keyed by the shape, dtype and bytes of the matrix or stack
+solved: the campaign chains the means and gyro operations on the same
+operands, and each public call would otherwise solve them anew.
 A hit needs byte equality, so it returns exactly what LAPACK returned for
 the same input, and the stored arrays are read-only, so no caller can
 change a shared result.  Each thread has its own memo, it is emptied
 when the property ends, and outside that scope there is none.
-Eigenvalue-only reads never touch the memo: ``_pd_eigvals`` and
-``min_eig`` call ``eigvalsh``, so a memo hit stays bit for bit what the
-unmemoised call gives.  They serve every caller that reads only a spectrum:
-the smallest eigenvalue behind the Loewner order and the block margin, the
-four distances (log-eigenvalues of A^{-1/2} B A^{-1/2} and of A^{-1} # B),
-the operator norm, and the positive definiteness check of an operand whose
-decomposition nothing uses.
+Eigenvalue-only reads (``_pd_eigvals``, ``min_eig``) call ``eigvalsh``
+and have a memo of their own: ``eigh`` and ``eigvalsh`` differ in their
+last bits, so a spectrum is never read from a decomposition, and a memo
+hit stays bit for bit what the unmemoised call gives.  They serve every
+caller that reads only a spectrum: the smallest eigenvalue behind the
+Loewner order and the block margin, the four distances (log-eigenvalues
+of A^{-1/2} B A^{-1/2} and of A^{-1} # B), the operator norm, and the
+positive definiteness check of an operand whose decomposition nothing uses.
 """
 
 from __future__ import annotations
@@ -84,9 +85,10 @@ HERMITICITY_TOL = 1e-10
 PD_TOL = 1e-10
 LOEWNER_TOL = 1e-8
 
-# the decompositions the memo holds; the campaign's repeats recur within 16
+# the results each solver's memo holds; the campaign's repeats recur within 16
 MEMO_SIZE = 16
-_MEMO: ContextVar[OrderedDict | None] = ContextVar("eigh_memo", default=None)
+# solver name -> its memo, inside ``_eigh_memo()``
+_MEMO: ContextVar[dict | None] = ContextVar("eigh_memo", default=None)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -272,42 +274,40 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
 
 @contextmanager
 def _eigh_memo():
-    """Remember the last ``MEMO_SIZE`` eigendecompositions within this block."""
-    token = _MEMO.set(OrderedDict())
+    """Remember each solver's last ``MEMO_SIZE`` results within this block."""
+    token = _MEMO.set({"eigh": OrderedDict(), "eigvalsh": OrderedDict()})
     try:
         yield
     finally:
         _MEMO.reset(token)
 
 
-def _solve(M: np.ndarray):
-    """LAPACK's (w, V) for a Hermitian complex ndarray, through the memo."""
-    memo = _MEMO.get()
-    if memo is not None:
+def _lapack(solver: str, M: np.ndarray):
+    """``np.linalg.<solver>(M)`` for a Hermitian complex ndarray, through its memo."""
+    memos = _MEMO.get()
+    if memos is not None:
+        memo = memos[solver]
         key = (M.shape, M.dtype.str, M.tobytes())
-        dec = memo.get(key)
-        if dec is not None:
+        out = memo.get(key)
+        if out is not None:
             memo.move_to_end(key)
-            return dec
+            return out
     try:
-        w, V = np.linalg.eigh(M)
+        out = getattr(np.linalg, solver)(M)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    if memo is not None:
-        w.flags.writeable = False
-        V.flags.writeable = False
-        memo[key] = SpectralDecomposition(w, V)
+    if memos is not None:
+        for a in (out if isinstance(out, tuple) else (out,)):
+            a.flags.writeable = False
+        memo[key] = out
         if len(memo) > MEMO_SIZE:
             memo.popitem(last=False)
-    return w, V
+    return out
 
 
 def _eigvalsh(M: np.ndarray) -> np.ndarray:
-    """LAPACK's ascending eigenvalues of a Hermitian complex ndarray, never memoised."""
-    try:
-        return np.linalg.eigvalsh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    """LAPACK's ascending eigenvalues of a Hermitian complex ndarray, through the memo."""
+    return _lapack("eigvalsh", M)
 
 
 def _eigh(M: np.ndarray) -> SpectralDecomposition:
@@ -315,7 +315,7 @@ def _eigh(M: np.ndarray) -> SpectralDecomposition:
 
     M may be a stack; only a single matrix gets the phase convention of ``eigh``.
     """
-    w, V = _solve(M)
+    w, V = _lapack("eigh", M)
     return SpectralDecomposition(w, _fix_phases(V) if V.ndim == 2 else V)
 
 
@@ -353,7 +353,7 @@ def _pd_eigh(M: np.ndarray) -> SpectralDecomposition:
 
 
 def _pd_eigvals(M: np.ndarray) -> np.ndarray:
-    """The ascending eigenvalues of M, with the test of ``_pd_eigh``; no memo."""
+    """The ascending eigenvalues of M, with the test of ``_pd_eigh``."""
     return _require_pd(_eigvalsh(M))
 
 
@@ -576,7 +576,7 @@ def polar_unitary(M) -> np.ndarray:
 
 def _polar_unitary(Mm: np.ndarray) -> np.ndarray:
     """``polar_unitary`` of a finite complex matrix or stack."""
-    w, V = _solve(hermitian_part(Mm @ Mm.conj().mT))
+    w, V = _lapack("eigh", hermitian_part(Mm @ Mm.conj().mT))
     bad = w[..., 0] <= PD_TOL * w[..., -1]
     if bad.any():
         raise Singular(_item(bad) + "matrix has a (numerically) vanishing singular value")

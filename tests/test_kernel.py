@@ -328,16 +328,16 @@ def test_inverse_decomposition(items):
     assert (err < 1e-13 * np.linalg.norm(Ainv, axis=(-2, -1))).all()
 
 
-def _counted_eigh(monkeypatch) -> list:
-    """Record the shape of every LAPACK eigensolve from here on."""
+def _counted_solves(monkeypatch, solver="eigh") -> list:
+    """Record the shape of every call of the LAPACK solver from here on."""
     solves = []
-    solve = np.linalg.eigh
+    solve = getattr(np.linalg, solver)
 
     def counted(M):
         solves.append(M.shape)
         return solve(M)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, solver, counted)
     return solves
 
 
@@ -348,7 +348,7 @@ def _stack(seed, items=4, n=3):
 
 def test_the_memo_decomposes_a_stack_once_and_shares_it_read_only(monkeypatch):
     A = _stack(131)
-    solves = _counted_eigh(monkeypatch)
+    solves = _counted_solves(monkeypatch)
     with _eigh_memo():
         first = pd_eigh(A)
         again = pd_eigh(A.copy())
@@ -370,10 +370,26 @@ def test_the_memo_decomposes_a_stack_once_and_shares_it_read_only(monkeypatch):
     bare.vectors[0, 0] = 1.0  # outside the memo nothing is shared
 
 
+def test_the_memo_answers_a_repeated_spectrum_from_eigvalsh_alone(monkeypatch):
+    A = _stack(149)
+    bare = min_eig(A)
+    reads = _counted_solves(monkeypatch, "eigvalsh")
+    with _eigh_memo():
+        eigh(A)  # eigh's eigenvalues differ from eigvalsh's in the last bits
+        first = min_eig(A)
+        assert len(reads) == 1
+        again = min_eig(A.copy())
+        assert len(reads) == 1
+        with pytest.raises(ValueError):
+            kernel._eigvalsh(A)[0, 0] = 1.0
+    assert len(reads) == 1
+    assert np.array_equal(first, bare) and np.array_equal(again, bare)
+
+
 def test_the_memo_keeps_a_single_matrix_phase_convention(monkeypatch):
     A = _stack(137)[0]
     bare, bare_polar = eigh(A), polar_unitary(A)
-    solves = _counted_eigh(monkeypatch)
+    solves = _counted_solves(monkeypatch)
     with _eigh_memo():
         decs = [eigh(A), eigh(A)]
         polars = [polar_unitary(A), polar_unitary(A)]
@@ -386,13 +402,13 @@ def test_the_memo_keeps_a_single_matrix_phase_convention(monkeypatch):
 
 def test_the_memo_holds_at_most_its_size_least_recently_used_first(monkeypatch):
     stacks = [_stack(139 + k, items=2, n=2) for k in range(MEMO_SIZE + 2)]
-    solves = _counted_eigh(monkeypatch)
+    solves = _counted_solves(monkeypatch)
     with _eigh_memo():
         for k, A in enumerate(stacks):
             eigh(A)
             if k == MEMO_SIZE - 1:
                 eigh(stacks[0])  # a hit makes it the most recent
-            assert len(kernel._MEMO.get()) <= MEMO_SIZE
+            assert len(kernel._MEMO.get()["eigh"]) <= MEMO_SIZE
         assert len(solves) == len(stacks)
         eigh(stacks[0])
         assert len(solves) == len(stacks)
