@@ -14,7 +14,6 @@ import numpy as np
 
 from .kernel import (
     SpectralDecomposition,
-    _downscale,
     _frobenius,
     _pd_eigh,
     _pd_eigvals,
@@ -48,11 +47,6 @@ def cone_neg(A) -> np.ndarray:
 def _gyration_unitary(dec_a: SpectralDecomposition,
                       dec_b: SpectralDecomposition) -> np.ndarray:
     """U(A, B) from the decompositions of A and B."""
-    # M M* below overflows as lambda_max(A) lambda_max(B) nears the largest
-    # double; U is scale-free, so such items scale A and B by a power of two
-    s = _downscale(dec_a.eigenvalues[..., -1], dec_b.eigenvalues[..., -1])
-    if s is not None:
-        dec_a, dec_b = dec_a.scaled(s), dec_b.scaled(s)
     return _polar_unitary(_powm(dec_a, 0.5) @ _powm(dec_b, 0.5))
 
 

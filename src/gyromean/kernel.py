@@ -23,22 +23,20 @@ so, also take a stack of matrices, shape (..., n, n), and act on each item:
 a stack of k operand sets gives what k single calls give, and a stack with
 one bad item raises the named error the single call on that item raises.
 A curve parameter may then be one float or an array of the stack's leading
-shape, one weight per item.  One matrix takes the stack's code, with four
+shape, one weight per item.  One matrix takes the stack's code, with three
 forks that stay because they pay:
 - ``_require_pd`` tests one spectrum on Python floats: 0.6 against 4.2 us
   a call, and the stack's test cost the ``ops-n2`` benchmark 2.1%;
 - ``_powm`` skips the errstate and the overflow guard, on Python floats,
   when each w**t of one matrix lies within e**+-708;
-- ``_frobenius`` takes one matrix's norm as a dot product of its flattened
-  entries, whose last bit differs from the stacked norm's for about one
-  random matrix in four;
 - ``_eigh`` fixes one matrix's eigenvector phases, as ``eigh`` promises.
   A spectral function V f(w) V* does not depend on them, but dropping the
   fix changes the bits of every single-matrix result, and the speed-up it
   gave pushed the ops benchmarks' peak RSS past its 10% bound.
 
 Memo.  While ``registry.run_property`` runs one property, inside
-``_eigh_memo()``, each LAPACK solver remembers its last ``MEMO_SIZE``
+``_eigh_memo()``, each LAPACK solver (``eigh``, ``eigvalsh`` and the
+``svd`` behind the polar factor) remembers its last ``MEMO_SIZE``
 results, keyed by the shape, dtype and bytes of the matrix or stack
 solved: the campaign chains the means and gyro operations on the same
 operands, and each public call would otherwise solve them anew.
@@ -176,9 +174,7 @@ def _per_item(x):
 
 def _frobenius(M: np.ndarray):
     """Frobenius norm of a matrix, or of each item of a stack."""
-    if M.ndim == 2:
-        return float(np.linalg.norm(M))
-    return np.linalg.norm(M, axis=(-2, -1))
+    return _per_item(np.linalg.norm(M, axis=(-2, -1)))
 
 
 def _trace(M: np.ndarray) -> np.ndarray:
@@ -275,7 +271,8 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
 @contextmanager
 def _eigh_memo():
     """Remember each solver's last ``MEMO_SIZE`` results within this block."""
-    token = _MEMO.set({"eigh": OrderedDict(), "eigvalsh": OrderedDict()})
+    token = _MEMO.set({"eigh": OrderedDict(), "eigvalsh": OrderedDict(),
+                       "svd": OrderedDict()})
     try:
         yield
     finally:
@@ -283,7 +280,7 @@ def _eigh_memo():
 
 
 def _lapack(solver: str, M: np.ndarray):
-    """``np.linalg.<solver>(M)`` for a Hermitian complex ndarray, through its memo."""
+    """``np.linalg.<solver>(M)`` for a complex ndarray, through its memo."""
     memos = _MEMO.get()
     if memos is not None:
         memo = memos[solver]
@@ -565,10 +562,10 @@ def loewner_compare(X, Y, tol: float = LOEWNER_TOL) -> Loewner:
 
 
 def polar_unitary(M) -> np.ndarray:
-    """Unitary factor U = (M M*)^{-1/2} M of an invertible matrix (or a stack).
+    """Unitary factor U = W Vh of an invertible M = W diag(s) Vh (or a stack).
 
     Satisfies M = (M M*)^{1/2} U with U U* = I.  M counts as singular when
-    the smallest eigenvalue of M M* is at most ``PD_TOL`` times the
+    its smallest singular value is at most sqrt(``PD_TOL``) times the
     largest, a test that does not depend on the scale of M.
     """
     return _polar_unitary(_require_finite(as_stack(M)))
@@ -576,9 +573,8 @@ def polar_unitary(M) -> np.ndarray:
 
 def _polar_unitary(Mm: np.ndarray) -> np.ndarray:
     """``polar_unitary`` of a finite complex matrix or stack."""
-    w, V = _lapack("eigh", hermitian_part(Mm @ Mm.conj().mT))
-    bad = w[..., 0] <= PD_TOL * w[..., -1]
+    W, s, Vh = _lapack("svd", Mm)
+    bad = s[..., -1] <= math.sqrt(PD_TOL) * s[..., 0]
     if bad.any():
         raise Singular(_item(bad) + "matrix has a (numerically) vanishing singular value")
-    inv_sqrt = _spectral(SpectralDecomposition(w, V), 1.0 / np.sqrt(w))
-    return inv_sqrt @ Mm
+    return W @ Vh

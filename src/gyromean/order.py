@@ -182,11 +182,8 @@ def check_bounds_spectral(A, B, t: float) -> CheckResult:
     lower = scale * powm(Am + invm(Bm), -t) - invm(Am)
     dual = scale * powm(invm(Am) + Bm, -t) - Am
     gaps = [_gap(lower, S), _gap(dual, invm(S))]
-    pd = min_eig(dual) > PD_TOL
-    if S.ndim == 2:
-        if pd:
-            gaps.append(_gap(S, invm(dual)))
-    elif pd.any():
+    pd = np.asarray(min_eig(dual) > PD_TOL)
+    if pd.any():
         direct = np.full(pd.shape, np.inf)
         direct[pd] = _gap(S[pd], invm(dual[pd]))
         gaps.append(direct)

@@ -22,7 +22,6 @@ because rejection sampling essentially never hits their premises.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import TypeAlias
 
@@ -44,22 +43,6 @@ from .kernel import (
 )
 
 
-@functools.cache
-def _key_type() -> type:
-    """A seed sequence giving Philox the key words [k, 0], as ``key=k`` does,
-    without the unused ``SeedSequence`` from OS entropy that ``Philox(key=k)``
-    also builds.  Made on first use: numpy loads ``numpy.random`` lazily."""
-
-    class Key(np.random.bit_generator.ISeedSequence):
-        def __init__(self, key: int):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.array([self.key, 0], dtype=np.uint64)
-
-    return Key
-
-
 def substream(seed: int, *coords) -> np.random.Generator:
     """Independent generator for one trial coordinate.
 
@@ -71,7 +54,7 @@ def substream(seed: int, *coords) -> np.random.Generator:
         h.update(str(c).encode())
         h.update(b"\x1f")
     key = (int(seed) ^ int.from_bytes(h.digest(), "little")) & (2**64 - 1)
-    return np.random.Generator(np.random.Philox(_key_type()(key)))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class GeneratorStack:

@@ -199,8 +199,8 @@ def test_polar_unitary_rejects_a_non_finite_matrix(bad):
 
 def test_the_means_and_gyration_survive_operands_near_the_largest_square():
     # M M sits at the edge of the double range; spectral_mean is positively
-    # homogeneous and gyration is scale-free, so both rescale such operands
-    # by a power of two instead of overflowing into NaN
+    # homogeneous, so it rescales such operands by a power of two instead of
+    # overflowing into NaN, and gyration's polar factor never forms M M*
     big = 1.3407807929942594e154
     M = big * np.eye(2)
     with warnings.catch_warnings():
@@ -215,6 +215,16 @@ def test_the_means_and_gyration_survive_operands_near_the_largest_square():
         got = spectral_mean(np.stack([A, big * A]), np.stack([B, big * B]), T)
         np.testing.assert_allclose(got[0], spectral_mean(A, B, T), rtol=1e-12)
         np.testing.assert_allclose(got[1] / big, spectral_mean(A, B, T), rtol=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(1e-200, 1e-200), (1e-300, 1e-20), (1e300, 1e8)])
+def test_gyration_does_not_depend_on_the_operands_scale(a, b):
+    # the polar factor of A^{1/2} B^{1/2} is scale-free; M M* would underflow
+    # at the small scales here and lose the smallest singular values to it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(gyration(a * A, b * B, X), gyration(A, B, X),
+                                   rtol=1e-13)
 
 
 def test_results_at_the_top_of_the_double_range_stay_finite():

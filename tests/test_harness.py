@@ -16,7 +16,7 @@ from gyromean.harness import (
     run_campaign,
 )
 from gyromean.kernel import HERMITICITY_TOL, LOEWNER_TOL, PD_TOL
-from gyromean.randgen import GeneratorStack, _key_type, gen_random_pd, substream
+from gyromean.randgen import GeneratorStack, gen_random_pd, substream
 from gyromean.registry import (
     REQUIRED_ANCHORS,
     T_GRID,
@@ -33,12 +33,10 @@ SMALL = CampaignConfig(seed=11, trials=8, dims=(2, 3))
 def test_substreams_draw_what_philox_with_their_key_draws():
     digest = hashlib.blake2b(b"harness-key\x1f3\x1f", digest_size=8).digest()
     derived = 901 ^ int.from_bytes(digest, "little")
-    keyed = [(np.random.Generator(np.random.Philox(_key_type()(k))), k)
-             for k in (0, 1, 2**64 - 1)]
-    for rng, key in keyed + [(substream(901, "harness-key", 3), derived)]:
-        ref = np.random.Generator(np.random.Philox(key=key))
-        assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
-        assert np.array_equal(rng.integers(0, 2**63, 16), ref.integers(0, 2**63, 16))
+    rng = substream(901, "harness-key", 3)
+    ref = np.random.Generator(np.random.Philox(key=derived))
+    assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+    assert np.array_equal(rng.integers(0, 2**63, 16), ref.integers(0, 2**63, 16))
 
 
 def test_gen_random_pd_is_pd_and_conditioned():
@@ -259,26 +257,30 @@ def test_the_eigensolve_memo_changes_no_record(monkeypatch):
 
 def test_a_property_decomposes_each_stack_once(monkeypatch):
     # cone-gyrogroup-axioms chains cone_add and gyration on the same operands;
-    # without the memo it makes 72 eigensolves on the small config
+    # without the memo it makes 56 eigensolves and 16 SVDs on the small config
     spec = next(s for s in all_properties() if s.property_id == "cone-gyrogroup-axioms")
-    solves = []
-    solve = np.linalg.eigh
+    solves = {"eigh": 0, "svd": 0}
 
-    def counted(M):
-        solves.append(M.shape)
-        return solve(M)
+    def counting(solver):
+        solve = getattr(np.linalg, solver)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        def counted(M):
+            solves[solver] += 1
+            return solve(M)
+        return counted
+
+    for solver in solves:
+        monkeypatch.setattr(np.linalg, solver, counting(solver))
     run_property(spec, SMALL)
-    assert len(solves) == 20
+    assert solves == {"eigh": 14, "svd": 6}
 
 
 def test_a_campaign_solves_only_what_it_reads(monkeypatch):
     # (calls, items) of each LAPACK solver over the small campaign: a spectrum
     # of which only the eigenvalues are read costs an eigvalsh, not an eigh,
     # a repeated one costs nothing within a property, and the sampler meets
-    # its cap with no eigvalsh at all
-    counts = {"eigh": [0, 0], "eigvalsh": [0, 0]}
+    # its cap with no eigvalsh at all; the polar factor costs an svd
+    counts = {"eigh": [0, 0], "eigvalsh": [0, 0], "svd": [0, 0]}
 
     def counting(solver):
         solve = getattr(np.linalg, solver)
@@ -292,7 +294,7 @@ def test_a_campaign_solves_only_what_it_reads(monkeypatch):
     for solver in counts:
         monkeypatch.setattr(np.linalg, solver, counting(solver))
     run_campaign(SMALL)
-    assert counts == {"eigh": [592, 2423], "eigvalsh": [324, 1331]}
+    assert counts == {"eigh": [559, 2288], "eigvalsh": [325, 1332], "svd": [34, 136]}
 
 
 def test_registration_needs_a_positive_threshold_and_a_new_id():

@@ -216,10 +216,14 @@ def test_polar_unitary_fixtures():
     with pytest.raises(errors.Singular,
                        match=r"^matrix has a \(numerically\) vanishing singular value$"):
         polar_unitary(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    # singularity is judged relative to the largest singular value
-    for scale in (1e-6, 1.0, 1e6):
-        np.testing.assert_allclose(polar_unitary(scale * np.diag([2.0, 1.0])),
-                                   np.eye(2), atol=1e-14)
+    # singularity is judged relative to the largest singular value, at
+    # s_min <= sqrt(PD_TOL) s_max, whatever the scale
+    for scale in (1e-150, 1e-6, 1.0, 1e6, 1e150):
+        for ratio in (0.5, 2e-5):
+            np.testing.assert_allclose(polar_unitary(scale * np.diag([1.0, ratio])),
+                                       np.eye(2), atol=1e-14)
+        with pytest.raises(errors.Singular):
+            polar_unitary(scale * np.diag([1.0, 5e-6]))
 
 
 def test_polar_unitary_is_unitary():
@@ -230,6 +234,20 @@ def test_polar_unitary_is_unitary():
         np.testing.assert_allclose(U @ U.conj().T, np.eye(4), atol=1e-10)
         P = hermitian_part(sqrtm(M @ M.conj().T))
         np.testing.assert_allclose(P @ U, M, atol=1e-10 * np.linalg.norm(M))
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 9e4])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_polar_unitary_is_unitary_to_rounding_at_any_accepted_condition(n, kappa):
+    # M = W diag(s) Vh with s log-spaced on [1/kappa, 1]: the unitary factor
+    # must not lose accuracy as kappa(M) grows toward the singularity test
+    rng = substream(111, "kernel-polar-kappa", n)
+    s = np.logspace(0.0, -np.log10(kappa), n)
+    M = np.stack([(gen_random_unitary(rng, n) * s) @ gen_random_unitary(rng, n)
+                  for _ in range(3)])
+    eye = np.eye(n)
+    for U in (polar_unitary(M[0]), *polar_unitary(M)):
+        assert np.linalg.norm(U @ U.conj().T - eye) <= 1e-12
 
 
 def test_min_eig_and_hermitian_part():
@@ -349,6 +367,7 @@ def _stack(seed, items=4, n=3):
 def test_the_memo_decomposes_a_stack_once_and_shares_it_read_only(monkeypatch):
     A = _stack(131)
     solves = _counted_solves(monkeypatch)
+    factorizations = _counted_solves(monkeypatch, "svd")
     with _eigh_memo():
         first = pd_eigh(A)
         again = pd_eigh(A.copy())
@@ -359,11 +378,11 @@ def test_the_memo_decomposes_a_stack_once_and_shares_it_read_only(monkeypatch):
                 getattr(again, name)[0, 0] = 1.0
         polar_unitary(A)
         polar_unitary(A)
-        assert len(solves) == 2
+        assert (len(solves), len(factorizations)) == (1, 1)
     assert kernel._MEMO.get() is None
     bare = pd_eigh(A)
     pd_eigh(A)
-    assert len(solves) == 4
+    assert (len(solves), len(factorizations)) == (3, 1)
     # a hit is what LAPACK gives, bit for bit
     assert np.array_equal(bare.eigenvalues, first.eigenvalues)
     assert np.array_equal(bare.vectors, first.vectors)
@@ -390,10 +409,11 @@ def test_the_memo_keeps_a_single_matrix_phase_convention(monkeypatch):
     A = _stack(137)[0]
     bare, bare_polar = eigh(A), polar_unitary(A)
     solves = _counted_solves(monkeypatch)
+    factorizations = _counted_solves(monkeypatch, "svd")
     with _eigh_memo():
         decs = [eigh(A), eigh(A)]
         polars = [polar_unitary(A), polar_unitary(A)]
-        assert len(solves) == 2
+        assert (len(solves), len(factorizations)) == (1, 1)
     for dec in decs:
         assert np.array_equal(dec.vectors, bare.vectors)
     for polar in polars:
@@ -430,9 +450,9 @@ def test_an_eigenvalue_read_reports_a_failed_eigensolve_as_no_convergence(monkey
 
 def test_polar_unitary_reports_a_failed_eigensolve_as_no_convergence(monkeypatch):
     def fail(M):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
     for M in (np.eye(2), np.stack([np.eye(2)] * 2)):
         with pytest.raises(errors.NoConvergence):
             polar_unitary(M)
