@@ -25,9 +25,9 @@ def _norm(u: np.ndarray):
     return np.sqrt(np.vecdot(u, u))
 
 
-def _col(x, axes: int = 1):
-    """Per-item scalars as factors of items with ``axes`` axes; a scalar stays one."""
-    return x.reshape(x.shape + (1,) * axes) if getattr(x, "ndim", 0) else x
+def _col(x):
+    """Per-vector scalars as factors of a vector stack; a scalar stays one."""
+    return x[..., None] if getattr(x, "ndim", 0) else x
 
 
 def require_in_ball(v) -> np.ndarray:

@@ -46,7 +46,7 @@ def _env_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"GYROMEAN_SEED must be an integer, got {raw!r}")
+        raise ValueError(f"GYROMEAN_SEED must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,10 +36,10 @@ from .kernel import (
     _item,
     _pd_eigh,
     _pd_eigvals,
+    _per,
     _per_item,
     _powm,
     _require_finite,
-    _sandwich,
     _top_eig,
     _trace,
     as_stack,
@@ -49,6 +49,7 @@ from .kernel import (
     powm,
     require_same_dim,
 )
+from .metrics import sup_ratio
 
 UNIT_DET_TOL = 1e-9
 
@@ -101,10 +102,8 @@ def _require_unit_det(A) -> np.ndarray:
 
 
 def relative_eigenvalue(A, B):
-    """Larger eigenvalue of A B^{-1} (computed through the Hermitian form)."""
-    inv_root = powm(B, -0.5)
-    Am = require_hermitian(A)
-    return _per_item(_top_eig(_sandwich(inv_root, Am)))
+    """Larger eigenvalue of A B^{-1}: the least alpha with A <= alpha B."""
+    return sup_ratio(B, A)
 
 
 def gm2_det1(A, B, t) -> np.ndarray:
@@ -117,9 +116,8 @@ def gm2_det1(A, B, t) -> np.ndarray:
     Bm = _require_unit_det(B)
     require_same_dim(Am, Bm)
     t = _weight(t, Am[..., 0])  # one weight per 2x2 item
-    _pd_eigvals(require_hermitian(Am))  # B's test is in relative_eigenvalue
-    lam = relative_eigenvalue(Am, Bm)
-    return _col(l_map(1.0 - t, lam), 2) * Am + _col(l_map(t, lam), 2) * Bm
+    lam = relative_eigenvalue(Am, Bm)  # with the tests of A and B
+    return _per(l_map(1.0 - t, lam)) * Am + _per(l_map(t, lam)) * Bm
 
 
 def sgm2(A, B, t) -> np.ndarray:
@@ -137,16 +135,16 @@ def sgm2(A, B, t) -> np.ndarray:
     dec_a = pd_eigh(Am)
     _pd_eigvals(require_hermitian(Bm))
     ab = np.sqrt(det2(Am).real) * np.sqrt(det2(Bm).real)
-    bracket = _col(ab, 2) * _powm(dec_a, -1.0) + Bm
+    bracket = _per(ab) * _powm(dec_a, -1.0) + Bm
     Mt = powm(hermitian_part(bracket), t)
-    return hermitian_part(Mt @ Am @ Mt) / _col((2.0 * ab + _trace(Am @ Bm)) ** t, 2)
+    return hermitian_part(Mt @ Am @ Mt) / _per((2.0 * ab + _trace(Am @ Bm)) ** t)
 
 
 def det_shift_identity(c, X):
     """|det(cI + X) - (c^2 + c tr X + det X)| for a 2x2 matrix X."""
     M = _require_finite(_require_2x2(X))
     _require_finite(c, "shift c is not finite", axes=())
-    lhs = det2(_col(c, 2) * np.eye(2) + M)
+    lhs = det2(_per(c) * np.eye(2) + M)
     rhs = c**2 + c * np.trace(M, axis1=-2, axis2=-1) + det2(M)
     return _per_item(np.abs(lhs - rhs))
 
@@ -179,8 +177,8 @@ def qubit_geo_mean(u, v, t) -> np.ndarray:
     t = _weight(t, a)
     ga, gb = _gamma(a), _gamma(b)
     mu = _qubit_mean_eigenvalues(a, b, ga, gb)[0]
-    return (_col(l_map(1.0 - t, mu) * (ga / gb) ** t, 2) * _bloch_to_density(a)
-            + _col(l_map(t, mu) * (gb / ga) ** (1.0 - t), 2) * _bloch_to_density(b))
+    return (_per(l_map(1.0 - t, mu) * (ga / gb) ** t) * _bloch_to_density(a)
+            + _per(l_map(t, mu) * (gb / ga) ** (1.0 - t)) * _bloch_to_density(b))
 
 
 def qubit_spectral_mean(u, v, t) -> np.ndarray:
@@ -193,11 +191,11 @@ def qubit_spectral_mean(u, v, t) -> np.ndarray:
     a, b = _require_ball_pair(u, v, _require_bloch)
     t = _weight(t, a)
     ga, gb = _gamma(a), _gamma(b)
-    M = _col(ga, 2) * _bloch_to_density(-a) + _col(gb, 2) * _bloch_to_density(b)
+    M = _per(ga) * _bloch_to_density(-a) + _per(gb) * _bloch_to_density(b)
     Mt = _powm(_pd_eigh(hermitian_part(M)), _col(t))
     gamma_sum = ga * gb * (1.0 + np.vecdot(a, b))
     scale = (2.0 * ga / gb) ** t / (1.0 + gamma_sum) ** t
-    return _col(scale, 2) * hermitian_part(Mt @ _bloch_to_density(a) @ Mt)
+    return _per(scale) * hermitian_part(Mt @ _bloch_to_density(a) @ Mt)
 
 
 def norm_product_check(A, B):

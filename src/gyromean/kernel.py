@@ -154,19 +154,6 @@ def _require_finite(x, message: str = "matrix has a NaN or infinite entry",
     return x
 
 
-def _downscale(a, b):
-    """Per item, a power of two s with s**2 a b near 1 where a b passes 2**1000.
-
-    a b is judged as (a 2**-520)(b 2**-520), which cannot overflow; None when
-    no item passes.
-    """
-    big = (a * 2.0**-520) * (b * 2.0**-520) > 2.0**-40
-    if not _any(big):
-        return None
-    e = np.frexp(a)[1] + np.frexp(b)[1]  # |a b| < 2**e
-    return np.where(big, np.ldexp(1.0, -(e // 2)), 1.0)
-
-
 def _per_item(x):
     """A per-matrix reduction: a float for one matrix, an array for a stack."""
     return float(x) if x.ndim == 0 else x

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import UnknownCase, WeightOutOfRange
 from .kernel import (
     SpectralDecomposition,
-    _downscale,
     _frobenius,
     _logm,
     _pd_eigh,
@@ -44,11 +43,31 @@ def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float) -> np.ndar
     return _sandwich(rootA, inner)
 
 
+def _inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
+    """A^{-1} # B from A's decomposition; Bm as in ``_geo_mean``.
+
+    A^{1/2} B A^{1/2} inside overflows or underflows once the product
+    lambda_max(A) max_i B_ii leaves [2**-1000, 2**1000].  A^{-1} # B is
+    unchanged when A and B scale together, so such items scale both by one
+    power of two, with no unscale; the other items keep their bits.
+    """
+    a = dec_a.eigenvalues[..., -1]
+    b = Bm.diagonal(0, -2, -1).real
+    # pass first, on Python floats, which neither overflow nor warn: the
+    # stack's extremes bound each item's product
+    la, lb = a.ravel().tolist(), b.ravel().tolist()
+    if 2.0**-1000 < min(la) * min(lb) and max(la) * max(lb) < 2.0**1000:
+        return _geo_mean(dec_a.inverse(), Bm, 0.5)
+    e = np.frexp(a)[1] + np.frexp(b.max(axis=-1))[1]  # |a b| < 2**e
+    # capped at 2**1023, the largest finite power of two: binds at subnormal scales
+    s = np.where(np.abs(e) > 1000, np.ldexp(1.0, np.minimum(-(e // 2), 1023)), 1.0)
+    return _geo_mean(dec_a.scaled(s).inverse(), _per(s) * Bm, 0.5)
+
+
 def _spectral_mean(Am: np.ndarray, dec_a: SpectralDecomposition, Bm: np.ndarray,
                    t: float) -> np.ndarray:
     """A natural_t B from A and its decomposition; Bm as in ``_geo_mean``."""
-    W = _geo_mean(dec_a.inverse(), Bm, 0.5)
-    Wt = _powm(_pd_eigh(W), t)
+    Wt = _powm(_pd_eigh(_inv_sharp(dec_a, Bm)), t)
     return _sandwich(Wt, Am)
 
 
@@ -81,17 +100,7 @@ def spectral_mean(A, B, t: float = 0.5) -> np.ndarray:
     """
     Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    dec_a = _pd_eigh(Am)
-    # A^{1/2} B A^{1/2} inside overflows as lambda_max(A) max_i B_ii nears the
-    # largest double; the mean is homogeneous, so such items scale A and B by
-    # a power of two s = 2**k, and the mean by 2**-k (1/s can overflow)
-    s = _downscale(dec_a.eigenvalues[..., -1], Bm.diagonal(0, -2, -1).real.max(axis=-1))
-    if s is None:
-        return _spectral_mean(Am, dec_a, Bm, t)
-    X = _spectral_mean(_per(s) * Am, dec_a.scaled(s), _per(s) * Bm, t)
-    k = _per(np.frexp(s)[1] - 1)
-    X.real, X.imag = np.ldexp(X.real, -k), np.ldexp(X.imag, -k)
-    return X
+    return _spectral_mean(Am, _pd_eigh(Am), Bm, t)
 
 
 def mean(kind: str, A, B, t: float = 0.5) -> np.ndarray:
@@ -142,9 +151,9 @@ def spectral_defining_residual(A, B, t: float, X) -> float:
     """
     Am, Bm, Xm = require_hermitians(A, B, X)
     t = require_weight(t, Am)
-    dec_ainv = _pd_eigh(Am).inverse()
-    lhs = _powm(_pd_eigh(_geo_mean(dec_ainv, Bm, 0.5)), t)
-    rhs = _geo_mean(dec_ainv, Xm, 0.5)
+    dec_a = _pd_eigh(Am)
+    lhs = _powm(_pd_eigh(_inv_sharp(dec_a, Bm)), t)
+    rhs = _inv_sharp(dec_a, Xm)
     return _frobenius(lhs - rhs)
 
 

@@ -26,25 +26,26 @@ from .kernel import (
     _powm,
     _sandwich,
     _top_eig,
-    as_stack,
-    powm,
-    require_hermitian,
     require_hermitians,
-    require_same_dim,
 )
-from .means import _geo_mean
+from .means import _inv_sharp
 
 DISTANCE_KINDS = ("thompson", "riemannian", "semimetric_op", "semimetric_frob")
 
 
+def _whitened(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
+    """A^{-1/2} B A^{-1/2}, from A's decomposition."""
+    return _sandwich(_powm(dec_a, -0.5), Bm)
+
+
 def _log_whitened(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
     """The log-eigenvalues of A^{-1/2} B A^{-1/2}, from A's decomposition."""
-    return np.log(_pd_eigvals(_sandwich(_powm(dec_a, -0.5), Bm)))
+    return np.log(_pd_eigvals(_whitened(dec_a, Bm)))
 
 
 def _log_inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
     """The log-eigenvalues of A^{-1} # B, from A's decomposition."""
-    return np.log(_pd_eigvals(_geo_mean(dec_a.inverse(), Bm, 0.5)))
+    return np.log(_pd_eigvals(_inv_sharp(dec_a, Bm)))
 
 
 def _opnorm(lw: np.ndarray):
@@ -85,10 +86,9 @@ def sup_ratio(A, B):
 
     The Thompson distance equals max(log sup_ratio(A, B), log sup_ratio(B, A)).
     """
-    Am, Bm = as_stack(A), as_stack(B)
-    require_same_dim(Am, Bm)
-    _pd_eigvals(require_hermitian(Bm))
-    return _per_item(_top_eig(_sandwich(powm(Am, -0.5), Bm)))
+    Am, Bm = require_hermitians(A, B)
+    _pd_eigvals(Bm)
+    return _per_item(_top_eig(_whitened(_pd_eigh(Am), Bm)))
 
 
 def midpoint_deviation(kind: str, A, B, M) -> tuple:

@@ -40,21 +40,6 @@ from .kernel import (
 from .means import geo_mean, spectral_mean
 from .metrics import distance
 
-INEQUALITY_CASES = (
-    "loewner_heinz",
-    "furuta",
-    "ando_hiai",
-    "main_spectral_AH",
-    "power_chain",
-    "equivalence_five",
-    "contraction",
-    "bounds_spectral",
-    "log_sum_condition",
-    "d_le_delta",
-    "logmaj_mean",
-)
-
-
 @dataclass
 class CheckResult:
     """Outcome of a single inequality check.
@@ -92,7 +77,8 @@ def check_loewner_heinz(A, B, C) -> CheckResult:
     Cm = require_hermitian(C)
     require_same_dim(Am, Bm, Cm)
     premise = _le(Cm @ Cm, Am) & _le(Am, Bm)
-    gaps = [_gap(Cm, sqrtm(Am)), _gap(sqrtm(Am), sqrtm(Bm))]
+    rootA = sqrtm(Am)
+    gaps = [_gap(Cm, rootA), _gap(rootA, sqrtm(Bm))]
     return _combine(premise, gaps)
 
 
@@ -179,8 +165,9 @@ def check_bounds_spectral(A, B, t: float) -> CheckResult:
     require_same_dim(Am, Bm)
     S = spectral_mean(Am, Bm, t)
     scale = _per(2.0 ** (1.0 + np.asarray(t)))
-    lower = scale * powm(Am + invm(Bm), -t) - invm(Am)
-    dual = scale * powm(invm(Am) + Bm, -t) - Am
+    Ainv = invm(Am)
+    lower = scale * powm(Am + invm(Bm), -t) - Ainv
+    dual = scale * powm(Ainv + Bm, -t) - Am
     gaps = [_gap(lower, S), _gap(dual, invm(S))]
     pd = np.asarray(min_eig(dual) > PD_TOL)
     if pd.any():
@@ -237,6 +224,7 @@ _DISPATCH = {
     "d_le_delta": check_d_le_delta,
     "logmaj_mean": check_logmaj_mean,
 }
+INEQUALITY_CASES = tuple(_DISPATCH)
 
 
 def check(case: str, *args, **kwargs) -> CheckResult:

@@ -55,6 +55,7 @@ from gyromean.means import (
 )
 from gyromean.metrics import distance
 from gyromean.order import weak_majorize
+from gyromean.randgen import gen_random_pd, substream
 
 A = np.array([[2.0, 0.3], [0.3, 1.0]])
 B = np.array([[1.0, 0.2j], [-0.2j, 1.5]])
@@ -227,10 +228,57 @@ def test_gyration_does_not_depend_on_the_operands_scale(a, b):
                                    rtol=1e-13)
 
 
+# name -> (call(A, B, X), degree of homogeneity in a common scale of A, B, X)
+SCALE_FREE = {
+    "spectral_mean": (lambda A, B, X: spectral_mean(A, B, T), 1),
+    "cogyroline": (lambda A, B, X: cogyroline(T, A, B), 1),
+    "semimetric_op": (lambda A, B, X: distance("semimetric_op", A, B), 0),
+    "semimetric_frob": (lambda A, B, X: distance("semimetric_frob", A, B), 0),
+    "spectral_defining_residual": (
+        lambda A, B, X: spectral_defining_residual(A, B, T, X), 0),
+}
+
+
+def _relative(x, y) -> float:
+    return float(np.linalg.norm(np.asarray(x) - y) / np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e154, 1e200, 1e300])
+@pytest.mark.parametrize("name", list(SCALE_FREE))
+def test_the_spectral_route_does_not_depend_on_the_operands_scale(name, s):
+    # A^{1/2} B A^{1/2} inside A^{-1} # B scales as s**2 and leaves the normal
+    # doubles at these scales, though each result is homogeneous in s; in a
+    # stack, the ordinary item keeps the bits it has without the scaled one
+    call, degree = SCALE_FREE[name]
+    rng = substream(216, "boundary-scale")
+    ops = [gen_random_pd(rng, 3) for _ in range(6)]
+    at_one = call(*ops[:3])
+    ordinary = call(*(np.stack([M, N]) for M, N in zip(ops[:3], ops[3:])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = call(*(s * M for M in ops[:3]))
+        mixed = call(*(np.stack([s * M, N]) for M, N in zip(ops[:3], ops[3:])))
+    assert _relative(single / s**degree, at_one) <= 1e-13
+    assert _relative(mixed[0] / s**degree, at_one) <= 1e-13
+    assert np.array_equal(mixed[1], ordinary[1])
+
+
+@pytest.mark.parametrize("s", [1e-310, 1e-320])
+def test_the_spectral_route_takes_operands_of_subnormal_scale(s):
+    # the power of two that brings A^{1/2} B A^{1/2} back near 1 would pass
+    # 2**1023 here; A^{-1} would overflow without it
+    A, B = s * np.eye(2), s * np.diag([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert distance("semimetric_op", A, B) == pytest.approx(np.log(2.0), rel=1e-14)
+        np.testing.assert_allclose(spectral_mean(A, B), s * np.diag([1.0, np.sqrt(2.0)]),
+                                   rtol=1e-3, atol=1e-3 * s)
+
+
 def test_results_at_the_top_of_the_double_range_stay_finite():
     # A^2 and the spectral mean below are finite, just under the largest
-    # double; the Hermitian part halves before it adds, and the mean undoes
-    # its rescale by s = 2**-1024 with ldexp, since 1/s is infinite
+    # double; the Hermitian part halves before it adds, and the mean's
+    # A^{-1} # B scales its operands by 2**-1024 and needs no unscale
     big = 1.3407807929942594e154
     M = big * np.eye(2)
     top = 1.7e308

@@ -172,6 +172,13 @@ def test_verify_env_seed(tmp_path, capsys, monkeypatch):
     assert json.loads(report_path.read_text())["config"]["seed"] == 77
 
 
+def test_verify_rejects_a_seed_variable_that_is_not_an_integer(capsys, monkeypatch):
+    # a bad GYROMEAN_SEED is an input error (2), not a property violation (1)
+    monkeypatch.setenv("GYROMEAN_SEED", "abc")
+    assert main(["verify", "--trials", "1", "--dims", "2"]) == 2
+    assert capsys.readouterr().err == "error: GYROMEAN_SEED must be an integer, got 'abc'\n"
+
+
 def test_verify_defaults_are_the_campaign_defaults(monkeypatch):
     monkeypatch.delenv("GYROMEAN_SEED", raising=False)
     args = build_parser().parse_args(["verify"])

@@ -217,7 +217,7 @@ EIGENSOLVES = {
     "semimetric_op": (lambda A, B: distance("semimetric_op", A, B), 2, 1, 0),
     "semimetric_frob": (lambda A, B: distance("semimetric_frob", A, B), 2, 1, 0),
     "cooperation": (cooperation, 2, 0, 1),
-    "gyroline": (lambda A, B: gyroline(0.3, A, B), 2, 1, 0),
+    "gyroline": (lambda A, B: gyroline(0.3, A, B), 2, 0, 0),
     "cogyroline": (lambda A, B: cogyroline(0.3, A, B), 3, 0, 1),
 }
 

@@ -12,6 +12,7 @@ from gyromean.order import (
     check_contraction,
     check_equivalence_five,
     check_furuta,
+    check_loewner_heinz,
     check_log_sum_condition,
     check_logmaj_mean,
     check_main_spectral_AH,
@@ -209,6 +210,37 @@ def test_weak_majorize_errors():
         weak_majorize([1.0, -1.0], [1.0, 1.0], log_scale=True)
     with pytest.raises(ValueError):
         weak_majorize([1.0, 2.0], [2.0, 1.0])
+
+
+# (eigh, eigvalsh, svd) calls per check outside the campaign's memo: each
+# distinct matrix is decomposed once (the square root of A for both gaps of
+# loewner_heinz, the inverse of A for both bounds of bounds_spectral), and
+# each gap reads only a spectrum
+EIGENSOLVES = {
+    "loewner_heinz": (lambda A, B: check_loewner_heinz(A, A + B, 0.1 * np.eye(3)), 2, 4, 0),
+    "bounds_spectral": (lambda A, B: check_bounds_spectral(A, B, 0.3), 8, 3, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(EIGENSOLVES))
+def test_a_check_decomposes_each_matrix_once(name, monkeypatch):
+    call, *expected = EIGENSOLVES[name]
+    rng = substream(217, "order-eigensolves")
+    A, B = gen_random_pd(rng, 3), gen_random_pd(rng, 3)
+    solves = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+    def counting(solver):
+        solve = getattr(np.linalg, solver)
+
+        def counted(M):
+            solves[solver] += 1
+            return solve(M)
+        return counted
+
+    for solver in solves:
+        monkeypatch.setattr(np.linalg, solver, counting(solver))
+    assert call(A, B).premise_held
+    assert solves == dict(zip(solves, expected))
 
 
 def test_unknown_case():
