@@ -30,7 +30,7 @@ from .kernel import (
     require_hermitians,
     require_weight,
 )
-from .means import geo_mean
+from .means import _balanced, _pow2, geo_mean
 
 
 def cone_add(A, B) -> np.ndarray:
@@ -102,8 +102,13 @@ def cogyroline(t: float, A, B) -> np.ndarray:
     Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
     dec_a = _pd_eigh(Am)
+    balanced = _balanced(dec_a, Bm)
+    if balanced is not None:
+        dec_a, Bm, j, k = balanced
     step = _cooperation(_powm(dec_a, -0.5), Bm, _pd_eigh(Bm))
-    root_scaled = _powm(_pd_eigh(step), 0.5 * t)
+    # scaling A by 2**-j and B by 2**-k scales the step by 2**(j - k)
+    c = None if balanced is None else _pow2(0.5 * (k - j) * t)
+    root_scaled = _powm(_pd_eigh(step), 0.5 * t, c)
     return _sandwich(root_scaled, Am)
 
 

@@ -34,13 +34,53 @@ from .kernel import (
     sqrtm,
 )
 
-def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float) -> np.ndarray:
-    """A #_t B from A's decomposition; Bm is a validated Hermitian of A's size."""
+def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float,
+              c=None) -> np.ndarray:
+    """A #_t B from A's decomposition; Bm is a validated Hermitian of A's size.
+
+    With per-item factors ``c`` (a trailing axis), c (A #_t B).
+    """
     root_w = np.sqrt(dec_a.eigenvalues)
     rootA = _spectral(dec_a, root_w)
     inv_rootA = _spectral(dec_a, 1.0 / root_w)
-    inner = _powm(_pd_eigh(_sandwich(inv_rootA, Bm)), t)
+    inner = _powm(_pd_eigh(_sandwich(inv_rootA, Bm)), t, c)
     return _sandwich(rootA, inner)
+
+
+def _balanced(dec_a: SpectralDecomposition, Bm: np.ndarray):
+    """A and B brought to a scale near 1 where the ratio of their scales is extreme.
+
+    A^{-1/2} B A^{-1/2} scales as the ratio of max_i B_ii to lambda_max(A),
+    which no common rescale removes; outside [2**-900, 2**900] it nears the
+    ends of the double range at any kappa that ``PD_TOL`` admits.  Such
+    items get A scaled by 2**-j and B by 2**-k, j and k the binary exponents
+    of those two scales; the other items get j = k = 0 and keep their bits.
+    Returns None where no item needs it, else the decomposition of the
+    scaled A, the scaled B, and j and k per item with a trailing axis, for
+    the caller to undo.
+    """
+    a = dec_a.eigenvalues[..., -1]
+    b = Bm.diagonal(0, -2, -1).real
+    # pass first, on Python floats, which neither overflow nor warn: the
+    # stack's extremes bound each item's ratio
+    la, lb = a.ravel().tolist(), b.ravel().tolist()
+    if not la or 2.0**-900 < min(lb) / max(la) and max(lb) / min(la) < 2.0**900:
+        return None
+    j, k = np.frexp(a)[1], np.frexp(b.max(axis=-1))[1]
+    extreme = np.abs(k - j) > 900
+    j, k = j * extreme, k * extreme
+    # 2**-k in two factors, each a finite power of two at every k
+    scaled_b = Bm * _per(np.ldexp(1.0, -(k // 2))) * _per(np.ldexp(1.0, k // 2 - k))
+    scaled_a = SpectralDecomposition(np.ldexp(dec_a.eigenvalues, -j[..., None]),
+                                     dec_a.vectors)
+    return scaled_a, scaled_b, j[..., None], k[..., None]
+
+
+def _pow2(x):
+    """2**x, and inf without a warning past the doubles: the power it
+    scales then leaves them, which ``_powm`` reports as NotFinite."""
+    with np.errstate(over="ignore"):
+        return np.exp2(x)
 
 
 def _inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
@@ -89,7 +129,13 @@ def geo_mean(A, B, t: float = 0.5) -> np.ndarray:
     """
     Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    return _geo_mean(_pd_eigh(Am), Bm, t)
+    dec_a = _pd_eigh(Am)
+    balanced = _balanced(dec_a, Bm)
+    if balanced is None:
+        return _geo_mean(dec_a, Bm, t)
+    # A #_t B = 2**(j (1 - t) + k t) (2**-j A) #_t (2**-k B)
+    dec_a, Bm, j, k = balanced
+    return _geo_mean(dec_a, Bm, t, _pow2(j * (1.0 - t) + k * t))
 
 
 def spectral_mean(A, B, t: float = 0.5) -> np.ndarray:

@@ -15,6 +15,8 @@ operands (..., n, n) and then return one value per item.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import UnknownCase
@@ -28,7 +30,7 @@ from .kernel import (
     _top_eig,
     require_hermitians,
 )
-from .means import _inv_sharp
+from .means import _balanced, _inv_sharp
 
 DISTANCE_KINDS = ("thompson", "riemannian", "semimetric_op", "semimetric_frob")
 
@@ -40,7 +42,12 @@ def _whitened(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
 
 def _log_whitened(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
     """The log-eigenvalues of A^{-1/2} B A^{-1/2}, from A's decomposition."""
-    return np.log(_pd_eigvals(_whitened(dec_a, Bm)))
+    balanced = _balanced(dec_a, Bm)
+    if balanced is None:
+        return np.log(_pd_eigvals(_whitened(dec_a, Bm)))
+    # scaling A by 2**-j and B by 2**-k scales the whitened step by 2**(j - k)
+    dec_a, Bm, j, k = balanced
+    return np.log(_pd_eigvals(_whitened(dec_a, Bm))) + (k - j) * math.log(2.0)
 
 
 def _log_inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:

@@ -307,8 +307,13 @@ SPREAD = np.diag([1e-2, 1.0, 1e2])  # kappa^200 = 1e800 leaves the double range
     lambda: invm(1e-320 * np.eye(2)),  # subnormal, yet relatively positive definite
     lambda: expm(np.diag([1000.0, 0.0])),
     lambda: cone_scalar(400.0, np.diag([0.1, 0.9])),  # underflows to a singular power
+    # B A^{-1} B = 1e600 I; the rescale of mixed-scale operands must not hide it
+    lambda: geo_mean(1e-200 * np.eye(2), 1e200 * np.eye(2), 2.0),
+    lambda: cogyroline(2.0, 1e-200 * np.eye(3), 1e200 * np.eye(3)),
+    lambda: geo_mean(1e200 * np.eye(3), 1e-200 * np.eye(3), 2.0),  # 1e-600 I
 ], ids=["geo_mean", "powm", "powm-negative", "gyroline", "spectral_mean", "cogyroline",
-        "invm-subnormal", "expm", "cone_scalar-underflow"])
+        "invm-subnormal", "expm", "cone_scalar-underflow", "geo_mean-mixed-scales",
+        "cogyroline-mixed-scales", "geo_mean-mixed-scales-underflow"])
 def test_a_result_outside_the_double_range_raises_not_finite(call, filter_):
     # the named error must not hang on the RuntimeWarning, which only pytest
     # turns into an error: with warnings ignored it is raised all the same
@@ -332,28 +337,81 @@ TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)
 
 @pytest.mark.parametrize("call, where", [
     (lambda: cone_add(HUGE, HUGE), ""),
-    (lambda: geo_mean(TINY, HUGE), ""),
-    (lambda: distance("thompson", TINY, HUGE), ""),
-    (lambda: distance("riemannian", TINY, HUGE), ""),
-    (lambda: gyroline(T, TINY, HUGE), ""),
-    (lambda: cogyroline(T, TINY, HUGE), ""),
     (lambda: relative_eigenvalue(HUGE, TINY), ""),
-    (lambda: geo_mean(np.stack([np.eye(2), TINY]), np.stack([np.eye(2), HUGE])),
-     r"item \(1,\): "),
     (lambda: congruence(np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]), ""),
     (lambda: congruence(HUGE, 1e100 * np.eye(2)), ""),
-], ids=["cone_add", "geo_mean", "thompson", "riemannian", "gyroline", "cogyroline",
-        "relative_eigenvalue", "geo_mean-stack", "congruence-nan", "congruence"])
+], ids=["cone_add", "relative_eigenvalue", "congruence-nan", "congruence"])
 def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
-    # A^{1/2} B A^{1/2}, the whitened A^{-1/2} B A^{-1/2} (B^{-1/2} A B^{-1/2}
-    # for relative_eigenvalue), the cooperation's A^{-1/2} B A^{-1/2} and the
-    # congruence S X S* overflow here; each is made inside a guard, so the
-    # named error comes before numpy can warn, and also with warnings ignored
+    # A^{1/2} B A^{1/2}, the whitened B^{-1/2} A B^{-1/2} of relative_eigenvalue
+    # and the congruence S X S* overflow here; each is made inside a guard, so
+    # the named error comes before numpy can warn, and also with warnings ignored
     for filter_ in ("error", "ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter(filter_)
             with pytest.raises(errors.NotFinite, match="^" + where + "the"):
                 call()
+
+
+def _log_ratios(A, B, a, b):
+    """The log-eigenvalues of (aA)^{-1/2} (bB) (aA)^{-1/2}, from A^{-1} B at scale 1."""
+    return np.log(np.sort(np.linalg.eigvals(np.linalg.solve(A, B)).real)) + np.log(b) - np.log(a)
+
+
+# name -> (call(A, B), the expected value of call(a A, b B) from A and B)
+MIXED_SCALE = {
+    "geo_mean": (lambda A, B: geo_mean(A, B, T),
+                 lambda A, B, a, b: a**(1 - T) * b**T * geo_mean(A, B, T)),
+    "gyroline": (lambda A, B: gyroline(T, A, B),
+                 lambda A, B, a, b: a**(1 - T) * b**T * gyroline(T, A, B)),
+    "cogyroline": (lambda A, B: cogyroline(T, A, B),
+                   lambda A, B, a, b: a**(1 - T) * b**T * cogyroline(T, A, B)),
+    "thompson": (lambda A, B: distance("thompson", A, B),
+                 lambda A, B, a, b: np.max(np.abs(_log_ratios(A, B, a, b)))),
+    "riemannian": (lambda A, B: distance("riemannian", A, B),
+                   lambda A, B, a, b: np.linalg.norm(_log_ratios(A, B, a, b))),
+}
+
+
+def _relative_at_any_scale(x, y) -> float:
+    """``_relative`` with both sides divided by max |y| first, so that the
+    norms neither overflow nor underflow."""
+    m = np.max(np.abs(y))
+    return _relative(np.asarray(x) / m, np.asarray(y) / m)
+
+
+def _times_pow2(M, e: int):
+    """M 2**e, exactly where the result is a normal double, with no factor
+    past the doubles."""
+    return M * 2.0**(e // 2) * 2.0**(e - e // 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+# a = 2**ea and b = 2**eb about (1e-200, 1e200), (1e200, 1e-200),
+# (1e-300, 1e300) and (1e-310, 1): powers of two, so that 2**-ea (a A) is
+# exactly the operand the call receives
+@pytest.mark.parametrize("ea, eb", [(-665, 665), (665, -665), (-997, 997), (-1030, 0)])
+@pytest.mark.parametrize("name", list(MIXED_SCALE))
+def test_operands_of_very_different_scales_give_the_finite_result(name, ea, eb, n):
+    # A^{-1/2} B A^{-1/2} scales as b / a, which leaves the double range here
+    # though each result is finite; the operands are brought near 1 by powers
+    # of two and the result scaled back, and in a stack the ordinary item
+    # keeps the bits it has without the extreme one
+    call, expected = MIXED_SCALE[name]
+    rng = substream(217, "boundary-mixed-scale", n)
+    A, B, A2, B2 = (gen_random_pd(rng, n) for _ in range(4))
+    a, b = 2.0**ea, 2.0**eb
+    ordinary = call(np.stack([A, A2]), np.stack([B, B2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = call(a * A, b * B)
+        mixed = call(np.stack([a * A, A2]), np.stack([b * B, B2]))
+        identity = call(a * np.eye(n), b * np.eye(n))
+    # at a = 2**-1030, a A is subnormal and keeps only A's leading bits
+    want = expected(_times_pow2(a * A, -ea), _times_pow2(b * B, -eb), a, b)
+    assert _relative_at_any_scale(single, want) <= 1e-13
+    assert _relative_at_any_scale(mixed[0], want) <= 1e-13
+    assert np.array_equal(mixed[1], ordinary[1])
+    assert _relative_at_any_scale(identity, expected(np.eye(n), np.eye(n), a, b)) <= 1e-13
 
 
 @pytest.mark.parametrize("X, Y, expected", [

@@ -421,7 +421,7 @@ def test_the_memo_keeps_a_single_matrix_phase_convention(monkeypatch):
 
 
 def test_the_memo_holds_at_most_its_size_least_recently_used_first(monkeypatch):
-    stacks = [_stack(139 + k, items=2, n=2) for k in range(MEMO_SIZE + 2)]
+    stacks = [_stack(139 + k, items=2, n=3) for k in range(MEMO_SIZE + 2)]
     solves = _counted_solves(monkeypatch)
     with _eigh_memo():
         for k, A in enumerate(stacks):
@@ -441,9 +441,9 @@ def test_an_eigenvalue_read_reports_a_failed_eigensolve_as_no_convergence(monkey
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    A = np.diag([2.0, 1.0])
-    for call in (lambda: loewner_compare(np.eye(2), A),
-                 lambda: check_logmaj_mean(A, np.eye(2), 0.5)):
+    A = np.diag([3.0, 2.0, 1.0])  # a 2x2 spectrum takes no LAPACK solve
+    for call in (lambda: loewner_compare(np.eye(3), A),
+                 lambda: check_logmaj_mean(A, np.eye(3), 0.5)):
         with pytest.raises(errors.NoConvergence):
             call()
 

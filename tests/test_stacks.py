@@ -1,8 +1,8 @@
 """The stack contract: an operation on a stack (..., n, n) acts item by item.
 
 A stack of k operand sets gives what k single calls give (to rtol 1e-12;
-only a single matrix's decomposition fixes eigenvector phases, so the last
-bits may differ), keeps its leading shape, and a stack with one bad item
+at n >= 3 only a single matrix's decomposition fixes eigenvector phases, so
+the last bits may differ), keeps its leading shape, and a stack with one bad item
 raises the named error the single call on that item raises.  The samplers
 keep the same contract for a stack of generators, one per item
 (``PerItemStack``): each item is what the single call on that item's
