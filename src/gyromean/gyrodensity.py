@@ -22,6 +22,7 @@ from .kernel import (
     _pd_eigh,
     _pd_eigvals,
     _powm,
+    _sandwich,
     _trace,
     as_stack,
     hermitian_part,
@@ -29,7 +30,7 @@ from .kernel import (
     require_weight,
 )
 from .gyrocone import _gyration_unitary
-from .means import _geo_mean, _spectral_mean
+from .means import _geo_mean, _spectral_power
 
 TRACE_TOL = 1e-10
 
@@ -118,7 +119,7 @@ def dens_cogyroline(t: float, rho, sigma) -> np.ndarray:
     s, _ = _require_density(sigma, _pd_eigvals)
     require_same_dim(r, s)
     t = require_weight(t, r)
-    return normalize_to_density(_spectral_mean(r, dec_r, s, t))
+    return normalize_to_density(_sandwich(_spectral_power(dec_r, s, t), r))
 
 
 def density_model(dim: int):

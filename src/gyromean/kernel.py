@@ -110,10 +110,6 @@ class SpectralDecomposition(NamedTuple):
     def reconstruct(self) -> np.ndarray:
         return _spectral(self, self.eigenvalues)
 
-    def scaled(self, s) -> SpectralDecomposition:
-        """The decomposition of s H, with one s or one per item."""
-        return SpectralDecomposition(self.eigenvalues * np.asarray(s)[..., None], self.vectors)
-
     def inverse(self) -> SpectralDecomposition:
         """The decomposition of H^{-1}, for nonsingular H; eigenvalues stay ascending."""
         return SpectralDecomposition(1.0 / self.eigenvalues[..., ::-1], self.vectors[..., ::-1])
@@ -564,9 +560,9 @@ def _powm(dec: SpectralDecomposition, t: float, c=None) -> np.ndarray:
 
 
 def _sandwich(S: np.ndarray, X: np.ndarray, S_adj: np.ndarray | None = None) -> np.ndarray:
-    """S X S_adj for Hermitian X (S X S for Hermitian S when ``S_adj`` is None),
-    item by item; NotFinite where it overflows, as a mean's curve points do
-    far out on the curve."""
+    """S X S_adj, a product that is Hermitian in exact arithmetic (S X S for
+    Hermitian S and X when ``S_adj`` is None), item by item; NotFinite where
+    it overflows, as a mean's curve points do far out on the curve."""
     with np.errstate(over="ignore", invalid="ignore"):
         P = hermitian_part(S @ X @ (S if S_adj is None else S_adj))
         # pass first: a NaN or infinite entry makes the sum NaN or infinite

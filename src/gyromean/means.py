@@ -1,7 +1,10 @@
 """The two weighted geometric means and their defining-equation residuals.
 
 ``geo_mean`` is the metric geodesic A^{1/2}(A^{-1/2} B A^{-1/2})^t A^{1/2};
-``spectral_mean`` is the curve (A^{-1} # B)^t A (A^{-1} # B)^t.  Both accept
+``spectral_mean`` is the curve W^t A W^t with W = A^{-1} # B, made one way:
+as A^{-1/2} U B^{1/2}, U the unitary polar factor of A^{-1/2} B^{-1/2} from
+one SVD (Higham, *Functions of Matrices*, SIAM 2008, ch. 8), which raises
+Singular where kappa(A) kappa(B) passes about 1e10.  Both accept
 any finite real parameter t (the curves extend beyond [0,1], and the
 component-wise bijection inverses need 1/t).  Both also take stacks of
 operands (..., n, n), with one t or an array of one t per item; see
@@ -20,6 +23,7 @@ from .kernel import (
     _pd_eigh,
     _pd_eigvals,
     _per,
+    _polar_unitary,
     _powm,
     _sandwich,
     _spectral,
@@ -48,32 +52,46 @@ def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float,
 
 
 def _balanced(dec_a: SpectralDecomposition, Bm: np.ndarray):
-    """A and B brought to a scale near 1 where the ratio of their scales is extreme.
+    """A and B brought to a scale near 1 where either scale is extreme.
 
-    A^{-1/2} B A^{-1/2} scales as the ratio of max_i B_ii to lambda_max(A),
-    which no common rescale removes; outside [2**-900, 2**900] it nears the
-    ends of the double range at any kappa that ``PD_TOL`` admits.  Such
-    items get A scaled by 2**-j and B by 2**-k, j and k the binary exponents
-    of those two scales; the other items get j = k = 0 and keep their bits.
-    Returns None where no item needs it, else the decomposition of the
-    scaled A, the scaled B, and j and k per item with a trailing axis, for
-    the caller to undo.
+    The scales are lambda_max(A) and max_i B_ii.  Where both lie in
+    [2**-450, 2**450], their ratio (the scale of A^{-1/2} B A^{-1/2}) and
+    their product stay within 2**+-900, inside the doubles at any kappa that
+    ``PD_TOL`` admits.  Other items get A scaled by 2**-j and B by 2**-k, j
+    and k the binary exponents of the two scales; the rest get j = k = 0 and
+    keep their bits.  Returns None where no item needs it, else the
+    decomposition of the scaled A, the scaled B, and j and k per item with a
+    trailing axis, for the caller to undo.
     """
     a = dec_a.eigenvalues[..., -1]
     b = Bm.diagonal(0, -2, -1).real
     # pass first, on Python floats, which neither overflow nor warn: the
-    # stack's extremes bound each item's ratio
-    la, lb = a.ravel().tolist(), b.ravel().tolist()
-    if not la or 2.0**-900 < min(lb) / max(la) and max(lb) / min(la) < 2.0**900:
+    # stack's extremes bound each item's scales
+    scales = a.ravel().tolist() + b.ravel().tolist()
+    if not scales or 2.0**-450 < min(scales) and max(scales) < 2.0**450:
         return None
     j, k = np.frexp(a)[1], np.frexp(b.max(axis=-1))[1]
-    extreme = np.abs(k - j) > 900
+    extreme = np.maximum(np.abs(j), np.abs(k)) > 450
     j, k = j * extreme, k * extreme
     # 2**-k in two factors, each a finite power of two at every k
     scaled_b = Bm * _per(np.ldexp(1.0, -(k // 2))) * _per(np.ldexp(1.0, k // 2 - k))
     scaled_a = SpectralDecomposition(np.ldexp(dec_a.eigenvalues, -j[..., None]),
                                      dec_a.vectors)
     return scaled_a, scaled_b, j[..., None], k[..., None]
+
+
+def _balanced_step(step, dec_a: SpectralDecomposition, Bm: np.ndarray):
+    """step(A, B) at the scale of ``_balanced``, and e = k - j per item with a
+    trailing axis, or None where no item needs it.
+
+    Where A scales by 2**-j and B by 2**-k, A^{-1/2} B A^{-1/2} scales by
+    2**(j - k) and A^{-1} # B by 2**((j - k)/2); the caller scales back.
+    """
+    balanced = _balanced(dec_a, Bm)
+    if balanced is None:
+        return step(dec_a, Bm), None
+    dec_a, Bm, j, k = balanced
+    return step(dec_a, Bm), k - j
 
 
 def _pow2(x):
@@ -83,32 +101,25 @@ def _pow2(x):
         return np.exp2(x)
 
 
-def _inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
-    """A^{-1} # B from A's decomposition; Bm as in ``_geo_mean``.
-
-    A^{1/2} B A^{1/2} inside overflows or underflows once the product
-    lambda_max(A) max_i B_ii leaves [2**-1000, 2**1000].  A^{-1} # B is
-    unchanged when A and B scale together, so such items scale both by one
-    power of two, with no unscale; the other items keep their bits.
-    """
-    a = dec_a.eigenvalues[..., -1]
-    b = Bm.diagonal(0, -2, -1).real
-    # pass first, on Python floats, which neither overflow nor warn: the
-    # stack's extremes bound each item's product
-    la, lb = a.ravel().tolist(), b.ravel().tolist()
-    if 2.0**-1000 < min(la) * min(lb) and max(la) * max(lb) < 2.0**1000:
-        return _geo_mean(dec_a.inverse(), Bm, 0.5)
-    e = np.frexp(a)[1] + np.frexp(b.max(axis=-1))[1]  # |a b| < 2**e
-    # capped at 2**1023, the largest finite power of two: binds at subnormal scales
-    s = np.where(np.abs(e) > 1000, np.ldexp(1.0, np.minimum(-(e // 2), 1023)), 1.0)
-    return _geo_mean(dec_a.scaled(s).inverse(), _per(s) * Bm, 0.5)
+def _polar_mean(rootX: np.ndarray, dec_b: SpectralDecomposition) -> np.ndarray:
+    """X # B = X^{1/2} U B^{1/2} from X^{1/2} and B's decomposition, U the
+    unitary polar factor of X^{1/2} B^{-1/2}: Hermitian, though formed as a
+    product, and its square is the cooperation X [+] B."""
+    root_w = np.sqrt(dec_b.eigenvalues)
+    U = _polar_unitary(rootX @ _spectral(dec_b, 1.0 / root_w))
+    return _sandwich(rootX, U, _spectral(dec_b, root_w))
 
 
-def _spectral_mean(Am: np.ndarray, dec_a: SpectralDecomposition, Bm: np.ndarray,
-                   t: float) -> np.ndarray:
-    """A natural_t B from A and its decomposition; Bm as in ``_geo_mean``."""
-    Wt = _powm(_pd_eigh(_inv_sharp(dec_a, Bm)), t)
-    return _sandwich(Wt, Am)
+def _spectral_factor(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
+    """W = A^{-1} # B, the factor of the spectral mean W^t A W^t, from A's
+    decomposition; Bm as in ``_geo_mean``."""
+    return _polar_mean(_powm(dec_a, -0.5), _pd_eigh(Bm))
+
+
+def _spectral_power(dec_a: SpectralDecomposition, Bm: np.ndarray, p) -> np.ndarray:
+    """W^p for W = A^{-1} # B, from A's decomposition; Bm as in ``_geo_mean``."""
+    W, e = _balanced_step(_spectral_factor, dec_a, Bm)
+    return _powm(_pd_eigh(W), p, None if e is None else _pow2(0.5 * p * e))
 
 
 def geo_mean(A, B, t: float = 0.5) -> np.ndarray:
@@ -146,7 +157,7 @@ def spectral_mean(A, B, t: float = 0.5) -> np.ndarray:
     """
     Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    return _spectral_mean(Am, _pd_eigh(Am), Bm, t)
+    return _sandwich(_spectral_power(_pd_eigh(Am), Bm, t), Am)
 
 
 def mean(kind: str, A, B, t: float = 0.5) -> np.ndarray:
@@ -198,9 +209,7 @@ def spectral_defining_residual(A, B, t: float, X) -> float:
     Am, Bm, Xm = require_hermitians(A, B, X)
     t = require_weight(t, Am)
     dec_a = _pd_eigh(Am)
-    lhs = _powm(_pd_eigh(_inv_sharp(dec_a, Bm)), t)
-    rhs = _inv_sharp(dec_a, Xm)
-    return _frobenius(lhs - rhs)
+    return _frobenius(_spectral_power(dec_a, Bm, t) - _spectral_power(dec_a, Xm, 1.0))
 
 
 def mean_left_inverse(kind: str, A, C, t: float) -> np.ndarray:

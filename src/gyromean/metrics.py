@@ -6,8 +6,9 @@ Four kinds are exposed:
 * ``riemannian`` -- Frobenius norm of the same log (the trace metric, whose
   midpoint is the geometric mean).
 * ``semimetric_op`` / ``semimetric_frob`` -- 2 ||log(A^{-1} # B)|| in the
-  operator / Frobenius norm.  This satisfies every metric axiom except the
-  triangle inequality, and the spectral mean is its midpoint.
+  operator / Frobenius norm, that is ||log(A^{-1} [+] B)||, with A^{-1} # B
+  made as in :mod:`gyromean.means`.  This satisfies every metric axiom
+  except the triangle inequality, and the spectral mean is its midpoint.
 
 ``distance``, ``sup_ratio`` and ``midpoint_deviation`` also take stacks of
 operands (..., n, n) and then return one value per item.
@@ -19,9 +20,11 @@ import math
 
 import numpy as np
 
-from .errors import UnknownCase
+from .errors import NotFinite, UnknownCase
 from .kernel import (
     SpectralDecomposition,
+    _any,
+    _item,
     _pd_eigh,
     _pd_eigvals,
     _per_item,
@@ -30,7 +33,7 @@ from .kernel import (
     _top_eig,
     require_hermitians,
 )
-from .means import _balanced, _inv_sharp
+from .means import _balanced_step, _spectral_factor
 
 DISTANCE_KINDS = ("thompson", "riemannian", "semimetric_op", "semimetric_frob")
 
@@ -40,19 +43,15 @@ def _whitened(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
     return _sandwich(_powm(dec_a, -0.5), Bm)
 
 
-def _log_whitened(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
-    """The log-eigenvalues of A^{-1/2} B A^{-1/2}, from A's decomposition."""
-    balanced = _balanced(dec_a, Bm)
-    if balanced is None:
-        return np.log(_pd_eigvals(_whitened(dec_a, Bm)))
-    # scaling A by 2**-j and B by 2**-k scales the whitened step by 2**(j - k)
-    dec_a, Bm, j, k = balanced
-    return np.log(_pd_eigvals(_whitened(dec_a, Bm))) + (k - j) * math.log(2.0)
-
-
-def _log_inv_sharp(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
-    """The log-eigenvalues of A^{-1} # B, from A's decomposition."""
-    return np.log(_pd_eigvals(_inv_sharp(dec_a, Bm)))
+def _log_eigvals(step, power: float, dec_a: SpectralDecomposition,
+                 Bm: np.ndarray) -> np.ndarray:
+    """The log-eigenvalues of step(A, B)**power, from A's decomposition: of
+    A^{-1/2} B A^{-1/2} (``_whitened``, power 1) or of A^{-1} [+] B
+    (``_spectral_factor``, power 2).  Each scales by 2**(j - k) where
+    ``_balanced`` scales A by 2**-j and B by 2**-k."""
+    M, e = _balanced_step(step, dec_a, Bm)
+    lw = power * np.log(_pd_eigvals(M))
+    return lw if e is None else lw + e * math.log(2.0)
 
 
 def _opnorm(lw: np.ndarray):
@@ -72,13 +71,13 @@ def _distance(kind: str, dec_a: SpectralDecomposition, Bm: np.ndarray):
     X's log-eigenvalues.
     """
     if kind == "thompson":
-        return _opnorm(_log_whitened(dec_a, Bm))
+        return _opnorm(_log_eigvals(_whitened, 1.0, dec_a, Bm))
     if kind == "riemannian":
-        return _frobnorm(_log_whitened(dec_a, Bm))
+        return _frobnorm(_log_eigvals(_whitened, 1.0, dec_a, Bm))
     if kind == "semimetric_op":
-        return 2.0 * _opnorm(_log_inv_sharp(dec_a, Bm))
+        return _opnorm(_log_eigvals(_spectral_factor, 2.0, dec_a, Bm))
     if kind == "semimetric_frob":
-        return 2.0 * _frobnorm(_log_inv_sharp(dec_a, Bm))
+        return _frobnorm(_log_eigvals(_spectral_factor, 2.0, dec_a, Bm))
     raise UnknownCase(f"unknown distance kind {kind!r}")
 
 
@@ -95,7 +94,15 @@ def sup_ratio(A, B):
     """
     Am, Bm = require_hermitians(A, B)
     _pd_eigvals(Bm)
-    return _per_item(_top_eig(_whitened(_pd_eigh(Am), Bm)))
+    M, e = _balanced_step(_whitened, _pd_eigh(Am), Bm)
+    if e is None:
+        return _per_item(_top_eig(M))
+    with np.errstate(over="ignore"):
+        top = np.ldexp(_top_eig(M), e[..., 0])
+    bad = ~((0 < top) & (top < np.inf))
+    if _any(bad):
+        raise NotFinite(_item(bad) + "the ratio leaves the finite positive doubles")
+    return _per_item(top)
 
 
 def midpoint_deviation(kind: str, A, B, M) -> tuple:

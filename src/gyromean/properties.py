@@ -614,10 +614,11 @@ def _cooperation(trials):
 def _cone_gyrolines(trials):
     for A, B, t in trials.stacks(
             lambda rng, d, i: (*_pd(rng, d, trials), rng.uniform(0.0, 1.0))):
-        # the paper's definition, composed from the public primitives
+        # the paper's definitions, composed from the public primitives
         L = gc.cone_add(A, gc.cone_scalar(t, gc.cone_add(gc.cone_neg(A), B)))
+        Lc = gc.cone_add(gc.cone_scalar(t, gc.cooperation(gc.cone_neg(A), B)), A)
         yield _relerr(gc.gyroline(t, A, B), L)
-        yield _relerr(gc.cogyroline(t, A, B), spectral_mean(A, B, t))
+        yield _relerr(gc.cogyroline(t, A, B), Lc)
         yield _relerr(gc.gyroline(0.5, A, B), gc.cone_scalar(0.5, gc.cooperation(A, B)))
 
 

@@ -208,10 +208,15 @@ def test_criterion_6_gyro_axiom_suites():
         d = DIMS[i % len(DIMS)]
         A, B = gen_spread_pd(rng, d, 1.5), gen_spread_pd(rng, d, 1.5)
         t = float(rng.uniform(0, 1))
+        # the paper's definitions, composed from the public primitives
+        neg_a = gyrocone.cone_neg(A)
+        line = gyrocone.cone_add(A, gyrocone.cone_scalar(t, gyrocone.cone_add(neg_a, B)))
+        coline = gyrocone.cone_add(
+            gyrocone.cone_scalar(t, gyrocone.cooperation(neg_a, B)), A)
         worst_line = np.maximum(worst_line, np.linalg.norm(
-            gyrocone.gyroline(t, A, B) - geo_mean(A, B, t)))
+            gyrocone.gyroline(t, A, B) - line))
         worst_line = np.maximum(worst_line, np.linalg.norm(
-            gyrocone.cogyroline(t, A, B) - spectral_mean(A, B, t)))
+            gyrocone.cogyroline(t, A, B) - coline))
         rho, sigma = gen_density(rng, d), gen_density(rng, d)
         prim = dens_add(rho, dens_scalar(t, dens_add(dens_neg(rho), sigma)))
         worst_line = np.maximum(worst_line, np.linalg.norm(

@@ -246,9 +246,9 @@ def _relative(x, y) -> float:
 @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e154, 1e200, 1e300])
 @pytest.mark.parametrize("name", list(SCALE_FREE))
 def test_the_spectral_route_does_not_depend_on_the_operands_scale(name, s):
-    # A^{1/2} B A^{1/2} inside A^{-1} # B scales as s**2 and leaves the normal
-    # doubles at these scales, though each result is homogeneous in s; in a
-    # stack, the ordinary item keeps the bits it has without the scaled one
+    # A^{-1/2} B^{-1/2} inside A^{-1} [+] B scales as 1/s and nears the ends
+    # of the doubles at these scales, though each result is homogeneous in s;
+    # in a stack, the ordinary item keeps the bits it has without the scaled one
     call, degree = SCALE_FREE[name]
     rng = substream(216, "boundary-scale")
     ops = [gen_random_pd(rng, 3) for _ in range(6)]
@@ -265,20 +265,33 @@ def test_the_spectral_route_does_not_depend_on_the_operands_scale(name, s):
 
 @pytest.mark.parametrize("s", [1e-310, 1e-320])
 def test_the_spectral_route_takes_operands_of_subnormal_scale(s):
-    # the power of two that brings A^{1/2} B A^{1/2} back near 1 would pass
-    # 2**1023 here; A^{-1} would overflow without it
+    # A^{-1/2} B^{-1/2}, whose polar factor makes A^{-1} [+] B, scales as
+    # 1/s and overflows here though the ratio of the scales is 1; each
+    # operand's own scale sends the item through the rescale
     A, B = s * np.eye(2), s * np.diag([1.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert distance("semimetric_op", A, B) == pytest.approx(np.log(2.0), rel=1e-14)
-        np.testing.assert_allclose(spectral_mean(A, B), s * np.diag([1.0, np.sqrt(2.0)]),
-                                   rtol=1e-3, atol=1e-3 * s)
+        assert distance("semimetric_frob", A, B) == pytest.approx(np.log(2.0), rel=1e-14)
+        for got in (spectral_mean(A, B), cogyroline(0.5, A, B)):
+            np.testing.assert_allclose(got, s * np.diag([1.0, np.sqrt(2.0)]),
+                                       rtol=1e-3, atol=1e-3 * s)
+
+
+def test_the_spectral_route_raises_singular_past_its_condition_limit():
+    # the singular values of A^{-1/2} B^{-1/2}, whose polar factor makes
+    # A^{-1} # B, span 1.1e5 > PD_TOL**-0.5 here: kappa(A) kappa(B) = 1.2e10
+    A = np.diag([1.0, 1.1e5])
+    for call in (spectral_mean, lambda A, B: cogyroline(0.5, A, B),
+                 lambda A, B: distance("semimetric_op", A, B)):
+        with pytest.raises(errors.Singular):
+            call(A, A)
 
 
 def test_results_at_the_top_of_the_double_range_stay_finite():
     # A^2 and the spectral mean below are finite, just under the largest
     # double; the Hermitian part halves before it adds, and the mean's
-    # A^{-1} # B scales its operands by 2**-1024 and needs no unscale
+    # A^{-1} [+] B scales both operands by 2**-1024, whose unscale is 1
     big = 1.3407807929942594e154
     M = big * np.eye(2)
     top = 1.7e308
@@ -338,12 +351,15 @@ TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)
 @pytest.mark.parametrize("call, where", [
     (lambda: cone_add(HUGE, HUGE), ""),
     (lambda: relative_eigenvalue(HUGE, TINY), ""),
+    (lambda: relative_eigenvalue(TINY, HUGE), ""),
     (lambda: congruence(np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]), ""),
     (lambda: congruence(HUGE, 1e100 * np.eye(2)), ""),
-], ids=["cone_add", "relative_eigenvalue", "congruence-nan", "congruence"])
+], ids=["cone_add", "relative_eigenvalue", "relative_eigenvalue-underflow",
+        "congruence-nan", "congruence"])
 def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
-    # A^{1/2} B A^{1/2}, the whitened B^{-1/2} A B^{-1/2} of relative_eigenvalue
-    # and the congruence S X S* overflow here; each is made inside a guard, so
+    # A^{1/2} B A^{1/2} and the congruence S X S* overflow here, and the
+    # largest eigenvalue 1e400 or 1e-400 of relative_eigenvalue's whitened
+    # B^{-1/2} A B^{-1/2} leaves the doubles; each is made inside a guard, so
     # the named error comes before numpy can warn, and also with warnings ignored
     for filter_ in ("error", "ignore"):
         with warnings.catch_warnings():

@@ -156,9 +156,14 @@ def _relative(X, Y):
 
 @pytest.mark.parametrize("t", [-1.0, 2.0, 3.0])
 def test_gyrolines_follow_the_means_to_ill_conditioned_powers(t):
+    # each pair is diagonal, so both means are exactly diag(a**(1 - t) b**t)
+    def exact(A, B):
+        a, b = A.diagonal(0, -2, -1), B.diagonal(0, -2, -1)
+        return (a**(1.0 - t) * b**t)[..., None] * np.eye(A.shape[-1])
+
     for A, B in ILL_PAIRS:
-        assert _relative(gyroline(t, A, B), geo_mean(A, B, t)) < 1e-12
-        assert _relative(cogyroline(t, A, B), spectral_mean(A, B, t)) < 1e-12
+        assert _relative(gyroline(t, A, B), exact(A, B)) < 1e-12
+        assert _relative(cogyroline(t, A, B), exact(A, B)) < 1e-12
     As, Bs = (np.stack(m) for m in zip(*ILL_PAIRS))
-    assert (_relative(gyroline(t, As, Bs), geo_mean(As, Bs, t)) < 1e-12).all()
-    assert (_relative(cogyroline(t, As, Bs), spectral_mean(As, Bs, t)) < 1e-12).all()
+    assert (_relative(gyroline(t, As, Bs), exact(As, Bs)) < 1e-12).all()
+    assert (_relative(cogyroline(t, As, Bs), exact(As, Bs)) < 1e-12).all()

@@ -208,14 +208,14 @@ def test_dimension_mismatch():
 # or a power of a power comes from a decomposition already made, a matrix of
 # which only the spectrum is read (a positive definiteness check, the
 # log-eigenvalues behind a distance) costs one eigvalsh instead, and the
-# polar factor behind the cooperation costs one svd
+# polar factor behind the cooperation and A^{-1} # B costs one svd
 EIGENSOLVES = {
     "geo_mean": (lambda A, B: geo_mean(A, B, 0.3), 2, 0, 0),
-    "spectral_mean": (lambda A, B: spectral_mean(A, B, 0.3), 3, 0, 0),
+    "spectral_mean": (lambda A, B: spectral_mean(A, B, 0.3), 3, 0, 1),
     "thompson": (lambda A, B: distance("thompson", A, B), 1, 1, 0),
     "riemannian": (lambda A, B: distance("riemannian", A, B), 1, 1, 0),
-    "semimetric_op": (lambda A, B: distance("semimetric_op", A, B), 2, 1, 0),
-    "semimetric_frob": (lambda A, B: distance("semimetric_frob", A, B), 2, 1, 0),
+    "semimetric_op": (lambda A, B: distance("semimetric_op", A, B), 2, 1, 1),
+    "semimetric_frob": (lambda A, B: distance("semimetric_frob", A, B), 2, 1, 1),
     "cooperation": (cooperation, 2, 0, 1),
     "gyroline": (lambda A, B: gyroline(0.3, A, B), 2, 0, 0),
     "cogyroline": (lambda A, B: cogyroline(0.3, A, B), 3, 0, 1),
