@@ -22,6 +22,7 @@ from .kernel import (
     _pd_eigh,
     _pd_eigvals,
     _polar_unitary,
+    _positive_diagonal,
     _powm,
     _sandwich,
     hermitian_part,
@@ -32,10 +33,10 @@ from .means import _polar_mean, geo_mean, spectral_mean
 
 
 def cone_add(A, B) -> np.ndarray:
-    """A (+) B = A^{1/2} B A^{1/2}."""
+    """A (+) B = A^{1/2} B A^{1/2}; NotFinite where it leaves the doubles."""
     Am, Bm = require_hermitians(A, B)
     _pd_eigvals(Bm)
-    return _sandwich(_powm(_pd_eigh(Am), 0.5), Bm)
+    return _positive_diagonal(_sandwich(_powm(_pd_eigh(Am), 0.5), Bm))
 
 
 def cone_scalar(t: float, A) -> np.ndarray:
@@ -73,11 +74,11 @@ def gyration(A, B, X) -> np.ndarray:
 
 
 def cooperation(A, B) -> np.ndarray:
-    """A [+] B = A (+) gyr[A, (-)B] B; commutative on this cone."""
+    """A [+] B = A (+) gyr[A, (-)B] B, commutative; NotFinite where it leaves the doubles."""
     Am, Bm = require_hermitians(A, B)
     S = _polar_mean(_powm(_pd_eigh(Am), 0.5), _pd_eigh(Bm))
     # A [+] B = (A # B)^2
-    return _sandwich(S, np.eye(S.shape[-1]))
+    return _positive_diagonal(_sandwich(S, np.eye(S.shape[-1])))
 
 
 def gyroline(t: float, A, B) -> np.ndarray:

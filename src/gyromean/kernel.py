@@ -38,32 +38,23 @@ Closed form at n <= 2.  Neither LAPACK nor the phase fix runs on a 1x1 or
 2x2 matrix or stack: ``_small_eigh`` gives w = H_00 and V = 1 at n = 1, and
 at n = 2 the rotation of LAPACK's own 2x2 kernel ``dlaev2``, which is what
 LAPACK reduces a 2x2 to.  One matrix runs it on Python floats: 3.6 against
-15.3 us for LAPACK's ``eigh`` and the phase fix, 1.7 against 4.4 us for an
-eigenvalue-only read (best of 7 timeit repeats, one BLAS thread, a 2-core
-x86 machine).  A stack runs the same lines elementwise on arrays in about
-LAPACK's time (50 items: 47 against 45 us, 24 against 27 us for the
-eigenvalues), so its items are the single calls' results bit for bit.
-There ``eigh`` and the eigenvalue-only reads give the same eigenvalues,
-bit for bit, and a stack's eigenvectors carry ``eigh``'s phase convention.
+15.3 us for LAPACK's ``eigh`` and the phase fix (best of 7 timeit repeats,
+one BLAS thread, a 2-core x86 machine).  A stack runs the same lines
+elementwise on arrays in about LAPACK's time (50 items: 47 against 45 us),
+so its items are the single calls' results bit for bit, phase convention
+included.
 
 Memo.  While ``registry.run_property`` runs one property, inside
-``_eigh_memo()``, each solver (``eigh``, ``eigvalsh`` and the
-``svd`` behind the polar factor) remembers its last ``MEMO_SIZE``
-results, keyed by the shape, dtype and bytes of the matrix or stack
-solved: the campaign chains the means and gyro operations on the same
-operands, and each public call would otherwise solve them anew.
-A hit needs byte equality, so it returns exactly what the solver returned
-for the same input, and the stored arrays are read-only, so no caller can
-change a shared result.  Each thread has its own memo, it is emptied
-when the property ends, and outside that scope there is none.
-Eigenvalue-only reads (``_pd_eigvals``, ``min_eig``) call ``eigvalsh``
-and have a memo of their own: at n >= 3 ``eigh`` and ``eigvalsh`` differ
-in their last bits, so a spectrum is never read from a decomposition, and
-a memo hit stays bit for bit what the unmemoised call gives.  They serve every
-caller that reads only a spectrum: the smallest eigenvalue behind the
-Loewner order and the block margin, the four distances (log-eigenvalues
-of A^{-1/2} B A^{-1/2} and of A^{-1} # B), the operator norm, and the
-positive definiteness check of an operand whose decomposition nothing uses.
+``_eigh_memo()``, each solver (``eigh``, and the ``svd`` behind the polar
+factor) remembers its last ``MEMO_SIZE`` results, keyed by the shape, dtype
+and bytes of the matrix or stack solved: the campaign chains the means and
+gyro operations on the same operands, and each public call would otherwise
+solve them anew.  A spectrum read alone (``_eigvalsh``) is the eigenvalue
+half of ``eigh``, so it shares one entry with the decomposition of the same
+matrix.  A hit needs byte equality, so it returns exactly what the solver
+returned for the same input, and the stored arrays are read-only, so no
+caller can change a shared result.  Each thread has its own memo, it is
+emptied when the property ends, and outside that scope there is none.
 """
 
 from __future__ import annotations
@@ -266,8 +257,7 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
 @contextmanager
 def _eigh_memo():
     """Remember each solver's last ``MEMO_SIZE`` results within this block."""
-    token = _MEMO.set({"eigh": OrderedDict(), "eigvalsh": OrderedDict(),
-                       "svd": OrderedDict()})
+    token = _MEMO.set({"eigh": OrderedDict(), "svd": OrderedDict()})
     try:
         yield
     finally:
@@ -275,8 +265,8 @@ def _eigh_memo():
 
 
 def _lapack(solver: str, M: np.ndarray):
-    """``np.linalg.<solver>(M)`` for a complex ndarray, through its memo; an
-    ``eigh`` or ``eigvalsh`` at n <= 2 is ``_small_eigh``'s closed form."""
+    """``np.linalg.<solver>(M)``, ``"eigh"`` or ``"svd"``, for a complex ndarray, through
+    its memo; an ``eigh`` at n <= 2 is ``_small_eigh``'s closed form."""
     memos = _MEMO.get()
     if memos is not None:
         memo = memos[solver]
@@ -285,15 +275,15 @@ def _lapack(solver: str, M: np.ndarray):
         if out is not None:
             memo.move_to_end(key)
             return out
-    if solver != "svd" and M.shape[-1] <= 2:
-        out = _small_eigh(M, solver == "eigh")
+    if solver == "eigh" and M.shape[-1] <= 2:
+        out = _small_eigh(M)
     else:
         try:
             out = getattr(np.linalg, solver)(M)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(str(exc)) from exc
     if memos is not None:
-        for a in (out if isinstance(out, tuple) else (out,)):
+        for a in out:
             a.flags.writeable = False
         memo[key] = out
         if len(memo) > MEMO_SIZE:
@@ -301,9 +291,9 @@ def _lapack(solver: str, M: np.ndarray):
     return out
 
 
-def _rotation(a, d, br, bi, sqrt, vectors: bool):
-    """The eigenvalues, ascending, and with ``vectors`` the eigenvectors of
-    the 2x2 Hermitian [[a, conj(b)], [b, d]], b = br + i bi, in closed form.
+def _rotation(a, d, br, bi, sqrt):
+    """The eigenvalues, ascending, and the eigenvectors of the 2x2 Hermitian
+    [[a, conj(b)], [b, d]], b = br + i bi, in closed form.
 
     The eigenvectors are those of LAPACK's ``dlaev2`` rotation of the real
     [[a, |b|], [|b|, d]], with b's phase b/|b| put back; its entry 2|b|h/c
@@ -317,9 +307,9 @@ def _rotation(a, d, br, bi, sqrt, vectors: bool):
     operations in the same order.  Every divisor is kept nonzero, so a
     finite input makes no NaN.
 
-    Returns lo and hi and, with ``vectors``, the real and imaginary parts
-    of V00, V01, V10 and V11.  Each column has an entry of modulus at least
-    the other's that is real positive.
+    Returns lo and hi and the real and imaginary parts of V00, V01, V10 and
+    V11.  Each column has an entry of modulus at least the other's that is
+    real positive.
     """
     bb = br * br + bi * bi
     sm, df = a + d, a - d
@@ -333,8 +323,6 @@ def _rotation(a, d, br, bi, sqrt, vectors: bool):
     lo, hi = pos * other - neg * top, pos * top - neg * other
     # where rounding puts the two a few ulps out of order, they are equal
     lo = lo - (lo > hi) * (lo - hi)
-    if not vectors:
-        return lo, hi
     # the real matrix's eigenvector of the larger eigenvalue is (c, 2|b|)
     # where df > 0, else (2|b|, c), with c = |df| + rt >= 2|b| as in dlaev2;
     # at unit length its entries are h and |P|, P = 2bh/c, |P| <= h
@@ -362,14 +350,12 @@ def _ldexp(x: float, k: int) -> float:
     return x * 2.0**(k // 2) * 2.0**(k - k // 2)
 
 
-def _small_eigh(M: np.ndarray, vectors: bool):
-    """``eigh`` (with ``vectors``) or ``eigvalsh`` of a 1x1 or 2x2 Hermitian
-    matrix or stack, in closed form.  The eigenvectors carry ``eigh``'s
-    phase convention, both reads give the same eigenvalues, and a stack's
-    items are the single calls' results bit for bit."""
+def _small_eigh(M: np.ndarray):
+    """``eigh`` of a 1x1 or 2x2 Hermitian matrix or stack, in closed form.
+    The eigenvectors carry ``eigh``'s phase convention, and a stack's items
+    are the single calls' results bit for bit."""
     if M.shape[-1] == 1:
-        w = M[..., 0].real.copy()
-        return (w, np.ones(M.shape, dtype=complex)) if vectors else w
+        return M[..., 0].real.copy(), np.ones(M.shape, dtype=complex)
     if M.ndim == 2:
         (h00, _), (h10, h11) = M.tolist()
         a, d, br, bi = h00.real, h11.real, h10.real, h10.imag
@@ -377,10 +363,8 @@ def _small_eigh(M: np.ndarray, vectors: bool):
         k = 0 if _SAFE_LO <= peak <= _SAFE_HI else math.frexp(peak)[1]
         if k:
             a, d, br, bi = (_ldexp(x, -k) for x in (a, d, br, bi))
-        out = _rotation(a, d, br, bi, math.sqrt, vectors)
+        out = _rotation(a, d, br, bi, math.sqrt)
         w = np.array([_ldexp(out[0], k), _ldexp(out[1], k)] if k else out[:2])
-        if not vectors:
-            return w
         return w, np.array(out[2:]).view(complex).reshape(2, 2)
     a, d, b = M[..., 0, 0].real, M[..., 1, 1].real, M[..., 1, 0]
     br, bi = b.real, b.imag
@@ -388,23 +372,21 @@ def _small_eigh(M: np.ndarray, vectors: bool):
     # pass first: the stack's extremes bound each item's peak, and they are
     # finite when they pass
     if not peak.size or _SAFE_LO <= peak.min() and peak.max() <= _SAFE_HI:
-        out = _rotation(a, d, br, bi, np.sqrt, vectors)
+        out = _rotation(a, d, br, bi, np.sqrt)
         w = np.stack(out[:2], axis=-1)
     else:
         k = np.where((_SAFE_LO <= peak) & (peak <= _SAFE_HI), 0, np.frexp(peak)[1])
         # a non-finite item, which only an overflowed intermediate brings
         # here, makes NaN as the single call does, without a warning
         with np.errstate(invalid="ignore", over="ignore"):
-            out = _rotation(*(np.ldexp(x, -k) for x in (a, d, br, bi)), np.sqrt, vectors)
+            out = _rotation(*(np.ldexp(x, -k) for x in (a, d, br, bi)), np.sqrt)
             w = np.ldexp(np.stack(out[:2], axis=-1), k[..., None])
-    if not vectors:
-        return w
     return w, np.stack(out[2:], axis=-1).view(complex).reshape(M.shape)
 
 
 def _eigvalsh(M: np.ndarray) -> np.ndarray:
-    """The ascending eigenvalues of a Hermitian complex ndarray, through the memo."""
-    return _lapack("eigvalsh", M)
+    """The ascending eigenvalues of a Hermitian complex ndarray, from its ``eigh``."""
+    return _lapack("eigh", M)[0]
 
 
 def _eigh(M: np.ndarray) -> SpectralDecomposition:
@@ -473,8 +455,8 @@ def eigh(H) -> SpectralDecomposition:
         (..., n, n) is decomposed item by item, with LAPACK's phases at
         n >= 3.  At n <= 2 the decomposition is made in closed form, without
         LAPACK: a stack then carries the phase convention too, and gives the
-        single calls' results bit for bit, and the eigenvalues are those an
-        eigenvalue-only read (``min_eig``, ``norm``) gives, bit for bit.
+        single calls' results bit for bit.  ``min_eig`` and ``norm`` read
+        the eigenvalues of this same decomposition.
 
     Raises
     ------
@@ -569,6 +551,17 @@ def _sandwich(S: np.ndarray, X: np.ndarray, S_adj: np.ndarray | None = None) -> 
         if math.isfinite(abs(P.sum())):
             return P
     return _require_finite(P, "the result overflows the double range")
+
+
+def _positive_diagonal(P: np.ndarray) -> np.ndarray:
+    """P, positive definite in exact arithmetic, once each item's diagonal
+    lies in the finite positive doubles; else NotFinite, which only an
+    overflow or an underflow to 0 brings about."""
+    d = P.diagonal(0, -2, -1).real
+    bad = ~((0 < d) & (d < np.inf)).all(axis=-1)
+    if _any(bad):
+        raise NotFinite(_item(bad) + "a diagonal entry leaves the finite positive doubles")
+    return P
 
 
 def _logm(dec: SpectralDecomposition) -> np.ndarray:

@@ -24,6 +24,7 @@ from .kernel import (
     _pd_eigvals,
     _per,
     _polar_unitary,
+    _positive_diagonal,
     _powm,
     _sandwich,
     _spectral,
@@ -209,7 +210,11 @@ def spectral_defining_residual(A, B, t: float, X) -> float:
     Am, Bm, Xm = require_hermitians(A, B, X)
     t = require_weight(t, Am)
     dec_a = _pd_eigh(Am)
-    return _frobenius(_spectral_power(dec_a, Bm, t) - _spectral_power(dec_a, Xm, 1.0))
+    right, e = _balanced_step(_spectral_factor, dec_a, Xm)
+    if e is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            right = _positive_diagonal(right * _per(_pow2(0.5 * e[..., 0])))
+    return _frobenius(_spectral_power(dec_a, Bm, t) - right)
 
 
 def mean_left_inverse(kind: str, A, C, t: float) -> np.ndarray:

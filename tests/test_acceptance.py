@@ -305,7 +305,7 @@ def test_criterion_9_campaign_determinism(default_campaign):
     first, elapsed = default_campaign
     second = run_campaign(CampaignConfig(), jobs=2)
     identical = first.canonical_json() == second.canonical_json()
-    ok = identical and first.passed and second.passed and elapsed < 20.0
+    ok = identical and first.passed and second.passed and elapsed < 5.0
     _verdict(9, "byte-identical reports across runs and thread counts", ok,
              f"campaign {elapsed:.1f}s, "
              f"{sum(r.passed for r in first.records)}/{len(first.records)} "

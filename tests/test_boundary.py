@@ -324,9 +324,13 @@ SPREAD = np.diag([1e-2, 1.0, 1e2])  # kappa^200 = 1e800 leaves the double range
     lambda: geo_mean(1e-200 * np.eye(2), 1e200 * np.eye(2), 2.0),
     lambda: cogyroline(2.0, 1e-200 * np.eye(3), 1e200 * np.eye(3)),
     lambda: geo_mean(1e200 * np.eye(3), 1e-200 * np.eye(3), 2.0),  # 1e-600 I
+    # A^{-1} # X = diag(1e304, 1e304, 7e308), past the largest double
+    lambda: spectral_defining_residual(np.diag([1e-300, 1e-300, 2e-310]), np.eye(3), T,
+                                       1e308 * np.eye(3)),
 ], ids=["geo_mean", "powm", "powm-negative", "gyroline", "spectral_mean", "cogyroline",
         "invm-subnormal", "expm", "cone_scalar-underflow", "geo_mean-mixed-scales",
-        "cogyroline-mixed-scales", "geo_mean-mixed-scales-underflow"])
+        "cogyroline-mixed-scales", "geo_mean-mixed-scales-underflow",
+        "spectral_defining_residual-mixed-scales"])
 def test_a_result_outside_the_double_range_raises_not_finite(call, filter_):
     # the named error must not hang on the RuntimeWarning, which only pytest
     # turns into an error: with warnings ignored it is raised all the same
@@ -343,6 +347,23 @@ def test_a_stack_names_the_item_whose_power_leaves_the_double_range():
             powm(np.stack([np.eye(3), SPREAD]), 200.0)
         with pytest.raises(errors.NotFinite, match=r"^item \(0,\): "):
             spectral_mean(np.stack([np.eye(3)] * 2), np.stack([SPREAD, np.eye(3)]), 200.0)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-300, 1e-310])
+@pytest.mark.parametrize("op", [cone_add, cooperation], ids=["cone_add", "cooperation"])
+def test_a_product_that_underflows_raises_not_finite(op, s):
+    # A^{1/2} B A^{1/2} and (A # B)^2 are about s**2, below the smallest
+    # subnormal; they were once the zero matrix, with no warning
+    rng = substream(231, "boundary-underflow")
+    A, B = gen_random_pd(rng, 3), gen_random_pd(rng, 3)
+    for filter_ in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)
+            with pytest.raises(errors.NotFinite):
+                op(s * A, s * B)
+            with pytest.raises(errors.NotFinite, match=r"^item \(1,\): "):
+                op(np.stack([A, s * A]), np.stack([B, s * B]))
+    np.testing.assert_allclose(op(1e-150 * A, 1e-150 * B), 1e-300 * op(A, B), rtol=1e-12)
 
 
 TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)

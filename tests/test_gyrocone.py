@@ -16,7 +16,7 @@ from gyromean.gyrocone import (
     gyroline,
 )
 from gyromean.kernel import invm, sqrtm
-from gyromean.means import geo_mean, spectral_mean
+from gyromean.means import geo_mean
 from gyromean.randgen import gen_commuting_pair, gen_spread_pd, substream
 from triple_stacks import triple_stacks
 
@@ -69,13 +69,16 @@ def test_cooperation_commutative():
 
 
 def test_gyroline_is_geometric_mean():
+    # the paper's definitions, composed from the gyrovector operations
     rng = substream(505, "cone-gyroline")
     A, B, _ = _triple(rng)
     for t in (0.0, 0.3, 0.5, 1.0):
-        np.testing.assert_allclose(gyroline(t, A, B), geo_mean(A, B, t),
-                                   atol=1e-9)
-        np.testing.assert_allclose(cogyroline(t, A, B), spectral_mean(A, B, t),
-                                   atol=1e-9)
+        np.testing.assert_allclose(
+            gyroline(t, A, B), cone_add(A, cone_scalar(t, cone_add(cone_neg(A), B))),
+            atol=1e-9)
+        np.testing.assert_allclose(
+            cogyroline(t, A, B), cone_add(cone_scalar(t, cooperation(cone_neg(A), B)), A),
+            atol=1e-9)
 
 
 def test_gyromidpoint_via_cooperation():

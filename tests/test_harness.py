@@ -257,8 +257,9 @@ def test_the_eigensolve_memo_changes_no_record(monkeypatch):
 
 def test_a_property_decomposes_each_stack_once(monkeypatch):
     # cone-gyrogroup-axioms chains cone_add and gyration on the same operands;
-    # without the memo it makes 28 eigensolves and 16 SVDs on the small config
-    # (its 2x2 items are decomposed in closed form, without LAPACK)
+    # without the memo it makes 47 eigensolves and 16 SVDs on the small config
+    # (its 2x2 items are decomposed in closed form, without LAPACK), and with
+    # it a spectrum read of an operand hits the operand's decomposition
     spec = next(s for s in all_properties() if s.property_id == "cone-gyrogroup-axioms")
     solves = {"eigh": 0, "svd": 0}
 
@@ -273,15 +274,16 @@ def test_a_property_decomposes_each_stack_once(monkeypatch):
     for solver in solves:
         monkeypatch.setattr(np.linalg, solver, counting(solver))
     run_property(spec, SMALL)
-    assert solves == {"eigh": 7, "svd": 6}
+    assert solves == {"eigh": 11, "svd": 6}
 
 
 def test_a_campaign_solves_only_what_it_reads(monkeypatch):
-    # (calls, items) of each LAPACK solver over the small campaign: a spectrum
-    # of which only the eigenvalues are read costs an eigvalsh, not an eigh,
-    # a repeated one costs nothing within a property, and the sampler meets
-    # its cap with no eigvalsh at all; the polar factor costs an svd; a 1x1
-    # or 2x2 spectrum costs no LAPACK solve
+    # (calls, items) of each LAPACK solver over the small campaign: every
+    # spectrum costs one eigh, a repeated one costs nothing within a property,
+    # whether it was decomposed or only its eigenvalues read; the eigvalsh
+    # calls are direct reads in properties and randgen, none the kernel's;
+    # the polar factor costs an svd; a 1x1 or 2x2 spectrum costs no LAPACK
+    # solve
     counts = {"eigh": [0, 0], "eigvalsh": [0, 0], "svd": [0, 0]}
 
     def counting(solver):
@@ -296,7 +298,7 @@ def test_a_campaign_solves_only_what_it_reads(monkeypatch):
     for solver in counts:
         monkeypatch.setattr(np.linalg, solver, counting(solver))
     run_campaign(SMALL)
-    assert counts == {"eigh": [236, 972], "eigvalsh": [155, 629], "svd": [140, 567]}
+    assert counts == {"eigh": [344, 1405], "eigvalsh": [15, 64], "svd": [140, 567]}
 
 
 def test_registration_needs_a_positive_threshold_and_a_new_id():

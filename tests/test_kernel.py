@@ -389,20 +389,27 @@ def test_the_memo_decomposes_a_stack_once_and_shares_it_read_only(monkeypatch):
     bare.vectors[0, 0] = 1.0  # outside the memo nothing is shared
 
 
-def test_the_memo_answers_a_repeated_spectrum_from_eigvalsh_alone(monkeypatch):
-    A = _stack(149)
-    bare = min_eig(A)
+def test_a_spectrum_read_hits_the_memos_decomposition(monkeypatch):
+    A, B = _stack(149), _stack(151)
+    bare_a, bare_b = eigh(A), min_eig(B)
+    solves = _counted_solves(monkeypatch)
     reads = _counted_solves(monkeypatch, "eigvalsh")
     with _eigh_memo():
-        eigh(A)  # eigh's eigenvalues differ from eigvalsh's in the last bits
+        # a spectrum after its decomposition, and a decomposition after its
+        # spectrum, each cost one eigh
+        dec = eigh(A)
         first = min_eig(A)
-        assert len(reads) == 1
         again = min_eig(A.copy())
-        assert len(reads) == 1
+        assert len(solves) == 1
+        spectrum = min_eig(B)
+        eigh(B)
+        assert len(solves) == 2
         with pytest.raises(ValueError):
             kernel._eigvalsh(A)[0, 0] = 1.0
-    assert len(reads) == 1
-    assert np.array_equal(first, bare) and np.array_equal(again, bare)
+    assert (len(solves), reads) == (2, [])
+    assert np.array_equal(dec.eigenvalues, bare_a.eigenvalues)
+    assert np.array_equal(first, bare_a.eigenvalues[..., 0])
+    assert np.array_equal(again, first) and np.array_equal(spectrum, bare_b)
 
 
 def test_the_memo_keeps_a_single_matrix_phase_convention(monkeypatch):
@@ -440,7 +447,7 @@ def test_an_eigenvalue_read_reports_a_failed_eigensolve_as_no_convergence(monkey
     def fail(M):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     A = np.diag([3.0, 2.0, 1.0])  # a 2x2 spectrum takes no LAPACK solve
     for call in (lambda: loewner_compare(np.eye(3), A),
                  lambda: check_logmaj_mean(A, np.eye(3), 0.5)):

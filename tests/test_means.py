@@ -203,28 +203,31 @@ def test_dimension_mismatch():
         riccati_residual(np.eye(2), np.eye(2), np.eye(3))
 
 
-# (eigh, eigvalsh, svd) calls per single call: one decomposition per operand
-# and per intermediate raised to a power; an inverse, an inverse square root
-# or a power of a power comes from a decomposition already made, a matrix of
-# which only the spectrum is read (a positive definiteness check, the
-# log-eigenvalues behind a distance) costs one eigvalsh instead, and the
-# polar factor behind the cooperation and A^{-1} # B costs one svd
+# (eigh, svd) calls per single call: one decomposition per operand and per
+# intermediate whose spectrum is read, the positive definiteness checks and
+# the log-eigenvalues behind a distance included; an inverse, an inverse
+# square root or a power of a power comes from a decomposition already made,
+# and the polar factor behind the cooperation and A^{-1} # B costs one svd;
+# np.linalg.eigvalsh is never called
 EIGENSOLVES = {
-    "geo_mean": (lambda A, B: geo_mean(A, B, 0.3), 2, 0, 0),
-    "spectral_mean": (lambda A, B: spectral_mean(A, B, 0.3), 3, 0, 1),
-    "thompson": (lambda A, B: distance("thompson", A, B), 1, 1, 0),
-    "riemannian": (lambda A, B: distance("riemannian", A, B), 1, 1, 0),
-    "semimetric_op": (lambda A, B: distance("semimetric_op", A, B), 2, 1, 1),
-    "semimetric_frob": (lambda A, B: distance("semimetric_frob", A, B), 2, 1, 1),
-    "cooperation": (cooperation, 2, 0, 1),
-    "gyroline": (lambda A, B: gyroline(0.3, A, B), 2, 0, 0),
-    "cogyroline": (lambda A, B: cogyroline(0.3, A, B), 3, 0, 1),
+    "geo_mean": (lambda A, B: geo_mean(A, B, 0.3), 2, 0),
+    "spectral_mean": (lambda A, B: spectral_mean(A, B, 0.3), 3, 1),
+    "thompson": (lambda A, B: distance("thompson", A, B), 2, 0),
+    "riemannian": (lambda A, B: distance("riemannian", A, B), 2, 0),
+    "semimetric_op": (lambda A, B: distance("semimetric_op", A, B), 3, 1),
+    "semimetric_frob": (lambda A, B: distance("semimetric_frob", A, B), 3, 1),
+    "cooperation": (cooperation, 2, 1),
+    "gyroline": (lambda A, B: gyroline(0.3, A, B), 2, 0),
+    "cogyroline": (lambda A, B: cogyroline(0.3, A, B), 3, 1),
+    # A^{-1} # X is read as made, not decomposed to be rebuilt
+    "spectral_defining_residual": (
+        lambda A, B: spectral_defining_residual(A, B, 0.3, A + B), 4, 2),
 }
 
 
 @pytest.mark.parametrize("name", list(EIGENSOLVES))
 def test_no_call_decomposes_a_spectrum_it_already_has(name, monkeypatch):
-    call, *expected = EIGENSOLVES[name]
+    call, eighs, svds = EIGENSOLVES[name]
     rng = substream(215, "means-eigensolves")
     A, B = gen_random_pd(rng, 3), gen_random_pd(rng, 3)
     solves = {"eigh": 0, "eigvalsh": 0, "svd": 0}
@@ -240,4 +243,4 @@ def test_no_call_decomposes_a_spectrum_it_already_has(name, monkeypatch):
     for solver in solves:
         monkeypatch.setattr(np.linalg, solver, counting(solver))
     call(A, B)
-    assert solves == dict(zip(solves, expected))
+    assert solves == {"eigh": eighs, "eigvalsh": 0, "svd": svds}
