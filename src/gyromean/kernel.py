@@ -31,8 +31,13 @@ forks that stay because they pay:
   when each w**t of one matrix lies within e**+-708;
 - ``_eigh`` fixes one matrix's eigenvector phases at n >= 3, as ``eigh``
   promises.  A spectral function V f(w) V* does not depend on them, but
-  dropping the fix changes the bits of every single-matrix result, and the
-  speed-up it gave pushed the ops benchmarks' peak RSS past its 10% bound.
+  dropping the fix changes the bits of every single-matrix result.  Kept
+  only in the public ``eigh`` and ``pd_eigh``, the fix left the 70 calls
+  of an ``ops-n8-illcond`` round, whose ``wall_s`` fell from 6.51/6.55 to
+  3.66/3.67 ms (two 30 s pairs, one BLAS thread).  But the benchmark keeps
+  data per completed round, so its rounds rose from 2391/2619 to
+  4223/3924 and ``peak_rss_mb`` from 48.7/49.6 to 55.9/54.6 MB, past its
+  10% bound.  The fork stays until that peak stops growing with throughput.
 
 Closed form at n <= 2.  Neither LAPACK nor the phase fix runs on a 1x1 or
 2x2 matrix or stack: ``_small_eigh`` gives w = H_00 and V = 1 at n = 1, and
@@ -42,19 +47,26 @@ LAPACK reduces a 2x2 to.  One matrix runs it on Python floats: 3.6 against
 one BLAS thread, a 2-core x86 machine).  A stack runs the same lines
 elementwise on arrays in about LAPACK's time (50 items: 47 against 45 us),
 so its items are the single calls' results bit for bit, phase convention
-included.
+included.  Nor does an SVD run for the unitary polar factor at n <= 2:
+``_small_polar`` gives U = m/|m| at n = 1 and U = (M + p adj(M)*)/(s1 + s2),
+p = det M/|det M|, at n = 2.  One matrix runs it on Python floats: 5.6
+against 17.7 us for the SVD route (``svd``, its singularity test and
+W Vh).  A stack runs the same lines on arrays, 82 against 159 us for 50
+items, and its items are again the single calls' results bit for bit
+(best of 10 alternating processes, each the best of 7 timeit repeats).
 
 Memo.  While ``registry.run_property`` runs one property, inside
 ``_eigh_memo()``, each solver (``eigh``, and the ``svd`` behind the polar
-factor) remembers its last ``MEMO_SIZE`` results, keyed by the shape, dtype
-and bytes of the matrix or stack solved: the campaign chains the means and
-gyro operations on the same operands, and each public call would otherwise
-solve them anew.  A spectrum read alone (``_eigvalsh``) is the eigenvalue
-half of ``eigh``, so it shares one entry with the decomposition of the same
-matrix.  A hit needs byte equality, so it returns exactly what the solver
-returned for the same input, and the stored arrays are read-only, so no
-caller can change a shared result.  Each thread has its own memo, it is
-emptied when the property ends, and outside that scope there is none.
+factor at n >= 3) remembers its last ``MEMO_SIZE`` results, keyed by the
+shape, dtype and bytes of the matrix or stack solved: the campaign chains
+the means and gyro operations on the same operands, and each public call
+would otherwise solve them anew.  A spectrum read alone (``_eigvalsh``) is
+the eigenvalue half of ``eigh``, so it shares one entry with the
+decomposition of the same matrix.  A hit needs byte equality, so it returns
+exactly what the solver returned for the same input, and the stored arrays
+are read-only, so no caller can change a shared result.  Each thread has its
+own memo, it is emptied when the property ends, and outside that scope
+there is none.
 """
 
 from __future__ import annotations
@@ -618,8 +630,21 @@ def matrix_function(A, kind: str, t: float | None = None) -> np.ndarray:
     raise UnknownCase(f"unknown matrix function {kind!r}")
 
 
+def _exponent(M: np.ndarray) -> int:
+    """The k with 2**(k-1) <= largest |entry| < 2**k (0 for the zero matrix)."""
+    return math.frexp(float(np.abs(M).max()))[1]
+
+
 def congruence(X, S) -> np.ndarray:
-    """Congruence transform S X S* of a Hermitian X (NotFinite where it overflows)."""
+    """Congruence transform S X S* of a Hermitian X.
+
+    The product is made at S and X scaled by powers of two to a largest
+    |entry| in [1/2, 1), where nothing that matters over- or underflows, and
+    then scaled back.  NotFinite where the result overflows, or where an
+    entry that is significant at that unit scale (above u times the largest)
+    becomes subnormal or 0; an entry that is 0 at unit scale, as a singular
+    S makes, stays 0.
+    """
     Xm = require_hermitian(as_matrix(X))
     Sm = np.asarray(S, dtype=complex)
     if Sm.ndim != 2 or Sm.shape[1] != Xm.shape[0]:
@@ -627,7 +652,19 @@ def congruence(X, S) -> np.ndarray:
             f"congruence factor shape {Sm.shape} incompatible with {Xm.shape}"
         )
     Sm = _require_finite(Sm, "the congruence factor has a NaN or infinite entry")
-    return _sandwich(Sm, Xm, Sm.conj().T)
+    ks, kx = _exponent(Sm), _exponent(Xm)
+    Ss = _ldexp(Sm, -ks)
+    unit = hermitian_part(Ss @ _ldexp(Xm, -kx) @ Ss.conj().T)
+    with np.errstate(over="ignore"):
+        P = np.ldexp(unit.view(float), 2 * ks + kx).view(complex)
+        if not np.isfinite(P).all():
+            raise NotFinite("the result overflows the double range")
+        size = np.abs(unit)
+        # u times the largest entry at unit scale: below it is rounding
+        significant = size > 2.0**-53 * size.max()
+        if (np.abs(P[significant]) < np.finfo(float).tiny).any():
+            raise NotFinite("the result underflows the double range")
+    return P
 
 
 def norm(H, kind: str = "operator") -> float:
@@ -668,14 +705,105 @@ def polar_unitary(M) -> np.ndarray:
     Satisfies M = (M M*)^{1/2} U with U U* = I.  M counts as singular when
     its smallest singular value is at most sqrt(``PD_TOL``) times the
     largest, a test that does not depend on the scale of M.
+
+    At n <= 2, U comes in closed form, without LAPACK, and a stack's items
+    are the single calls' results bit for bit; at n >= 3 it comes from one
+    LAPACK SVD.  Either way its error is O(u kappa(M)), since U's condition
+    number is 1/s_min (Higham, Functions of Matrices, 2008, Thm 8.9), and
+    U is unitary to rounding.  NoConvergence, where the SVD fails, arises
+    only at n >= 3.
     """
     return _polar_unitary(_require_finite(as_stack(M)))
 
 
+def _raise_singular(where: str):
+    raise Singular(where + "matrix has a (numerically) vanishing singular value")
+
+
 def _polar_unitary(Mm: np.ndarray) -> np.ndarray:
     """``polar_unitary`` of a finite complex matrix or stack."""
+    if Mm.shape[-1] <= 2:
+        return _small_polar(Mm)
     W, s, Vh = _lapack("svd", Mm)
     bad = s[..., -1] <= math.sqrt(PD_TOL) * s[..., 0]
     if bad.any():
-        raise Singular(_item(bad) + "matrix has a (numerically) vanishing singular value")
+        _raise_singular(_item(bad))
     return W @ Vh
+
+
+def _polar_terms(z, sqrt):
+    """The smallest and largest singular values of a 1x1 or 2x2 M, and its
+    unitary polar factor as numerators over one denominator, in closed form.
+
+    ``z`` holds the real and imaginary parts of M's entries, row by row.  At
+    n = 1, U = m/|m|.  At n = 2, with p = det M/|det M| and the singular
+    values s1 >= s2, U = (M + p adj(M)*)/(s1 + s2), where
+    s1 +- s2 = sqrt(||M||_F**2 +- 2|det M|): the denominator cannot cancel
+    (N. J. Higham, Functions of Matrices, 2008, ch. 8).  The caller keeps
+    the entries inside [2**-225, 2**225] in modulus (or 0), so that no
+    product of four of them overflows or underflows to where it matters.
+    Only + - * /, abs and ``sqrt`` run, as in ``_rotation``, so the same
+    lines act on Python floats and on arrays with the same IEEE operations.
+    """
+    if len(z) == 2:
+        re, im = z
+        r = sqrt(re * re + im * im)
+        # s_min as |m|**2/|m|: NaN, not a Singular item, where m is infinite,
+        # as at n = 2
+        return r * r / (r + (r == 0)), r, z, r
+    ar, ai, br, bi, cr, ci, dr, di = z
+    det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
+    det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
+    det = sqrt(det_re * det_re + det_im * det_im)
+    fro2 = (ar * ar + ai * ai) + (br * br + bi * bi) + (cr * cr + ci * ci) + (dr * dr + di * di)
+    total = sqrt(fro2 + 2 * det)
+    # s1 - s2 comes out of a cancellation, but only where it is small beside s1 + s2
+    s_max = 0.5 * (total + sqrt(abs(fro2 - 2 * det)))
+    s_min = det / (s_max + (s_max == 0))
+    pr, pi = det_re / (det + (det == 0)), det_im / (det + (det == 0))
+    # M + p adj(M)*, with adj(M)* = [[conj d, -conj c], [-conj b, conj a]]
+    num = (ar + (pr * dr + pi * di), ai + (pi * dr - pr * di),
+           br - (pr * cr + pi * ci), bi - (pi * cr - pr * ci),
+           cr - (pr * br + pi * bi), ci - (pi * br - pr * bi),
+           dr + (pr * ar + pi * ai), di + (pi * ar - pr * ai))
+    return s_min, s_max, num, total
+
+
+# a 1x1 or 2x2 item whose largest |entry| leaves [2**-225, 2**225] is scaled
+# by a power of two into [1/2, 1); U does not depend on the scale of M
+_POLAR_LO, _POLAR_HI = 2.0**-225, 2.0**225
+
+
+def _small_polar(M: np.ndarray) -> np.ndarray:
+    """``_polar_unitary`` of a 1x1 or 2x2 matrix or stack, in closed form,
+    with the singularity test of the SVD route; a stack's items are the
+    single calls' results bit for bit."""
+    tol = math.sqrt(PD_TOL)
+    # the real and imaginary parts of each entry, row by row
+    parts = np.ascontiguousarray(M).view(float).reshape(M.shape[:-2] + (-1,))
+    if M.ndim == 2:
+        z = parts.tolist()
+        peak = max(map(abs, z))
+        if not _POLAR_LO <= peak <= _POLAR_HI:
+            # math.ldexp rounds once, as np.ldexp does, and cannot overflow here
+            k = math.frexp(peak)[1]
+            z = [math.ldexp(x, -k) for x in z]
+        s_min, s_max, num, den = _polar_terms(z, math.sqrt)
+        if s_min <= tol * s_max:
+            _raise_singular("")
+        return np.array([x / den for x in num]).view(complex).reshape(M.shape)
+    z = list(np.moveaxis(parts, -1, 0))
+    peak = np.abs(parts).max(axis=-1)
+    # pass first, as in ``_small_eigh``
+    if peak.size and not (_POLAR_LO <= peak.min() and peak.max() <= _POLAR_HI):
+        k = np.where((_POLAR_LO <= peak) & (peak <= _POLAR_HI), 0, np.frexp(peak)[1])
+        z = [np.ldexp(x, -k) for x in z]
+    # a non-finite item, which only an overflowed intermediate brings here,
+    # makes NaN as the single call does, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        s_min, s_max, num, den = _polar_terms(z, np.sqrt)
+        bad = s_min <= tol * s_max
+        if bad.any():
+            _raise_singular(_item(bad))
+        U = np.stack([x / den for x in num], axis=-1)
+    return U.view(complex).reshape(M.shape)

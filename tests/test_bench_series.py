@@ -11,7 +11,7 @@ bench_series = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_series)
 
 
-def _run(wall_s, ops_per_s, factor, correct=True, env=None, sha=None):
+def _run(wall_s, ops_per_s, factor, correct=True, env=None, sha=None, rounds=None):
     return {
         "correct": correct,
         "attempted": 10,
@@ -21,6 +21,7 @@ def _run(wall_s, ops_per_s, factor, correct=True, env=None, sha=None):
         "env": env or {"cores": 2},
         "calibration_factor": factor,
         "canonical_sha256": sha,
+        "rounds": rounds,
     }
 
 
@@ -90,3 +91,33 @@ def test_summary_keeps_each_runs_hash_and_pairs_are_compared():
     assert bench_series.same_reports(base, [_run(1.0, 1.0, 1.0)]) is False
     ops = [_run(1.0, 1.0, 1.0)]
     assert bench_series.same_reports(ops, ops) is None
+
+
+def test_completed_rounds_are_read_off_an_op_mix_or_a_campaign_run():
+    mix = [
+        "op.geo_mean: p50 21.4 us",
+        "11264 rounds, 352 reference-checked",
+        "unscaled wall_s 0.00266, ops_per_s 5637.1, op_p50_us 14.2; "
+        "calibration factor 0.9830",
+    ]
+    assert bench_series.completed_rounds(mix) == 11264
+    campaign = [
+        "check canonical JSON byte-identical: ok",
+        "canonical JSON sha256 70276bcae8758963 (49 campaigns)",
+        "unscaled campaign walls 0.601, 0.598 s",
+    ]
+    assert bench_series.completed_rounds(campaign) == 49
+    # the traced runs print neither line
+    assert bench_series.completed_rounds(mix[:1] + mix[2:]) is None
+
+
+def test_summary_keeps_each_runs_rounds_and_prints_them_beside_peak_rss():
+    runs = [_run(1.0, 1.0, 1.0, rounds=r) for r in (11000, 12000, 11500)]
+    for run, rss in zip(runs, (48.0, 51.0, 49.5)):
+        run["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+    assert bench_series.summary(runs, "change", "ops-n2", 42, 30)["rounds"] == [
+        11000, 12000, 11500]
+    assert bench_series.rss_and_rounds("change", runs) == (
+        "peak_rss_mb: change median 49.5 MB at median 11500 rounds [11000, 12000, 11500]")
+    runs[1]["rounds"] = None
+    assert "at median None rounds" in bench_series.rss_and_rounds("change", runs)

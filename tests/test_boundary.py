@@ -366,6 +366,38 @@ def test_a_product_that_underflows_raises_not_finite(op, s):
     np.testing.assert_allclose(op(1e-150 * A, 1e-150 * B), 1e-300 * op(A, B), rtol=1e-12)
 
 
+def _congruence_operands():
+    rng = substream(233, "boundary-congruence")
+    return gen_random_pd(rng, 3), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e-200, 1e-300])
+def test_a_congruence_that_underflows_raises_not_finite(s):
+    # S X S* is about s**2: subnormal at 1e-160, and once the zero matrix
+    # from there down, with no warning
+    X, G = _congruence_operands()
+    for filter_ in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)
+            with pytest.raises(errors.NotFinite, match="^the result underflows"):
+                congruence(X, s * G)
+
+
+def test_a_congruence_near_the_bottom_of_the_range_is_right():
+    X, G = _congruence_operands()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(congruence(X, 1e-150 * G), 1e-300 * (G @ X @ G.conj().T),
+                                   rtol=1e-12)
+        # a zero or singular factor makes exact zeros, which underflow nothing
+        assert np.array_equal(congruence(X, np.zeros((3, 3))), np.zeros((3, 3)))
+        for s in (1.0, 1e-150):
+            P = congruence(X, s * np.diag([1.0, 0.0, 0.0]))
+            expected = np.zeros((3, 3), dtype=complex)
+            expected[0, 0] = s * s * X[0, 0]
+            np.testing.assert_allclose(P, expected, rtol=1e-15, atol=0)
+
+
 TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)
 
 

@@ -257,9 +257,10 @@ def test_the_eigensolve_memo_changes_no_record(monkeypatch):
 
 def test_a_property_decomposes_each_stack_once(monkeypatch):
     # cone-gyrogroup-axioms chains cone_add and gyration on the same operands;
-    # without the memo it makes 47 eigensolves and 16 SVDs on the small config
-    # (its 2x2 items are decomposed in closed form, without LAPACK), and with
-    # it a spectrum read of an operand hits the operand's decomposition
+    # without the memo it makes 47 eigensolves and 8 SVDs on the small config
+    # (its 2x2 items are decomposed and polar-factored in closed form, without
+    # LAPACK), and with it a spectrum read of an operand hits the operand's
+    # decomposition
     spec = next(s for s in all_properties() if s.property_id == "cone-gyrogroup-axioms")
     solves = {"eigh": 0, "svd": 0}
 
@@ -274,7 +275,7 @@ def test_a_property_decomposes_each_stack_once(monkeypatch):
     for solver in solves:
         monkeypatch.setattr(np.linalg, solver, counting(solver))
     run_property(spec, SMALL)
-    assert solves == {"eigh": 11, "svd": 6}
+    assert solves == {"eigh": 11, "svd": 3}
 
 
 def test_a_campaign_solves_only_what_it_reads(monkeypatch):
@@ -282,8 +283,8 @@ def test_a_campaign_solves_only_what_it_reads(monkeypatch):
     # spectrum costs one eigh, a repeated one costs nothing within a property,
     # whether it was decomposed or only its eigenvalues read; the eigvalsh
     # calls are direct reads in properties and randgen, none the kernel's;
-    # the polar factor costs an svd; a 1x1 or 2x2 spectrum costs no LAPACK
-    # solve
+    # the polar factor costs an svd; a 1x1 or 2x2 spectrum or polar factor
+    # costs no LAPACK solve
     counts = {"eigh": [0, 0], "eigvalsh": [0, 0], "svd": [0, 0]}
 
     def counting(solver):
@@ -298,7 +299,7 @@ def test_a_campaign_solves_only_what_it_reads(monkeypatch):
     for solver in counts:
         monkeypatch.setattr(np.linalg, solver, counting(solver))
     run_campaign(SMALL)
-    assert counts == {"eigh": [344, 1405], "eigvalsh": [15, 64], "svd": [140, 567]}
+    assert counts == {"eigh": [344, 1405], "eigvalsh": [15, 64], "svd": [65, 268]}
 
 
 def test_registration_needs_a_positive_threshold_and_a_new_id():

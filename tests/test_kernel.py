@@ -460,6 +460,9 @@ def test_polar_unitary_reports_a_failed_eigensolve_as_no_convergence(monkeypatch
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
-    for M in (np.eye(2), np.stack([np.eye(2)] * 2)):
+    for M in (np.eye(3), np.stack([np.eye(3)] * 2)):
         with pytest.raises(errors.NoConvergence):
             polar_unitary(M)
+    # a 1x1 or 2x2 polar factor takes no SVD, so it cannot fail to converge
+    for M in (np.eye(1), np.eye(2), np.stack([np.eye(2)] * 2)):
+        assert np.array_equal(polar_unitary(M), M)

@@ -13,12 +13,15 @@ reverse order every other round, so that drift of the machine hits each
 checkout alike.  It writes ``<out>/BENCH_<workload>-<label>.json`` per checkout: each
 end-to-end metric's median, quartiles (inclusive method) and values, the run
 count, whether every run was correct, the calibration factor that scaled each
-run's times (a run scaled by a stray factor stands out there), and the
-environment each run reported (core count, BLAS vendor and version, BLAS
+run's times (a run scaled by a stray factor stands out there), the rounds
+each run completed (an op mix's rounds, or the campaign's whole campaigns),
+the environment each run reported (core count, BLAS vendor and version, BLAS
 thread settings) and the canonical JSON sha256 each campaign run printed.
 Given two checkouts, it also prints, per metric, in how many of the
 alternating pairs of runs the second one did better, with "better" as
-``BENCHMARK.json`` declares it, and whether the two checkouts' campaign
+``BENCHMARK.json`` declares it, each checkout's median ``peak_rss_mb`` beside
+its median rounds (perfbench keeps data per completed round, so more
+throughput alone raises the peak), and whether the two checkouts' campaign
 reports have the same canonical sha256.
 """
 
@@ -41,6 +44,9 @@ BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 FACTOR_LINE = re.compile(r"^unscaled .*; calibration factor ([0-9.eE+-]+)$")
 # the line a campaign run prints with the hash of its report's canonical JSON
 SHA_LINE = re.compile(r"^canonical JSON sha256 ([0-9a-f]+)\b")
+# the line with the rounds a timed op-mix run completed, or with the
+# campaigns a timed campaign run completed
+ROUNDS_LINE = re.compile(r"^(\d+) rounds, \d+ reference-checked$|\((\d+) campaigns\)$")
 
 
 def calibration_factor(lines: list[str]) -> float | None:
@@ -52,6 +58,12 @@ def calibration_factor(lines: list[str]) -> float | None:
 def canonical_sha(lines: list[str]) -> str | None:
     """The canonical JSON sha256 (prefix) a campaign run printed, if any."""
     found = [m.group(1) for m in map(SHA_LINE.match, lines) if m]
+    return found[-1] if found else None
+
+
+def completed_rounds(lines: list[str]) -> int | None:
+    """The rounds (op mixes) or campaigns (campaign) the timed run completed."""
+    found = [int(m.group(1) or m.group(2)) for m in map(ROUNDS_LINE.search, lines) if m]
     return found[-1] if found else None
 
 
@@ -79,6 +91,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     result["env"] = json.loads(env[-1]) if env else {}
     result["calibration_factor"] = calibration_factor(lines)
     result["canonical_sha256"] = canonical_sha(lines)
+    result["rounds"] = completed_rounds(lines)
     return result
 
 
@@ -103,6 +116,7 @@ def summary(runs: list[dict], label: str, workload: str, seed: int,
         "metrics": metrics,
         "calibration_factors": [r.get("calibration_factor") for r in runs],
         "canonical_sha256": [r.get("canonical_sha256") for r in runs],
+        "rounds": [r.get("rounds") for r in runs],
         # one env when every run reported the same, else each run's
         "env": envs[0] if all(e == envs[0] for e in envs) else envs,
     }
@@ -124,6 +138,14 @@ def win_counts(base: list[dict], change: list[dict]) -> dict[str, tuple[int, int
                    for b, c in pairs)
         counts[name] = (wins, len(pairs))
     return counts
+
+
+def rss_and_rounds(label: str, runs: list[dict]) -> str:
+    """One checkout's median peak RSS beside the median rounds its runs completed."""
+    rss = statistics.median(r["metrics"]["peak_rss_mb"]["value"] for r in runs)
+    rounds = [r.get("rounds") for r in runs]
+    done = statistics.median(rounds) if None not in rounds else None
+    return f"peak_rss_mb: {label} median {rss:.1f} MB at median {done} rounds {rounds}"
 
 
 def main(argv=None) -> int:
@@ -165,6 +187,9 @@ def main(argv=None) -> int:
         (base, base_runs), (change, change_runs) = runs.items()
         for name, (wins, pairs) in win_counts(base_runs, change_runs).items():
             print(f"{name}: {change} better than {base} in {wins} of {pairs} pairs")
+        if "peak_rss_mb" in base_runs[0]["metrics"]:
+            for label, results in runs.items():
+                print(rss_and_rounds(label, results))
         same = same_reports(base_runs, change_runs)
         if same is not None:
             print(f"canonical JSON sha256: {change} "
