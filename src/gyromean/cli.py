@@ -19,6 +19,7 @@ Exit codes: 0 success / all properties pass, 1 property violation,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -152,7 +153,8 @@ def _cmd_geodesic(args) -> int:
 
 
 def _finish(report, args) -> int:
-    """Write the report where --report asks, print the summary; the exit code."""
+    """Write the report where --report asks, print the summary and the sha256
+    of the report's canonical JSON; the exit code."""
     if args.report:
         _write(report.to_csv() if args.format == "csv" else report.to_json(), args.report)
     for r in report.records:
@@ -163,6 +165,8 @@ def _finish(report, args) -> int:
     print(f"{'PASS' if report.passed else 'FAIL'}: "
           f"{sum(r.passed for r in report.records)}/{len(report.records)} "
           f"properties")
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    print(f"canonical JSON sha256 {digest}")
     return 0 if report.passed else 1
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-AXIOM_NAMES = (
+GYROGROUP_AXIOMS = (
     "G1-left-identity",
     "G1-right-identity",
     "G2-left-inverse",
@@ -31,6 +31,8 @@ AXIOM_NAMES = (
     "G5-loop",
     "gyrocommutativity",
     "gyration-automorphism",
+)
+GYROVECTOR_AXIOMS = (
     "V1-unit",
     "V1-zero",
     "V1-negation",
@@ -38,6 +40,7 @@ AXIOM_NAMES = (
     "V3-multiplicative",
     "V4-gyration-scalar",
 )
+AXIOM_NAMES = GYROGROUP_AXIOMS + GYROVECTOR_AXIOMS
 DEFAULT_SCALARS = ((0.3, 0.8), (-0.7, 1.6), (2.0, -0.4))
 
 

@@ -29,7 +29,7 @@ from .kernel import (
     powm,
     require_hermitians,
 )
-from .means import _polar_mean, geo_mean, spectral_mean
+from .means import _balanced, _polar_mean, geo_mean, spectral_mean
 
 
 def cone_add(A, B) -> np.ndarray:
@@ -76,9 +76,19 @@ def gyration(A, B, X) -> np.ndarray:
 def cooperation(A, B) -> np.ndarray:
     """A [+] B = A (+) gyr[A, (-)B] B, commutative; NotFinite where it leaves the doubles."""
     Am, Bm = require_hermitians(A, B)
-    S = _polar_mean(_powm(_pd_eigh(Am), 0.5), _pd_eigh(Bm))
+    dec_a = _pd_eigh(Am)
+    balanced = _balanced(dec_a, Bm)
+    if balanced is not None:
+        dec_a, Bm, j, k = balanced
+    S = _polar_mean(_powm(dec_a, 0.5), _pd_eigh(Bm))
     # A [+] B = (A # B)^2
-    return _positive_diagonal(_sandwich(S, np.eye(S.shape[-1])))
+    P = _sandwich(S, np.eye(S.shape[-1]))
+    if balanced is not None:
+        # (2**-j A) # (2**-k B) = 2**(-(j + k)/2) A # B, so its square scales
+        # back by 2**(j + k), exactly where the result stays in the doubles
+        with np.errstate(over="ignore"):
+            P = np.ldexp(P.view(float), (j + k)[..., None]).view(complex)
+    return _positive_diagonal(P)
 
 
 def gyroline(t: float, A, B) -> np.ndarray:

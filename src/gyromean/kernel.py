@@ -11,8 +11,8 @@ their input: a Hermitian complex ndarray, or a decomposition already made.
 The other modules do the same at their own public boundary, so one public
 call checks each operand once and decomposes each distinct matrix once.
 A function of a function of H, such as H^{-1}, H^{-1/2} or (H^t)^{1/2},
-comes from H's own decomposition (``SpectralDecomposition.inverse``, or
-``_powm`` at the product of the exponents), not from a second eigensolve.
+comes from H's own decomposition, as ``_powm`` at the product of the
+exponents, not from a second eigensolve.
 
 Tolerances are the constants ``HERMITICITY_TOL``, ``PD_TOL`` and
 ``LOEWNER_TOL``, read where their test is made; only ``loewner_compare``
@@ -112,10 +112,6 @@ class SpectralDecomposition(NamedTuple):
 
     def reconstruct(self) -> np.ndarray:
         return _spectral(self, self.eigenvalues)
-
-    def inverse(self) -> SpectralDecomposition:
-        """The decomposition of H^{-1}, for nonsingular H; eigenvalues stay ascending."""
-        return SpectralDecomposition(1.0 / self.eigenvalues[..., ::-1], self.vectors[..., ::-1])
 
 
 class Loewner(Enum):
@@ -770,8 +766,10 @@ def _polar_terms(z, sqrt):
 
 
 # a 1x1 or 2x2 item whose largest |entry| leaves [2**-225, 2**225] is scaled
-# by a power of two into [1/2, 1); U does not depend on the scale of M
-_POLAR_LO, _POLAR_HI = 2.0**-225, 2.0**225
+# by a power of two into [1/2, 1); U does not depend on the scale of M.  The
+# window is the square root of ``_small_eigh``'s: |det M|**2 is a product of
+# four entries, where a product of two stays inside the doubles
+_POLAR_LO, _POLAR_HI = math.sqrt(_SAFE_LO), math.sqrt(_SAFE_HI)
 
 
 def _small_polar(M: np.ndarray) -> np.ndarray:

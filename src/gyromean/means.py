@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import UnknownCase, WeightOutOfRange
 from .kernel import (
+    _SAFE_HI,
+    _SAFE_LO,
     SpectralDecomposition,
     _frobenius,
     _logm,
@@ -55,12 +57,12 @@ def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float,
 def _balanced(dec_a: SpectralDecomposition, Bm: np.ndarray):
     """A and B brought to a scale near 1 where either scale is extreme.
 
-    The scales are lambda_max(A) and max_i B_ii.  Where both lie in
-    [2**-450, 2**450], their ratio (the scale of A^{-1/2} B A^{-1/2}) and
-    their product stay within 2**+-900, inside the doubles at any kappa that
-    ``PD_TOL`` admits.  Other items get A scaled by 2**-j and B by 2**-k, j
-    and k the binary exponents of the two scales; the rest get j = k = 0 and
-    keep their bits.  Returns None where no item needs it, else the
+    The scales are lambda_max(A) and max_i B_ii.  Where both lie in the
+    kernel's window [2**-450, 2**450], their ratio (the scale of
+    A^{-1/2} B A^{-1/2}) and their product stay within 2**+-900, inside the
+    doubles at any kappa that ``PD_TOL`` admits.  Other items get A scaled
+    by 2**-j and B by 2**-k, j and k the binary exponents of the two scales;
+    the rest get j = k = 0 and keep their bits.  Returns None where no item needs it, else the
     decomposition of the scaled A, the scaled B, and j and k per item with a
     trailing axis, for the caller to undo.
     """
@@ -69,7 +71,7 @@ def _balanced(dec_a: SpectralDecomposition, Bm: np.ndarray):
     # pass first, on Python floats, which neither overflow nor warn: the
     # stack's extremes bound each item's scales
     scales = a.ravel().tolist() + b.ravel().tolist()
-    if not scales or 2.0**-450 < min(scales) and max(scales) < 2.0**450:
+    if not scales or _SAFE_LO < min(scales) and max(scales) < _SAFE_HI:
         return None
     j, k = np.frexp(a)[1], np.frexp(b.max(axis=-1))[1]
     extreme = np.maximum(np.abs(j), np.abs(k)) > 450
@@ -154,11 +156,12 @@ def spectral_mean(A, B, t: float = 0.5) -> np.ndarray:
     """Weighted spectral geometric mean A natural_t B.
 
     Computed as W^t A W^t with W = A^{-1} # B.  At t = 1/2 its eigenvalues
-    are the positive square roots of the eigenvalues of A B.
+    are the positive square roots of the eigenvalues of A B.  Raises
+    NotFinite where the result overflows or underflows to 0.
     """
     Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    return _sandwich(_spectral_power(_pd_eigh(Am), Bm, t), Am)
+    return _positive_diagonal(_sandwich(_spectral_power(_pd_eigh(Am), Bm, t), Am))
 
 
 def mean(kind: str, A, B, t: float = 0.5) -> np.ndarray:

@@ -136,16 +136,16 @@ def _with_spectrum(U: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _apply(SpectralDecomposition(w, U), w)
 
 
-def gen_commuting_pair(rng: Rng, dim: int,
-                       spread: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-    """Two positive definite matrices sharing an eigenbasis."""
+def gen_commuting_pair(rng: Rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two positive definite matrices sharing an eigenbasis, each with
+    log-uniform spectrum on [-2, 2]."""
     U = gen_random_unitary(rng, dim)
-    wa = np.exp(rng.uniform(-spread, spread, dim))
-    wb = np.exp(rng.uniform(-spread, spread, dim))
+    wa = np.exp(rng.uniform(-2.0, 2.0, dim))
+    wb = np.exp(rng.uniform(-2.0, 2.0, dim))
     return _with_spectrum(U, wa), _with_spectrum(U, wb)
 
 
-def gen_spread_pd(rng: Rng, dim: int, spread: float = 1.0) -> np.ndarray:
+def gen_spread_pd(rng: Rng, dim: int, spread: float) -> np.ndarray:
     """PD matrix with log-uniform spectrum; condition number <= e^{2 spread}.
 
     The order-inequality battery raises its inputs to p-th powers, which
@@ -160,42 +160,35 @@ def _opnorm(M: np.ndarray) -> np.ndarray:
     return np.linalg.norm(M, ord=2, axis=(-2, -1))
 
 
-def gen_dominated_pair(rng: Rng, dim: int,
-                       spread: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
+def gen_dominated_pair(rng: Rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with B <= A, via B = A^{1/2} K A^{1/2}, ||K|| <= 1."""
-    A = gen_spread_pd(rng, dim, spread)
-    K = gen_spread_pd(rng, dim, spread / 2.0)
+    A = gen_spread_pd(rng, dim, 0.8)
+    K = gen_spread_pd(rng, dim, 0.4)
     K = 0.98 * K / _per(_top_eig(K))
     root = sqrtm(A)
     return A, hermitian_part(root @ K @ root)
 
 
-def gen_sharp_contracted_pair(rng: Rng, dim: int,
-                              spread: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
+def gen_sharp_contracted_pair(rng: Rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with A # B <= I, by joint rescaling (homogeneity of #)."""
     from .means import geo_mean
 
-    A = gen_spread_pd(rng, dim, spread)
-    B = gen_spread_pd(rng, dim, spread)
+    A = gen_spread_pd(rng, dim, 0.8)
+    B = gen_spread_pd(rng, dim, 0.8)
     s = _per(0.999 / _top_eig(geo_mean(A, B, 0.5)))
     return s * A, s * B
 
 
-def gen_contraction_for(rng: Rng, X: np.ndarray, hermitian_only: bool = True,
-                        margin: float = 0.97) -> np.ndarray:
-    """Hermitian (or PD) S with S X S <= X for the given PD X.
+def gen_contraction_for(rng: Rng, X: np.ndarray) -> np.ndarray:
+    """Hermitian S with S X S <= X for the given PD X.
 
     S X S <= X is equivalent to ||X^{-1/2} S X^{1/2}|| <= 1, so any sample
-    is admissible after scaling by that norm.
+    is admissible after scaling to norm 0.97.
     """
-    dim = X.shape[-1]
-    if hermitian_only:
-        S = gen_random_hermitian(rng, dim)
-    else:
-        S = gen_random_pd(rng, dim)
+    S = gen_random_hermitian(rng, X.shape[-1])
     dec = pd_eigh(X)
     op = _opnorm(_powm(dec, -0.5) @ S @ _powm(dec, 0.5))
-    return _per(margin / op) * S
+    return _per(0.97 / op) * S
 
 
 def _unit_hermitian(rng: Rng, dim: int) -> np.ndarray:
@@ -261,7 +254,7 @@ def gen_ball_vector(rng: Rng, dim: int = 3, rmax: float = 0.95) -> np.ndarray:
     return v * np.asarray(rng.uniform(0.0, rmax))[..., None]
 
 
-def gen_density(rng: Rng, dim: int, spread: float = 2.0) -> np.ndarray:
-    """Random invertible density matrix with log-uniform spectrum."""
-    A = gen_spread_pd(rng, dim, spread)
+def gen_density(rng: Rng, dim: int) -> np.ndarray:
+    """Random invertible density matrix with log-uniform spectrum (spread 2)."""
+    A = gen_spread_pd(rng, dim, 2.0)
     return A / _per(_trace(A))

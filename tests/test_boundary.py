@@ -307,6 +307,8 @@ def test_results_at_the_top_of_the_double_range_stay_finite():
 
 
 SPREAD = np.diag([1e-2, 1.0, 1e2])  # kappa^200 = 1e800 leaves the double range
+# A natural_330 (A/10) is about 1e-330 A, which underflows to the zero matrix
+A3 = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
 
 
 @pytest.mark.parametrize("filter_", ["error", "ignore"])
@@ -317,6 +319,8 @@ SPREAD = np.diag([1e-2, 1.0, 1e2])  # kappa^200 = 1e800 leaves the double range
     lambda: gyroline(200.0, np.eye(3), SPREAD),
     lambda: spectral_mean(np.eye(3), SPREAD, 200.0),
     lambda: cogyroline(200.0, np.eye(3), SPREAD),
+    lambda: spectral_mean(A, A / 10, 330.0),
+    lambda: cogyroline(330.0, A3, A3 / 10),
     lambda: invm(1e-320 * np.eye(2)),  # subnormal, yet relatively positive definite
     lambda: expm(np.diag([1000.0, 0.0])),
     lambda: cone_scalar(400.0, np.diag([0.1, 0.9])),  # underflows to a singular power
@@ -328,7 +332,8 @@ SPREAD = np.diag([1e-2, 1.0, 1e2])  # kappa^200 = 1e800 leaves the double range
     lambda: spectral_defining_residual(np.diag([1e-300, 1e-300, 2e-310]), np.eye(3), T,
                                        1e308 * np.eye(3)),
 ], ids=["geo_mean", "powm", "powm-negative", "gyroline", "spectral_mean", "cogyroline",
-        "invm-subnormal", "expm", "cone_scalar-underflow", "geo_mean-mixed-scales",
+        "spectral_mean-underflow", "cogyroline-underflow", "invm-subnormal", "expm",
+        "cone_scalar-underflow", "geo_mean-mixed-scales",
         "cogyroline-mixed-scales", "geo_mean-mixed-scales-underflow",
         "spectral_defining_residual-mixed-scales"])
 def test_a_result_outside_the_double_range_raises_not_finite(call, filter_):
@@ -347,6 +352,8 @@ def test_a_stack_names_the_item_whose_power_leaves_the_double_range():
             powm(np.stack([np.eye(3), SPREAD]), 200.0)
         with pytest.raises(errors.NotFinite, match=r"^item \(0,\): "):
             spectral_mean(np.stack([np.eye(3)] * 2), np.stack([SPREAD, np.eye(3)]), 200.0)
+        with pytest.raises(errors.NotFinite, match=r"^item \(1,\): "):
+            spectral_mean(np.stack([np.eye(2), A]), np.stack([np.eye(2), A / 10]), 330.0)
 
 
 @pytest.mark.parametrize("s", [1e-200, 1e-300, 1e-310])
@@ -364,6 +371,33 @@ def test_a_product_that_underflows_raises_not_finite(op, s):
             with pytest.raises(errors.NotFinite, match=r"^item \(1,\): "):
                 op(np.stack([A, s * A]), np.stack([B, s * B]))
     np.testing.assert_allclose(op(1e-150 * A, 1e-150 * B), 1e-300 * op(A, B), rtol=1e-12)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cooperation_of_operands_far_apart_in_scale_is_finite(n, swap):
+    # (1e308 I) [+] (1e-310 I) = 1e-2 I, but A^{1/2} B^{-1/2}, about 1e309,
+    # once overflowed; the operands are brought near 1 by powers of two
+    rng = substream(237, "boundary-cooperation-scale", n)
+    A, B, A2, B2 = (gen_random_pd(rng, n) for _ in range(4))
+    a, b = (1e-310, 1e308) if swap else (1e308, 1e-310)
+    ordinary = cooperation(np.stack([A, A2]), np.stack([B, B2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = cooperation(a * np.eye(n), b * np.eye(n))
+        mixed = cooperation(np.stack([A, a * np.eye(n)]), np.stack([B, b * np.eye(n)]))
+    np.testing.assert_allclose(single, a * b * np.eye(n), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(mixed[1], single, rtol=1e-13, atol=0)
+    assert np.array_equal(mixed[0], ordinary[0])
+    # (1e300 I) [+] (1e300 I) = 1e600 I stays past the largest double
+    huge = 1e300 * np.eye(n)
+    for filter_ in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)
+            with pytest.raises(errors.NotFinite):
+                cooperation(huge, huge)
+            with pytest.raises(errors.NotFinite, match=r"^item \(1,\): "):
+                cooperation(np.stack([A, huge]), np.stack([B, huge]))
 
 
 def _congruence_operands():

@@ -1,12 +1,13 @@
 """Command-line interface: file formats, subcommands, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from gyromean.cli import build_parser, main, verify_config
-from gyromean.harness import CampaignConfig
+from gyromean.harness import CampaignConfig, reproduce_counterexamples, run_campaign
 from gyromean.matrixio import (
     MatrixFormatError,
     load_matrix,
@@ -202,7 +203,18 @@ def test_verify_meets_a_small_cond_cap_at_a_larger_dimension(capsys):
     # the sampler meets any cap above 1 by construction, with no resampling
     assert main(["verify", "--seed", "99", "--trials", "60", "--dims", "7,2",
                  "--cond-cap", "50"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "PASS: 59/59 properties"
+    assert capsys.readouterr().out.splitlines()[-2] == "PASS: 59/59 properties"
+
+
+def _sha_line(report) -> str:
+    return f"canonical JSON sha256 {hashlib.sha256(report.canonical_json().encode()).hexdigest()}"
+
+
+def test_verify_prints_the_canonical_sha256_after_the_summary(capsys):
+    assert main(["verify", "--seed", "5", "--trials", "8", "--dims", "2,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "PASS: 59/59 properties"
+    assert lines[-1] == _sha_line(run_campaign(CampaignConfig(seed=5, trials=8, dims=(2, 3))))
 
 
 def test_counterexample_command(tmp_path, capsys):
@@ -213,3 +225,4 @@ def test_counterexample_command(tmp_path, capsys):
     ids = {p["property_id"] for p in payload["properties"]}
     assert "triangle-inequality-failure" in ids
     assert "contraction-converse-witness" in ids
+    assert capsys.readouterr().out.splitlines()[-1] == _sha_line(reproduce_counterexamples())

@@ -37,7 +37,6 @@ from gyromean.randgen import (
     gen_random_hermitian,
     gen_random_pd,
     gen_random_unitary,
-    gen_spread_pd,
     substream,
 )
 from per_item_stack import PerItemStack
@@ -330,20 +329,6 @@ def test_no_public_function_takes_a_tolerance():
             if "tol" in params:
                 takes_tol.add(f"{obj.__module__}.{obj.__qualname__}")
     assert takes_tol == {"gyromean.kernel.loewner_compare"}
-
-
-@pytest.mark.parametrize("items", [None, 5])
-def test_inverse_decomposition(items):
-    if items is None:
-        rng = substream(121, "kernel-inverse")
-    else:
-        rng = PerItemStack([substream(121, "kernel-inverse", i) for i in range(items)])
-    A = gen_spread_pd(rng, 4, 1.5)
-    dec = pd_eigh(A).inverse()
-    assert (np.diff(dec.eigenvalues, axis=-1) > 0).all()
-    Ainv = np.linalg.inv(A)
-    err = np.linalg.norm(dec.reconstruct() - Ainv, axis=(-2, -1))
-    assert (err < 1e-13 * np.linalg.norm(Ainv, axis=(-2, -1))).all()
 
 
 def _counted_solves(monkeypatch, solver="eigh") -> list:

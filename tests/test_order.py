@@ -75,7 +75,7 @@ def test_contraction_lemma():
     rng = substream(403, "order-contraction")
     for _ in range(30):
         X = gen_random_pd(rng, 3)
-        S = gen_contraction_for(rng, X, hermitian_only=True)
+        S = gen_contraction_for(rng, X)
         res = check_contraction(S, X)
         assert res.premise_held
         assert res.conclusion_held, res.margin

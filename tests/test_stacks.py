@@ -266,9 +266,6 @@ SAMPLERS = {
                                   False),
     "gen_contraction_for": (
         lambda rng, n, t: rg.gen_contraction_for(rng, rg.gen_random_pd(rng, n)), False),
-    "gen_contraction_for-pd": (
-        lambda rng, n, t: rg.gen_contraction_for(rng, rg.gen_random_pd(rng, n),
-                                                 hermitian_only=False), False),
     "gen_spectral_premise_pair": (
         lambda rng, n, t: rg.gen_spectral_premise_pair(rng, n, t), False),
     "gen_log_sum_pair": (lambda rng, n, t: rg.gen_log_sum_pair(rng, n), False),
