@@ -40,6 +40,7 @@ from .kernel import (
     _per_item,
     _powm,
     _require_finite,
+    _sandwich,
     _top_eig,
     _trace,
     as_stack,
@@ -137,7 +138,7 @@ def sgm2(A, B, t) -> np.ndarray:
     ab = np.sqrt(det2(Am).real) * np.sqrt(det2(Bm).real)
     bracket = _per(ab) * _powm(dec_a, -1.0) + Bm
     Mt = powm(hermitian_part(bracket), t)
-    return hermitian_part(Mt @ Am @ Mt) / _per((2.0 * ab + _trace(Am @ Bm)) ** t)
+    return _sandwich(Mt, Am) / _per((2.0 * ab + _trace(Am @ Bm)) ** t)
 
 
 def det_shift_identity(c, X):
@@ -195,7 +196,7 @@ def qubit_spectral_mean(u, v, t) -> np.ndarray:
     Mt = _powm(_pd_eigh(hermitian_part(M)), _col(t))
     gamma_sum = ga * gb * (1.0 + np.vecdot(a, b))
     scale = (2.0 * ga / gb) ** t / (1.0 + gamma_sum) ** t
-    return _per(scale) * hermitian_part(Mt @ _bloch_to_density(a) @ Mt)
+    return _per(scale) * _sandwich(Mt, _bloch_to_density(a))
 
 
 def norm_product_check(A, B):

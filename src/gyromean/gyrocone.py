@@ -25,7 +25,7 @@ from .kernel import (
     _positive_diagonal,
     _powm,
     _sandwich,
-    hermitian_part,
+    _unscale,
     powm,
     require_hermitians,
 )
@@ -70,25 +70,26 @@ def gyration(A, B, X) -> np.ndarray:
     Am, Bm, Xm = require_hermitians(A, B, X)
     _pd_eigvals(Xm)
     U = _gyration_unitary(_pd_eigh(Am), _pd_eigh(Bm))
-    return hermitian_part(U @ Xm @ U.conj().mT)
+    return _sandwich(U, Xm, U.conj().mT)
+
+
+def _squared_mean(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
+    """(A # B)^2, from A's decomposition and a validated B."""
+    S = _polar_mean(_powm(dec_a, 0.5), _pd_eigh(Bm))
+    return _sandwich(S, np.eye(S.shape[-1]))
 
 
 def cooperation(A, B) -> np.ndarray:
     """A [+] B = A (+) gyr[A, (-)B] B, commutative; NotFinite where it leaves the doubles."""
     Am, Bm = require_hermitians(A, B)
-    dec_a = _pd_eigh(Am)
-    balanced = _balanced(dec_a, Bm)
-    if balanced is not None:
-        dec_a, Bm, j, k = balanced
-    S = _polar_mean(_powm(dec_a, 0.5), _pd_eigh(Bm))
     # A [+] B = (A # B)^2
-    P = _sandwich(S, np.eye(S.shape[-1]))
-    if balanced is not None:
-        # (2**-j A) # (2**-k B) = 2**(-(j + k)/2) A # B, so its square scales
-        # back by 2**(j + k), exactly where the result stays in the doubles
-        with np.errstate(over="ignore"):
-            P = np.ldexp(P.view(float), (j + k)[..., None]).view(complex)
-    return _positive_diagonal(P)
+    P, jk = _balanced(_squared_mean, _pd_eigh(Am), Bm)
+    if jk is None:
+        return _positive_diagonal(P)
+    # (2**-j A) # (2**-k B) = 2**(-(j + k)/2) A # B, so its square scales
+    # back by 2**(j + k)
+    j, k = jk
+    return _unscale(P, j + k)
 
 
 def gyroline(t: float, A, B) -> np.ndarray:

@@ -25,7 +25,6 @@ from .kernel import (
     _sandwich,
     _trace,
     as_stack,
-    hermitian_part,
     require_same_dim,
     require_weight,
 )
@@ -72,7 +71,7 @@ def dens_add(rho, sigma) -> np.ndarray:
     s, _ = _require_density(sigma, _pd_eigvals)
     require_same_dim(r, s)
     root = _powm(dec_r, 0.5)
-    return normalize_to_density(hermitian_part(root @ s @ root))
+    return normalize_to_density(_sandwich(root, s))
 
 
 def dens_scalar(t: float, rho) -> np.ndarray:
@@ -101,7 +100,7 @@ def dens_gyration(rho, sigma, tau) -> np.ndarray:
     x, _ = _require_density(tau, _pd_eigvals)
     require_same_dim(r, s, x)
     U = _gyration_unitary(dec_r, dec_s)
-    return hermitian_part(U @ x @ U.conj().mT)
+    return _sandwich(U, x, U.conj().mT)
 
 
 def dens_gyroline(t: float, rho, sigma) -> np.ndarray:

@@ -167,8 +167,18 @@ def _per_item(x):
 
 
 def _frobenius(M: np.ndarray):
-    """Frobenius norm of a matrix, or of each item of a stack."""
-    return _per_item(np.linalg.norm(M, axis=(-2, -1)))
+    """Frobenius norm of a matrix, or of each item of a stack; an item whose
+    norm leaves [2**-450, 2**450], where its squares may over- or underflow,
+    is scaled by a power of two to a largest |entry| in [1/2, 1) and back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.linalg.norm(M, axis=(-2, -1))
+        # pass first: the stack's extremes bound each item's norm
+        if not f.size or _SAFE_LO <= f.min() and f.max() <= _SAFE_HI:
+            return _per_item(f)
+        mag = np.abs(M)
+        k = np.frexp(mag.max(axis=(-2, -1)))[1]
+        scaled = np.ldexp(np.linalg.norm(np.ldexp(mag, _per(-k)), axis=(-2, -1)), k)
+    return _per_item(np.where((_SAFE_LO <= f) & (f <= _SAFE_HI), f, scaled))
 
 
 def _trace(M: np.ndarray) -> np.ndarray:
@@ -246,7 +256,7 @@ def require_weight(t, operand: np.ndarray | None = None):
         bad = ~np.isfinite(w)
         if bad.any():
             raise WeightOutOfRange(
-                _item(bad) + f"curve parameter {w[bad][0]!r} is not finite")
+                _item(bad) + f"curve parameter {float(w[bad][0])!r} is not finite")
         return w[..., None]
     if not math.isfinite(t):
         raise WeightOutOfRange(f"curve parameter {t!r} is not finite")
@@ -536,16 +546,14 @@ def _finite_positive(fw: np.ndarray) -> np.ndarray:
     return fw
 
 
-def _powm(dec: SpectralDecomposition, t: float, c=None) -> np.ndarray:
-    """The t-th power of a positive definite matrix, from its decomposition;
-    with per-item factors ``c`` (a trailing axis), c times that power."""
+def _powm(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    """The t-th power of a positive definite matrix, from its decomposition."""
     w = dec.eigenvalues
-    if (c is None and w.ndim == 1 and abs(t * math.log(w[0])) < 708
-            and abs(t * math.log(w[-1])) < 708):
+    if w.ndim == 1 and abs(t * math.log(w[0])) < 708 and abs(t * math.log(w[-1])) < 708:
         # every w**t lies within e**+-708, inside the normal doubles
         return _apply(dec, np.power(w, t))
     with np.errstate(over="ignore", invalid="ignore"):
-        fw = np.power(w, t) if c is None else np.power(w, t) * c
+        fw = np.power(w, t)
     return _apply(dec, _finite_positive(fw))
 
 
@@ -570,6 +578,17 @@ def _positive_diagonal(P: np.ndarray) -> np.ndarray:
     if _any(bad):
         raise NotFinite(_item(bad) + "a diagonal entry leaves the finite positive doubles")
     return P
+
+
+def _unscale(P: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """P 2**e item by item (e per item, a trailing axis), for a positive definite
+    P: exact ``np.ldexp`` for e's integer part, one rounding for the rest, then
+    the test of ``_positive_diagonal``."""
+    e = e[..., None]
+    k = np.floor(e)
+    with np.errstate(over="ignore"):
+        return _positive_diagonal(
+            np.ldexp((P * np.exp2(e - k)).view(float), k.astype(int)).view(complex))
 
 
 def _logm(dec: SpectralDecomposition) -> np.ndarray:
@@ -669,7 +688,7 @@ def norm(H, kind: str = "operator") -> float:
     if kind == "operator":
         return float(np.max(np.abs(_eigvalsh(M))))
     if kind == "frobenius":
-        return float(np.linalg.norm(M))
+        return _frobenius(M)
     raise UnknownCase(f"unknown norm kind {kind!r}")
 
 

@@ -20,7 +20,9 @@ from .kernel import (
     _SAFE_HI,
     _SAFE_LO,
     SpectralDecomposition,
+    _any,
     _frobenius,
+    _item,
     _logm,
     _pd_eigh,
     _pd_eigvals,
@@ -30,8 +32,8 @@ from .kernel import (
     _powm,
     _sandwich,
     _spectral,
+    _unscale,
     as_stack,
-    hermitian_part,
     invm,
     min_eig,
     require_hermitian,
@@ -41,30 +43,27 @@ from .kernel import (
     sqrtm,
 )
 
-def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float,
-              c=None) -> np.ndarray:
-    """A #_t B from A's decomposition; Bm is a validated Hermitian of A's size.
-
-    With per-item factors ``c`` (a trailing axis), c (A #_t B).
-    """
+def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float) -> np.ndarray:
+    """A #_t B from A's decomposition; Bm is a validated Hermitian of A's size."""
     root_w = np.sqrt(dec_a.eigenvalues)
     rootA = _spectral(dec_a, root_w)
     inv_rootA = _spectral(dec_a, 1.0 / root_w)
-    inner = _powm(_pd_eigh(_sandwich(inv_rootA, Bm)), t, c)
+    inner = _powm(_pd_eigh(_sandwich(inv_rootA, Bm)), t)
     return _sandwich(rootA, inner)
 
 
-def _balanced(dec_a: SpectralDecomposition, Bm: np.ndarray):
-    """A and B brought to a scale near 1 where either scale is extreme.
+def _balanced(step, dec_a: SpectralDecomposition, Bm: np.ndarray):
+    """step(A, B) at a scale near 1 where either operand's scale is extreme,
+    and j and k per item with a trailing axis, or None where no item needs it.
 
     The scales are lambda_max(A) and max_i B_ii.  Where both lie in the
     kernel's window [2**-450, 2**450], their ratio (the scale of
     A^{-1/2} B A^{-1/2}) and their product stay within 2**+-900, inside the
     doubles at any kappa that ``PD_TOL`` admits.  Other items get A scaled
     by 2**-j and B by 2**-k, j and k the binary exponents of the two scales;
-    the rest get j = k = 0 and keep their bits.  Returns None where no item needs it, else the
-    decomposition of the scaled A, the scaled B, and j and k per item with a
-    trailing axis, for the caller to undo.
+    the rest get j = k = 0 and keep their bits.  Both means are jointly
+    homogeneous, so the caller scales the step's result back by its own
+    exponent in j and k, with ``kernel._unscale``.
     """
     a = dec_a.eigenvalues[..., -1]
     b = Bm.diagonal(0, -2, -1).real
@@ -72,7 +71,7 @@ def _balanced(dec_a: SpectralDecomposition, Bm: np.ndarray):
     # stack's extremes bound each item's scales
     scales = a.ravel().tolist() + b.ravel().tolist()
     if not scales or _SAFE_LO < min(scales) and max(scales) < _SAFE_HI:
-        return None
+        return step(dec_a, Bm), None
     j, k = np.frexp(a)[1], np.frexp(b.max(axis=-1))[1]
     extreme = np.maximum(np.abs(j), np.abs(k)) > 450
     j, k = j * extreme, k * extreme
@@ -80,28 +79,7 @@ def _balanced(dec_a: SpectralDecomposition, Bm: np.ndarray):
     scaled_b = Bm * _per(np.ldexp(1.0, -(k // 2))) * _per(np.ldexp(1.0, k // 2 - k))
     scaled_a = SpectralDecomposition(np.ldexp(dec_a.eigenvalues, -j[..., None]),
                                      dec_a.vectors)
-    return scaled_a, scaled_b, j[..., None], k[..., None]
-
-
-def _balanced_step(step, dec_a: SpectralDecomposition, Bm: np.ndarray):
-    """step(A, B) at the scale of ``_balanced``, and e = k - j per item with a
-    trailing axis, or None where no item needs it.
-
-    Where A scales by 2**-j and B by 2**-k, A^{-1/2} B A^{-1/2} scales by
-    2**(j - k) and A^{-1} # B by 2**((j - k)/2); the caller scales back.
-    """
-    balanced = _balanced(dec_a, Bm)
-    if balanced is None:
-        return step(dec_a, Bm), None
-    dec_a, Bm, j, k = balanced
-    return step(dec_a, Bm), k - j
-
-
-def _pow2(x):
-    """2**x, and inf without a warning past the doubles: the power it
-    scales then leaves them, which ``_powm`` reports as NotFinite."""
-    with np.errstate(over="ignore"):
-        return np.exp2(x)
+    return step(scaled_a, scaled_b), (j[..., None], k[..., None])
 
 
 def _polar_mean(rootX: np.ndarray, dec_b: SpectralDecomposition) -> np.ndarray:
@@ -121,8 +99,13 @@ def _spectral_factor(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray
 
 def _spectral_power(dec_a: SpectralDecomposition, Bm: np.ndarray, p) -> np.ndarray:
     """W^p for W = A^{-1} # B, from A's decomposition; Bm as in ``_geo_mean``."""
-    W, e = _balanced_step(_spectral_factor, dec_a, Bm)
-    return _powm(_pd_eigh(W), p, None if e is None else _pow2(0.5 * p * e))
+    W, jk = _balanced(_spectral_factor, dec_a, Bm)
+    Wp = _powm(_pd_eigh(W), p)
+    if jk is None:
+        return Wp
+    # (2**-j A)^{-1} # (2**-k B) = 2**((j - k)/2) A^{-1} # B
+    j, k = jk
+    return _unscale(Wp, 0.5 * p * (k - j))
 
 
 def geo_mean(A, B, t: float = 0.5) -> np.ndarray:
@@ -143,13 +126,12 @@ def geo_mean(A, B, t: float = 0.5) -> np.ndarray:
     """
     Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    dec_a = _pd_eigh(Am)
-    balanced = _balanced(dec_a, Bm)
-    if balanced is None:
-        return _geo_mean(dec_a, Bm, t)
+    P, jk = _balanced(lambda dec, M: _geo_mean(dec, M, t), _pd_eigh(Am), Bm)
+    if jk is None:
+        return P
     # A #_t B = 2**(j (1 - t) + k t) (2**-j A) #_t (2**-k B)
-    dec_a, Bm, j, k = balanced
-    return _geo_mean(dec_a, Bm, t, _pow2(j * (1.0 - t) + k * t))
+    j, k = jk
+    return _unscale(P, j * (1.0 - t) + k * t)
 
 
 def spectral_mean(A, B, t: float = 0.5) -> np.ndarray:
@@ -198,8 +180,8 @@ def karcher_residual(A, B, t: float, X) -> float:
     require_same_dim(Am, Bm, Xm)
     t = np.asarray(require_weight(t, Am))[..., None]
     rootX = sqrtm(Xm)
-    term_a = _logm(_pd_eigh(hermitian_part(rootX @ invm(Am) @ rootX)))
-    term_b = _logm(_pd_eigh(hermitian_part(rootX @ invm(Bm) @ rootX)))
+    term_a = _logm(_pd_eigh(_sandwich(rootX, invm(Am))))
+    term_b = _logm(_pd_eigh(_sandwich(rootX, invm(Bm))))
     return _frobenius((1.0 - t) * term_a + t * term_b)
 
 
@@ -213,10 +195,10 @@ def spectral_defining_residual(A, B, t: float, X) -> float:
     Am, Bm, Xm = require_hermitians(A, B, X)
     t = require_weight(t, Am)
     dec_a = _pd_eigh(Am)
-    right, e = _balanced_step(_spectral_factor, dec_a, Xm)
-    if e is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            right = _positive_diagonal(right * _per(_pow2(0.5 * e[..., 0])))
+    right, jk = _balanced(_spectral_factor, dec_a, Xm)
+    if jk is not None:
+        j, k = jk
+        right = _unscale(right, 0.5 * (k - j))
     return _frobenius(_spectral_power(dec_a, Bm, t) - right)
 
 
@@ -225,8 +207,9 @@ def mean_left_inverse(kind: str, A, C, t: float) -> np.ndarray:
 
     Raises WeightOutOfRange at t = 0, where the mean ignores X.
     """
-    if np.any(np.asarray(t) == 0):
-        raise WeightOutOfRange("no left inverse at t = 0")
+    zero = np.asarray(t) == 0
+    if _any(zero):
+        raise WeightOutOfRange(_item(zero) + "no left inverse at t = 0")
     return mean(kind, A, C, 1.0 / t)
 
 

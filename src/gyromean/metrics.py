@@ -33,7 +33,7 @@ from .kernel import (
     _top_eig,
     require_hermitians,
 )
-from .means import _balanced_step, _spectral_factor
+from .means import _balanced, _spectral_factor
 
 DISTANCE_KINDS = ("thompson", "riemannian", "semimetric_op", "semimetric_frob")
 
@@ -48,10 +48,13 @@ def _log_eigvals(step, power: float, dec_a: SpectralDecomposition,
     """The log-eigenvalues of step(A, B)**power, from A's decomposition: of
     A^{-1/2} B A^{-1/2} (``_whitened``, power 1) or of A^{-1} [+] B
     (``_spectral_factor``, power 2).  Each scales by 2**(j - k) where
-    ``_balanced`` scales A by 2**-j and B by 2**-k."""
-    M, e = _balanced_step(step, dec_a, Bm)
+    ``_balanced`` scales A by 2**-j and B by 2**-k; they scale back in logs."""
+    M, jk = _balanced(step, dec_a, Bm)
     lw = power * np.log(_pd_eigvals(M))
-    return lw if e is None else lw + e * math.log(2.0)
+    if jk is None:
+        return lw
+    j, k = jk
+    return lw + (k - j) * math.log(2.0)
 
 
 def _opnorm(lw: np.ndarray):
@@ -94,11 +97,12 @@ def sup_ratio(A, B):
     """
     Am, Bm = require_hermitians(A, B)
     _pd_eigvals(Bm)
-    M, e = _balanced_step(_whitened, _pd_eigh(Am), Bm)
-    if e is None:
+    M, jk = _balanced(_whitened, _pd_eigh(Am), Bm)
+    if jk is None:
         return _per_item(_top_eig(M))
+    j, k = jk
     with np.errstate(over="ignore"):
-        top = np.ldexp(_top_eig(M), e[..., 0])
+        top = np.ldexp(_top_eig(M), (k - j)[..., 0])
     bad = ~((0 < top) & (top < np.inf))
     if _any(bad):
         raise NotFinite(_item(bad) + "the ratio leaves the finite positive doubles")

@@ -43,11 +43,13 @@ from gyromean.kernel import (
     expm,
     invm,
     loewner_compare,
+    norm,
     polar_unitary,
     powm,
 )
 from gyromean.means import (
     geo_mean,
+    karcher_residual,
     mean,
     riccati_residual,
     spectral_defining_residual,
@@ -435,19 +437,30 @@ def test_a_congruence_near_the_bottom_of_the_range_is_right():
 TINY, HUGE = 1e-200 * np.eye(2), 1e200 * np.eye(2)
 
 
+def _karcher_at(a, b):
+    """karcher_residual at a A3, b SPREAD and their mean: X^{1/2} B^{-1} X^{1/2}
+    is about (a/b)**0.7 1e2, past the largest double."""
+    Am, Bm = a * A3, b * SPREAD
+    return karcher_residual(Am, Bm, T, geo_mean(Am, Bm, T))
+
+
 @pytest.mark.parametrize("call, where", [
     (lambda: cone_add(HUGE, HUGE), ""),
     (lambda: relative_eigenvalue(HUGE, TINY), ""),
     (lambda: relative_eigenvalue(TINY, HUGE), ""),
     (lambda: congruence(np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]), ""),
     (lambda: congruence(HUGE, 1e100 * np.eye(2)), ""),
+    (lambda: _karcher_at(1e154, 1e-300), ""),
+    (lambda: _karcher_at(1e300, 1e-300), ""),
 ], ids=["cone_add", "relative_eigenvalue", "relative_eigenvalue-underflow",
-        "congruence-nan", "congruence"])
+        "congruence-nan", "congruence", "karcher_residual", "karcher_residual-extreme"])
 def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
-    # A^{1/2} B A^{1/2} and the congruence S X S* overflow here, and the
-    # largest eigenvalue 1e400 or 1e-400 of relative_eigenvalue's whitened
-    # B^{-1/2} A B^{-1/2} leaves the doubles; each is made inside a guard, so
-    # the named error comes before numpy can warn, and also with warnings ignored
+    # A^{1/2} B A^{1/2}, the congruence S X S* and karcher_residual's
+    # X^{1/2} B^{-1} X^{1/2} overflow here, and the largest eigenvalue 1e400
+    # or 1e-400 of relative_eigenvalue's whitened B^{-1/2} A B^{-1/2} leaves
+    # the doubles; each is made inside a guard, so the named error comes
+    # before numpy can warn (or LAPACK fails on the overflowed product), and
+    # also with warnings ignored
     for filter_ in ("error", "ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter(filter_)
@@ -458,6 +471,11 @@ def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
 def _log_ratios(A, B, a, b):
     """The log-eigenvalues of (aA)^{-1/2} (bB) (aA)^{-1/2}, from A^{-1} B at scale 1."""
     return np.log(np.sort(np.linalg.eigvals(np.linalg.solve(A, B)).real)) + np.log(b) - np.log(a)
+
+
+def _log_sharp(A, B, a, b):
+    """The log-eigenvalues of (aA)^{-1} # (bB), from A^{-1} # B at scale 1."""
+    return np.log(np.linalg.eigvalsh(geo_mean(np.linalg.inv(A), B))) + (np.log(b) - np.log(a)) / 2
 
 
 # name -> (call(A, B), the expected value of call(a A, b B) from A and B)
@@ -472,6 +490,12 @@ MIXED_SCALE = {
                  lambda A, B, a, b: np.max(np.abs(_log_ratios(A, B, a, b)))),
     "riemannian": (lambda A, B: distance("riemannian", A, B),
                    lambda A, B, a, b: np.linalg.norm(_log_ratios(A, B, a, b))),
+    "spectral_mean": (lambda A, B: spectral_mean(A, B, T),
+                      lambda A, B, a, b: a**(1 - T) * b**T * spectral_mean(A, B, T)),
+    "semimetric_op": (lambda A, B: distance("semimetric_op", A, B),
+                      lambda A, B, a, b: 2 * np.max(np.abs(_log_sharp(A, B, a, b)))),
+    "semimetric_frob": (lambda A, B: distance("semimetric_frob", A, B),
+                        lambda A, B, a, b: 2 * np.linalg.norm(_log_sharp(A, B, a, b))),
 }
 
 
@@ -515,6 +539,40 @@ def test_operands_of_very_different_scales_give_the_finite_result(name, ea, eb, 
     assert _relative_at_any_scale(mixed[0], want) <= 1e-13
     assert np.array_equal(mixed[1], ordinary[1])
     assert _relative_at_any_scale(identity, expected(np.eye(n), np.eye(n), a, b)) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e200, 1e300])
+def test_the_frobenius_norm_does_not_depend_on_the_operands_scale(s):
+    # the squares of the entries underflow to 0 or overflow here, though the
+    # norm is a finite double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = norm(s * A, "frobenius")
+    assert got == pytest.approx(s * norm(A, "frobenius"), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("a, b", [(1e-200, 1e200), (1e200, 1e-200), (1e154, 1e-300)])
+def test_the_riccati_residual_at_operands_of_very_different_scales(a, b):
+    # X A^{-1} X - B scales as b at (a A, b B, sqrt(ab) X), and the squares of
+    # its entries leave the doubles here, where an unscaled norm reads inf
+    # (or warns) or 0.0; in a stack the ordinary item keeps the bits it has
+    # without the scaled one
+    rng = substream(5, "contract", 3)
+    A3_, B3_ = gen_random_pd(rng, 3), gen_random_pd(rng, 3)
+    X3 = 1.1 * geo_mean(A3_, B3_)  # residual 0.21 B
+    ordinary = riccati_residual(A3_, B3_, X3)
+    plain = riccati_residual(*(np.stack([M, M]) for M in (A3_, B3_, X3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        off = riccati_residual(a * A3_, b * B3_, np.sqrt(a * b) * X3)
+        stacked = riccati_residual(np.stack([A3_, a * A3_]), np.stack([B3_, b * B3_]),
+                                   np.stack([X3, np.sqrt(a * b) * X3]))
+        Am, Bm = a * A3_, b * B3_
+        at_mean = riccati_residual(Am, Bm, geo_mean(Am, Bm))
+    assert off == pytest.approx(b * ordinary, rel=1e-12, abs=0)
+    assert stacked[1] == pytest.approx(off, rel=1e-12, abs=0)
+    assert stacked[0] == plain[0]
+    assert at_mean <= 1e-13 * b * norm(B3_, "frobenius")
 
 
 @pytest.mark.parametrize("X, Y, expected", [

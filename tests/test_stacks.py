@@ -172,8 +172,14 @@ def test_per_item_weights_are_checked():
         gm.geo_mean(A, B, np.full(ITEMS + 1, 0.5))
     t = _weights((ITEMS,))
     t[4] = np.nan
-    with pytest.raises(errors.WeightOutOfRange, match=r"item \(4,\)"):
+    # the message reads as the single call's, behind the item's prefix
+    with pytest.raises(errors.WeightOutOfRange,
+                       match=r"^item \(4,\): curve parameter nan is not finite$"):
         gm.geo_mean(A, B, t)
+    t[4] = 0.0
+    with pytest.raises(errors.WeightOutOfRange,
+                       match=r"^item \(4,\): no left inverse at t = 0$"):
+        gm.mean_left_inverse("metric", A, B, t)
 
 
 def test_operands_of_different_stack_shapes_are_refused():
