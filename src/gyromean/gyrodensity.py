@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import GyromeanError, NotDensity
 from .kernel import (
-    SpectralDecomposition,
     _frobenius,
     _hermitian,
     _item,
@@ -34,16 +33,17 @@ from .means import _geo_mean, _spectral_power
 TRACE_TOL = 1e-10
 
 
-def _require_density(
-        rho, check=_pd_eigh) -> tuple[np.ndarray, SpectralDecomposition | np.ndarray]:
-    """Validate an invertible density matrix; return it with its decomposition.
+def require_density(rho) -> np.ndarray:
+    """Validate an invertible density matrix (PD Hermitian, trace one); return
+    it as a complex ndarray.
 
-    With ``check=_pd_eigvals``, for an operand whose decomposition nothing
-    reads, the same test returns only the eigenvalues.
+    The test reads the eigenvalues.  A caller that needs the decomposition
+    takes ``_pd_eigh`` of the result, which at n >= 3 reads the solve this
+    test left in the memo.
     """
     M = as_stack(rho)
     try:
-        dec = check(_hermitian(M))
+        _pd_eigvals(_hermitian(M))
     except GyromeanError as exc:
         raise NotDensity(str(exc)) from exc
     trace = _trace(M)
@@ -51,12 +51,7 @@ def _require_density(
     if bad.any():
         raise NotDensity(
             _item(bad) + f"trace {float(trace[bad][0])!r} differs from 1 beyond tolerance")
-    return M, dec
-
-
-def require_density(rho) -> np.ndarray:
-    """Validate an invertible density matrix (PD Hermitian, trace one)."""
-    return _require_density(rho, _pd_eigvals)[0]
+    return M
 
 
 def normalize_to_density(A) -> np.ndarray:
@@ -67,17 +62,16 @@ def normalize_to_density(A) -> np.ndarray:
 
 def dens_add(rho, sigma) -> np.ndarray:
     """rho (*) sigma = rho^{1/2} sigma rho^{1/2} / tr(rho sigma)."""
-    r, dec_r = _require_density(rho)
-    s, _ = _require_density(sigma, _pd_eigvals)
+    r, s = require_density(rho), require_density(sigma)
     require_same_dim(r, s)
-    root = _powm(dec_r, 0.5)
+    root = _powm(_pd_eigh(r), 0.5)
     return normalize_to_density(_sandwich(root, s))
 
 
 def dens_scalar(t: float, rho) -> np.ndarray:
     """t (*) rho = rho^t / tr(rho^t)."""
-    r, dec = _require_density(rho)
-    return normalize_to_density(_powm(dec, require_weight(t, r)))
+    r = require_density(rho)
+    return normalize_to_density(_powm(_pd_eigh(r), require_weight(t, r)))
 
 
 def dens_neg(rho) -> np.ndarray:
@@ -95,30 +89,26 @@ def dens_gyration(rho, sigma, tau) -> np.ndarray:
     Unitary conjugation preserves the trace, so the cone gyration descends
     to the trace-normalized carrier unchanged.
     """
-    r, dec_r = _require_density(rho)
-    s, dec_s = _require_density(sigma)
-    x, _ = _require_density(tau, _pd_eigvals)
+    r, s, x = require_density(rho), require_density(sigma), require_density(tau)
     require_same_dim(r, s, x)
-    U = _gyration_unitary(dec_r, dec_s)
+    U = _gyration_unitary(_pd_eigh(r), _pd_eigh(s))
     return _sandwich(U, x, U.conj().mT)
 
 
 def dens_gyroline(t: float, rho, sigma) -> np.ndarray:
     """L(t; rho, sigma): the trace-normalized weighted geometric mean."""
-    r, dec_r = _require_density(rho)
-    s, _ = _require_density(sigma, _pd_eigvals)
+    r, s = require_density(rho), require_density(sigma)
     require_same_dim(r, s)
     t = require_weight(t, r)
-    return normalize_to_density(_geo_mean(dec_r, s, t))
+    return normalize_to_density(_geo_mean(_pd_eigh(r), s, t))
 
 
 def dens_cogyroline(t: float, rho, sigma) -> np.ndarray:
     """Lc(t; rho, sigma): the trace-normalized weighted spectral mean."""
-    r, dec_r = _require_density(rho)
-    s, _ = _require_density(sigma, _pd_eigvals)
+    r, s = require_density(rho), require_density(sigma)
     require_same_dim(r, s)
     t = require_weight(t, r)
-    return normalize_to_density(_sandwich(_spectral_power(dec_r, s, t), r))
+    return normalize_to_density(_sandwich(_spectral_power(_pd_eigh(r), s, t), r))
 
 
 def density_model(dim: int):

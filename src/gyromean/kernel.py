@@ -31,13 +31,19 @@ forks that stay because they pay:
   when each w**t of one matrix lies within e**+-708;
 - ``_eigh`` fixes one matrix's eigenvector phases at n >= 3, as ``eigh``
   promises.  A spectral function V f(w) V* does not depend on them, but
-  dropping the fix changes the bits of every single-matrix result.  Kept
+  dropping the fix changes the bits of every single-matrix result.  It
+  runs on each ``_eigh`` of one matrix, a memo hit included, and costs
+  more than the solve it follows (about 34 against 14 us at n = 8).  Kept
   only in the public ``eigh`` and ``pd_eigh``, the fix left the 70 calls
   of an ``ops-n8-illcond`` round, whose ``wall_s`` fell from 6.51/6.55 to
-  3.66/3.67 ms (two 30 s pairs, one BLAS thread).  But the benchmark keeps
-  data per completed round, so its rounds rose from 2391/2619 to
-  4223/3924 and ``peak_rss_mb`` from 48.7/49.6 to 55.9/54.6 MB, past its
-  10% bound.  The fork stays until that peak stops growing with throughput.
+  3.66/3.67 ms (two 30 s pairs, one BLAS thread).  Kept in the memo
+  entry, so that each matrix is fixed once, 41 of the 70 went, and the
+  standing memo took ``wall_s`` from 6.41 to 4.33 ms, where without it
+  the memo takes it from 6.42 to 5.83 ms (10 pairs each).  But the
+  benchmark keeps data per completed round, so its rounds rose with the
+  speed, by 48% in the second case, and ``peak_rss_mb`` past its 10%
+  bound, from 53.3 to 60.2 MB.  The fix stays as it is until that peak
+  stops growing with throughput.
 
 Closed form at n <= 2.  Neither LAPACK nor the phase fix runs on a 1x1 or
 2x2 matrix or stack: ``_small_eigh`` gives w = H_00 and V = 1 at n = 1, and
@@ -55,26 +61,34 @@ W Vh).  A stack runs the same lines on arrays, 82 against 159 us for 50
 items, and its items are again the single calls' results bit for bit
 (best of 10 alternating processes, each the best of 7 timeit repeats).
 
-Memo.  While ``registry.run_property`` runs one property, inside
-``_eigh_memo()``, each solver (``eigh``, and the ``svd`` behind the polar
-factor at n >= 3) remembers its last ``MEMO_SIZE`` results, keyed by the
-shape, dtype and bytes of the matrix or stack solved: the campaign chains
-the means and gyro operations on the same operands, and each public call
-would otherwise solve them anew.  A spectrum read alone (``_eigvalsh``) is
-the eigenvalue half of ``eigh``, so it shares one entry with the
-decomposition of the same matrix.  A hit needs byte equality, so it returns
-exactly what the solver returned for the same input, and the stored arrays
-are read-only, so no caller can change a shared result.  Each thread has its
-own memo, it is emptied when the property ends, and outside that scope
-there is none.
+Memo.  Each thread has one standing memo, made on its first solve.  In it
+each solver (``eigh``, and the ``svd`` behind the polar factor) remembers
+its last ``MEMO_SIZE`` results, within ``MEMO_BYTES`` bytes of keys and
+results, keyed by the shape, dtype and bytes of the matrix or stack
+solved: the points of a curve share its operands' spectra, and the
+campaign chains the means and gyro operations on the same operands, so
+each public call would otherwise solve them anew.  It holds LAPACK's
+results at n >= 3 and the closed form of a stack at n <= 2, whose lookup
+costs a hash of its bytes against about 1 us an item.  One 1x1 or 2x2
+matrix is not held: its closed form takes a few us, and a miss would add
+the key and the insert to every solve that does not repeat.
+``registry.run_property`` runs each property inside ``_eigh_memo()``, a
+fresh memo that the thread's standing one replaces again when the
+property ends, so that a property's solve counts do not depend on what
+ran before it.  A spectrum read alone (``_eigvalsh``) is the eigenvalue
+half of ``eigh``, so it shares one entry with the decomposition of the
+same matrix.  A hit needs byte equality, so it returns exactly what the
+solver returned for the same input.  The stored arrays are read-only, and
+no public function returns one of them: ``eigh``, ``pd_eigh`` and the
+per-item scalars hand out copies.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from contextvars import ContextVar
 from enum import Enum
 from typing import NamedTuple
 
@@ -100,8 +114,12 @@ LOEWNER_TOL = 1e-8
 
 # the results each solver's memo holds; the campaign's repeats recur within 16
 MEMO_SIZE = 16
-# solver name -> its memo, inside ``_eigh_memo()``
-_MEMO: ContextVar[dict | None] = ContextVar("eigh_memo", default=None)
+# and the bytes of their keys and results: five times the 1.6 MB that a
+# property of the default campaign holds at most, so that no caller's large
+# stacks stay pinned in a thread's standing memo
+MEMO_BYTES = 2**23
+# ``memos``: this thread's memos, solver name -> _Memo
+_LOCAL = threading.local()
 
 
 class SpectralDecomposition(NamedTuple):
@@ -162,8 +180,11 @@ def _require_finite(x, message: str = "matrix has a NaN or infinite entry",
 
 
 def _per_item(x):
-    """A per-matrix reduction: a float for one matrix, an array for a stack."""
-    return float(x) if x.ndim == 0 else x
+    """A per-matrix reduction: a float for one matrix, an array for a stack
+    (a copy where x is a memo's read-only view)."""
+    if x.ndim == 0:
+        return float(x)
+    return x if x.flags.writeable else x.copy()
 
 
 def _frobenius(M: np.ndarray):
@@ -272,40 +293,76 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
     return H + H.conj().mT
 
 
+class _Memo:
+    """One solver's results by key, least recently used first, within
+    ``MEMO_SIZE`` entries and ``MEMO_BYTES`` bytes of keys and results."""
+
+    __slots__ = ("entries", "nbytes")
+
+    def __init__(self):
+        # key -> (result, the bytes of key and result)
+        self.entries = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key):
+        held = self.entries.get(key)
+        if held is None:
+            return None
+        self.entries.move_to_end(key)
+        return held[0]
+
+    def put(self, key, out):
+        """Hold out, read-only, under a key it does not hold yet."""
+        size = len(key[2])
+        for a in out:
+            a.setflags(write=False)
+            size += a.nbytes
+        self.nbytes += size
+        self.entries[key] = out, size
+        while len(self.entries) > MEMO_SIZE or self.nbytes > MEMO_BYTES:
+            self.nbytes -= self.entries.popitem(last=False)[1][1]
+
+
+def _new_memos() -> dict:
+    return {"eigh": _Memo(), "svd": _Memo()}
+
+
+def _memos() -> dict:
+    """This thread's memos, made on its first solve."""
+    try:
+        return _LOCAL.memos
+    except AttributeError:
+        _LOCAL.memos = memos = _new_memos()
+        return memos
+
+
 @contextmanager
 def _eigh_memo():
-    """Remember each solver's last ``MEMO_SIZE`` results within this block."""
-    token = _MEMO.set({"eigh": OrderedDict(), "svd": OrderedDict()})
+    """Fresh memos for this block; the thread's own come back after it."""
+    outer = _memos()
+    _LOCAL.memos = _new_memos()
     try:
         yield
     finally:
-        _MEMO.reset(token)
+        _LOCAL.memos = outer
 
 
 def _lapack(solver: str, M: np.ndarray):
-    """``np.linalg.<solver>(M)``, ``"eigh"`` or ``"svd"``, for a complex ndarray, through
-    its memo; an ``eigh`` at n <= 2 is ``_small_eigh``'s closed form."""
-    memos = _MEMO.get()
-    if memos is not None:
-        memo = memos[solver]
-        key = (M.shape, M.dtype.str, M.tobytes())
-        out = memo.get(key)
-        if out is not None:
-            memo.move_to_end(key)
-            return out
-    if solver == "eigh" and M.shape[-1] <= 2:
-        out = _small_eigh(M)
-    else:
+    """``np.linalg.<solver>(M)``, ``"eigh"`` or ``"svd"``, for a complex ndarray,
+    through the thread's memo; an ``eigh`` at n <= 2 is ``_small_eigh``'s
+    closed form, which the memo holds for a stack only."""
+    small = solver == "eigh" and M.shape[-1] <= 2
+    if small and M.ndim == 2:
+        return _small_eigh(M)
+    memo = _memos()[solver]
+    key = (M.shape, M.dtype.char, M.tobytes())
+    out = memo.get(key)
+    if out is None:
         try:
-            out = getattr(np.linalg, solver)(M)
+            out = _small_eigh(M) if small else getattr(np.linalg, solver)(M)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(str(exc)) from exc
-    if memos is not None:
-        for a in out:
-            a.flags.writeable = False
-        memo[key] = out
-        if len(memo) > MEMO_SIZE:
-            memo.popitem(last=False)
+        memo.put(key, out)
     return out
 
 
@@ -474,7 +531,8 @@ def eigh(H) -> SpectralDecomposition:
         n >= 3.  At n <= 2 the decomposition is made in closed form, without
         LAPACK: a stack then carries the phase convention too, and gives the
         single calls' results bit for bit.  ``min_eig`` and ``norm`` read
-        the eigenvalues of this same decomposition.
+        the eigenvalues of this same decomposition.  The arrays are the
+        caller's own: writing into them changes no later result.
 
     Raises
     ------
@@ -486,7 +544,14 @@ def eigh(H) -> SpectralDecomposition:
     NoConvergence
         If LAPACK's iteration fails (n >= 3).
     """
-    return _eigh(require_hermitian(H))
+    return _owned(_eigh(require_hermitian(H)))
+
+
+def _owned(dec: SpectralDecomposition) -> SpectralDecomposition:
+    """dec with arrays the caller may write: a memo's read-only ones are copied."""
+    w, V = dec
+    return SpectralDecomposition(w if w.flags.writeable else w.copy(),
+                                 V if V.flags.writeable else V.copy())
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
@@ -508,7 +573,7 @@ def pd_eigh(A) -> SpectralDecomposition:
     magnitude.  (Matrices at extreme overall scales arise legitimately as
     powers of curve points; an absolute floor would misclassify them.)
     """
-    return _pd_eigh(require_hermitian(A))
+    return _owned(_pd_eigh(require_hermitian(A)))
 
 
 def is_positive_definite(A) -> bool:
@@ -606,21 +671,21 @@ def powm(A, t: float) -> np.ndarray:
 
 
 def sqrtm(A) -> np.ndarray:
-    return _powm(pd_eigh(A), 0.5)
+    return _powm(_pd_eigh(require_hermitian(A)), 0.5)
 
 
 def invm(A) -> np.ndarray:
-    return _powm(pd_eigh(A), -1.0)
+    return _powm(_pd_eigh(require_hermitian(A)), -1.0)
 
 
 def logm(A) -> np.ndarray:
     """Principal logarithm of a positive definite matrix (Hermitian result)."""
-    return _logm(pd_eigh(A))
+    return _logm(_pd_eigh(require_hermitian(A)))
 
 
 def expm(H) -> np.ndarray:
     """exp of a Hermitian matrix (positive definite result, else NotFinite)."""
-    dec = eigh(H)
+    dec = _eigh(require_hermitian(H))
     with np.errstate(over="ignore"):
         fw = np.exp(dec.eigenvalues)
     return _apply(dec, _finite_positive(fw))

@@ -4,8 +4,9 @@ Each registered property verifies one statement (or a small family sharing a
 source anchor) over seeded random samples.  Its runner yields violation
 values; ``run_property`` reduces all of them at once to the record's worst
 violation, which a NaN among them turns into NaN, failing the record.  It
-runs the runner inside the kernel's eigensolve memo, so a stack the property
-decomposes twice is solved once.  The campaign requires every canonical
+runs the runner inside a fresh eigensolve memo of the kernel's, so a stack
+the property decomposes twice is solved once, and what the property solves
+does not depend on what ran before it.  The campaign requires every canonical
 anchor to be covered; a missing anchor is a structural failure of the
 harness itself, independent of any numerical outcome.
 """
@@ -240,7 +241,7 @@ def _drain(runner) -> tuple[float, Outcome]:
 
 
 def run_property(spec: PropertySpec, config) -> PropertyRecord:
-    """Run one property's trials into its record, with the eigensolve memo on."""
+    """Run one property's trials into its record, in a fresh eigensolve memo."""
     with _eigh_memo():
         worst, out = _drain(spec.runner(Trials(config.seed, config.trials, config.dims,
                                                config.cond_cap, spec.threshold,

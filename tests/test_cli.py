@@ -17,6 +17,7 @@ from gyromean.matrixio import (
 )
 from gyromean.means import geo_mean, spectral_mean
 from gyromean.metrics import distance
+from gyromean.randgen import gen_random_pd, substream
 
 
 @pytest.fixture()
@@ -137,6 +138,33 @@ def test_geodesic_density(tmp_path, capsys):
     assert main(["geodesic", "--kind", "gyroline", "--a", str(pr),
                  "--b", str(pr)[:-5] + "x.json", "--samples", "2",
                  "--space", "density"]) == 2
+
+
+@pytest.mark.parametrize("kind, solves", [("gyroline", {"eigh": 3, "svd": 0}),
+                                           ("cogyroline", {"eigh": 3, "svd": 1})])
+def test_a_density_geodesic_solves_its_pair_once(kind, solves, tmp_path, capsys,
+                                                 monkeypatch):
+    # the pre-check's spectra of rho and sigma are the ones every point reads,
+    # and the whitened step (gyroline) or A^{-1} # B and its polar factor
+    # (cogyroline) are the same at every t
+    rng = substream(227, "cli-density-geodesic")
+    paths = []
+    for name in ("rho", "sigma"):
+        A = gen_random_pd(rng, 3)
+        paths.append(tmp_path / f"{name}.json")
+        save_matrix(paths[-1], A / np.trace(A).real)
+    counts = {"eigh": 0, "svd": 0}
+    for solver in counts:
+        solve = getattr(np.linalg, solver)
+
+        def counted(M, solver=solver, solve=solve):
+            counts[solver] += 1
+            return solve(M)
+        monkeypatch.setattr(np.linalg, solver, counted)
+    assert main(["geodesic", "--kind", kind, "--a", str(paths[0]), "--b", str(paths[1]),
+                 "--samples", "9", "--space", "density"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 9
+    assert counts == solves
 
 
 def test_geodesic_rejects_bad_samples(matrices):

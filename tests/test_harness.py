@@ -1,14 +1,13 @@
 """Random generation, campaign determinism, reports, counterexamples."""
 
 import collections
-import contextlib
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from gyromean import closedform2x2, gyrocone, properties, registry
+from gyromean import closedform2x2, gyrocone, kernel, properties, registry
 from gyromean.harness import (
     CampaignConfig,
     Report,
@@ -250,9 +249,15 @@ def test_each_property_alone_gives_its_campaign_record_and_threshold():
 
 
 def test_the_eigensolve_memo_changes_no_record(monkeypatch):
+    solves = []
+    solve = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: solves.append(M.shape) or solve(M))
     with_memo = [run_property(spec, SMALL) for spec in all_properties()]
-    monkeypatch.setattr(registry, "_eigh_memo", contextlib.nullcontext)
+    held = len(solves)
+    # a memo of no entries keeps nothing, so every solve is made anew
+    monkeypatch.setattr(kernel, "MEMO_SIZE", 0)
     assert [run_property(spec, SMALL) for spec in all_properties()] == with_memo
+    assert len(solves) - held > held
 
 
 def test_a_property_decomposes_each_stack_once(monkeypatch):

@@ -357,21 +357,27 @@ def test_the_memo_decomposes_a_stack_once_and_shares_it_read_only(monkeypatch):
         first = pd_eigh(A)
         again = pd_eigh(A.copy())
         assert len(solves) == 1
-        for name in ("eigenvalues", "vectors"):
-            assert getattr(again, name) is getattr(first, name)
-            with pytest.raises(ValueError):
-                getattr(again, name)[0, 0] = 1.0
+        # the memo's arrays are read-only, and a caller gets copies of them
+        ((held, _),) = kernel._memos()["eigh"].entries.values()
+        for name, stored in zip(("eigenvalues", "vectors"), held):
+            assert not stored.flags.writeable
+            for dec in (first, again):
+                assert not np.shares_memory(getattr(dec, name), stored)
+                assert np.array_equal(getattr(dec, name), stored)
         polar_unitary(A)
         polar_unitary(A)
         assert (len(solves), len(factorizations)) == (1, 1)
-    assert kernel._MEMO.get() is None
+    # after the block the thread's own memo is back, without the block's entries
+    assert not kernel._memos()["eigh"].entries
     bare = pd_eigh(A)
     pd_eigh(A)
-    assert (len(solves), len(factorizations)) == (3, 1)
+    assert (len(solves), len(factorizations)) == (2, 1)
     # a hit is what LAPACK gives, bit for bit
     assert np.array_equal(bare.eigenvalues, first.eigenvalues)
     assert np.array_equal(bare.vectors, first.vectors)
-    bare.vectors[0, 0] = 1.0  # outside the memo nothing is shared
+    bare.vectors[0, 0] = 1.0
+    assert np.array_equal(pd_eigh(A).vectors, first.vectors)
+    assert len(solves) == 2
 
 
 def test_a_spectrum_read_hits_the_memos_decomposition(monkeypatch):
@@ -420,7 +426,7 @@ def test_the_memo_holds_at_most_its_size_least_recently_used_first(monkeypatch):
             eigh(A)
             if k == MEMO_SIZE - 1:
                 eigh(stacks[0])  # a hit makes it the most recent
-            assert len(kernel._MEMO.get()["eigh"]) <= MEMO_SIZE
+            assert len(kernel._memos()["eigh"].entries) <= MEMO_SIZE
         assert len(solves) == len(stacks)
         eigh(stacks[0])
         assert len(solves) == len(stacks)

@@ -197,8 +197,11 @@ def test_the_1x1_fixtures_of_a_property_solve_nothing(monkeypatch):
 
 
 def test_a_3x3_matrix_still_takes_lapack_and_the_phase_fix(monkeypatch):
-    A = gen_random_pd(substream(221, "small-eigh-calls", 3), 3)
+    rng = substream(221, "small-eigh-calls", 3)
+    A, B = gen_random_pd(rng, 3), gen_random_pd(rng, 3)
     calls = _count_calls(monkeypatch)
     eigh(A)
-    min_eig(A)  # a spectrum read alone is an eigh too, with no phase fix
-    assert calls == ["eigh", "_fix_phases", "eigh"]
+    min_eig(A)  # a spectrum read alone is the eigenvalue half of the same eigh
+    assert calls == ["eigh", "_fix_phases"]
+    min_eig(B)  # and takes no phase fix
+    assert calls[2:] == ["eigh"]

@@ -150,6 +150,6 @@ def test_a_closed_form_polar_factor_takes_no_memo_entry():
     with _eigh_memo():
         polar_unitary(M)
         polar_unitary(np.array([M, M]))
-        assert len(kernel._MEMO.get()["svd"]) == 0
+        assert len(kernel._memos()["svd"].entries) == 0
         polar_unitary(np.eye(3))
-        assert len(kernel._MEMO.get()["svd"]) == 1
+        assert len(kernel._memos()["svd"].entries) == 1
