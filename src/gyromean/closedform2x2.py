@@ -33,6 +33,7 @@ from .ball import (
 )
 from .kernel import (
     _any,
+    _frame,
     _item,
     _pd_eigh,
     _pd_eigvals,
@@ -41,14 +42,17 @@ from .kernel import (
     _powm,
     _require_finite,
     _sandwich,
+    _times_exp2,
     _top_eig,
     _trace,
+    _unscale,
+    _unscale_values,
     as_stack,
     hermitian_part,
     require_hermitian,
-    pd_eigh,
     powm,
     require_same_dim,
+    require_weight,
 )
 from .metrics import sup_ratio
 
@@ -94,8 +98,10 @@ def det2(X):
 
 def _require_unit_det(A) -> np.ndarray:
     M = _require_2x2(A)
-    d = det2(M).real
-    bad = np.abs(d - 1.0) >= UNIT_DET_TOL
+    # an overflowed or underflowed determinant differs from 1 as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = det2(M).real
+    bad = ~(np.abs(d - 1.0) < UNIT_DET_TOL)
     if _any(bad):
         raise NotUnitDeterminant(
             _item(bad) + f"determinant {float(np.asarray(d)[bad][0])!r} differs from 1")
@@ -133,21 +139,28 @@ def sgm2(A, B, t) -> np.ndarray:
     Am = _require_2x2(A)
     Bm = _require_2x2(B)
     require_same_dim(Am, Bm)
-    dec_a = pd_eigh(Am)
-    _pd_eigvals(require_hermitian(Bm))
+    w = require_weight(t, Am)
+    (Am, Bm), e = _frame(require_hermitian(Am), require_hermitian(Bm))
+    dec_a = _pd_eigh(Am)
+    _pd_eigvals(Bm)
     ab = np.sqrt(det2(Am).real) * np.sqrt(det2(Bm).real)
     bracket = _per(ab) * _powm(dec_a, -1.0) + Bm
     Mt = powm(hermitian_part(bracket), t)
-    return _sandwich(Mt, Am) / _per((2.0 * ab + _trace(Am @ Bm)) ** t)
+    P = _sandwich(Mt, Am) / _per((2.0 * ab + _trace(Am @ Bm)) ** t)
+    return _unscale(P, e, 1.0 - w, w)
 
 
 def det_shift_identity(c, X):
     """|det(cI + X) - (c^2 + c tr X + det X)| for a 2x2 matrix X."""
     M = _require_finite(_require_2x2(X))
-    _require_finite(c, "shift c is not finite", axes=())
+    c = _require_finite(np.asarray(c, dtype=float), "shift c is not finite", axes=())
+    # of degree 2 in a common scale of c and X: made where the larger of |c|
+    # and X's largest |entry| lies in [1/2, 1), so that nothing overflows
+    k = np.frexp(np.maximum(np.abs(c), np.abs(M).max(axis=(-2, -1))))[1]
+    c, M = _times_exp2(c, -k), _times_exp2(M, -k[..., None, None])
     lhs = det2(_per(c) * np.eye(2) + M)
     rhs = c**2 + c * np.trace(M, axis1=-2, axis2=-1) + det2(M)
-    return _per_item(np.abs(lhs - rhs))
+    return _per_item(_unscale_values(np.abs(lhs - rhs)[..., None], 2 * k[..., None])[..., 0])
 
 
 def _qubit_mean_eigenvalues(a, b, ga, gb):

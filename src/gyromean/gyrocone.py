@@ -18,25 +18,25 @@ import numpy as np
 
 from .kernel import (
     SpectralDecomposition,
+    _frame,
     _frobenius,
     _pd_eigh,
     _pd_eigvals,
     _polar_unitary,
-    _positive_diagonal,
     _powm,
     _sandwich,
     _unscale,
     powm,
     require_hermitians,
 )
-from .means import _balanced, _polar_mean, geo_mean, spectral_mean
+from .means import _polar_mean, geo_mean, spectral_mean
 
 
 def cone_add(A, B) -> np.ndarray:
     """A (+) B = A^{1/2} B A^{1/2}; NotFinite where it leaves the doubles."""
-    Am, Bm = require_hermitians(A, B)
+    (Am, Bm), e = _frame(*require_hermitians(A, B))
     _pd_eigvals(Bm)
-    return _positive_diagonal(_sandwich(_powm(_pd_eigh(Am), 0.5), Bm))
+    return _unscale(_sandwich(_powm(_pd_eigh(Am), 0.5), Bm), e, 1, 1)
 
 
 def cone_scalar(t: float, A) -> np.ndarray:
@@ -61,35 +61,24 @@ def gyration_unitary(A, B) -> np.ndarray:
     The unitary polar factor of A^{1/2} B^{1/2}, so that
     A^{1/2} B^{1/2} = (A (+) B)^{1/2} U(A, B).
     """
-    Am, Bm = require_hermitians(A, B)
+    (Am, Bm), _ = _frame(*require_hermitians(A, B))
     return _gyration_unitary(_pd_eigh(Am), _pd_eigh(Bm))
 
 
 def gyration(A, B, X) -> np.ndarray:
     """gyr[A, B] X = U(A, B) X U(A, B)^{-1}; preserves positive definiteness."""
-    Am, Bm, Xm = require_hermitians(A, B, X)
+    (Am, Bm, Xm), e = _frame(*require_hermitians(A, B, X))
     _pd_eigvals(Xm)
     U = _gyration_unitary(_pd_eigh(Am), _pd_eigh(Bm))
-    return _sandwich(U, Xm, U.conj().mT)
-
-
-def _squared_mean(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
-    """(A # B)^2, from A's decomposition and a validated B."""
-    S = _polar_mean(_powm(dec_a, 0.5), _pd_eigh(Bm))
-    return _sandwich(S, np.eye(S.shape[-1]))
+    return _unscale(_sandwich(U, Xm, U.conj().mT), e, 0, 0, 1)
 
 
 def cooperation(A, B) -> np.ndarray:
     """A [+] B = A (+) gyr[A, (-)B] B, commutative; NotFinite where it leaves the doubles."""
-    Am, Bm = require_hermitians(A, B)
+    (Am, Bm), e = _frame(*require_hermitians(A, B))
     # A [+] B = (A # B)^2
-    P, jk = _balanced(_squared_mean, _pd_eigh(Am), Bm)
-    if jk is None:
-        return _positive_diagonal(P)
-    # (2**-j A) # (2**-k B) = 2**(-(j + k)/2) A # B, so its square scales
-    # back by 2**(j + k)
-    j, k = jk
-    return _unscale(P, j + k)
+    S = _polar_mean(_powm(_pd_eigh(Am), 0.5), _pd_eigh(Bm))
+    return _unscale(_sandwich(S, np.eye(S.shape[-1])), e, 1, 1)
 
 
 def gyroline(t: float, A, B) -> np.ndarray:

@@ -14,13 +14,14 @@ import numpy as np
 
 from .errors import GyromeanError, NotDensity
 from .kernel import (
+    _decomposed,
     _frobenius,
     _hermitian,
     _item,
+    _lapack,
     _per,
-    _pd_eigh,
-    _pd_eigvals,
     _powm,
+    _require_pd,
     _sandwich,
     _trace,
     as_stack,
@@ -35,15 +36,22 @@ TRACE_TOL = 1e-10
 
 def require_density(rho) -> np.ndarray:
     """Validate an invertible density matrix (PD Hermitian, trace one); return
-    it as a complex ndarray.
+    it as a complex ndarray."""
+    return _density(rho)[0]
 
-    The test reads the eigenvalues.  A caller that needs the decomposition
-    takes ``_pd_eigh`` of the result, which at n >= 3 reads the solve this
-    test left in the memo.
+
+def _density(rho):
+    """``require_density``'s result and the eigensolve its test reads.
+
+    The test reads the eigenvalues alone.  An operation that decomposes the
+    density takes ``_decomposed`` of the solve, so that a 1x1 or 2x2 matrix,
+    which the memo does not hold, is not solved again, and a density that
+    is only checked pays no phase fix.
     """
     M = as_stack(rho)
     try:
-        _pd_eigvals(_hermitian(M))
+        solved = _lapack("eigh", _hermitian(M))
+        _require_pd(solved[0])
     except GyromeanError as exc:
         raise NotDensity(str(exc)) from exc
     trace = _trace(M)
@@ -51,7 +59,7 @@ def require_density(rho) -> np.ndarray:
     if bad.any():
         raise NotDensity(
             _item(bad) + f"trace {float(trace[bad][0])!r} differs from 1 beyond tolerance")
-    return M
+    return M, solved
 
 
 def normalize_to_density(A) -> np.ndarray:
@@ -62,16 +70,16 @@ def normalize_to_density(A) -> np.ndarray:
 
 def dens_add(rho, sigma) -> np.ndarray:
     """rho (*) sigma = rho^{1/2} sigma rho^{1/2} / tr(rho sigma)."""
-    r, s = require_density(rho), require_density(sigma)
+    (r, solved), (s, _) = _density(rho), _density(sigma)
     require_same_dim(r, s)
-    root = _powm(_pd_eigh(r), 0.5)
+    root = _powm(_decomposed(solved), 0.5)
     return normalize_to_density(_sandwich(root, s))
 
 
 def dens_scalar(t: float, rho) -> np.ndarray:
     """t (*) rho = rho^t / tr(rho^t)."""
-    r = require_density(rho)
-    return normalize_to_density(_powm(_pd_eigh(r), require_weight(t, r)))
+    r, solved = _density(rho)
+    return normalize_to_density(_powm(_decomposed(solved), require_weight(t, r)))
 
 
 def dens_neg(rho) -> np.ndarray:
@@ -89,26 +97,27 @@ def dens_gyration(rho, sigma, tau) -> np.ndarray:
     Unitary conjugation preserves the trace, so the cone gyration descends
     to the trace-normalized carrier unchanged.
     """
-    r, s, x = require_density(rho), require_density(sigma), require_density(tau)
+    (r, solved_r), (s, solved_s), (x, _) = _density(rho), _density(sigma), _density(tau)
     require_same_dim(r, s, x)
-    U = _gyration_unitary(_pd_eigh(r), _pd_eigh(s))
+    U = _gyration_unitary(_decomposed(solved_r), _decomposed(solved_s))
     return _sandwich(U, x, U.conj().mT)
 
 
 def dens_gyroline(t: float, rho, sigma) -> np.ndarray:
     """L(t; rho, sigma): the trace-normalized weighted geometric mean."""
-    r, s = require_density(rho), require_density(sigma)
+    (r, solved), (s, _) = _density(rho), _density(sigma)
     require_same_dim(r, s)
     t = require_weight(t, r)
-    return normalize_to_density(_geo_mean(_pd_eigh(r), s, t))
+    return normalize_to_density(_geo_mean(_decomposed(solved), s, t))
 
 
 def dens_cogyroline(t: float, rho, sigma) -> np.ndarray:
     """Lc(t; rho, sigma): the trace-normalized weighted spectral mean."""
-    r, s = require_density(rho), require_density(sigma)
+    (r, solved_r), (s, solved_s) = _density(rho), _density(sigma)
     require_same_dim(r, s)
     t = require_weight(t, r)
-    return normalize_to_density(_sandwich(_spectral_power(_pd_eigh(r), s, t), r))
+    dec_r, dec_s = _decomposed(solved_r), _decomposed(solved_s)
+    return normalize_to_density(_sandwich(_spectral_power(dec_r, dec_s, t), r))
 
 
 def density_model(dim: int):

@@ -18,6 +18,29 @@ Tolerances are the constants ``HERMITICITY_TOL``, ``PD_TOL`` and
 ``LOEWNER_TOL``, read where their test is made; only ``loewner_compare``
 takes its slack per call.
 
+Scale.  Every operation the package defines is homogeneous, with degrees
+known in advance (Bhatia, *Positive Definite Matrices*, 2007, ch. 4):
+A #_t B and the spectral mean have degrees (1 - t, t) in (A, B), A (+) B
+and the cooperation (1, 1), t (.) A = A^t has degree t, a gyration
+(0, 0, 1) in (A, B, X) and the congruence S X S* 2 in S and 1 in X; the
+distances, ``sup_ratio`` and ``logm`` shift by a known log term.  So one
+frame serves the public surface.  On entry, ``_frame`` writes each item of
+each operand as 2**e M, with M's largest |entry| in [1/2, 1), except
+where its largest |entry| already lies in [2**-128, 2**128]: that item
+keeps e = 0 and its bits.  The private primitives compute at that scale,
+where no intermediate of operands with kappa <= 1/PD_TOL leaves the ranges
+that the closed forms at n <= 2 need, and ``_unscale`` scales the result
+back once, by its degrees.  It is the one exit: NotFinite where the result
+overflows, where a diagonal entry of a positive definite result underflows
+to 0, or where an entry that is significant at unit scale (above u times
+the largest) comes out subnormal (0, where an operand of the item was
+subnormal itself).  Eigenvalues, norms and ratios leave through its scalar
+twin ``_unscale_values``, NotFinite where one leaves the finite doubles.
+The exceptions are explicit: ``expm``, which is not homogeneous; powers and
+curve points far out on a curve, where kappa**t itself leaves the doubles
+(``_finite_positive``); and ``_sandwich``'s overflow test, which the
+density operations need, since no frame scales a density.
+
 Stacks.  The primitives, and every public function built on them that says
 so, also take a stack of matrices, shape (..., n, n), and act on each item:
 a stack of k operand sets gives what k single calls give, and a stack with
@@ -25,41 +48,25 @@ one bad item raises the named error the single call on that item raises.
 A curve parameter may then be one float or an array of the stack's leading
 shape, one weight per item.  One matrix takes the stack's code, with three
 forks that stay because they pay:
-- ``_require_pd`` tests one spectrum on Python floats: 0.6 against 4.2 us
-  a call, and the stack's test cost the ``ops-n2`` benchmark 2.1%;
+- ``_require_pd`` tests one spectrum on Python floats, which costs a
+  fraction of the stack's test;
 - ``_powm`` skips the errstate and the overflow guard, on Python floats,
   when each w**t of one matrix lies within e**+-708;
 - ``_eigh`` fixes one matrix's eigenvector phases at n >= 3, as ``eigh``
   promises.  A spectral function V f(w) V* does not depend on them, but
   dropping the fix changes the bits of every single-matrix result.  It
   runs on each ``_eigh`` of one matrix, a memo hit included, and costs
-  more than the solve it follows (about 34 against 14 us at n = 8).  Kept
-  only in the public ``eigh`` and ``pd_eigh``, the fix left the 70 calls
-  of an ``ops-n8-illcond`` round, whose ``wall_s`` fell from 6.51/6.55 to
-  3.66/3.67 ms (two 30 s pairs, one BLAS thread).  Kept in the memo
-  entry, so that each matrix is fixed once, 41 of the 70 went, and the
-  standing memo took ``wall_s`` from 6.41 to 4.33 ms, where without it
-  the memo takes it from 6.42 to 5.83 ms (10 pairs each).  But the
-  benchmark keeps data per completed round, so its rounds rose with the
-  speed, by 48% in the second case, and ``peak_rss_mb`` past its 10%
-  bound, from 53.3 to 60.2 MB.  The fix stays as it is until that peak
-  stops growing with throughput.
+  more than the solve it follows; it stays there until the benchmark's
+  peak memory stops growing with throughput (CHANGES.md).
 
 Closed form at n <= 2.  Neither LAPACK nor the phase fix runs on a 1x1 or
 2x2 matrix or stack: ``_small_eigh`` gives w = H_00 and V = 1 at n = 1, and
 at n = 2 the rotation of LAPACK's own 2x2 kernel ``dlaev2``, which is what
-LAPACK reduces a 2x2 to.  One matrix runs it on Python floats: 3.6 against
-15.3 us for LAPACK's ``eigh`` and the phase fix (best of 7 timeit repeats,
-one BLAS thread, a 2-core x86 machine).  A stack runs the same lines
-elementwise on arrays in about LAPACK's time (50 items: 47 against 45 us),
-so its items are the single calls' results bit for bit, phase convention
-included.  Nor does an SVD run for the unitary polar factor at n <= 2:
+LAPACK reduces a 2x2 to.  Nor does an SVD run for the unitary polar factor:
 ``_small_polar`` gives U = m/|m| at n = 1 and U = (M + p adj(M)*)/(s1 + s2),
-p = det M/|det M|, at n = 2.  One matrix runs it on Python floats: 5.6
-against 17.7 us for the SVD route (``svd``, its singularity test and
-W Vh).  A stack runs the same lines on arrays, 82 against 159 us for 50
-items, and its items are again the single calls' results bit for bit
-(best of 10 alternating processes, each the best of 7 timeit repeats).
+p = det M/|det M|, at n = 2.  One matrix runs each on Python floats, and a
+stack the same lines elementwise on arrays, so its items are the single
+calls' results bit for bit, phase convention included.
 
 Memo.  Each thread has one standing memo, made on its first solve.  In it
 each solver (``eigh``, and the ``svd`` behind the polar factor) remembers
@@ -188,18 +195,8 @@ def _per_item(x):
 
 
 def _frobenius(M: np.ndarray):
-    """Frobenius norm of a matrix, or of each item of a stack; an item whose
-    norm leaves [2**-450, 2**450], where its squares may over- or underflow,
-    is scaled by a power of two to a largest |entry| in [1/2, 1) and back."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = np.linalg.norm(M, axis=(-2, -1))
-        # pass first: the stack's extremes bound each item's norm
-        if not f.size or _SAFE_LO <= f.min() and f.max() <= _SAFE_HI:
-            return _per_item(f)
-        mag = np.abs(M)
-        k = np.frexp(mag.max(axis=(-2, -1)))[1]
-        scaled = np.ldexp(np.linalg.norm(np.ldexp(mag, _per(-k)), axis=(-2, -1)), k)
-    return _per_item(np.where((_SAFE_LO <= f) & (f <= _SAFE_HI), f, scaled))
+    """Frobenius norm of a matrix, or of each item of a stack."""
+    return _per_item(np.linalg.norm(M, axis=(-2, -1)))
 
 
 def _trace(M: np.ndarray) -> np.ndarray:
@@ -372,7 +369,7 @@ def _rotation(a, d, br, bi, sqrt):
 
     The eigenvectors are those of LAPACK's ``dlaev2`` rotation of the real
     [[a, |b|], [|b|, d]], with b's phase b/|b| put back; its entry 2|b|h/c
-    becomes 2bh/c, so |b| itself is never formed.  The caller keeps the
+    becomes 2bh/c, so |b| itself is never formed.  The frame keeps the
     entries inside [2**-450, 2**450] in modulus (or 0), so that no square or
     product of them overflows and none that matters to u ||H|| underflows,
     which lets the squares stand where ``dlaev2`` guards with ratios.
@@ -415,16 +412,6 @@ def _rotation(a, d, br, bi, sqrt):
     return lo, hi, x - y, yi, v + u, ui, v - u, ui, x + y, yi
 
 
-# a 2x2 item whose largest |entry| leaves [2**-450, 2**450] is scaled by a
-# power of two into [1/2, 1) for the rotation, as LAPACK scales; 0 is left
-_SAFE_LO, _SAFE_HI = 2.0**-450, 2.0**450
-
-
-def _ldexp(x: float, k: int) -> float:
-    """x 2**k with one rounding, as ``np.ldexp``; inf, not OverflowError, past the doubles."""
-    return x * 2.0**(k // 2) * 2.0**(k - k // 2)
-
-
 def _small_eigh(M: np.ndarray):
     """``eigh`` of a 1x1 or 2x2 Hermitian matrix or stack, in closed form.
     The eigenvectors carry ``eigh``'s phase convention, and a stack's items
@@ -433,30 +420,14 @@ def _small_eigh(M: np.ndarray):
         return M[..., 0].real.copy(), np.ones(M.shape, dtype=complex)
     if M.ndim == 2:
         (h00, _), (h10, h11) = M.tolist()
-        a, d, br, bi = h00.real, h11.real, h10.real, h10.imag
-        peak = max(abs(a), abs(d), abs(br), abs(bi))
-        k = 0 if _SAFE_LO <= peak <= _SAFE_HI else math.frexp(peak)[1]
-        if k:
-            a, d, br, bi = (_ldexp(x, -k) for x in (a, d, br, bi))
-        out = _rotation(a, d, br, bi, math.sqrt)
-        w = np.array([_ldexp(out[0], k), _ldexp(out[1], k)] if k else out[:2])
-        return w, np.array(out[2:]).view(complex).reshape(2, 2)
-    a, d, b = M[..., 0, 0].real, M[..., 1, 1].real, M[..., 1, 0]
-    br, bi = b.real, b.imag
-    peak = np.abs(np.stack((a, d, br, bi))).max(axis=0)
-    # pass first: the stack's extremes bound each item's peak, and they are
-    # finite when they pass
-    if not peak.size or _SAFE_LO <= peak.min() and peak.max() <= _SAFE_HI:
-        out = _rotation(a, d, br, bi, np.sqrt)
-        w = np.stack(out[:2], axis=-1)
-    else:
-        k = np.where((_SAFE_LO <= peak) & (peak <= _SAFE_HI), 0, np.frexp(peak)[1])
-        # a non-finite item, which only an overflowed intermediate brings
-        # here, makes NaN as the single call does, without a warning
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = _rotation(*(np.ldexp(x, -k) for x in (a, d, br, bi)), np.sqrt)
-            w = np.ldexp(np.stack(out[:2], axis=-1), k[..., None])
-    return w, np.stack(out[2:], axis=-1).view(complex).reshape(M.shape)
+        out = _rotation(h00.real, h11.real, h10.real, h10.imag, math.sqrt)
+        return np.array(out[:2]), np.array(out[2:]).view(complex).reshape(2, 2)
+    b = M[..., 1, 0]
+    # a non-finite item, which only an overflowed intermediate brings here,
+    # makes NaN as the single call does, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = _rotation(M[..., 0, 0].real, M[..., 1, 1].real, b.real, b.imag, np.sqrt)
+    return np.stack(out[:2], axis=-1), np.stack(out[2:], axis=-1).view(complex).reshape(M.shape)
 
 
 def _eigvalsh(M: np.ndarray) -> np.ndarray:
@@ -470,7 +441,13 @@ def _eigh(M: np.ndarray) -> SpectralDecomposition:
     A single matrix, and at n <= 2 a stack too, gets the phase convention of
     ``eigh``; a larger stack keeps LAPACK's phases.
     """
-    w, V = _lapack("eigh", M)
+    return _decomposed(_lapack("eigh", M))
+
+
+def _decomposed(solved) -> SpectralDecomposition:
+    """``_eigh`` of M from ``_lapack("eigh", M)``, for a caller that has
+    read the spectrum alone first."""
+    w, V = solved
     return SpectralDecomposition(w, _fix_phases(V) if V.ndim == 2 and len(V) > 2 else V)
 
 
@@ -544,12 +521,15 @@ def eigh(H) -> SpectralDecomposition:
     NoConvergence
         If LAPACK's iteration fails (n >= 3).
     """
-    return _owned(_eigh(require_hermitian(H)))
+    return _framed_eigh(require_hermitian(H), _eigh)
 
 
-def _owned(dec: SpectralDecomposition) -> SpectralDecomposition:
-    """dec with arrays the caller may write: a memo's read-only ones are copied."""
-    w, V = dec
+def _framed_eigh(H: np.ndarray, solve) -> SpectralDecomposition:
+    """solve(H) made at H's unit scale, with arrays the caller may write: a
+    memo's read-only ones are copied."""
+    (M,), e = _frame(H)
+    w, V = solve(M)
+    w = _unscale_values(w, _degree(e, 1))
     return SpectralDecomposition(w if w.flags.writeable else w.copy(),
                                  V if V.flags.writeable else V.copy())
 
@@ -573,12 +553,12 @@ def pd_eigh(A) -> SpectralDecomposition:
     magnitude.  (Matrices at extreme overall scales arise legitimately as
     powers of curve points; an absolute floor would misclassify them.)
     """
-    return _owned(_pd_eigh(require_hermitian(A)))
+    return _framed_eigh(require_hermitian(A), _pd_eigh)
 
 
 def is_positive_definite(A) -> bool:
     try:
-        _pd_eigvals(require_hermitian(A))
+        _pd_eigvals(_frame(require_hermitian(A))[0][0])
     except (NotPositiveDefinite, NotHermitian, NotFinite):
         return False
     return True
@@ -586,7 +566,8 @@ def is_positive_definite(A) -> bool:
 
 def min_eig(H):
     """Smallest eigenvalue of a Hermitian matrix (one per item for a stack)."""
-    return _per_item(_eigvalsh(require_hermitian(H))[..., 0])
+    (M,), e = _frame(require_hermitian(H))
+    return _per_item(_unscale_values(_eigvalsh(M), _degree(e, 1))[..., 0])
 
 
 def _spectral(dec: SpectralDecomposition, fw: np.ndarray) -> np.ndarray:
@@ -634,60 +615,160 @@ def _sandwich(S: np.ndarray, X: np.ndarray, S_adj: np.ndarray | None = None) -> 
     return _require_finite(P, "the result overflows the double range")
 
 
-def _positive_diagonal(P: np.ndarray) -> np.ndarray:
-    """P, positive definite in exact arithmetic, once each item's diagonal
-    lies in the finite positive doubles; else NotFinite, which only an
-    overflow or an underflow to 0 brings about."""
-    d = P.diagonal(0, -2, -1).real
-    bad = ~((0 < d) & (d < np.inf)).all(axis=-1)
-    if _any(bad):
-        raise NotFinite(_item(bad) + "a diagonal entry leaves the finite positive doubles")
-    return P
+# the frame's window: an operand whose largest |entry| lies in it is used as
+# given.  With kappa <= 1/PD_TOL, every intermediate of such operands stays
+# inside [2**-450, 2**450] (A^{-1/2} B A^{-1/2} reaches 2**(2*128 + 36)),
+# where ``_rotation``'s squares neither overflow nor underflow to where they
+# matter, and every polar factor's operand inside [2**-225, 2**225]
+# (A^{-1/2} B^{-1/2} reaches 2**(128 + 35)), as ``_polar_terms`` needs
+_FRAME_LO, _FRAME_HI = 2.0**-128, 2.0**128
+# a result whose largest entry is at least this has no significant entry
+# (above u times the largest) below the smallest normal double
+_NORMAL_TOP = 2.0**-969
+_LOG2 = math.log(2.0)
 
 
-def _unscale(P: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """P 2**e item by item (e per item, a trailing axis), for a positive definite
-    P: exact ``np.ldexp`` for e's integer part, one rounding for the rest, then
-    the test of ``_positive_diagonal``."""
-    e = e[..., None]
-    k = np.floor(e)
+def _frame(*operands: np.ndarray):
+    """The operands at unit scale, and each one's binary exponent per item.
+
+    Each item is written 2**e M, with M's largest |entry| in [1/2, 1), except
+    where its largest |entry| already lies in [2**-128, 2**128]: there e = 0,
+    and the item keeps its bits.  Returns the operands so scaled and a list
+    of their e, with a trailing axis, or the operands as given and None
+    where every item of every operand lies in the window (a test made first
+    on Python floats).
+    """
+    seen = []
+    for M in operands:
+        if M.ndim > 2:
+            seen += np.abs(M).max(axis=(-2, -1)).ravel().tolist()
+        else:
+            # one matrix; a 1x1 or 2x2 one on Python floats, which cost less there
+            seen.append(max(map(abs, M.ravel().tolist())) if M.size <= 4
+                        else float(np.abs(M).max()))
+    if not seen or _FRAME_LO <= min(seen) and max(seen) <= _FRAME_HI:
+        return operands, None
+    peaks = [np.abs(M).max(axis=(-2, -1)) for M in operands]
+    e = [np.where((_FRAME_LO <= p) & (p <= _FRAME_HI), 0, np.frexp(p)[1])[..., None]
+         for p in peaks]
+    return [_times_exp2(M, -k[..., None]) for M, k in zip(operands, e)], e
+
+
+def _times_exp2(x: np.ndarray, E) -> np.ndarray:
+    """x 2**E, E real and broadcast against x (a complex entry is scaled
+    whole): exact ``np.ldexp`` for E's integer part, then one rounding for
+    the rest; inf past the doubles, without a warning."""
+    k = np.floor(E)
+    real = x.view(float) if x.dtype == complex else x
     with np.errstate(over="ignore"):
-        return _positive_diagonal(
-            np.ldexp((P * np.exp2(e - k)).view(float), k.astype(int)).view(complex))
+        y = np.ldexp(real, k.astype(int)) * np.exp2(E - k)
+    return y.view(complex) if x.dtype == complex else y
 
 
-def _logm(dec: SpectralDecomposition) -> np.ndarray:
-    """The logarithm of a positive definite matrix, from its decomposition."""
-    return _apply(dec, np.log(dec.eigenvalues))
+def _degree(e: list, *degrees):
+    """sum d_i e_i, the exponent of a result of the given degree in each
+    operand, per item with a trailing axis (0 where e is None)."""
+    return 0 if e is None else sum(d * k for d, k in zip(degrees, e))
+
+
+def _unscale(P: np.ndarray, e: list | None, *degrees, definite: bool = True) -> np.ndarray:
+    """The one exit of a framed operation: P, its result at unit scale, times
+    2**E item by item, E = ``_degree(e, *degrees)``: exact ``np.ldexp`` for
+    E's integer part, one rounding for the rest.
+
+    NotFinite where the result overflows, where a diagonal entry of a
+    positive definite result (``definite``) underflows to 0, or where an
+    entry significant in P (above u times its largest) comes out subnormal,
+    or 0 where an operand of that item was itself subnormal.
+    """
+    Q, subnormal = P, False
+    if e is not None:
+        Q = _times_exp2(P, _degree(e, *degrees)[..., None])
+        # an operand whose largest |entry| is below 2**-1022
+        subnormal = (np.minimum.reduce(e) < -1021)[..., 0]
+    if definite:
+        d = Q.diagonal(0, -2, -1).real
+        # pass first, on Python floats: a positive definite result has its
+        # largest |entry| on the diagonal
+        seen = d.ravel().tolist()
+        if not seen or _NORMAL_TOP <= min(seen) and max(seen) < math.inf:
+            return Q
+        # a diagonal entry of 0 is an underflow, significant or not
+        zero = ~(d > 0).all(axis=-1)
+    else:
+        zero = False
+    top = np.abs(_require_finite(Q, "the result overflows the double range")).max(axis=(-2, -1))
+    low = top < _NORMAL_TOP
+    if _any(low | zero):
+        size = np.abs(P)
+        significant = size > 2.0**-53 * size.max(axis=(-2, -1), keepdims=True)
+        # below the normal doubles; only 0 where an operand is subnormal itself
+        lost = np.where(np.asarray(subnormal)[..., None, None], Q == 0,
+                        np.abs(Q) < np.finfo(float).tiny)
+        bad = zero | (low & (significant & lost).any(axis=(-2, -1)))
+        if _any(bad):
+            raise NotFinite(_item(bad) + "the result underflows the double range")
+    return Q
+
+
+def _unscale_values(x: np.ndarray, E=0, positive: bool = False) -> np.ndarray:
+    """The scalar exit of a framed operation: x, values made at unit scale
+    (eigenvalues, a norm or a ratio), one row per item, times 2**E, E per
+    item with a trailing axis, or 0, as ``_degree`` gives it.
+
+    NotFinite naming the first item with a value outside the finite doubles,
+    or outside the finite positive ones where ``positive``.  Where E is 0,
+    no operand was scaled, and x is returned as it is.
+    """
+    if not isinstance(E, np.ndarray):
+        return x
+    x = _times_exp2(x, E)
+    ok = (0 < x) & (x < np.inf) if positive else np.isfinite(x)
+    bad = ~ok.all(axis=-1)
+    if _any(bad):
+        kind = "finite positive" if positive else "finite"
+        raise NotFinite(_item(bad) + f"the result leaves the {kind} doubles")
+    return x
+
+
+def _logm(dec: SpectralDecomposition, shift=0) -> np.ndarray:
+    """The logarithm of a positive definite matrix, from its decomposition,
+    plus ``shift`` times I: a framed operand 2**e M has log M + e log(2) I."""
+    return _apply(dec, np.log(dec.eigenvalues) + shift)
 
 
 def powm(A, t: float) -> np.ndarray:
     """A**t for positive definite A and any finite real t, via the spectral map.
 
-    Raises NotFinite where an eigenvalue's power overflows or underflows to 0.
+    Raises NotFinite where an eigenvalue's power overflows or underflows to 0,
+    or where the result leaves the doubles (see Scale above).
     """
     Am = require_hermitian(A)
-    return _powm(_pd_eigh(Am), require_weight(t, Am))
+    t = require_weight(t, Am)
+    (Am,), e = _frame(Am)
+    return _unscale(_powm(_pd_eigh(Am), t), e, t)
 
 
 def sqrtm(A) -> np.ndarray:
-    return _powm(_pd_eigh(require_hermitian(A)), 0.5)
+    return powm(A, 0.5)
 
 
 def invm(A) -> np.ndarray:
-    return _powm(_pd_eigh(require_hermitian(A)), -1.0)
+    return powm(A, -1.0)
 
 
 def logm(A) -> np.ndarray:
     """Principal logarithm of a positive definite matrix (Hermitian result)."""
-    return _logm(_pd_eigh(require_hermitian(A)))
+    (Am,), e = _frame(require_hermitian(A))
+    return _logm(_pd_eigh(Am), _degree(e, _LOG2))
 
 
 def expm(H) -> np.ndarray:
     """exp of a Hermitian matrix (positive definite result, else NotFinite)."""
-    dec = _eigh(require_hermitian(H))
+    (Hm,), e = _frame(require_hermitian(H))
+    dec = _eigh(Hm)
     with np.errstate(over="ignore"):
-        fw = np.exp(dec.eigenvalues)
+        fw = np.exp(_unscale_values(dec.eigenvalues, _degree(e, 1)))
     return _apply(dec, _finite_positive(fw))
 
 
@@ -710,20 +791,14 @@ def matrix_function(A, kind: str, t: float | None = None) -> np.ndarray:
     raise UnknownCase(f"unknown matrix function {kind!r}")
 
 
-def _exponent(M: np.ndarray) -> int:
-    """The k with 2**(k-1) <= largest |entry| < 2**k (0 for the zero matrix)."""
-    return math.frexp(float(np.abs(M).max()))[1]
-
-
 def congruence(X, S) -> np.ndarray:
     """Congruence transform S X S* of a Hermitian X.
 
-    The product is made at S and X scaled by powers of two to a largest
-    |entry| in [1/2, 1), where nothing that matters over- or underflows, and
-    then scaled back.  NotFinite where the result overflows, or where an
-    entry that is significant at that unit scale (above u times the largest)
-    becomes subnormal or 0; an entry that is 0 at unit scale, as a singular
-    S makes, stays 0.
+    Made at the operands' unit scale and scaled back by its degrees, 1 in X
+    and 2 in S.  NotFinite where the result overflows, or where an entry
+    that is significant at unit scale (above u times the largest) becomes
+    subnormal or 0; an entry that is 0 at unit scale, as a singular S
+    makes, stays 0.
     """
     Xm = require_hermitian(as_matrix(X))
     Sm = np.asarray(S, dtype=complex)
@@ -731,30 +806,19 @@ def congruence(X, S) -> np.ndarray:
         raise DimensionMismatch(
             f"congruence factor shape {Sm.shape} incompatible with {Xm.shape}"
         )
-    Sm = _require_finite(Sm, "the congruence factor has a NaN or infinite entry")
-    ks, kx = _exponent(Sm), _exponent(Xm)
-    Ss = _ldexp(Sm, -ks)
-    unit = hermitian_part(Ss @ _ldexp(Xm, -kx) @ Ss.conj().T)
-    with np.errstate(over="ignore"):
-        P = np.ldexp(unit.view(float), 2 * ks + kx).view(complex)
-        if not np.isfinite(P).all():
-            raise NotFinite("the result overflows the double range")
-        size = np.abs(unit)
-        # u times the largest entry at unit scale: below it is rounding
-        significant = size > 2.0**-53 * size.max()
-        if (np.abs(P[significant]) < np.finfo(float).tiny).any():
-            raise NotFinite("the result underflows the double range")
-    return P
+    (Xm, Sm), e = _frame(Xm, _require_finite(
+        Sm, "the congruence factor has a NaN or infinite entry"))
+    return _unscale(hermitian_part(Sm @ Xm @ Sm.conj().T), e, 1, 2, definite=False)
 
 
 def norm(H, kind: str = "operator") -> float:
     """Operator (largest |eigenvalue|) or Frobenius norm of a Hermitian matrix."""
-    M = require_hermitian(as_matrix(H))
-    if kind == "operator":
-        return float(np.max(np.abs(_eigvalsh(M))))
-    if kind == "frobenius":
-        return _frobenius(M)
-    raise UnknownCase(f"unknown norm kind {kind!r}")
+    (M,), e = _frame(require_hermitian(as_matrix(H)))
+    if kind not in ("operator", "frobenius"):
+        raise UnknownCase(f"unknown norm kind {kind!r}")
+    x = np.max(np.abs(_eigvalsh(M))) if kind == "operator" else _frobenius(M)
+    # of degree 1, as an eigenvalue
+    return float(_unscale_values(np.array([x]), _degree(e, 1))[0])
 
 
 def loewner_compare(X, Y, tol: float = LOEWNER_TOL) -> Loewner:
@@ -767,9 +831,12 @@ def loewner_compare(X, Y, tol: float = LOEWNER_TOL) -> Loewner:
     Xm = require_hermitian(as_matrix(X))
     Ym = require_hermitian(as_matrix(Y))
     require_same_dim(Xm, Ym)
-    w = _eigvalsh(hermitian_part(0.5 * Ym - 0.5 * Xm))
-    le = w[0] >= -0.5 * tol
-    ge = w[-1] <= 0.5 * tol
+    (D,), e = _frame(hermitian_part(0.5 * Ym - 0.5 * Xm))
+    w = _eigvalsh(D)
+    # the slack at D's unit scale
+    slack = 0.5 * tol if e is None else math.ldexp(0.5 * tol, -int(e[0][0]))
+    le = w[0] >= -slack
+    ge = w[-1] <= slack
     if le and ge:
         return Loewner.EQ
     if le:
@@ -793,7 +860,7 @@ def polar_unitary(M) -> np.ndarray:
     U is unitary to rounding.  NoConvergence, where the SVD fails, arises
     only at n >= 3.
     """
-    return _polar_unitary(_require_finite(as_stack(M)))
+    return _polar_unitary(_frame(_require_finite(as_stack(M)))[0][0])
 
 
 def _raise_singular(where: str):
@@ -819,7 +886,7 @@ def _polar_terms(z, sqrt):
     n = 1, U = m/|m|.  At n = 2, with p = det M/|det M| and the singular
     values s1 >= s2, U = (M + p adj(M)*)/(s1 + s2), where
     s1 +- s2 = sqrt(||M||_F**2 +- 2|det M|): the denominator cannot cancel
-    (N. J. Higham, Functions of Matrices, 2008, ch. 8).  The caller keeps
+    (N. J. Higham, Functions of Matrices, 2008, ch. 8).  The frame keeps
     the entries inside [2**-225, 2**225] in modulus (or 0), so that no
     product of four of them overflows or underflows to where it matters.
     Only + - * /, abs and ``sqrt`` run, as in ``_rotation``, so the same
@@ -849,13 +916,6 @@ def _polar_terms(z, sqrt):
     return s_min, s_max, num, total
 
 
-# a 1x1 or 2x2 item whose largest |entry| leaves [2**-225, 2**225] is scaled
-# by a power of two into [1/2, 1); U does not depend on the scale of M.  The
-# window is the square root of ``_small_eigh``'s: |det M|**2 is a product of
-# four entries, where a product of two stays inside the doubles
-_POLAR_LO, _POLAR_HI = math.sqrt(_SAFE_LO), math.sqrt(_SAFE_HI)
-
-
 def _small_polar(M: np.ndarray) -> np.ndarray:
     """``_polar_unitary`` of a 1x1 or 2x2 matrix or stack, in closed form,
     with the singularity test of the SVD route; a stack's items are the
@@ -864,26 +924,14 @@ def _small_polar(M: np.ndarray) -> np.ndarray:
     # the real and imaginary parts of each entry, row by row
     parts = np.ascontiguousarray(M).view(float).reshape(M.shape[:-2] + (-1,))
     if M.ndim == 2:
-        z = parts.tolist()
-        peak = max(map(abs, z))
-        if not _POLAR_LO <= peak <= _POLAR_HI:
-            # math.ldexp rounds once, as np.ldexp does, and cannot overflow here
-            k = math.frexp(peak)[1]
-            z = [math.ldexp(x, -k) for x in z]
-        s_min, s_max, num, den = _polar_terms(z, math.sqrt)
+        s_min, s_max, num, den = _polar_terms(parts.tolist(), math.sqrt)
         if s_min <= tol * s_max:
             _raise_singular("")
         return np.array([x / den for x in num]).view(complex).reshape(M.shape)
-    z = list(np.moveaxis(parts, -1, 0))
-    peak = np.abs(parts).max(axis=-1)
-    # pass first, as in ``_small_eigh``
-    if peak.size and not (_POLAR_LO <= peak.min() and peak.max() <= _POLAR_HI):
-        k = np.where((_POLAR_LO <= peak) & (peak <= _POLAR_HI), 0, np.frexp(peak)[1])
-        z = [np.ldexp(x, -k) for x in z]
     # a non-finite item, which only an overflowed intermediate brings here,
     # makes NaN as the single call does, without a warning
     with np.errstate(invalid="ignore", over="ignore"):
-        s_min, s_max, num, den = _polar_terms(z, np.sqrt)
+        s_min, s_max, num, den = _polar_terms(list(np.moveaxis(parts, -1, 0)), np.sqrt)
         bad = s_min <= tol * s_max
         if bad.any():
             _raise_singular(_item(bad))

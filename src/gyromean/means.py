@@ -17,30 +17,30 @@ import numpy as np
 
 from .errors import UnknownCase, WeightOutOfRange
 from .kernel import (
-    _SAFE_HI,
-    _SAFE_LO,
     SpectralDecomposition,
     _any,
+    _degree,
+    _frame,
+    _LOG2,
     _frobenius,
     _item,
     _logm,
     _pd_eigh,
     _pd_eigvals,
-    _per,
+    _per_item,
     _polar_unitary,
-    _positive_diagonal,
     _powm,
     _sandwich,
     _spectral,
+    _times_exp2,
     _unscale,
+    _unscale_values,
     as_stack,
-    invm,
     min_eig,
     require_hermitian,
     require_hermitians,
     require_same_dim,
     require_weight,
-    sqrtm,
 )
 
 def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float) -> np.ndarray:
@@ -52,36 +52,6 @@ def _geo_mean(dec_a: SpectralDecomposition, Bm: np.ndarray, t: float) -> np.ndar
     return _sandwich(rootA, inner)
 
 
-def _balanced(step, dec_a: SpectralDecomposition, Bm: np.ndarray):
-    """step(A, B) at a scale near 1 where either operand's scale is extreme,
-    and j and k per item with a trailing axis, or None where no item needs it.
-
-    The scales are lambda_max(A) and max_i B_ii.  Where both lie in the
-    kernel's window [2**-450, 2**450], their ratio (the scale of
-    A^{-1/2} B A^{-1/2}) and their product stay within 2**+-900, inside the
-    doubles at any kappa that ``PD_TOL`` admits.  Other items get A scaled
-    by 2**-j and B by 2**-k, j and k the binary exponents of the two scales;
-    the rest get j = k = 0 and keep their bits.  Both means are jointly
-    homogeneous, so the caller scales the step's result back by its own
-    exponent in j and k, with ``kernel._unscale``.
-    """
-    a = dec_a.eigenvalues[..., -1]
-    b = Bm.diagonal(0, -2, -1).real
-    # pass first, on Python floats, which neither overflow nor warn: the
-    # stack's extremes bound each item's scales
-    scales = a.ravel().tolist() + b.ravel().tolist()
-    if not scales or _SAFE_LO < min(scales) and max(scales) < _SAFE_HI:
-        return step(dec_a, Bm), None
-    j, k = np.frexp(a)[1], np.frexp(b.max(axis=-1))[1]
-    extreme = np.maximum(np.abs(j), np.abs(k)) > 450
-    j, k = j * extreme, k * extreme
-    # 2**-k in two factors, each a finite power of two at every k
-    scaled_b = Bm * _per(np.ldexp(1.0, -(k // 2))) * _per(np.ldexp(1.0, k // 2 - k))
-    scaled_a = SpectralDecomposition(np.ldexp(dec_a.eigenvalues, -j[..., None]),
-                                     dec_a.vectors)
-    return step(scaled_a, scaled_b), (j[..., None], k[..., None])
-
-
 def _polar_mean(rootX: np.ndarray, dec_b: SpectralDecomposition) -> np.ndarray:
     """X # B = X^{1/2} U B^{1/2} from X^{1/2} and B's decomposition, U the
     unitary polar factor of X^{1/2} B^{-1/2}: Hermitian, though formed as a
@@ -91,21 +61,16 @@ def _polar_mean(rootX: np.ndarray, dec_b: SpectralDecomposition) -> np.ndarray:
     return _sandwich(rootX, U, _spectral(dec_b, root_w))
 
 
-def _spectral_factor(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
-    """W = A^{-1} # B, the factor of the spectral mean W^t A W^t, from A's
-    decomposition; Bm as in ``_geo_mean``."""
-    return _polar_mean(_powm(dec_a, -0.5), _pd_eigh(Bm))
+def _spectral_factor(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition) -> np.ndarray:
+    """W = A^{-1} # B, the factor of the spectral mean W^t A W^t, from the
+    decompositions of A and B."""
+    return _polar_mean(_powm(dec_a, -0.5), dec_b)
 
 
-def _spectral_power(dec_a: SpectralDecomposition, Bm: np.ndarray, p) -> np.ndarray:
-    """W^p for W = A^{-1} # B, from A's decomposition; Bm as in ``_geo_mean``."""
-    W, jk = _balanced(_spectral_factor, dec_a, Bm)
-    Wp = _powm(_pd_eigh(W), p)
-    if jk is None:
-        return Wp
-    # (2**-j A)^{-1} # (2**-k B) = 2**((j - k)/2) A^{-1} # B
-    j, k = jk
-    return _unscale(Wp, 0.5 * p * (k - j))
+def _spectral_power(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition,
+                    p) -> np.ndarray:
+    """W^p for W = A^{-1} # B, from the decompositions of A and B."""
+    return _powm(_pd_eigh(_spectral_factor(dec_a, dec_b)), p)
 
 
 def geo_mean(A, B, t: float = 0.5) -> np.ndarray:
@@ -126,12 +91,8 @@ def geo_mean(A, B, t: float = 0.5) -> np.ndarray:
     """
     Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    P, jk = _balanced(lambda dec, M: _geo_mean(dec, M, t), _pd_eigh(Am), Bm)
-    if jk is None:
-        return P
-    # A #_t B = 2**(j (1 - t) + k t) (2**-j A) #_t (2**-k B)
-    j, k = jk
-    return _unscale(P, j * (1.0 - t) + k * t)
+    (Am, Bm), e = _frame(Am, Bm)
+    return _unscale(_geo_mean(_pd_eigh(Am), Bm, t), e, 1.0 - t, t)
 
 
 def spectral_mean(A, B, t: float = 0.5) -> np.ndarray:
@@ -143,7 +104,9 @@ def spectral_mean(A, B, t: float = 0.5) -> np.ndarray:
     """
     Am, Bm = require_hermitians(A, B)
     t = require_weight(t, Am)
-    return _positive_diagonal(_sandwich(_spectral_power(_pd_eigh(Am), Bm, t), Am))
+    (Am, Bm), e = _frame(Am, Bm)
+    P = _sandwich(_spectral_power(_pd_eigh(Am), _pd_eigh(Bm), t), Am)
+    return _unscale(P, e, 1.0 - t, t)
 
 
 def mean(kind: str, A, B, t: float = 0.5) -> np.ndarray:
@@ -155,17 +118,30 @@ def mean(kind: str, A, B, t: float = 0.5) -> np.ndarray:
     raise UnknownCase(f"unknown mean kind {kind!r}")
 
 
+def _residual(P: np.ndarray, p, Q: np.ndarray, q):
+    """||P 2**p - Q 2**q||_F per item, p and q per item with a trailing axis:
+    each term is scaled relative to the larger exponent, so that neither
+    overflows, and the norm is scaled back."""
+    top = np.maximum(p, q)
+    r = _frobenius(_times_exp2(P, (p - top)[..., None]) - _times_exp2(Q, (q - top)[..., None]))
+    return _per_item(_unscale_values(np.asarray(r)[..., None], top)[..., 0])
+
+
 def riccati_residual(A, B, X) -> float:
     """Frobenius residual of X A^{-1} X = B (Riccati), one per item of a stack.
 
     A, B and X must be positive definite.
     """
-    Am, Bm, Xm = require_hermitians(A, B, X)
+    (Am, Bm, Xm), e = _frame(*require_hermitians(A, B, X))
     dec_a = _pd_eigh(Am)
     # the PD checks of B and X
     _pd_eigvals(Bm)
     _pd_eigvals(Xm)
-    return _frobenius(Xm @ _powm(dec_a, -1.0) @ Xm - Bm)
+    P = Xm @ _powm(dec_a, -1.0) @ Xm
+    if e is None:
+        return _frobenius(P - Bm)
+    # X A^{-1} X and B have degrees (-1, 0, 2) and (0, 1, 0)
+    return _residual(P, _degree(e, -1, 0, 2), Bm, e[1])
 
 
 def karcher_residual(A, B, t: float, X) -> float:
@@ -176,12 +152,14 @@ def karcher_residual(A, B, t: float, X) -> float:
     which vanishes exactly at X = A #_t B.  Takes stacks, with one t or one
     per item.
     """
-    Am, Bm, Xm = as_stack(A), as_stack(B), as_stack(X)
-    require_same_dim(Am, Bm, Xm)
+    (Am, Bm, Xm), e = _frame(*require_hermitians(A, B, X))
     t = np.asarray(require_weight(t, Am))[..., None]
-    rootX = sqrtm(Xm)
-    term_a = _logm(_pd_eigh(_sandwich(rootX, invm(Am))))
-    term_b = _logm(_pd_eigh(_sandwich(rootX, invm(Bm))))
+    rootX = _powm(_pd_eigh(Xm), 0.5)
+    # log(X^{1/2} M^{-1} X^{1/2}) has degree 1 in X and -1 in M, as a log shift
+    term_a = _logm(_pd_eigh(_sandwich(rootX, _powm(_pd_eigh(Am), -1.0))),
+                   _degree(e, -_LOG2, 0, _LOG2))
+    term_b = _logm(_pd_eigh(_sandwich(rootX, _powm(_pd_eigh(Bm), -1.0))),
+                   _degree(e, 0, -_LOG2, _LOG2))
     return _frobenius((1.0 - t) * term_a + t * term_b)
 
 
@@ -194,12 +172,14 @@ def spectral_defining_residual(A, B, t: float, X) -> float:
     """
     Am, Bm, Xm = require_hermitians(A, B, X)
     t = require_weight(t, Am)
+    (Am, Bm, Xm), e = _frame(Am, Bm, Xm)
     dec_a = _pd_eigh(Am)
-    right, jk = _balanced(_spectral_factor, dec_a, Xm)
-    if jk is not None:
-        j, k = jk
-        right = _unscale(right, 0.5 * (k - j))
-    return _frobenius(_spectral_power(dec_a, Bm, t) - right)
+    left = _spectral_power(dec_a, _pd_eigh(Bm), t)
+    right = _spectral_factor(dec_a, _pd_eigh(Xm))
+    if e is None:
+        return _frobenius(left - right)
+    # the two sides have degrees (-t/2, t/2, 0) and (-1/2, 0, 1/2)
+    return _residual(left, _degree(e, -0.5 * t, 0.5 * t, 0), right, _degree(e, -0.5, 0, 0.5))
 
 
 def mean_left_inverse(kind: str, A, C, t: float) -> np.ndarray:

@@ -16,24 +16,24 @@ operands (..., n, n) and then return one value per item.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NotFinite, UnknownCase
+from .errors import UnknownCase
 from .kernel import (
+    _LOG2,
     SpectralDecomposition,
-    _any,
-    _item,
+    _degree,
+    _frame,
     _pd_eigh,
     _pd_eigvals,
     _per_item,
     _powm,
     _sandwich,
     _top_eig,
+    _unscale_values,
     require_hermitians,
 )
-from .means import _balanced, _spectral_factor
+from .means import _spectral_factor
 
 DISTANCE_KINDS = ("thompson", "riemannian", "semimetric_op", "semimetric_frob")
 
@@ -43,51 +43,35 @@ def _whitened(dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
     return _sandwich(_powm(dec_a, -0.5), Bm)
 
 
-def _log_eigvals(step, power: float, dec_a: SpectralDecomposition,
-                 Bm: np.ndarray) -> np.ndarray:
-    """The log-eigenvalues of step(A, B)**power, from A's decomposition: of
-    A^{-1/2} B A^{-1/2} (``_whitened``, power 1) or of A^{-1} [+] B
-    (``_spectral_factor``, power 2).  Each scales by 2**(j - k) where
-    ``_balanced`` scales A by 2**-j and B by 2**-k; they scale back in logs."""
-    M, jk = _balanced(step, dec_a, Bm)
-    lw = power * np.log(_pd_eigvals(M))
-    if jk is None:
-        return lw
-    j, k = jk
-    return lw + (k - j) * math.log(2.0)
+def _log_eigvals(kind: str, dec_a: SpectralDecomposition, Bm: np.ndarray) -> np.ndarray:
+    """The log-eigenvalues of A^{-1/2} B A^{-1/2} (Thompson and Riemannian
+    kinds) or of A^{-1} [+] B = (A^{-1} # B)^2 (the semimetrics), from A's
+    decomposition; both have degrees (-1, 1)."""
+    if kind in ("thompson", "riemannian"):
+        return np.log(_pd_eigvals(_whitened(dec_a, Bm)))
+    return 2.0 * np.log(_pd_eigvals(_spectral_factor(dec_a, _pd_eigh(Bm))))
 
 
-def _opnorm(lw: np.ndarray):
-    """The operator norm of a Hermitian matrix with eigenvalues lw."""
-    return _per_item(np.max(np.abs(lw), axis=-1))
-
-
-def _frobnorm(lw: np.ndarray):
-    """The Frobenius norm of a Hermitian matrix with eigenvalues lw."""
-    return _per_item(np.linalg.norm(lw, axis=-1))
-
-
-def _distance(kind: str, dec_a: SpectralDecomposition, Bm: np.ndarray):
-    """The distance of the given kind, from A's decomposition and a validated B.
+def _distance(kind: str, dec_a: SpectralDecomposition, Bm: np.ndarray, shift=0):
+    """The distance of the given kind, from A's decomposition and a validated
+    B, with ``shift`` added to the log-eigenvalues: log(2) times the degree
+    of B's frame over A's.
 
     Each kind is a norm of log X for a positive definite X, so it reads only
     X's log-eigenvalues.
     """
-    if kind == "thompson":
-        return _opnorm(_log_eigvals(_whitened, 1.0, dec_a, Bm))
-    if kind == "riemannian":
-        return _frobnorm(_log_eigvals(_whitened, 1.0, dec_a, Bm))
-    if kind == "semimetric_op":
-        return _opnorm(_log_eigvals(_spectral_factor, 2.0, dec_a, Bm))
-    if kind == "semimetric_frob":
-        return _frobnorm(_log_eigvals(_spectral_factor, 2.0, dec_a, Bm))
-    raise UnknownCase(f"unknown distance kind {kind!r}")
+    if kind not in DISTANCE_KINDS:
+        raise UnknownCase(f"unknown distance kind {kind!r}")
+    lw = _log_eigvals(kind, dec_a, Bm) + shift
+    if kind in ("thompson", "semimetric_op"):
+        return _per_item(np.max(np.abs(lw), axis=-1))
+    return _per_item(np.linalg.norm(lw, axis=-1))
 
 
 def distance(kind: str, A, B):
     """Distance between positive definite matrices under the given kind."""
-    Am, Bm = require_hermitians(A, B)
-    return _distance(kind, _pd_eigh(Am), Bm)
+    (Am, Bm), e = _frame(*require_hermitians(A, B))
+    return _distance(kind, _pd_eigh(Am), Bm, _degree(e, -_LOG2, _LOG2))
 
 
 def sup_ratio(A, B):
@@ -95,18 +79,10 @@ def sup_ratio(A, B):
 
     The Thompson distance equals max(log sup_ratio(A, B), log sup_ratio(B, A)).
     """
-    Am, Bm = require_hermitians(A, B)
+    (Am, Bm), e = _frame(*require_hermitians(A, B))
     _pd_eigvals(Bm)
-    M, jk = _balanced(_whitened, _pd_eigh(Am), Bm)
-    if jk is None:
-        return _per_item(_top_eig(M))
-    j, k = jk
-    with np.errstate(over="ignore"):
-        top = np.ldexp(_top_eig(M), (k - j)[..., 0])
-    bad = ~((0 < top) & (top < np.inf))
-    if _any(bad):
-        raise NotFinite(_item(bad) + "the ratio leaves the finite positive doubles")
-    return _per_item(top)
+    top = _top_eig(_whitened(_pd_eigh(Am), Bm))
+    return _per_item(_unscale_values(top[..., None], _degree(e, -1, 1), positive=True)[..., 0])
 
 
 def midpoint_deviation(kind: str, A, B, M) -> tuple:
@@ -114,10 +90,10 @@ def midpoint_deviation(kind: str, A, B, M) -> tuple:
 
     Returns (|dist(A, M) - dist(A, B)/2|, |dist(B, M) - dist(A, B)/2|).
     """
-    Am, Bm, Mm = require_hermitians(A, B, M)
+    (Am, Bm, Mm), e = _frame(*require_hermitians(A, B, M))
     dec_a, dec_b = _pd_eigh(Am), _pd_eigh(Bm)
-    half = 0.5 * _distance(kind, dec_a, Bm)
+    half = 0.5 * _distance(kind, dec_a, Bm, _degree(e, -_LOG2, _LOG2, 0))
     return (
-        abs(_distance(kind, dec_a, Mm) - half),
-        abs(_distance(kind, dec_b, Mm) - half),
+        abs(_distance(kind, dec_a, Mm, _degree(e, -_LOG2, 0, _LOG2)) - half),
+        abs(_distance(kind, dec_b, Mm, _degree(e, 0, -_LOG2, _LOG2)) - half),
     )

@@ -23,10 +23,12 @@ from .kernel import (
     LOEWNER_TOL,
     PD_TOL,
     _eigvalsh,
+    _frame,
     _item,
     _per,
     _per_item,
     _require_finite,
+    _sandwich,
     as_stack,
     hermitian_part,
     invm,
@@ -34,6 +36,7 @@ from .kernel import (
     min_eig,
     powm,
     require_hermitian,
+    require_hermitians,
     require_same_dim,
     sqrtm,
 )
@@ -76,7 +79,9 @@ def check_loewner_heinz(A, B, C) -> CheckResult:
     Am, Bm = as_stack(A), as_stack(B)
     Cm = require_hermitian(C)
     require_same_dim(Am, Bm, Cm)
-    premise = _le(Cm @ Cm, Am) & _le(Am, Bm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = _require_finite(Cm @ Cm, "the square C^2 overflows the double range")
+    premise = _le(square, Am) & _le(Am, Bm)
     rootA = sqrtm(Am)
     gaps = [_gap(Cm, rootA), _gap(rootA, sqrtm(Bm))]
     return _combine(premise, gaps)
@@ -146,7 +151,7 @@ def check_contraction(S, X) -> CheckResult:
     Sm = require_hermitian(S)
     Xm = as_stack(X)
     require_same_dim(Sm, Xm)
-    premise = _le(hermitian_part(Sm @ Xm @ Sm), Xm)
+    premise = _le(_sandwich(Sm, Xm), Xm)
     return _combine(premise, [_gap(Sm, np.eye(Sm.shape[-1]))])
 
 
@@ -196,9 +201,13 @@ def check_d_le_delta(A, B) -> CheckResult:
 
 
 def check_logmaj_mean(A, B, t: float) -> CheckResult:
-    """Eigenvalues of A #_t B are log-majorized by those of A^{1-t} B^t."""
-    Am, Bm = as_stack(A), as_stack(B)
-    require_same_dim(Am, Bm)
+    """Eigenvalues of A #_t B are log-majorized by those of A^{1-t} B^t.
+
+    Both sides have degrees (1 - t, t) in (A, B), so the log gaps do not
+    depend on the operands' scale: they are made at unit scale, where the
+    eigenvalues are normal doubles.
+    """
+    (Am, Bm), _ = _frame(*require_hermitians(A, B))
     x = _eigvalsh(geo_mean(Am, Bm, t))[..., ::-1]
     # A^{1-t} B^t has the eigenvalues of the Hermitian form B^{t/2} A^{1-t} B^{t/2}
     half = powm(Bm, t / 2.0)

@@ -121,3 +121,39 @@ def test_summary_keeps_each_runs_rounds_and_prints_them_beside_peak_rss():
         "peak_rss_mb: change median 49.5 MB at median 11500 rounds [11000, 12000, 11500]")
     runs[1]["rounds"] = None
     assert "at median None rounds" in bench_series.rss_and_rounds("change", runs)
+
+
+def _rss_runs(points):
+    runs = [_run(1.0, 1.0, 1.0, rounds=r) for r, _ in points]
+    for run, (_, rss) in zip(runs, points):
+        run["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+    return runs
+
+
+def test_rss_is_fitted_against_rounds():
+    # 40 MB plus 4 MB per 1,000 rounds, exactly
+    runs = _rss_runs([(1000, 44.0), (2000, 48.0), (4000, 56.0)])
+    base, slope = bench_series.rss_fit(runs)
+    assert base == pytest.approx(40.0) and slope == pytest.approx(4.0)
+    assert bench_series.summary(runs, "change", "ops-n8-illcond", 42, 30)["rss_fit"] == {
+        "base_mb": pytest.approx(40.0), "mb_per_1000_rounds": pytest.approx(4.0)}
+    # no fit without a spread of rounds, or with a run that printed none
+    assert bench_series.rss_fit(_rss_runs([(1000, 44.0), (1000, 45.0)])) is None
+    runs[1]["rounds"] = None
+    assert bench_series.rss_fit(runs) is None
+    assert bench_series.summary(runs, "change", "ops-n8-illcond", 42, 30)["rss_fit"] is None
+
+
+def test_the_change_s_peak_is_projected_to_the_parent_s_rounds():
+    parent = _rss_runs([(3000, 52.0), (3100, 52.4), (3050, 52.2)])
+    # more rounds and a higher peak, on the parent's line: throughput, not a leak
+    change = _rss_runs([(4500, 58.0), (4600, 58.4), (4550, 58.2)])
+    assert bench_series.projected_rss("parent", parent, "change", change).splitlines() == [
+        "peak_rss_mb fit: parent 40.00 MB + 4.000 MB per 1,000 rounds",
+        "peak_rss_mb fit: change 40.00 MB + 4.000 MB per 1,000 rounds",
+        "peak_rss_mb: change projected to parent's median 3050 rounds 52.20 MB "
+        "against parent's median 52.20 MB",
+    ]
+    flat = _rss_runs([(4000, 50.0), (4000, 50.1)])
+    assert bench_series.projected_rss("parent", parent, "change", flat).splitlines()[1:] == [
+        "peak_rss_mb fit: change none (rounds missing or all equal)"]

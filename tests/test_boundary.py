@@ -56,7 +56,7 @@ from gyromean.means import (
     spectral_mean,
 )
 from gyromean.metrics import distance
-from gyromean.order import weak_majorize
+from gyromean.order import check, weak_majorize
 from gyromean.randgen import gen_random_pd, substream
 
 A = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -333,11 +333,13 @@ A3 = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
     # A^{-1} # X = diag(1e304, 1e304, 7e308), past the largest double
     lambda: spectral_defining_residual(np.diag([1e-300, 1e-300, 2e-310]), np.eye(3), T,
                                        1e308 * np.eye(3)),
+    # W^t is finite here and W^t rho W^t is not; no frame scales a density
+    lambda: dens_cogyroline(4000.0, np.eye(3) / 3, np.diag([1.0, 1.2, 1.5]) / 3.7),
 ], ids=["geo_mean", "powm", "powm-negative", "gyroline", "spectral_mean", "cogyroline",
         "spectral_mean-underflow", "cogyroline-underflow", "invm-subnormal", "expm",
         "cone_scalar-underflow", "geo_mean-mixed-scales",
         "cogyroline-mixed-scales", "geo_mean-mixed-scales-underflow",
-        "spectral_defining_residual-mixed-scales"])
+        "spectral_defining_residual-mixed-scales", "dens_cogyroline-far-out"])
 def test_a_result_outside_the_double_range_raises_not_finite(call, filter_):
     # the named error must not hang on the RuntimeWarning, which only pytest
     # turns into an error: with warnings ignored it is raised all the same
@@ -450,22 +452,31 @@ def _karcher_at(a, b):
     (lambda: relative_eigenvalue(TINY, HUGE), ""),
     (lambda: congruence(np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]), ""),
     (lambda: congruence(HUGE, 1e100 * np.eye(2)), ""),
-    (lambda: _karcher_at(1e154, 1e-300), ""),
-    (lambda: _karcher_at(1e300, 1e-300), ""),
+    (lambda: check("loewner_heinz", np.eye(2), np.eye(2), 1e200 * np.eye(2)), ""),
+    (lambda: check("contraction", 1e200 * np.eye(2), np.eye(2)), ""),
 ], ids=["cone_add", "relative_eigenvalue", "relative_eigenvalue-underflow",
-        "congruence-nan", "congruence", "karcher_residual", "karcher_residual-extreme"])
+        "congruence-nan", "congruence", "check-loewner_heinz", "check-contraction"])
 def test_an_overflowing_intermediate_product_raises_not_finite(call, where):
-    # A^{1/2} B A^{1/2}, the congruence S X S* and karcher_residual's
-    # X^{1/2} B^{-1} X^{1/2} overflow here, and the largest eigenvalue 1e400
-    # or 1e-400 of relative_eigenvalue's whitened B^{-1/2} A B^{-1/2} leaves
-    # the doubles; each is made inside a guard, so the named error comes
-    # before numpy can warn (or LAPACK fails on the overflowed product), and
-    # also with warnings ignored
+    # A^{1/2} B A^{1/2}, the congruence S X S* and the checks' C^2 and S X S
+    # overflow here, and the largest eigenvalue 1e400 or 1e-400 of
+    # relative_eigenvalue's whitened B^{-1/2} A B^{-1/2} leaves the doubles;
+    # each is made inside a guard, so the named error comes before numpy can
+    # warn, and also with warnings ignored
     for filter_ in ("error", "ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter(filter_)
             with pytest.raises(errors.NotFinite, match="^" + where + "the"):
                 call()
+
+
+@pytest.mark.parametrize("a, b", [(1e154, 1e-300), (1e300, 1e-300)])
+def test_the_karcher_residual_at_operands_of_very_different_scales(a, b):
+    # X^{1/2} B^{-1} X^{1/2} is about (a/b)**0.7 1e2, past the largest
+    # double, but it is made at the operands' unit scale, where its log
+    # shifts by a known term, so the residual at the mean is rounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0.0 <= _karcher_at(a, b) <= 1e-12
 
 
 def _log_ratios(A, B, a, b):

@@ -119,6 +119,9 @@ def test_det_shift_identity():
         c = float(rng.uniform(-3, 3))
         assert det_shift_identity(c, X) < 1e-12
         assert det_shift_identity(0.0, X) < 1e-15
+    # c^2 = 1e600 leaves the doubles; the residual is made where the larger of
+    # |c| and X's entries is about 1, and there it is 0
+    assert det_shift_identity(1e300, np.eye(2)) == 0.0
     with pytest.raises(errors.DimensionMismatch):
         det_shift_identity(1.0, np.eye(3))
 

@@ -93,6 +93,34 @@ def test_each_op_mix_kind_solves_each_spectrum_once(kind, monkeypatch):
     assert counts == {"eigh": eighs, "svd": svds}
 
 
+# closed-form solves per call of a 1x1 or 2x2 density operation, which the
+# memo does not hold: each operand's check solves it once, and the operation
+# decomposes it from that solve.  When the check's solve was thrown away,
+# these were 4, 5, 3 and 2
+SMALL_SOLVES = {
+    "dens_gyroline": (lambda o: gyromean.dens_gyroline(0.3, o["rho"], o["sigma"]), 3),
+    "dens_cogyroline": (lambda o: gyromean.dens_cogyroline(0.3, o["rho"], o["sigma"]), 3),
+    "dens_add": (lambda o: gyromean.dens_add(o["rho"], o["sigma"]), 2),
+    "dens_scalar": (lambda o: gyromean.dens_scalar(0.3, o["rho"]), 1),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", list(SMALL_SOLVES))
+def test_a_small_density_is_solved_once_per_call(kind, n, monkeypatch):
+    call, solves = SMALL_SOLVES[kind]
+    operands = _operands(457, n=n)
+    count = [0]
+    solve = kernel._small_eigh
+
+    def counted(M):
+        count[0] += 1
+        return solve(M)
+    monkeypatch.setattr(kernel, "_small_eigh", counted)
+    call(operands)
+    assert count[0] == solves
+
+
 # every public function of the numerical core that returns an array, or a
 # tuple of them; those that return one float per matrix return an array for
 # a stack.  Each takes the operands of ``_operands``

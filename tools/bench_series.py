@@ -20,9 +20,13 @@ thread settings) and the canonical JSON sha256 each campaign run printed.
 Given two checkouts, it also prints, per metric, in how many of the
 alternating pairs of runs the second one did better, with "better" as
 ``BENCHMARK.json`` declares it, each checkout's median ``peak_rss_mb`` beside
-its median rounds (perfbench keeps data per completed round, so more
-throughput alone raises the peak), and whether the two checkouts' campaign
-reports have the same canonical sha256.
+its median rounds, each checkout's least-squares fit of ``peak_rss_mb``
+against rounds (base MB plus MB per 1,000 rounds), and the second
+checkout's peak projected from its fit to the first one's median rounds:
+perfbench keeps data per completed round, so more throughput alone raises
+the peak, and the projection tells that rise from a leak.  It also prints
+whether the two checkouts' campaign reports have the same canonical
+sha256.  Each summary records its checkout's fit.
 """
 
 from __future__ import annotations
@@ -105,6 +109,7 @@ def summary(runs: list[dict], label: str, workload: str, seed: int,
         metrics[name] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3,
                          "values": values}
     envs = [r["env"] for r in runs]
+    fit = rss_fit(runs)
     return {
         "label": label,
         "workload": workload,
@@ -117,6 +122,7 @@ def summary(runs: list[dict], label: str, workload: str, seed: int,
         "calibration_factors": [r.get("calibration_factor") for r in runs],
         "canonical_sha256": [r.get("canonical_sha256") for r in runs],
         "rounds": [r.get("rounds") for r in runs],
+        "rss_fit": None if fit is None else {"base_mb": fit[0], "mb_per_1000_rounds": fit[1]},
         # one env when every run reported the same, else each run's
         "env": envs[0] if all(e == envs[0] for e in envs) else envs,
     }
@@ -146,6 +152,40 @@ def rss_and_rounds(label: str, runs: list[dict]) -> str:
     rounds = [r.get("rounds") for r in runs]
     done = statistics.median(rounds) if None not in rounds else None
     return f"peak_rss_mb: {label} median {rss:.1f} MB at median {done} rounds {rounds}"
+
+
+def rss_fit(runs: list[dict]) -> tuple[float, float] | None:
+    """One checkout's least-squares fit peak_rss_mb = base + slope rounds/1000,
+    as (base MB, MB per 1,000 rounds); None where a run reported no rounds or
+    no peak, or every run completed the same rounds."""
+    rounds = [r.get("rounds") for r in runs]
+    if None in rounds or len(set(rounds)) < 2 or any(
+            "peak_rss_mb" not in r["metrics"] for r in runs):
+        return None
+    rss = [r["metrics"]["peak_rss_mb"]["value"] for r in runs]
+    slope, base = statistics.linear_regression(rounds, rss)
+    return base, 1000 * slope
+
+
+def projected_rss(base_label: str, base_runs: list[dict], label: str,
+                  runs: list[dict]) -> str:
+    """Each checkout's fit, and the second's peak projected to the first's
+    median rounds beside the first's median peak."""
+    lines = []
+    for name, results in ((base_label, base_runs), (label, runs)):
+        fit = rss_fit(results)
+        lines.append(f"peak_rss_mb fit: {name} " + (
+            "none (rounds missing or all equal)" if fit is None else
+            f"{fit[0]:.2f} MB + {fit[1]:.3f} MB per 1,000 rounds"))
+    fit = rss_fit(runs)
+    rounds = [r.get("rounds") for r in base_runs]
+    if fit is not None and None not in rounds:
+        at = statistics.median(rounds)
+        base_rss = statistics.median(r["metrics"]["peak_rss_mb"]["value"] for r in base_runs)
+        lines.append(f"peak_rss_mb: {label} projected to {base_label}'s median {at:g} rounds "
+                     f"{fit[0] + fit[1] * at / 1000:.2f} MB against {base_label}'s "
+                     f"median {base_rss:.2f} MB")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -190,6 +230,7 @@ def main(argv=None) -> int:
         if "peak_rss_mb" in base_runs[0]["metrics"]:
             for label, results in runs.items():
                 print(rss_and_rounds(label, results))
+            print(projected_rss(base, base_runs, change, change_runs))
         same = same_reports(base_runs, change_runs)
         if same is not None:
             print(f"canonical JSON sha256: {change} "
