@@ -33,7 +33,7 @@ from .ball import (
 )
 from .kernel import (
     _any,
-    _frame,
+    _framed,
     _item,
     _pd_eigh,
     _pd_eigvals,
@@ -140,7 +140,7 @@ def sgm2(A, B, t) -> np.ndarray:
     Bm = _require_2x2(B)
     require_same_dim(Am, Bm)
     w = require_weight(t, Am)
-    (Am, Bm), e = _frame(require_hermitian(Am), require_hermitian(Bm))
+    (Am, Bm), e = _framed(Am, Bm)
     dec_a = _pd_eigh(Am)
     _pd_eigvals(Bm)
     ab = np.sqrt(det2(Am).real) * np.sqrt(det2(Bm).real)

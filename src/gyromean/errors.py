@@ -54,7 +54,8 @@ class NonPositiveEntry(GyromeanError):
 
 
 class NonPositiveArgument(GyromeanError):
-    """Scalar argument must be strictly positive."""
+    """Scalar argument must be strictly positive (or, where zero is admitted,
+    at least zero); NaN is refused either way."""
 
 
 class UnknownCase(GyromeanError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .kernel import (
     SpectralDecomposition,
-    _frame,
+    _framed,
     _frobenius,
     _pd_eigh,
     _pd_eigvals,
@@ -27,14 +27,13 @@ from .kernel import (
     _sandwich,
     _unscale,
     powm,
-    require_hermitians,
 )
 from .means import _polar_mean, geo_mean, spectral_mean
 
 
 def cone_add(A, B) -> np.ndarray:
     """A (+) B = A^{1/2} B A^{1/2}; NotFinite where it leaves the doubles."""
-    (Am, Bm), e = _frame(*require_hermitians(A, B))
+    (Am, Bm), e = _framed(A, B)
     _pd_eigvals(Bm)
     return _unscale(_sandwich(_powm(_pd_eigh(Am), 0.5), Bm), e, 1, 1)
 
@@ -61,13 +60,13 @@ def gyration_unitary(A, B) -> np.ndarray:
     The unitary polar factor of A^{1/2} B^{1/2}, so that
     A^{1/2} B^{1/2} = (A (+) B)^{1/2} U(A, B).
     """
-    (Am, Bm), _ = _frame(*require_hermitians(A, B))
+    (Am, Bm), _ = _framed(A, B)
     return _gyration_unitary(_pd_eigh(Am), _pd_eigh(Bm))
 
 
 def gyration(A, B, X) -> np.ndarray:
     """gyr[A, B] X = U(A, B) X U(A, B)^{-1}; preserves positive definiteness."""
-    (Am, Bm, Xm), e = _frame(*require_hermitians(A, B, X))
+    (Am, Bm, Xm), e = _framed(A, B, X)
     _pd_eigvals(Xm)
     U = _gyration_unitary(_pd_eigh(Am), _pd_eigh(Bm))
     return _unscale(_sandwich(U, Xm, U.conj().mT), e, 0, 0, 1)
@@ -75,7 +74,7 @@ def gyration(A, B, X) -> np.ndarray:
 
 def cooperation(A, B) -> np.ndarray:
     """A [+] B = A (+) gyr[A, (-)B] B, commutative; NotFinite where it leaves the doubles."""
-    (Am, Bm), e = _frame(*require_hermitians(A, B))
+    (Am, Bm), e = _framed(A, B)
     # A [+] B = (A # B)^2
     S = _polar_mean(_powm(_pd_eigh(Am), 0.5), _pd_eigh(Bm))
     return _unscale(_sandwich(S, np.eye(S.shape[-1])), e, 1, 1)

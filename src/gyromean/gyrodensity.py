@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import GyromeanError, NotDensity
 from .kernel import (
+    _check,
     _decomposed,
     _frobenius,
-    _hermitian,
     _item,
     _lapack,
     _per,
@@ -50,7 +50,8 @@ def _density(rho):
     """
     M = as_stack(rho)
     try:
-        solved = _lapack("eigh", _hermitian(M))
+        _check(M)
+        solved = _lapack("eigh", M)
         _require_pd(solved[0])
     except GyromeanError as exc:
         raise NotDensity(str(exc)) from exc

@@ -14,6 +14,23 @@ A function of a function of H, such as H^{-1}, H^{-1/2} or (H^t)^{1/2},
 comes from H's own decomposition, as ``_powm`` at the product of the
 exponents, not from a second eigensolve.
 
+Boundary.  ``_framed`` checks and frames the Hermitian operands of a public
+call, in one pass per operand where the operand takes the fast route
+(``_exact``): exactly Hermitian, each entry the conjugate of its mirror and
+the diagonal real, finite, and each item's largest |entry| inside the
+frame's window, so that the frame keeps it as it is.  One 1x1 or 2x2
+matrix is tested on Python floats from one ``tolist()``; a larger one or a
+stack by ``M == M.conj().mT`` and each item's |entry| peak.  Any other
+operand takes the tolerance route: the ``HERMITICITY_TOL`` test, which
+passes it or raises the named error, and then ``_frame``.  So neither a
+result's bits nor an error's class and message depend on the route.
+``require_hermitian`` and a density's test take the same pass, without the
+frame.  ``hermitian_part`` makes exactly Hermitian results, and the
+package's samplers exactly Hermitian draws; a product G G* that numpy forms
+outside BLAS usually is not, and pays for the fast test on top of the
+tolerance route.  The fast route stays because it pays: at n = 2 the
+boundary cost more than a call's arithmetic.
+
 Tolerances are the constants ``HERMITICITY_TOL``, ``PD_TOL`` and
 ``LOEWNER_TOL``, read where their test is made; only ``loewner_compare``
 takes its slack per call.
@@ -46,8 +63,11 @@ so, also take a stack of matrices, shape (..., n, n), and act on each item:
 a stack of k operand sets gives what k single calls give, and a stack with
 one bad item raises the named error the single call on that item raises.
 A curve parameter may then be one float or an array of the stack's leading
-shape, one weight per item.  One matrix takes the stack's code, with three
+shape, one weight per item.  One matrix takes the stack's code, with four
 forks that stay because they pay:
+- ``_exact`` tests one 1x1 or 2x2 matrix on Python floats: one
+  ``tolist()`` serves the exact-Hermitian test, the finiteness test and
+  the frame's largest |entry|, at a fraction of the numpy pass;
 - ``_require_pd`` tests one spectrum on Python floats, which costs a
   fraction of the stack's test;
 - ``_powm`` skips the errstate and the overflow guard, on Python floats,
@@ -104,6 +124,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    NonPositiveArgument,
     NotFinite,
     NotHermitian,
     NotPositiveDefinite,
@@ -225,27 +246,36 @@ def require_hermitian(H) -> np.ndarray:
 
     Also takes a stack (..., n, n) and checks each item.
     """
-    return _hermitian(as_stack(H))
+    M = as_stack(H)
+    _check(M)
+    return M
 
 
-def require_hermitians(*operands) -> list[np.ndarray]:
-    """Validate Hermitian operands of one common shape; return them as complex ndarrays.
-
-    The operands may be stacks (..., n, n) of one common shape.
-    """
+def _framed(*operands):
+    """The public boundary of a framed operation: the operands as complex
+    ndarrays of one common shape, checked as ``require_hermitian`` checks
+    each and framed as ``_frame`` frames them, with a single pass per
+    operand where each one takes the fast route."""
     matrices = [as_stack(X) for X in operands]
     require_same_dim(*matrices)
-    return [_hermitian(M) for M in matrices]
+    # a list, so that every operand is checked before all() reads it
+    inside = [_check(M) for M in matrices]
+    return (matrices, None) if all(inside) else _frame(*matrices)
 
 
-def _hermitian(M: np.ndarray) -> np.ndarray:
-    """The checks of ``require_hermitian`` on a complex ndarray of square matrices."""
+def _check(M: np.ndarray) -> bool:
+    """The checks of ``require_hermitian`` on a complex ndarray of square
+    matrices; whether M took the fast route (``_exact``), which also places
+    each item in the frame's window.  Every other operand takes the
+    tolerance route, which passes it or raises the named error."""
+    if _exact(M):
+        return True
     with np.errstate(invalid="ignore", over="ignore"):
         defect = np.abs(M - M.conj().mT)
     # pass first: a defect within the bare tolerance passes every item's
     # test, and a NaN or infinite entry makes the defect NaN or infinite
     if defect.max(initial=0.0) <= HERMITICITY_TOL:
-        return M
+        return False
     peak = np.max(np.abs(M), axis=(-2, -1))
     bad = ~np.isfinite(peak)
     if bad.any():
@@ -255,7 +285,41 @@ def _hermitian(M: np.ndarray) -> np.ndarray:
     if bad.any():
         raise NotHermitian(
             _item(bad) + f"hermiticity defect {defect[bad][0]:.3e} exceeds tolerance")
-    return M
+    return False
+
+
+def _exact(M: np.ndarray) -> bool:
+    """The fast route of the boundary pass: whether M is exactly Hermitian
+    and finite, with each item's largest |entry| in [2**-128, 2**128].
+
+    The largest |entry| is the one ``_frame`` reads, so where this holds
+    the frame keeps every operand as it is.  One 1x1 or 2x2 matrix takes
+    one ``tolist()`` and Python floats; a larger one or a stack takes an
+    exact-equality test and the |entry| peak of each item.
+    """
+    if M.ndim == 2 and M.shape[0] <= 2:
+        rows = M.tolist()
+        if len(rows) == 1:
+            a = rows[0][0]
+            return a.imag == 0 and _FRAME_LO <= abs(a.real) <= _FRAME_HI
+        (a, b), (c, d) = rows
+        if not (a.imag == 0 == d.imag and b == c.conjugate()):
+            return False
+        x, y = abs(a.real), abs(d.real)
+        # each diagonal entry is tested alone, since max() passes over a NaN
+        # after its first argument, and b's parts before |b|, which CPython
+        # refuses to overflow
+        return (x <= _FRAME_HI and y <= _FRAME_HI
+                and abs(b.real) <= _FRAME_HI and abs(b.imag) <= _FRAME_HI
+                and _FRAME_LO <= max(x, y, abs(b)) <= _FRAME_HI)
+    # a NaN entry fails the equality, and an infinite one the window
+    if not (M == M.conj().mT).all():
+        return False
+    if M.ndim == 2:
+        return _FRAME_LO <= float(np.abs(M).max()) <= _FRAME_HI
+    peaks = np.abs(M).max(axis=(-2, -1))
+    return bool(_FRAME_LO <= peaks.min(initial=_FRAME_HI)
+                and peaks.max(initial=_FRAME_LO) <= _FRAME_HI)
 
 
 def require_weight(t, operand: np.ndarray | None = None):
@@ -521,13 +585,13 @@ def eigh(H) -> SpectralDecomposition:
     NoConvergence
         If LAPACK's iteration fails (n >= 3).
     """
-    return _framed_eigh(require_hermitian(H), _eigh)
+    return _framed_eigh(H, _eigh)
 
 
-def _framed_eigh(H: np.ndarray, solve) -> SpectralDecomposition:
+def _framed_eigh(H, solve) -> SpectralDecomposition:
     """solve(H) made at H's unit scale, with arrays the caller may write: a
     memo's read-only ones are copied."""
-    (M,), e = _frame(H)
+    (M,), e = _framed(H)
     w, V = solve(M)
     w = _unscale_values(w, _degree(e, 1))
     return SpectralDecomposition(w if w.flags.writeable else w.copy(),
@@ -553,12 +617,12 @@ def pd_eigh(A) -> SpectralDecomposition:
     magnitude.  (Matrices at extreme overall scales arise legitimately as
     powers of curve points; an absolute floor would misclassify them.)
     """
-    return _framed_eigh(require_hermitian(A), _pd_eigh)
+    return _framed_eigh(A, _pd_eigh)
 
 
 def is_positive_definite(A) -> bool:
     try:
-        _pd_eigvals(_frame(require_hermitian(A))[0][0])
+        _pd_eigvals(_framed(A)[0][0])
     except (NotPositiveDefinite, NotHermitian, NotFinite):
         return False
     return True
@@ -566,7 +630,7 @@ def is_positive_definite(A) -> bool:
 
 def min_eig(H):
     """Smallest eigenvalue of a Hermitian matrix (one per item for a stack)."""
-    (M,), e = _frame(require_hermitian(H))
+    (M,), e = _framed(H)
     return _per_item(_unscale_values(_eigvalsh(M), _degree(e, 1))[..., 0])
 
 
@@ -643,9 +707,7 @@ def _frame(*operands: np.ndarray):
         if M.ndim > 2:
             seen += np.abs(M).max(axis=(-2, -1)).ravel().tolist()
         else:
-            # one matrix; a 1x1 or 2x2 one on Python floats, which cost less there
-            seen.append(max(map(abs, M.ravel().tolist())) if M.size <= 4
-                        else float(np.abs(M).max()))
+            seen.append(float(np.abs(M).max()))
     if not seen or _FRAME_LO <= min(seen) and max(seen) <= _FRAME_HI:
         return operands, None
     peaks = [np.abs(M).max(axis=(-2, -1)) for M in operands]
@@ -743,9 +805,8 @@ def powm(A, t: float) -> np.ndarray:
     Raises NotFinite where an eigenvalue's power overflows or underflows to 0,
     or where the result leaves the doubles (see Scale above).
     """
-    Am = require_hermitian(A)
+    (Am,), e = _framed(A)
     t = require_weight(t, Am)
-    (Am,), e = _frame(Am)
     return _unscale(_powm(_pd_eigh(Am), t), e, t)
 
 
@@ -759,13 +820,13 @@ def invm(A) -> np.ndarray:
 
 def logm(A) -> np.ndarray:
     """Principal logarithm of a positive definite matrix (Hermitian result)."""
-    (Am,), e = _frame(require_hermitian(A))
+    (Am,), e = _framed(A)
     return _logm(_pd_eigh(Am), _degree(e, _LOG2))
 
 
 def expm(H) -> np.ndarray:
     """exp of a Hermitian matrix (positive definite result, else NotFinite)."""
-    (Hm,), e = _frame(require_hermitian(H))
+    (Hm,), e = _framed(H)
     dec = _eigh(Hm)
     with np.errstate(over="ignore"):
         fw = np.exp(_unscale_values(dec.eigenvalues, _degree(e, 1)))
@@ -813,7 +874,7 @@ def congruence(X, S) -> np.ndarray:
 
 def norm(H, kind: str = "operator") -> float:
     """Operator (largest |eigenvalue|) or Frobenius norm of a Hermitian matrix."""
-    (M,), e = _frame(require_hermitian(as_matrix(H)))
+    (M,), e = _framed(as_matrix(H))
     if kind not in ("operator", "frobenius"):
         raise UnknownCase(f"unknown norm kind {kind!r}")
     x = np.max(np.abs(_eigvalsh(M))) if kind == "operator" else _frobenius(M)
@@ -826,11 +887,15 @@ def loewner_compare(X, Y, tol: float = LOEWNER_TOL) -> Loewner:
 
     LE iff min-eig(Y - X) >= -tol, GE symmetrically, EQ if both hold.
     The test is made on Y/2 - X/2 at slack tol/2: halving is exact for
-    normal doubles, and the halved difference cannot overflow.
+    normal doubles, and the halved difference cannot overflow.  Raises
+    NonPositiveArgument where tol is negative or NaN, which would make
+    every comparison INCOMPARABLE, X against itself included.
     """
     Xm = require_hermitian(as_matrix(X))
     Ym = require_hermitian(as_matrix(Y))
     require_same_dim(Xm, Ym)
+    if not tol >= 0:
+        raise NonPositiveArgument(f"Loewner slack tol must be at least 0, got {tol!r}")
     (D,), e = _frame(hermitian_part(0.5 * Ym - 0.5 * Xm))
     w = _eigvalsh(D)
     # the slack at D's unit scale

@@ -20,7 +20,7 @@ from .kernel import (
     SpectralDecomposition,
     _any,
     _degree,
-    _frame,
+    _framed,
     _LOG2,
     _frobenius,
     _item,
@@ -38,7 +38,6 @@ from .kernel import (
     as_stack,
     min_eig,
     require_hermitian,
-    require_hermitians,
     require_same_dim,
     require_weight,
 )
@@ -89,9 +88,8 @@ def geo_mean(A, B, t: float = 0.5) -> np.ndarray:
     ndarray
         A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}, positive definite.
     """
-    Am, Bm = require_hermitians(A, B)
+    (Am, Bm), e = _framed(A, B)
     t = require_weight(t, Am)
-    (Am, Bm), e = _frame(Am, Bm)
     return _unscale(_geo_mean(_pd_eigh(Am), Bm, t), e, 1.0 - t, t)
 
 
@@ -102,9 +100,8 @@ def spectral_mean(A, B, t: float = 0.5) -> np.ndarray:
     are the positive square roots of the eigenvalues of A B.  Raises
     NotFinite where the result overflows or underflows to 0.
     """
-    Am, Bm = require_hermitians(A, B)
+    (Am, Bm), e = _framed(A, B)
     t = require_weight(t, Am)
-    (Am, Bm), e = _frame(Am, Bm)
     P = _sandwich(_spectral_power(_pd_eigh(Am), _pd_eigh(Bm), t), Am)
     return _unscale(P, e, 1.0 - t, t)
 
@@ -132,7 +129,7 @@ def riccati_residual(A, B, X) -> float:
 
     A, B and X must be positive definite.
     """
-    (Am, Bm, Xm), e = _frame(*require_hermitians(A, B, X))
+    (Am, Bm, Xm), e = _framed(A, B, X)
     dec_a = _pd_eigh(Am)
     # the PD checks of B and X
     _pd_eigvals(Bm)
@@ -152,7 +149,7 @@ def karcher_residual(A, B, t: float, X) -> float:
     which vanishes exactly at X = A #_t B.  Takes stacks, with one t or one
     per item.
     """
-    (Am, Bm, Xm), e = _frame(*require_hermitians(A, B, X))
+    (Am, Bm, Xm), e = _framed(A, B, X)
     t = np.asarray(require_weight(t, Am))[..., None]
     rootX = _powm(_pd_eigh(Xm), 0.5)
     # log(X^{1/2} M^{-1} X^{1/2}) has degree 1 in X and -1 in M, as a log shift
@@ -170,9 +167,8 @@ def spectral_defining_residual(A, B, t: float, X) -> float:
     determines X uniquely.  Takes stacks, with one t or one per item; A, B
     and X must be positive definite.
     """
-    Am, Bm, Xm = require_hermitians(A, B, X)
+    (Am, Bm, Xm), e = _framed(A, B, X)
     t = require_weight(t, Am)
-    (Am, Bm, Xm), e = _frame(Am, Bm, Xm)
     dec_a = _pd_eigh(Am)
     left = _spectral_power(dec_a, _pd_eigh(Bm), t)
     right = _spectral_factor(dec_a, _pd_eigh(Xm))

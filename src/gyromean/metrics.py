@@ -23,7 +23,7 @@ from .kernel import (
     _LOG2,
     SpectralDecomposition,
     _degree,
-    _frame,
+    _framed,
     _pd_eigh,
     _pd_eigvals,
     _per_item,
@@ -31,7 +31,6 @@ from .kernel import (
     _sandwich,
     _top_eig,
     _unscale_values,
-    require_hermitians,
 )
 from .means import _spectral_factor
 
@@ -70,7 +69,7 @@ def _distance(kind: str, dec_a: SpectralDecomposition, Bm: np.ndarray, shift=0):
 
 def distance(kind: str, A, B):
     """Distance between positive definite matrices under the given kind."""
-    (Am, Bm), e = _frame(*require_hermitians(A, B))
+    (Am, Bm), e = _framed(A, B)
     return _distance(kind, _pd_eigh(Am), Bm, _degree(e, -_LOG2, _LOG2))
 
 
@@ -79,7 +78,7 @@ def sup_ratio(A, B):
 
     The Thompson distance equals max(log sup_ratio(A, B), log sup_ratio(B, A)).
     """
-    (Am, Bm), e = _frame(*require_hermitians(A, B))
+    (Am, Bm), e = _framed(A, B)
     _pd_eigvals(Bm)
     top = _top_eig(_whitened(_pd_eigh(Am), Bm))
     return _per_item(_unscale_values(top[..., None], _degree(e, -1, 1), positive=True)[..., 0])
@@ -90,7 +89,7 @@ def midpoint_deviation(kind: str, A, B, M) -> tuple:
 
     Returns (|dist(A, M) - dist(A, B)/2|, |dist(B, M) - dist(A, B)/2|).
     """
-    (Am, Bm, Mm), e = _frame(*require_hermitians(A, B, M))
+    (Am, Bm, Mm), e = _framed(A, B, M)
     dec_a, dec_b = _pd_eigh(Am), _pd_eigh(Bm)
     half = 0.5 * _distance(kind, dec_a, Bm, _degree(e, -_LOG2, _LOG2, 0))
     return (

@@ -23,7 +23,7 @@ from .kernel import (
     LOEWNER_TOL,
     PD_TOL,
     _eigvalsh,
-    _frame,
+    _framed,
     _item,
     _per,
     _per_item,
@@ -36,7 +36,6 @@ from .kernel import (
     min_eig,
     powm,
     require_hermitian,
-    require_hermitians,
     require_same_dim,
     sqrtm,
 )
@@ -207,7 +206,7 @@ def check_logmaj_mean(A, B, t: float) -> CheckResult:
     depend on the operands' scale: they are made at unit scale, where the
     eigenvalues are normal doubles.
     """
-    (Am, Bm), _ = _frame(*require_hermitians(A, B))
+    (Am, Bm), _ = _framed(A, B)
     x = _eigvalsh(geo_mean(Am, Bm, t))[..., ::-1]
     # A^{1-t} B^t has the eigenvalues of the Hermitian form B^{t/2} A^{1-t} B^{t/2}
     half = powm(Bm, t / 2.0)

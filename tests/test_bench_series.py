@@ -157,3 +157,21 @@ def test_the_change_s_peak_is_projected_to_the_parent_s_rounds():
     flat = _rss_runs([(4000, 50.0), (4000, 50.1)])
     assert bench_series.projected_rss("parent", parent, "change", flat).splitlines()[1:] == [
         "peak_rss_mb fit: change none (rounds missing or all equal)"]
+
+
+def test_checkouts_alternate_their_order_every_other_round(tmp_path):
+    import argparse
+
+    (tmp_path / "a" / "perfbench").mkdir(parents=True)
+    (tmp_path / "a" / "perfbench" / "run.py").write_text("", encoding="utf-8")
+    parser = argparse.ArgumentParser()
+    checkouts = bench_series.parse_checkouts(
+        parser, [f"p={tmp_path / 'a'}", f"c={tmp_path / 'a'}"], "perfbench/run.py")
+    assert list(checkouts) == ["p", "c"]
+    assert [(k, label) for k, label, _ in bench_series.alternating(checkouts, 3)] == [
+        (0, "p"), (0, "c"), (1, "c"), (1, "p"), (2, "p"), (2, "c")]
+    for bad in ("nolabel", f"={tmp_path / 'a'}", f"x={tmp_path}"):
+        with pytest.raises(SystemExit):
+            bench_series.parse_checkouts(parser, [bad], "perfbench/run.py")
+    assert bench_series.quartiles([2.0, 1.0, 4.0, 3.0, 5.0]) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "values": [2.0, 1.0, 4.0, 3.0, 5.0]}

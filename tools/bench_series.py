@@ -80,6 +80,34 @@ def same_reports(base: list[dict], change: list[dict]) -> bool | None:
     return len(hashes) == 1
 
 
+def parse_checkouts(parser: argparse.ArgumentParser, items: list[str],
+                    marker: str) -> dict[str, Path]:
+    """``LABEL=PATH`` items as label -> resolved path; each path must hold
+    ``marker``, a path relative to the checkout, else a usage error."""
+    checkouts = {}
+    for item in items:
+        label, sep, path = item.partition("=")
+        if not sep or not label or not (Path(path) / marker).exists():
+            parser.error(f"{item!r} is not LABEL=PATH of a checkout with {marker}")
+        checkouts[label] = Path(path).resolve()
+    return checkouts
+
+
+def alternating(checkouts: dict[str, Path], runs: int):
+    """(round, label, path) for ``runs`` rounds over the checkouts, in
+    reverse order every other round, so that drift of the machine hits
+    each checkout alike."""
+    for k in range(runs):
+        for label, path in list(checkouts.items())[::-1 if k % 2 else 1]:
+            yield k, label, path
+
+
+def quartiles(values: list[float]) -> dict:
+    """The values' median and quartiles (inclusive method), and the values."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One timed perfbench run: its result object plus the env it printed."""
     proc = subprocess.run(
@@ -104,10 +132,8 @@ def summary(runs: list[dict], label: str, workload: str, seed: int,
     """Median, quartiles and values of every metric over the runs."""
     metrics = {}
     for name, first in runs[0]["metrics"].items():
-        values = [r["metrics"][name]["value"] for r in runs]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        metrics[name] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3,
-                         "values": values}
+        metrics[name] = {"unit": first["unit"],
+                         **quartiles([r["metrics"][name]["value"] for r in runs])}
     envs = [r["env"] for r in runs]
     fit = rss_fit(runs)
     return {
@@ -199,23 +225,15 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.runs < MIN_RUNS:
         p.error(f"--runs must be at least {MIN_RUNS}")
-    checkouts = {}
-    for item in args.checkouts:
-        label, sep, path = item.partition("=")
-        if not sep or not label or not (Path(path) / "perfbench" / "run.py").is_file():
-            p.error(f"{item!r} is not LABEL=PATH of a checkout with perfbench/run.py")
-        checkouts[label] = Path(path).resolve()
+    checkouts = parse_checkouts(p, args.checkouts, "perfbench/run.py")
 
     runs = {label: [] for label in checkouts}
-    for k in range(args.runs):
-        # every other round runs the checkouts in reverse order
-        order = list(checkouts.items())[::-1 if k % 2 else 1]
-        for label, path in order:
-            result = run_once(path, args.workload, args.seed, RUN_SECONDS)
-            runs[label].append(result)
-            wall = result["metrics"].get("wall_s", {}).get("value")
-            print(f"run {k + 1}/{args.runs} {label}: wall_s {wall} "
-                  f"correct {result['correct']} failed {result['failed']}", flush=True)
+    for k, label, path in alternating(checkouts, args.runs):
+        result = run_once(path, args.workload, args.seed, RUN_SECONDS)
+        runs[label].append(result)
+        wall = result["metrics"].get("wall_s", {}).get("value")
+        print(f"run {k + 1}/{args.runs} {label}: wall_s {wall} "
+              f"correct {result['correct']} failed {result['failed']}", flush=True)
 
     args.out.mkdir(parents=True, exist_ok=True)
     for label, results in runs.items():
